@@ -31,9 +31,10 @@ from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
 from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, affine_stagefn, build_grid,
-                  rk4_drive, schedule_stage_table)
-from .riccati import closed_loop_propagator, riccati_pair, solve_dual_riccati
+from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
+                  rk4_affine_values, schedule_stage_table)
+from .riccati import (_control_weight_table, closed_loop_propagator,
+                      riccati_pair, solve_dual_riccati)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -78,7 +79,7 @@ class KernelOperator:
             sched = self.problem.A.transposed_negated()
             table = schedule_stage_table(sched, self.grid)
             eye = np.eye(self.problem.state_dim)
-            self._theta0 = rk4_drive(affine_stagefn(table), self.grid, eye)
+            self._theta0 = rk4_affine(self.grid, table, eye)
         return self._theta0
 
     def closed_loop_solution(self) -> DenseSolution:
@@ -155,13 +156,8 @@ class KernelOperator:
         lo_t, hi_t = grid[:-1], grid[1:]
         mid_t = 0.5 * (lo_t + hi_t)
 
-        A_tab = schedule_stage_table(p.A, grid)
-        B_tab = schedule_stage_table(p.B, grid)
-        R_tab = schedule_stage_table(p.R, grid)
+        A_tab, S_tab = _control_weight_table(p, grid)
         Q_tab = schedule_stage_table(p.Q, grid)
-        S_tab = tuple(B @ np.linalg.inv(R) @ np.swapaxes(B, 1, 2)
-                      for B, R in zip(B_tab, R_tab))
-        AT_tab = tuple(np.swapaxes(A, 1, 2) for A in A_tab)
 
         theta0 = self._theta0_solution()
         th_tab = (theta0.eval_many(lo_t, 1), theta0.eval_many(mid_t, 1),
@@ -175,21 +171,21 @@ class KernelOperator:
             for S, th, flags in zip(S_tab, th_tab, ind)
         )
 
-        def stagefn(k, slot, tau, Z):
-            ZK, ZP = Z[:n], Z[n:]
-            top = A_tab[slot][k] @ ZK + S_tab[slot][k] @ ZP
-            top[:, n:] += F_tab[slot][k]
-            bot = Q_tab[slot][k] @ ZK - AT_tab[slot][k] @ ZP
-            return np.concatenate([top, bot], axis=0)
-
-        # carrier: first n columns homogeneous from [I; 0], last n columns the
-        # forced particular solution from [0; -I]
+        # carrier Z of the Hamiltonian flow [K; Pi]' = [[A, S], [Q, -A']] [K; Pi]:
+        # first n columns homogeneous from [I; 0], last n columns the forced
+        # particular solution from [0; -I]; only its node values are kept
+        H_tab = tuple(np.block([[A, S], [Q, -np.swapaxes(A, 1, 2)]])
+                      for A, S, Q in zip(A_tab, S_tab, Q_tab))
+        Fz_tab = tuple(np.zeros((lo_t.size, 2 * n, 2 * n)) for _ in range(3))
+        for Fz, F in zip(Fz_tab, F_tab):
+            Fz[:, :n, n:] = F
         Z0 = np.zeros((2 * n, 2 * n))
         Z0[:n, :n] = np.eye(n)
         Z0[n:, n:] = -np.eye(n)
-        carrier = rk4_drive(stagefn, grid, Z0)
+        Z = rk4_affine_values(grid, H_tab, Z0, Fz_tab)
+        del H_tab, Fz_tab  # the 2n-wide tables are the largest arrays held here
 
-        ZT = carrier.eval(p.T, side=-1)
+        ZT = Z[-1]
         J_T = np.asarray(p.J_T)
         E = J_T @ ZT[:n, :n] + ZT[n:, :n]
         theta_T = theta0.eval(p.T, side=-1)
@@ -202,12 +198,12 @@ class KernelOperator:
                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
         X = np.linalg.solve(E, rhs)
 
-        ext = np.vstack([X, np.eye(n)])  # K(sigma) = Zh_K X + W_K, per interval
-        return DenseSolution(
-            grid,
-            carrier.v_start[:, :n] @ ext, carrier.v_end[:, :n] @ ext,
-            carrier.d_start[:, :n] @ ext, carrier.d_end[:, :n] @ ext,
-        )
+        ext = np.vstack([X, np.eye(n)])  # K(sigma) = Zh_K X + W_K
+        K = Z[:, :n] @ ext
+        Pi = Z[:, n:] @ ext
+        d_lo = A_tab[0] @ K[:-1] + S_tab[0] @ Pi[:-1] + F_tab[0]
+        d_hi = A_tab[2] @ K[1:] + S_tab[2] @ Pi[1:] + F_tab[2]
+        return DenseSolution(grid, K[:-1], K[1:], d_lo, d_hi)
 
 
 # -- module-level operations (one-shot wrappers) -----------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ControlledTrajectory, LQProblem, MatrixSchedule
-from .ode import DEFAULT_STEPS, DenseSolution, build_grid, rk4_drive, schedule_stage_table
+from .ode import DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine, schedule_stage_table
 
 
 def unit_scalar_problem(state_cost: float = 0.0) -> LQProblem:
@@ -117,11 +117,7 @@ def rollout(problem: LQProblem, x0, control_edges, control_values,
     u_tab = (vals[piece_index(lo_t, True)], vals[piece_index(mid_t, True)],
              vals[piece_index(hi_t, False)])
     F_tab = tuple(np.einsum("kij,kj->ki", B, u) for B, u in zip(B_tab, u_tab))
-
-    def stagefn(k, slot, t, x):
-        return A_tab[slot][k] @ x + F_tab[slot][k]
-
-    x = rk4_drive(stagefn, grid, x0)
+    x = rk4_affine(grid, A_tab, x0, F_tab)
     zeros = np.zeros_like(u_tab[0])
     u = DenseSolution(grid, u_tab[0], u_tab[2], zeros, zeros)
     return ControlledTrajectory(x, u)

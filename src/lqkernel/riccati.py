@@ -22,8 +22,8 @@ import numpy as np
 from .errors import PositivityLostError
 from .linalg import spd_inverse
 from .model import LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_drive,
-                  schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
+                  rk4_drive, schedule_stage_table)
 
 
 def _control_weight_table(problem: LQProblem, grid: np.ndarray):
@@ -155,12 +155,7 @@ def closed_loop_propagator(problem: LQProblem, J_sol: DenseSolution,
         (hi_t, -1, A_tab[2], B_tab[2]),
     ):
         tabs.append(A_s + B_s @ gain_many(problem, J_sol, ts, sides))
-    table = tuple(tabs)
-
-    def stagefn(k, slot, t, Y):
-        return table[slot][k] @ Y
-
-    return rk4_drive(stagefn, grid, np.eye(problem.state_dim))
+    return rk4_affine(grid, tabs, np.eye(problem.state_dim))
 
 
 def riccati_value(J_sol: DenseSolution, t0: float, x0: np.ndarray) -> float:
@@ -173,15 +168,11 @@ def solve_adjoint(problem: LQProblem, xbar: DenseSolution,
                   steps: int = DEFAULT_STEPS) -> DenseSolution:
     """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)."""
     grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
-    AT_tab = tuple(np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
+    H_tab = tuple(-np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
     Q_tab = schedule_stage_table(problem.Q, grid)
     lo_t, hi_t = grid[:-1], grid[1:]
     mid_t = 0.5 * (lo_t + hi_t)
     x_tab = (xbar.eval_many(lo_t, 1), xbar.eval_many(mid_t, 1), xbar.eval_many(hi_t, -1))
     F_tab = tuple(np.einsum("kij,kj->ki", Q, x) for Q, x in zip(Q_tab, x_tab))
-
-    def stagefn(k, slot, t, p):
-        return -(AT_tab[slot][k] @ p) + F_tab[slot][k]
-
     p_T = -np.asarray(problem.J_T) @ xbar.eval(problem.T)
-    return rk4_drive(stagefn, grid, p_T, backward=True)
+    return rk4_affine(grid, H_tab, p_T, F_tab, backward=True)

@@ -7,7 +7,8 @@ from lqkernel.errors import DomainError, IntegrationBlowupError
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import (DenseSolution, TransitionMatrix, build_grid,
                           combine_solutions, dense_eval, integrate_matrix_ode,
-                          transition_matrix)
+                          rk4_affine, rk4_affine_values, rk4_drive,
+                          schedule_stage_table, transition_matrix)
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -71,6 +72,89 @@ def test_side_aware_stages_keep_order_across_jump():
     sol = integrate_matrix_ode(rhs, np.array([[1.0]]), 0.0, 1.0, 200,
                                breakpoints=a.breakpoints())
     assert sol.eval(1.0)[0, 0] == pytest.approx(math.exp(1.5), rel=1e-10)
+
+
+def _affine_tables(H, F, grid):
+    return (schedule_stage_table(H, grid),
+            None if F is None else schedule_stage_table(F, grid))
+
+
+def test_affine_fourth_order_ratios_both_directions():
+    one = MatrixSchedule.constant([[1.0]])
+
+    def err(steps, backward):
+        grid = build_grid(0.0, 1.0, steps)
+        sol = rk4_affine(grid, schedule_stage_table(one, grid), np.array([[1.0]]),
+                         backward=backward)
+        # Y' = Y: e at t = 1 from Y(0) = 1, 1/e at t = 0 from Y(1) = 1
+        return abs(sol.eval(0.0)[0, 0] - math.exp(-1.0)) if backward else \
+            abs(sol.eval(1.0)[0, 0] - math.e)
+
+    for backward in (False, True):
+        errors = {s: err(s, backward) for s in (50, 100, 200, 400)}
+        for s in (50, 100, 200):
+            ratio = errors[s] / errors[2 * s]
+            assert 14.0 <= ratio <= 18.0, f"backward={backward} steps={s}: ratio {ratio}"
+
+
+def test_affine_keeps_order_across_jump():
+    # x' = a(t) x with a jumping 1 -> 2 at 0.5: x(1) = e^{1.5} exactly
+    a = MatrixSchedule.piecewise_constant([0.5], [[[1.0]], [[2.0]]])
+    grid = build_grid(0.0, 1.0, 200, a.breakpoints())
+    sol = rk4_affine(grid, schedule_stage_table(a, grid), np.array([1.0]))
+    assert sol.eval(1.0)[0] == pytest.approx(math.exp(1.5), rel=1e-10)
+
+
+@pytest.mark.parametrize("y0, C", [
+    (np.array([1.0, -2.0]), [[0.5], [3.0]]),
+    (np.array([[1.0, 0.0, 2.0], [-1.0, 0.5, 0.0]]), [[0.5, 1.0, -1.0], [3.0, 0.0, 2.0]]),
+])
+def test_affine_forced_flow_closed_form(y0, C):
+    # Y' = -Y + C t has Y(t) = (Y0 + C) e^{-t} + C (t - 1)
+    C = np.asarray(C).reshape(y0.shape[0], -1)
+    H = MatrixSchedule.constant(-np.eye(2))
+    F = MatrixSchedule.polynomial([np.zeros_like(C), C])
+    grid = build_grid(0.0, 1.0, 200)
+    H_tab, F_tab = _affine_tables(H, F, grid)
+    sol = rk4_affine(grid, H_tab, y0, F_tab)
+    Cy = C.reshape(y0.shape)
+    for t in (0.0, 0.37, 1.0):
+        exact = (y0 + Cy) * math.exp(-t) + Cy * (t - 1.0)
+        assert np.max(np.abs(sol.eval(t) - exact)) < 1e-10
+        assert np.max(np.abs(sol.deriv(t) - (Cy * t - exact))) < 1e-10
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_affine_matches_stagewise_rk4(backward):
+    rng = np.random.default_rng(17)
+    H = MatrixSchedule.piecewise_constant(
+        [0.43], [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))])
+    F = MatrixSchedule.sampled_linear(
+        [0.0, 0.6, 1.0], [rng.normal(size=(3, 2)) for _ in range(3)])
+    grid = build_grid(0.0, 1.0, 300, np.concatenate([H.breakpoints(), F.breakpoints()]))
+    H_tab, F_tab = _affine_tables(H, F, grid)
+    y0 = rng.normal(size=(3, 2))
+
+    def stagefn(k, slot, t, Y):
+        return H_tab[slot][k] @ Y + F_tab[slot][k]
+
+    ref = rk4_drive(stagefn, grid, y0, backward=backward)
+    sol = rk4_affine(grid, H_tab, y0, F_tab, backward=backward)
+    scale = np.max(np.abs(ref.values))
+    for name in ("v_start", "v_end", "d_start", "d_end"):
+        assert np.max(np.abs(getattr(sol, name) - getattr(ref, name))) <= 1e-12 * scale
+    assert np.array_equal(rk4_affine_values(grid, H_tab, y0, F_tab, backward=backward),
+                          sol.values)
+
+
+def test_affine_blowup_reports_time():
+    # h * lambda = 4 at 200 steps: the values stay finite up to 1.4e307, but
+    # the node stage 800 x overflows
+    stiff = MatrixSchedule.constant([[800.0]])
+    grid = build_grid(0.0, 1.0, 200)
+    with pytest.raises(IntegrationBlowupError) as exc:
+        rk4_affine(grid, schedule_stage_table(stiff, grid), np.array([1.0]))
+    assert exc.value.time is not None and 0.9 < exc.value.time <= 1.0
 
 
 def test_transition_of_nilpotent_system():
