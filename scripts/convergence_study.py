@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from lqkernel.ode import integrate_matrix_ode
+from lqkernel.model import MatrixSchedule
+from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
 from lqkernel.oracle import discrete_value
 from lqkernel.problems import double_integrator_problem, unit_scalar_problem
 from lqkernel.riccati import riccati_value, solve_riccati
@@ -16,9 +17,11 @@ from lqkernel.riccati import riccati_value, solve_riccati
 def rk4_table():
     print("RK4 on Y' = Y over [0, 1] (exact value e):")
     print(f"{'steps':>8} {'error':>14} {'ratio':>8}")
+    one = MatrixSchedule.constant([[1.0]])
     prev = None
     for steps in (50, 100, 200, 400, 800):
-        sol = integrate_matrix_ode(lambda t, Y: Y, np.array([[1.0]]), 0.0, 1.0, steps)
+        grid = build_grid(0.0, 1.0, steps)
+        sol = rk4_affine(grid, schedule_stage_table(one, grid), np.array([[1.0]]))
         err = abs(sol.eval(1.0)[0, 0] - math.e)
         ratio = f"{prev / err:8.2f}" if prev else " " * 8
         print(f"{steps:>8} {err:14.3e} {ratio}")

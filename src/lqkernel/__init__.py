@@ -19,8 +19,7 @@ from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
                     ValidationReport, dynamics_defect, eval_schedule,
                     validate_problem)
 from .ode import (DEFAULT_STEPS, DenseSolution, TransitionMatrix, build_grid,
-                  combine_solutions, dense_eval, integrate_matrix_ode,
-                  transition_matrix)
+                  combine_solutions, dense_eval, transition_matrix)
 from .oracle import DiscreteLQ, discrete_trajectory, discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)

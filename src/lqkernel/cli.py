@@ -20,7 +20,7 @@ from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
                      reproducing_residual)
 from .model import LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
-from .oracle import richardson_value
+from .oracle import MIN_ORACLE_STEPS, richardson_value
 from .problems import random_trajectory
 from .riccati import solve_adjoint
 from .solver import solve_feedback, solve_kernel, solve_multipoint
@@ -158,8 +158,30 @@ def _require_valid(problem: LQProblem) -> None:
 
 def _default_steps(args_steps) -> int:
     if args_steps is not None:
-        return int(args_steps)
-    return int(os.environ.get("LQK_DEFAULT_STEPS", DEFAULT_STEPS))
+        steps, what = args_steps, "--steps"
+    else:
+        raw = os.environ.get("LQK_DEFAULT_STEPS", str(DEFAULT_STEPS))
+        what = "LQK_DEFAULT_STEPS"
+        try:
+            steps = int(raw)
+        except ValueError:
+            raise ProblemFileError(f"{what}: not an integer: {raw!r}") from None
+    if steps < 1:
+        raise ProblemFileError(f"{what}: must be at least 1, got {steps}")
+    return steps
+
+
+def _x0_from(args, extras: dict, n: int):
+    """The initial state from the --x0 flag, else the problem file, else None."""
+    if args.x0 is None:
+        return extras.get("x0")
+    try:
+        x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
+    except ValueError as exc:
+        raise ProblemFileError(f"--x0: {exc}") from None
+    if x0.shape != (n,):
+        raise ProblemFileError(f"--x0: expected {n} entries, got {x0.size}")
+    return x0
 
 
 # -- commands ----------------------------------------------------------------
@@ -170,12 +192,7 @@ def cmd_solve(args) -> int:
     steps = _default_steps(args.steps)
     quad = int(extras["settings"].get("quad_intervals", DEFAULT_QUAD_INTERVALS))
 
-    x0 = None
-    if args.x0 is not None:
-        x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
-    elif "x0" in extras:
-        x0 = extras["x0"]
-
+    x0 = _x0_from(args, extras, problem.state_dim)
     method = args.method
     if method in ("kernel", "feedback", "both") and x0 is None:
         raise ProblemFileError(f"method {method!r} requires 'x0' (flag or problem file)")
@@ -190,6 +207,11 @@ def cmd_solve(args) -> int:
             constraints = [(float(t), np.asarray(c, dtype=float)) for t, c in raw]
         except (TypeError, ValueError) as exc:
             raise ProblemFileError(f"key 'constraints': {exc}") from exc
+        for t, c in constraints:
+            if c.shape != (problem.state_dim,):
+                raise ProblemFileError(
+                    f"key 'constraints': target at t={t} needs {problem.state_dim} "
+                    f"entries, got shape {c.shape}")
         result = solve_multipoint(problem, constraints, steps)
     elif method == "feedback":
         result = solve_feedback(problem, x0, steps)
@@ -272,12 +294,12 @@ def cmd_compare(args) -> int:
     problem, extras = load_problem_file(args.problem_file)
     _require_valid(problem)
     steps = _default_steps(args.steps)
-    if args.x0 is not None:
-        x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
-    elif "x0" in extras:
-        x0 = extras["x0"]
-    else:
+    x0 = _x0_from(args, extras, problem.state_dim)
+    if x0 is None:
         raise ProblemFileError("compare requires 'x0' (flag or problem file)")
+    if args.oracle_steps < MIN_ORACLE_STEPS:
+        raise ProblemFileError(
+            f"--oracle-steps: must be at least {MIN_ORACLE_STEPS}, got {args.oracle_steps}")
 
     op = KernelOperator(problem, steps)
     vk = solve_kernel(problem, x0, steps, operator=op).value
@@ -299,6 +321,7 @@ def cmd_compare(args) -> int:
 _VERIFY_TOLERANCES = {
     "duality": 1e-6,
     "kernel_diagonal_identity": 1e-5,
+    "kernel_diagonal_bvp": 1e-5,
     "hermitian_symmetry": 1e-5,
     "reproducing": 1e-4,
     "value_agreement": 1e-6,
@@ -314,10 +337,13 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
                      oracle_steps: int = 2000) -> dict:
     """Run the full identity checklist; deterministic for a given seed.
 
-    Checks: Riccati duality, the kernel-diagonal/Riccati-inverse identity at
-    five query times, Hermitian symmetry of the kernel, the reproducing
-    property on random trajectories, kernel/feedback agreement in value and
-    trajectory, the adjoint identity, and Richardson-extrapolated agreement
+    Checks: Riccati duality; the kernel-diagonal/Riccati-inverse identity at
+    five query times, with the diagonal read off the dual Riccati solution;
+    the same identity at t0 and 25, 50 and 75% of the horizon with K_t(t, t)
+    from the shooting BVP of the problem restarted at t, a route that solves
+    no Riccati equation; Hermitian symmetry of the kernel; the reproducing
+    property on random trajectories; kernel/feedback agreement in value and
+    trajectory; the adjoint identity; and Richardson-extrapolated agreement
     with the discrete-time oracle.
     """
     tol = dict(_VERIFY_TOLERANCES)
@@ -343,6 +369,11 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     queries = np.concatenate([[p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
     add("kernel_diagonal_identity", max(
         np.linalg.norm(rs.J.eval(tq) @ op.diagonal(float(tq)) - eye) for tq in queries))
+    bvp = 0.0
+    for tq in map(float, queries[:-1]):
+        K_tt = KernelOperator(p.restricted(tq), steps).section(tq).eval(tq)
+        bvp = max(bvp, np.linalg.norm(rs.J.eval(tq) @ K_tt - eye))
+    add("kernel_diagonal_bvp", bvp)
 
     pool = np.sort(rng.uniform(p.t0, p.T, size=5))
     sym = 0.0

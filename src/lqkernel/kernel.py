@@ -8,8 +8,10 @@ with the cost inner product
 is a vector-valued RKHS.  Its kernel K(s, t) is computed three ways, each
 matched to its use:
 
-* diagonal K(t, t): the dual Riccati solution of the problem restarted at t
-  (this equality is the headline identity the test suite certifies);
+* diagonal K(t, t): the dual Riccati solution M(t), which is the kernel
+  diagonal of the problem restarted at t (this equality is the headline
+  identity; the test suite certifies it against J(t)^{-1} and against the
+  shooting BVP of the restarted problem, which shares no Riccati solve);
 * first column K(., t0): closed-loop propagation of K(t0, t0), since
   K(., t0) p is the optimal trajectory from x0 = K(t0, t0) p;
 * arbitrary K(., t): a linear two-point boundary value problem in the pair
@@ -63,7 +65,6 @@ class KernelOperator:
         self._theta0 = None          # Phi_A(t0, .)^T on the grid
         self._closed_loop = None     # Phi_{A+BG}(., t0) on the grid
         self._sections: dict[float, DenseSolution] = {}
-        self._diagonals: dict[float, np.ndarray] = {}
 
     # -- cached building blocks -------------------------------------------
 
@@ -92,20 +93,16 @@ class KernelOperator:
     # -- kernel values ------------------------------------------------------
 
     def diagonal(self, t_query: float) -> np.ndarray:
-        """K(t, t) of the space restarted at t: the dual Riccati value there."""
+        """K(t, t) of the space restarted at t: the dual Riccati value M(t).
+
+        Before the problem's start the dual Riccati equation is solved again
+        on [t, T]; after T the query is rejected.
+        """
         p = self.problem
-        span = max(1.0, p.T - p.t0)
-        key = float(t_query)
-        if key not in self._diagonals:
-            if abs(t_query - p.T) <= 1e-12 * span:
-                val = spd_inverse(p.J_T)
-            elif abs(t_query - p.t0) <= 1e-12 * span:
-                val = self.riccati.M.eval(p.t0)
-            else:
-                sub = dataclasses.replace(p, t0=float(t_query))
-                val = solve_dual_riccati(sub, self.steps).eval(float(t_query))
-            self._diagonals[key] = val
-        return self._diagonals[key]
+        tol = 1e-12 * max(1.0, p.T - p.t0)
+        if p.t0 - tol <= t_query <= p.T + tol:
+            return self.riccati.M.eval(float(t_query))
+        return kernel_diagonal(p, t_query, self.steps)
 
     def column_solution(self) -> DenseSolution:
         """K(., t0) = Phi_cl(., t0) K(t0, t0) as a dense matrix solution."""

@@ -31,8 +31,8 @@ Design notes:
   node, in integration order, whose value or one-sided node stage H Y + F
   is non-finite raises IntegrationBlowupError; the stage check matters
   when values stay just below overflow (h * lambda = 4 on x' = 800 x).
-  Nonlinear flows (the Riccati pair) use the stage-function loop
-  `rk4_drive`.
+  The one nonlinear flow, the dual Riccati equation, uses the
+  stage-function loop `rk4_drive`.
 """
 
 from __future__ import annotations
@@ -327,47 +327,6 @@ def rk4_drive(
         np.stack(vals[:-1]), np.stack(vals[1:]),
         np.stack(d_lo), np.stack(d_hi),
     )
-
-
-def integrate_matrix_ode(
-    rhs: Callable,
-    Y0: np.ndarray,
-    a: float,
-    b: float,
-    steps: int,
-    breakpoints: Sequence[float] = (),
-    post_step: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-) -> DenseSolution:
-    """Integrate Y' = rhs(t, Y) from a to b (backward when a > b).
-
-    `rhs` may optionally accept a third `side` argument (+1/-1) to resolve
-    one-sided limits of discontinuous coefficients at breakpoint nodes; the
-    listed breakpoints are inserted into the grid.  Returns the dense
-    solution oriented with increasing time regardless of direction.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if a == b:
-        raise ValueError("empty integration interval")
-    backward = a > b
-    lo, hi = (b, a) if backward else (a, b)
-    grid = build_grid(lo, hi, steps, breakpoints)
-
-    try:
-        rhs(0.5 * (lo + hi), np.asarray(Y0, dtype=float), 1)
-        sided = True
-    except TypeError:
-        sided = False
-
-    if sided:
-        def stagefn(k, slot, t, Y):
-            return np.asarray(rhs(t, Y, -1 if slot == 2 else 1), dtype=float)
-    else:
-        def stagefn(k, slot, t, Y):
-            return np.asarray(rhs(t, Y), dtype=float)
-
-    return rk4_drive(stagefn, grid, np.asarray(Y0, dtype=float), backward=backward,
-                     post_step=post_step)
 
 
 # -- linear systems with precomputed stage tables ---------------------------

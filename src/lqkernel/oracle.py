@@ -16,6 +16,8 @@ import numpy as np
 from .errors import SingularMatrixError
 from .model import LQProblem
 
+MIN_ORACLE_STEPS = 10
+
 
 @dataclass(frozen=True)
 class DiscreteLQ:
@@ -31,8 +33,8 @@ class DiscreteLQ:
 
     @classmethod
     def from_problem(cls, problem: LQProblem, steps: int) -> "DiscreteLQ":
-        if steps < 10:
-            raise ValueError("discretization needs at least 10 steps")
+        if steps < MIN_ORACLE_STEPS:
+            raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
         h = (problem.T - problem.t0) / steps
         tk = problem.t0 + h * np.arange(steps)
         eye = np.eye(problem.state_dim)

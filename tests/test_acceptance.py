@@ -12,9 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from lqkernel.kernel import lq_inner_product, reproducing_residual
-from lqkernel.model import ControlledTrajectory
-from lqkernel.ode import combine_solutions, integrate_matrix_ode
+from lqkernel.kernel import KernelOperator, lq_inner_product, reproducing_residual
+from lqkernel.model import ControlledTrajectory, MatrixSchedule
+from lqkernel.ode import (build_grid, combine_solutions, rk4_affine,
+                          schedule_stage_table)
 from lqkernel.oracle import discrete_value
 from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import evaluate_cost, solve_feedback, solve_kernel, solve_multipoint
@@ -60,6 +61,23 @@ def test_c01_kernel_diagonal_inverts_value_hessian(problem_set, operator_cache):
                                     @ op.diagonal(float(tq)) - eye)
             worst = max(worst, defect)
     assert _report(1, "kernel diagonal vs inverse Riccati, 5 query times", worst, 1e-5)
+    assert worst <= 1e-5
+
+
+def test_c01b_restarted_bvp_diagonal_inverts_value_hessian(section_problems,
+                                                           operator_cache):
+    # K_t(t, t) from the shooting BVP of the problem restarted at t: a route
+    # that solves no Riccati equation
+    worst = 0.0
+    for name, p in section_problems:
+        J = operator_cache(p, SECTION_STEPS).riccati.J
+        eye = np.eye(p.state_dim)
+        for frac in (0.0, 0.25, 0.5, 0.75):
+            tq = p.t0 + frac * (p.T - p.t0)
+            K_tt = KernelOperator(p.restricted(tq), SECTION_STEPS).section(tq).eval(tq)
+            worst = max(worst, np.linalg.norm(J.eval(tq) @ K_tt - eye))
+    assert _report("1b", "restarted BVP diagonal vs inverse Riccati, 4 query times",
+                   worst, 1e-5)
     assert worst <= 1e-5
 
 
@@ -199,8 +217,12 @@ def test_c09_multipoint_representer(p1):
 
 
 def test_c10_integrator_orders():
+    one = MatrixSchedule.constant([[1.0]])
+
     def rk4_err(steps):
-        sol = integrate_matrix_ode(lambda t, Y: Y, np.array([[1.0]]), 0.0, 1.0, steps)
+        # Y' = Y from Y(0) = 1 on [0, 1]
+        grid = build_grid(0.0, 1.0, steps)
+        sol = rk4_affine(grid, schedule_stage_table(one, grid), np.array([[1.0]]))
         return abs(sol.eval(1.0)[0, 0] - math.e)
 
     errors = {s: rk4_err(s) for s in (50, 100, 200, 400)}

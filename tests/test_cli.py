@@ -7,6 +7,7 @@ import pytest
 from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
                           problem_to_dict)
 from lqkernel.errors import ProblemFileError
+from lqkernel.problems import double_integrator_problem
 
 
 def _scalar_doc(q=0.0, **over):
@@ -141,9 +142,9 @@ def test_verify_passes_on_valid_problem(p1_file, capsys):
     assert rc == 0
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"duality", "kernel_diagonal_identity", "hermitian_symmetry", "reproducing",
-            "value_agreement", "trajectory_agreement", "adjoint_identity",
-            "oracle_richardson"} <= names
+    assert {"duality", "kernel_diagonal_identity", "kernel_diagonal_bvp",
+            "hermitian_symmetry", "reproducing", "value_agreement",
+            "trajectory_agreement", "adjoint_identity", "oracle_richardson"} <= names
 
 
 def test_verify_rejects_invalid_problem(tmp_path, capsys):
@@ -265,11 +266,33 @@ def test_env_var_overrides_default_steps(p1_file, tmp_path, capsys, monkeypatch)
 
 def test_csv_floats_are_full_precision(p1_file, tmp_path, capsys):
     out = str(tmp_path / "traj.csv")
-    main(["solve", p1_file, "--method", "kernel", "--steps", "100", "--out", out])
+    main(["solve", p1_file, "--method", "kernel", "--steps", "3", "--out", out])
     capsys.readouterr()
     with open(out) as fh:
         fh.readline()
-        first = fh.readline().strip().split(",")
-    # 17 significant digits survive a parse round-trip
-    assert float(first[2]) == pytest.approx(-0.5, abs=1e-8)
-    assert len(first[2].replace("-", "").replace(".", "").lstrip("0")) >= 15
+        fh.readline()
+        second = fh.readline().strip().split(",")
+    # 17 significant digits survive a parse round-trip; t = 1/3 needs them all
+    assert float(second[0]) == 1.0 / 3.0
+    assert len(second[0].replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], None),
+    (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], None),
+    (["solve", "{doc}", "--steps", "0", "--out", "{out}"], None),
+    (["compare", "{doc}", "--oracle-steps", "5"], None),
+    (["solve", "{doc}", "--method", "multipoint", "--constraints",
+      "[[0, [1, 0]], [1, [1]]]", "--out", "{out}"], None),
+    (["riccati", "{doc}", "--out", "{out}"], "abc"),
+], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
+        "constraint-length", "env-steps-not-an-integer"])
+def test_malformed_flags_are_input_errors(argv, env, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "dint.json"
+    path.write_text(json.dumps(problem_to_dict(double_integrator_problem(),
+                                               {"x0": [1.0, 0.0]})))
+    if env is not None:
+        monkeypatch.setenv("LQK_DEFAULT_STEPS", env)
+    args = [a.format(doc=path, out=tmp_path / "out.csv") for a in argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -6,9 +6,9 @@ import pytest
 from lqkernel.errors import DomainError, IntegrationBlowupError
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import (DenseSolution, TransitionMatrix, build_grid,
-                          combine_solutions, dense_eval, integrate_matrix_ode,
-                          rk4_affine, rk4_affine_values, rk4_drive,
-                          schedule_stage_table, transition_matrix)
+                          combine_solutions, dense_eval, rk4_affine,
+                          rk4_affine_values, rk4_drive, schedule_stage_table,
+                          transition_matrix)
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -25,53 +25,41 @@ def test_build_grid_drops_uniform_node_too_close_to_snap():
     assert np.min(np.diff(g)) > 0.02
 
 
+def _constant_flow(H, y0, steps, backward=False):
+    """RK4 on Y' = H Y over [0, 1] for a constant matrix H."""
+    grid = build_grid(0.0, 1.0, steps)
+    table = schedule_stage_table(MatrixSchedule.constant(H), grid)
+    return rk4_affine(grid, table, np.asarray(y0, dtype=float), backward=backward)
+
+
 def test_exponential_growth_forward():
-    sol = integrate_matrix_ode(lambda t, Y: Y, np.array([[1.0]]), 0.0, 1.0, 1000)
+    sol = _constant_flow([[1.0]], [[1.0]], 1000)
     assert sol.eval(1.0)[0, 0] == pytest.approx(math.e, abs=1e-9)
 
 
 def test_zero_field_stays_constant():
     C = np.array([[1.0, 2.0], [3.0, 4.0]])
-    sol = integrate_matrix_ode(lambda t, Y: np.zeros_like(Y), C, 0.0, 1.0, 50)
+    sol = _constant_flow(np.zeros((2, 2)), C, 50)
     assert np.array_equal(sol.values[0], C)
     assert np.array_equal(sol.values[-1], C)
 
 
 def test_backward_integration_recovers_initial_value():
     # Y' = -Y with Y(1) = 1 has Y(t) = e^{1-t}, so Y(0) = e
-    sol = integrate_matrix_ode(lambda t, Y: -Y, np.array([[1.0]]), 1.0, 0.0, 1000)
+    sol = _constant_flow([[-1.0]], [[1.0]], 1000, backward=True)
     assert sol.eval(0.0)[0, 0] == pytest.approx(math.e, abs=1e-8)
     assert sol.times[0] == 0.0 and sol.times[-1] == 1.0  # reoriented increasing
 
 
-def test_fourth_order_convergence_ratios():
-    def err(steps):
-        sol = integrate_matrix_ode(lambda t, Y: Y, np.array([[1.0]]), 0.0, 1.0, steps)
-        return abs(sol.eval(1.0)[0, 0] - math.e)
-
-    errors = {s: err(s) for s in (50, 100, 200, 400)}
-    for s in (50, 100, 200):
-        ratio = errors[s] / errors[2 * s]
-        assert 14.0 <= ratio <= 18.0, f"steps={s}: ratio {ratio}"
-
-
 def test_blowup_reports_time():
+    # Y' = Y^2 from Y(0) = 1 escapes at t = 1
+    def square(k, slot, t, Y):
+        return Y * Y
+
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError) as exc:
-            integrate_matrix_ode(lambda t, Y: Y * Y, np.array([[1.0]]), 0.0, 2.0, 40)
+            rk4_drive(square, build_grid(0.0, 2.0, 40), np.array([[1.0]]))
     assert exc.value.time is not None and 0.9 < exc.value.time <= 2.0
-
-
-def test_side_aware_stages_keep_order_across_jump():
-    # x' = a(t) x with a jumping 1 -> 2 at 0.5: x(1) = e^{1.5} exactly
-    a = MatrixSchedule.piecewise_constant([0.5], [[[1.0]], [[2.0]]])
-
-    def rhs(t, Y, side=1):
-        return a.eval(t, side) @ Y
-
-    sol = integrate_matrix_ode(rhs, np.array([[1.0]]), 0.0, 1.0, 200,
-                               breakpoints=a.breakpoints())
-    assert sol.eval(1.0)[0, 0] == pytest.approx(math.exp(1.5), rel=1e-10)
 
 
 def test_affine_fourth_order_ratios_both_directions():
@@ -251,6 +239,6 @@ def test_combine_solutions_is_linear():
 
 
 def test_integrate_values_immutable():
-    sol = integrate_matrix_ode(lambda t, Y: Y, np.eye(2), 0.0, 1.0, 10)
+    sol = _constant_flow(np.eye(2), np.eye(2), 10)
     with pytest.raises(ValueError):
         sol.times[0] = -1.0

@@ -1,15 +1,23 @@
 import dataclasses
+import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from lqkernel.errors import PositivityLostError
+from lqkernel import riccati
+from lqkernel.cli import load_problem_file
+from lqkernel.errors import IntegrationBlowupError, PositivityLostError
 from lqkernel.linalg import spd_inverse
-from lqkernel.model import MatrixSchedule
-from lqkernel.ode import DenseSolution
+from lqkernel.model import LQProblem, MatrixSchedule
+from lqkernel.ode import DenseSolution, build_grid, rk4_drive, schedule_stage_table
+from lqkernel.problems import random_problem
 from lqkernel.riccati import (feedback_gain, riccati_pair, riccati_value,
                               solve_adjoint, solve_dual_riccati, solve_riccati)
 from lqkernel.solver import solve_kernel
+
+BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
+                  / "scripts" / "problems").glob("*.json"))
 
 
 def test_riccati_scalar_closed_form(p1):
@@ -140,9 +148,101 @@ def _bump(Q: MatrixSchedule, eps: float) -> MatrixSchedule:
 def test_positivity_loss_detected():
     # J' = J^2 + 1.2 crosses zero near t = 0.325 without leaving float range
     c = MatrixSchedule.constant
-    from lqkernel.model import LQProblem
     bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
                     c([[-1.2]]), c([[1.0]]), [[1.0]])
     with pytest.raises(PositivityLostError) as exc:
         solve_riccati(bad, 400)
     assert exc.value.time == pytest.approx(0.3247, abs=0.02)
+
+
+# -- J from the Hamiltonian flow against the direct Riccati flow --------------
+
+def _direct_riccati(p, steps):
+    """Reference: RK4 straight on -J' = A'J + JA - J S J + Q, symmetrized per step."""
+    grid = build_grid(p.t0, p.T, steps, p.breakpoints())
+    A, B, R, Q = (schedule_stage_table(s, grid) for s in (p.A, p.B, p.R, p.Q))
+
+    def stagefn(k, slot, t, J):
+        a, b = A[slot][k], B[slot][k]
+        S = b @ np.linalg.solve(R[slot][k], b.T)
+        return J @ S @ J - a.T @ J - J @ a - Q[slot][k]
+
+    return rk4_drive(stagefn, grid, np.asarray(p.J_T, dtype=float), backward=True,
+                     post_step=lambda t, J: 0.5 * (J + J.T))
+
+
+def _relative_gaps(J, ref):
+    assert np.array_equal(J.times, ref.times)
+    return (np.linalg.norm(J.values - ref.values, axis=(1, 2))
+            / np.linalg.norm(ref.values, axis=(1, 2)))
+
+
+def _parity_problems():
+    params = [pytest.param(load_problem_file(str(path))[0], id=path.stem)
+              for path in BUNDLED]
+    rng = np.random.default_rng(30303)
+    params += [pytest.param(random_problem(rng, state_dim=n), id=f"random-N{n}")
+               for n in (1, 2, 3, 4, 5, 6)]
+    return params
+
+
+@pytest.mark.parametrize("problem", _parity_problems())
+def test_hamiltonian_route_matches_direct_riccati(problem):
+    J = solve_riccati(problem, 4000)
+    ref = _direct_riccati(problem, 4000)
+    assert np.max(_relative_gaps(J, ref)) <= 1e-10
+    for got, want in ((J.d_start, ref.d_start), (J.d_end, ref.d_end)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+def _stress_problem(a, d):
+    # Hamiltonian growth rates near a and d over a horizon of 10
+    c = MatrixSchedule.constant
+    return LQProblem(2, 1, 0.0, 10.0, c([[a, 1.0], [0.0, d]]), c([[0.0], [1.0]]),
+                     c(np.eye(2)), c([[1.0]]), np.eye(2))
+
+
+def _steady_gap(problem):
+    """Worst relative gap to the direct flow on [0, 5], off the terminal layer
+    where the two discretizations differ by their own truncation errors."""
+    ref = _direct_riccati(problem, 4000)
+    return np.max(_relative_gaps(solve_riccati(problem, 4000), ref)[ref.times <= 5.0])
+
+
+@pytest.mark.parametrize("a, d", [(30.0, 30.0), (30.0, 0.0), (200.0, 0.0)])
+def test_reanchored_flow_matches_direct_riccati_under_fast_growth(a, d):
+    assert _steady_gap(_stress_problem(a, d)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [30.0, 200.0])
+def test_unbroken_flow_fails_under_mixed_growth_rates(a, monkeypatch):
+    # with growth rates a and 1, the fast modes swamp the columns of X
+    monkeypatch.setattr(riccati, "_REANCHOR_LOG_GROWTH", 1e300)
+    try:
+        gap = _steady_gap(_stress_problem(a, 0.0))
+    except (IntegrationBlowupError, PositivityLostError):
+        gap = math.inf
+    assert gap > 1e-10
+
+
+def test_escape_through_zero_is_positivity_loss():
+    # J' = J^2 + 10 from J(1) = 1 crosses zero at t = 0.903 and escapes to
+    # -inf at t = 0.406; the Hamiltonian flow passes the pole, so the first
+    # failure met backward is the loss of positivity
+    c = MatrixSchedule.constant
+    bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
+                    c([[-10.0]]), c([[1.0]]), [[1.0]])
+    with pytest.raises(PositivityLostError) as exc:
+        solve_riccati(bad, 400)
+    assert exc.value.time == pytest.approx(0.903, abs=0.01)
+
+
+def test_singular_hamiltonian_state_is_blowup():
+    # J' = J^2 from J(2) = -1 is J = 1/(1 - t) = Y/X with Y = -1, X = t - 1;
+    # RK4 is exact on this linear flow, so X vanishes exactly at the node t = 1
+    c = MatrixSchedule.constant
+    bad = LQProblem(1, 1, 0.0, 2.0, c([[0.0]]), c([[1.0]]),
+                    c([[0.0]]), c([[1.0]]), [[-1.0]])
+    with pytest.raises(IntegrationBlowupError) as exc:
+        solve_riccati(bad, 4)
+    assert exc.value.time == 1.0
