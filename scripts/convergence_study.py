@@ -11,7 +11,7 @@ from lqkernel.model import MatrixSchedule
 from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
 from lqkernel.oracle import discrete_value
 from lqkernel.problems import double_integrator_problem, unit_scalar_problem
-from lqkernel.riccati import riccati_value, solve_riccati
+from lqkernel.solver import solve_feedback
 
 
 def rk4_table():
@@ -30,7 +30,7 @@ def rk4_table():
 
 def oracle_table(problem, name):
     x0 = np.ones(problem.state_dim) / math.sqrt(problem.state_dim)
-    v_ref = riccati_value(solve_riccati(problem, 4000), problem.t0, x0)
+    v_ref = solve_feedback(problem, x0, 4000).value
     print(f"\ndiscrete oracle on {name} (continuous value {v_ref:.10f}):")
     print(f"{'steps':>8} {'value':>16} {'bias':>12} {'ratio':>8}")
     prev = None

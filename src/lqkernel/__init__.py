@@ -11,23 +11,38 @@ from .errors import (BvpDegenerateError, DegenerateProblemError, DomainError,
                      IntegrationBlowupError, LQKernelError, NumericalError,
                      PositivityLostError, ProblemFileError, ScheduleDomainError,
                      SingularMatrixError)
-from .kernel import (KernelOperator, gram_matrix, kernel_column,
-                     kernel_diagonal, kernel_full, lq_inner_product,
+from .kernel import (KernelOperator, lq_inner_product, minimal_control,
                      reproducing_residual)
-from .linalg import SpdFactor, pinv_svd, spd_factor, spd_inverse, sym_eig_pinv, weighted_pinv_b
+from .linalg import pinv_svd, spd_inverse, sym_eig_pinv
 from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
-                    ValidationReport, dynamics_defect, eval_schedule,
-                    validate_problem)
-from .ode import (DEFAULT_STEPS, DenseSolution, TransitionMatrix, build_grid,
-                  combine_solutions, dense_eval, transition_matrix)
-from .oracle import DiscreteLQ, discrete_trajectory, discrete_value, richardson_value
+                    ValidationReport, dynamics_defect, validate_problem)
+from .ode import DEFAULT_STEPS, DenseSolution, build_grid, combine_solutions
+from .oracle import DiscreteLQ, discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)
-from .riccati import (RiccatiSolution, feedback_gain, riccati_pair,
-                      riccati_value, solve_adjoint, solve_dual_riccati,
-                      solve_riccati)
-from .solver import (LQSolveResult, evaluate_cost, recover_control,
-                     solve_feedback, solve_kernel, solve_multipoint)
+from .riccati import (RiccatiSolution, riccati_pair, solve_adjoint,
+                      solve_dual_riccati, solve_riccati)
+from .solver import (LQSolveResult, evaluate_cost, solve_feedback,
+                     solve_kernel, solve_multipoint)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BvpDegenerateError", "DegenerateProblemError", "DomainError",
+    "HorizonMismatchError", "InfeasibleInterpolationError",
+    "IntegrationBlowupError", "LQKernelError", "NumericalError",
+    "PositivityLostError", "ProblemFileError", "ScheduleDomainError",
+    "SingularMatrixError",
+    "KernelOperator", "lq_inner_product", "minimal_control",
+    "reproducing_residual",
+    "pinv_svd", "spd_inverse", "sym_eig_pinv",
+    "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
+    "dynamics_defect", "validate_problem",
+    "DEFAULT_STEPS", "DenseSolution", "build_grid", "combine_solutions",
+    "DiscreteLQ", "discrete_value", "richardson_value",
+    "double_integrator_problem", "random_problem", "random_trajectory",
+    "rollout", "unit_scalar_problem",
+    "RiccatiSolution", "riccati_pair", "solve_adjoint", "solve_dual_riccati",
+    "solve_riccati",
+    "LQSolveResult", "evaluate_cost", "solve_feedback", "solve_kernel",
+    "solve_multipoint",
+]
 __version__ = "0.1.0"

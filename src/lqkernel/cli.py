@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from .errors import LQKernelError, NumericalError, ProblemFileError
-from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
-                     reproducing_residual)
-from .model import LQProblem, MatrixSchedule, validate_problem
+from .kernel import KernelOperator, lq_inner_product, reproducing_residual
+from .model import R_MIN_DEFAULT, LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
 from .oracle import MIN_ORACLE_STEPS, richardson_value
 from .problems import random_trajectory
 from .riccati import solve_adjoint
-from .solver import solve_feedback, solve_kernel, solve_multipoint
+from .solver import (check_constraint_times, solve_feedback, solve_kernel,
+                     solve_multipoint)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -73,20 +73,19 @@ def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
             t0=t0, T=float(doc["T"]),
             A=scheds["A"], B=scheds["B"], Q=scheds["Q"], R=scheds["R"],
             J_T=np.asarray(doc["J_T"], dtype=float),
-            r_min=float(doc.get("r_min", 1e-8)),
+            r_min=float(doc.get("r_min", R_MIN_DEFAULT)),
         )
     except ProblemFileError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(str(exc)) from exc
     extras = {}
     if "x0" in doc:
-        x0 = np.asarray(doc["x0"], dtype=float)
-        if x0.shape != (problem.state_dim,):
-            raise ProblemFileError(
-                f"key 'x0': expected {problem.state_dim} entries, got shape {x0.shape}")
-        extras["x0"] = x0
-    extras["settings"] = dict(doc.get("settings", {}))
+        extras["x0"] = _state_vector(doc["x0"], problem.state_dim, "key 'x0'")
+    settings = doc.get("settings", {})
+    if not isinstance(settings, dict):
+        raise ProblemFileError("key 'settings': expected an object")
+    extras["settings"] = dict(settings)
     return problem, extras
 
 
@@ -140,7 +139,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write output: {exc}") from exc
+    with fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -171,17 +174,38 @@ def _default_steps(args_steps) -> int:
     return steps
 
 
+def _state_vector(raw, n: int, what: str) -> np.ndarray:
+    """`raw` as a vector of n finite floats, else a ProblemFileError naming `what`."""
+    try:
+        x = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"{what}: {exc}") from None
+    if x.shape != (n,):
+        raise ProblemFileError(f"{what}: expected {n} entries, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ProblemFileError(f"{what}: non-finite entries")
+    return x
+
+
 def _x0_from(args, extras: dict, n: int):
     """The initial state from the --x0 flag, else the problem file, else None."""
     if args.x0 is None:
         return extras.get("x0")
+    return _state_vector(args.x0.split(","), n, "--x0")
+
+
+def _constraints_from(text: str, problem: LQProblem) -> list:
+    """Multipoint pins [(t, target), ...] from the --constraints JSON."""
     try:
-        x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
+        pins = [(float(t), c) for t, c in json.loads(text)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"key 'constraints': {exc}") from exc
+    try:
+        check_constraint_times(problem, np.asarray([t for t, _ in pins]))
     except ValueError as exc:
-        raise ProblemFileError(f"--x0: {exc}") from None
-    if x0.shape != (n,):
-        raise ProblemFileError(f"--x0: expected {n} entries, got {x0.size}")
-    return x0
+        raise ProblemFileError(f"key 'constraints': {exc}") from None
+    return [(t, _state_vector(c, problem.state_dim, f"key 'constraints': target at t={t}"))
+            for t, c in pins]
 
 
 # -- commands ----------------------------------------------------------------
@@ -190,8 +214,6 @@ def cmd_solve(args) -> int:
     problem, extras = load_problem_file(args.problem_file)
     _require_valid(problem)
     steps = _default_steps(args.steps)
-    quad = int(extras["settings"].get("quad_intervals", DEFAULT_QUAD_INTERVALS))
-
     x0 = _x0_from(args, extras, problem.state_dim)
     method = args.method
     if method in ("kernel", "feedback", "both") and x0 is None:
@@ -199,20 +221,10 @@ def cmd_solve(args) -> int:
     if method == "multipoint" and not args.constraints:
         raise ProblemFileError("method 'multipoint' requires 'constraints'")
 
-    summary = {"method": method, "settings": {"steps": steps, "quad_intervals": quad}}
+    summary = {"method": method, "settings": {"steps": steps}}
     gap = None
     if method == "multipoint":
-        try:
-            raw = json.loads(args.constraints)
-            constraints = [(float(t), np.asarray(c, dtype=float)) for t, c in raw]
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(f"key 'constraints': {exc}") from exc
-        for t, c in constraints:
-            if c.shape != (problem.state_dim,):
-                raise ProblemFileError(
-                    f"key 'constraints': target at t={t} needs {problem.state_dim} "
-                    f"entries, got shape {c.shape}")
-        result = solve_multipoint(problem, constraints, steps)
+        result = solve_multipoint(problem, _constraints_from(args.constraints, problem), steps)
     elif method == "feedback":
         result = solve_feedback(problem, x0, steps)
     else:
@@ -275,7 +287,9 @@ def cmd_kernel(args) -> int:
     problem, _ = load_problem_file(args.problem_file)
     _require_valid(problem)
     steps = _default_steps(args.steps)
-    grid = np.linspace(problem.t0, problem.T, int(args.grid_count))
+    if args.grid_count < 1:
+        raise ProblemFileError(f"--grid-count: must be at least 1, got {args.grid_count}")
+    grid = np.linspace(problem.t0, problem.T, args.grid_count)
     op = KernelOperator(problem, steps, extra_nodes=grid)
     n = problem.state_dim
     header = ["s", "t"] + [f"K_{i+1}{j+1}" for i in range(n) for j in range(n)]
@@ -286,7 +300,7 @@ def cmd_kernel(args) -> int:
                 yield np.concatenate([[s, t], op.entry(float(s), float(t)).ravel()])
 
     _write_csv(args.out, header, rows())
-    _print_json({"steps": steps, "grid_count": int(args.grid_count), "csv": args.out})
+    _print_json({"steps": steps, "grid_count": args.grid_count, "csv": args.out})
     return EXIT_OK
 
 
@@ -389,8 +403,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         traj = random_trajectory(p, rng, steps=min(steps, 1000))
         t = float(pool[rng.integers(0, pool.size)])
         pv = rng.normal(size=n)
-        r = reproducing_residual(p, traj, t, pv, operator=op,
-                                 quad_intervals=quad_intervals)
+        r = reproducing_residual(op, traj, t, pv, quad_intervals)
         xnorm = np.sqrt(max(lq_inner_product(p, traj, traj, quad_intervals), 0.0))
         worst = max(worst, r / (1.0 + xnorm * np.linalg.norm(pv)))
     add("reproducing", worst)
@@ -422,20 +435,35 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     }
 
 
+def _tolerances_from(doc, what: str) -> dict:
+    """Per-check tolerance overrides: an object mapping check names to numbers."""
+    if not isinstance(doc, dict):
+        raise ProblemFileError(f"{what}: expected an object of per-check tolerances")
+    for name, tol in doc.items():
+        if name not in _VERIFY_TOLERANCES:
+            raise ProblemFileError(f"{what}: unknown check {name!r}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+            raise ProblemFileError(f"{what}: tolerance for {name!r} is not a number")
+    return doc
+
+
 def cmd_verify(args) -> int:
     problem, extras = load_problem_file(args.problem_file)
     _require_valid(problem)
     steps = _default_steps(args.steps)
     settings = extras["settings"]
-    tolerances = {}
+    tolerances = _tolerances_from(settings.get("tolerances", {}),
+                                  "key 'settings.tolerances'")
     if args.tolerances:
         try:
-            tolerances = json.loads(args.tolerances)
+            flag = json.loads(args.tolerances)
         except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"key 'tolerances': invalid JSON: {exc}") from exc
-    if isinstance(settings.get("tolerances"), dict):
-        tolerances = {**settings["tolerances"], **tolerances}
-    seed = args.seed if args.seed is not None else int(settings.get("seed", 0))
+            raise ProblemFileError(f"--tolerances: invalid JSON: {exc}") from exc
+        tolerances = {**tolerances, **_tolerances_from(flag, "--tolerances")}
+    seed, what = ((args.seed, "--seed") if args.seed is not None
+                  else (settings.get("seed", 0), "key 'settings.seed'"))
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ProblemFileError(f"{what}: expected a non-negative integer, got {seed!r}")
     report = run_verification(problem, seed, steps, tolerances)
     _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
@@ -490,13 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     try:
         return args.func(args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # numpy's singular-matrix and non-convergence errors are numerical failures too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except LQKernelError as exc:

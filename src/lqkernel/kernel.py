@@ -31,12 +31,12 @@ import numpy as np
 
 from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
-from .linalg import spd_inverse
+from .linalg import RANK_TOL, spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
                   rk4_affine_values, schedule_stage_table)
-from .riccati import (_control_weight_table, closed_loop_propagator,
-                      riccati_pair, solve_dual_riccati)
+from .riccati import (_control_weight_table, _hamiltonian_table,
+                      closed_loop_propagator, riccati_pair, solve_dual_riccati)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -54,10 +54,9 @@ class KernelOperator:
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
-                 extra_nodes=(), shooting_rcond: float = _SHOOTING_RCOND):
+                 extra_nodes=()):
         self.problem = problem
         self.steps = int(steps)
-        self.shooting_rcond = float(shooting_rcond)
         self._snap = np.concatenate([problem.breakpoints(),
                                      np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, self._snap)
@@ -95,14 +94,20 @@ class KernelOperator:
     def diagonal(self, t_query: float) -> np.ndarray:
         """K(t, t) of the space restarted at t: the dual Riccati value M(t).
 
-        Before the problem's start the dual Riccati equation is solved again
+        Exactly J_T^{-1} at T.  Before the problem's start, where the
+        schedules extend that far, the dual Riccati equation is solved again
         on [t, T]; after T the query is rejected.
         """
         p = self.problem
         tol = 1e-12 * max(1.0, p.T - p.t0)
-        if p.t0 - tol <= t_query <= p.T + tol:
+        if t_query > p.T + tol:
+            raise HorizonMismatchError(f"query time {t_query} exceeds T={p.T}")
+        if abs(t_query - p.T) <= tol:
+            return spd_inverse(p.J_T)
+        if t_query >= p.t0 - tol:
             return self.riccati.M.eval(float(t_query))
-        return kernel_diagonal(p, t_query, self.steps)
+        sub = dataclasses.replace(p, t0=float(t_query))
+        return solve_dual_riccati(sub, self.steps).eval(float(t_query))
 
     def column_solution(self) -> DenseSolution:
         """K(., t0) = Phi_cl(., t0) K(t0, t0) as a dense matrix solution."""
@@ -157,8 +162,7 @@ class KernelOperator:
         Q_tab = schedule_stage_table(p.Q, grid)
 
         theta0 = self._theta0_solution()
-        th_tab = (theta0.eval_many(lo_t, 1), theta0.eval_many(mid_t, 1),
-                  theta0.eval_many(hi_t, -1))
+        th_tab = schedule_stage_table(theta0, grid)
         D_t = np.linalg.inv(theta0.eval(t))
         tol = 1e-12 * span
         # branch indicator: the s >= t forcing applies on the closed interval [t, T]
@@ -168,79 +172,41 @@ class KernelOperator:
             for S, th, flags in zip(S_tab, th_tab, ind)
         )
 
-        # carrier Z of the Hamiltonian flow [K; Pi]' = [[A, S], [Q, -A']] [K; Pi]:
-        # first n columns homogeneous from [I; 0], last n columns the forced
-        # particular solution from [0; -I]; only its node values are kept
-        H_tab = tuple(np.block([[A, S], [Q, -np.swapaxes(A, 1, 2)]])
-                      for A, S, Q in zip(A_tab, S_tab, Q_tab))
+        # carrier W = [K; -Pi]: where [K; Pi]' = [[A, S], [Q, -A']] [K; Pi] + F,
+        # W' = [[A, -S], [-Q, -A']] W + F (F only enters the K rows), from
+        # W(t0) = I; its first n columns are homogeneous, its last n the forced
+        # particular solution, and only its node values are kept
+        H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
         Fz_tab = tuple(np.zeros((lo_t.size, 2 * n, 2 * n)) for _ in range(3))
         for Fz, F in zip(Fz_tab, F_tab):
             Fz[:, :n, n:] = F
-        Z0 = np.zeros((2 * n, 2 * n))
-        Z0[:n, :n] = np.eye(n)
-        Z0[n:, n:] = -np.eye(n)
-        Z = rk4_affine_values(grid, H_tab, Z0, Fz_tab)
+        W = rk4_affine_values(grid, H_tab, np.eye(2 * n), Fz_tab)
         del H_tab, Fz_tab  # the 2n-wide tables are the largest arrays held here
 
-        ZT = Z[-1]
+        WT = W[-1]
         J_T = np.asarray(p.J_T)
-        E = J_T @ ZT[:n, :n] + ZT[n:, :n]
+        E = J_T @ WT[:n, :n] - WT[n:, :n]
         theta_T = theta0.eval(p.T, side=-1)
         C_T = theta_T @ D_t - theta_T
-        rhs = C_T - J_T @ ZT[:n, n:] - ZT[n:, n:]
+        rhs = C_T - J_T @ WT[:n, n:] + WT[n:, n:]
         sv = np.linalg.svd(E, compute_uv=False)
-        if sv[-1] <= self.shooting_rcond * sv[0]:
+        if sv[-1] <= _SHOOTING_RCOND * sv[0]:
             raise BvpDegenerateError(
                 f"shooting system singular for column time {t} "
                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
         X = np.linalg.solve(E, rhs)
 
-        ext = np.vstack([X, np.eye(n)])  # K(sigma) = Zh_K X + W_K
-        K = Z[:, :n] @ ext
-        Pi = Z[:, n:] @ ext
-        d_lo = A_tab[0] @ K[:-1] + S_tab[0] @ Pi[:-1] + F_tab[0]
-        d_hi = A_tab[2] @ K[1:] + S_tab[2] @ Pi[1:] + F_tab[2]
+        ext = np.vstack([X, np.eye(n)])  # [K; -Pi] = W [X; I]
+        K = W[:, :n] @ ext
+        minus_Pi = W[:, n:] @ ext
+        d_lo = A_tab[0] @ K[:-1] - S_tab[0] @ minus_Pi[:-1] + F_tab[0]
+        d_hi = A_tab[2] @ K[1:] - S_tab[2] @ minus_Pi[1:] + F_tab[2]
         return DenseSolution(grid, K[:-1], K[1:], d_lo, d_hi)
 
 
-# -- module-level operations (one-shot wrappers) -----------------------------
+# -- trajectories, controls and the inner product -----------------------------
 
-def kernel_diagonal(problem: LQProblem, t0_query: float,
-                    steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """K(t, t) at t = t0_query: the dual Riccati solution on [t0_query, T].
-
-    t0_query may precede the problem's own start when the schedules extend
-    that far; it must not exceed T.
-    """
-    p = problem
-    span = max(1.0, p.T - p.t0)
-    if t0_query > p.T + 1e-12 * span:
-        raise HorizonMismatchError(f"query time {t0_query} exceeds T={p.T}")
-    if abs(t0_query - p.T) <= 1e-12 * span:
-        return spd_inverse(p.J_T)
-    sub = dataclasses.replace(p, t0=float(t0_query))
-    return solve_dual_riccati(sub, steps).eval(float(t0_query))
-
-
-def kernel_column(problem: LQProblem, steps: int = DEFAULT_STEPS) -> DenseSolution:
-    """Dense K(., t0); K(s, t0) p is the optimal trajectory from K(t0, t0) p."""
-    return KernelOperator(problem, steps).column_solution()
-
-
-def kernel_full(problem: LQProblem, s: float, t: float,
-                steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """K(s, t) for arbitrary argument pair, via the shooting BVP at t."""
-    return KernelOperator(problem, steps).entry(s, t)
-
-
-def gram_matrix(problem: LQProblem, times, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Symmetrized block Gram matrix [K(t_i, t_j)]_{ij} at the given times."""
-    gram, _ = KernelOperator(problem, steps, extra_nodes=times).gram(times)
-    return gram
-
-
-def minimal_control(problem: LQProblem, x: DenseSolution,
-                    rank_tol: float = 1e-12) -> DenseSolution:
+def minimal_control(problem: LQProblem, x: DenseSolution) -> DenseSolution:
     """Minimal-R-norm control generating x: u = B^(-) [x' - A x] nodewise.
 
     Evaluated on both sides of every node of x's grid, so controls of kinked
@@ -263,7 +229,7 @@ def minimal_control(problem: LQProblem, x: DenseSolution,
                 f"R not positive definite at t={float(sub[k])}",
                 min_eigenvalue=float(w[k, 0]))
         Rm12 = (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-        pinv = np.linalg.pinv(B @ Rm12, rcond=rank_tol)
+        pinv = np.linalg.pinv(B @ Rm12, rcond=RANK_TOL)
         resid = xd - np.einsum("kij,k...j->k...i", A, xv)
         u = np.einsum("kij,kjl,k...l->k...i", Rm12, pinv, resid)
         out.append(u)
@@ -320,29 +286,24 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     return float(xT1 @ np.asarray(problem.J_T) @ xT2) + integral
 
 
-def kernel_section_trajectory(problem: LQProblem, operator: KernelOperator,
-                              t: float, pvec: np.ndarray) -> ControlledTrajectory:
+def kernel_section_trajectory(operator: KernelOperator, t: float,
+                              pvec: np.ndarray) -> ControlledTrajectory:
     """The kernel section K(., t) p as a controlled trajectory.
 
-    The control is recovered by the weighted pseudoinverse formula and is
-    genuinely discontinuous at s = t; that node is stored two-sidedly.
+    The control is the minimal-R-norm control and is genuinely
+    discontinuous at s = t; that node is stored two-sidedly.
     """
     pvec = np.asarray(pvec, dtype=float)
     x = operator.section(t).right_multiply(pvec)
-    u = minimal_control(problem, x)
-    return ControlledTrajectory(x, u)
+    return ControlledTrajectory(x, minimal_control(operator.problem, x))
 
 
-def reproducing_residual(problem: LQProblem, traj: ControlledTrajectory,
+def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,
                          t: float, pvec: np.ndarray,
-                         steps: int = DEFAULT_STEPS,
-                         quad_intervals: int = DEFAULT_QUAD_INTERVALS,
-                         operator: KernelOperator | None = None) -> float:
+                         quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float:
     """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property."""
     pvec = np.asarray(pvec, dtype=float)
-    if operator is None:
-        operator = KernelOperator(problem, steps)
-    section = kernel_section_trajectory(problem, operator, t, pvec)
+    section = kernel_section_trajectory(operator, t, pvec)
     lhs = float(pvec @ traj.x.eval(t))
-    rhs = lq_inner_product(problem, traj, section, quad_intervals)
+    rhs = lq_inner_product(operator.problem, traj, section, quad_intervals)
     return abs(lhs - rhs)

@@ -1,13 +1,10 @@
 """Small dense linear-algebra kernels used throughout.
 
 Everything is eigendecomposition- or SVD-based: problems here are tiny
-(N, M well under 50), and spectral routes keep symmetric results symmetric
-and match the weighted-norm formulas literally.
+(N, M well under 50), and spectral routes keep symmetric results symmetric.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,45 +18,17 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Spectral factorization of a symmetric positive definite matrix."""
+def spd_inverse(A: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, explicitly symmetric.
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
-    def reconstruct(self) -> np.ndarray:
-        V, w = self.eigenvectors, self.eigenvalues
-        return _sym((V * w) @ V.T)
-
-    def inverse(self) -> np.ndarray:
-        V, w = self.eigenvectors, self.eigenvalues
-        return _sym((V / w) @ V.T)
-
-    def inv_sqrt(self) -> np.ndarray:
-        V, w = self.eigenvectors, self.eigenvalues
-        return _sym((V / np.sqrt(w)) @ V.T)
-
-
-def spd_factor(A: np.ndarray, pd_tol: float = PD_TOL) -> SpdFactor:
-    """Eigendecompose a symmetric PD matrix; raises if not PD."""
-    A = np.asarray(A, dtype=float)
-    w, V = np.linalg.eigh(_sym(A))
+    Raises SingularMatrixError, with the minimum eigenvalue, if A is not PD.
+    """
+    w, V = np.linalg.eigh(_sym(np.asarray(A, dtype=float)))
     if w[0] <= pd_tol:
         raise SingularMatrixError(
             f"matrix not positive definite (min eigenvalue {w[0]:.3e})",
             min_eigenvalue=float(w[0]))
-    return SpdFactor(A, w, V)
-
-
-def spd_inverse(A: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, explicitly symmetric."""
-    return spd_factor(A, pd_tol).inverse()
+    return _sym((V / w) @ V.T)
 
 
 def pinv_svd(A: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -70,18 +39,6 @@ def pinv_svd(A: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
         return np.zeros((A.shape[1], A.shape[0]))
     inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T
-
-
-def weighted_pinv_b(B: np.ndarray, R: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudoinverse of B for the R-weighted norm on inputs.
-
-    Returns R^{-1/2} pinv(B R^{-1/2}): for v in range(B) the result u solves
-    B u = v with minimal u' R u; outside the range it least-squares projects
-    first.  R must be symmetric positive definite.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Rm12 = spd_factor(R).inv_sqrt()
-    return Rm12 @ pinv_svd(B @ Rm12, rank_tol)
 
 
 def sym_eig_pinv(A: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:

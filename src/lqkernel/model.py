@@ -41,6 +41,11 @@ def _as_matrix_stack(mats, rows, cols, what):
     return arr
 
 
+def _stack(mats) -> np.ndarray:
+    """Matrices stacked along axis 0; ValueError when there are none."""
+    return np.stack([np.atleast_2d(np.asarray(m, dtype=float)) for m in mats])
+
+
 @dataclass(frozen=True)
 class MatrixSchedule:
     """A matrix-valued function of time, one of four piecewise-smooth kinds.
@@ -98,21 +103,18 @@ class MatrixSchedule:
 
     @classmethod
     def piecewise_constant(cls, breakpoints, pieces):
-        pieces = [np.atleast_2d(np.asarray(m, dtype=float)) for m in pieces]
-        r, c = pieces[0].shape
-        return cls("pwc", r, c, np.stack(pieces), np.asarray(breakpoints, dtype=float))
+        mats = _stack(pieces)
+        return cls("pwc", *mats.shape[1:3], mats, np.asarray(breakpoints, dtype=float))
 
     @classmethod
     def sampled_linear(cls, times, samples):
-        samples = [np.atleast_2d(np.asarray(m, dtype=float)) for m in samples]
-        r, c = samples[0].shape
-        return cls("samples", r, c, np.stack(samples), np.asarray(times, dtype=float))
+        mats = _stack(samples)
+        return cls("samples", *mats.shape[1:3], mats, np.asarray(times, dtype=float))
 
     @classmethod
     def polynomial(cls, coefficients, origin=0.0):
-        coefficients = [np.atleast_2d(np.asarray(m, dtype=float)) for m in coefficients]
-        r, c = coefficients[0].shape
-        return cls("poly", r, c, np.stack(coefficients), origin=float(origin))
+        mats = _stack(coefficients)
+        return cls("poly", *mats.shape[1:3], mats, origin=float(origin))
 
     # -- queries -----------------------------------------------------------
 
@@ -191,11 +193,6 @@ class MatrixSchedule:
         return MatrixSchedule(self.kind, self.cols, self.rows, mats, self.knots, self.origin)
 
 
-def eval_schedule(schedule: MatrixSchedule, t: float) -> np.ndarray:
-    """Matrix value of `schedule` at time t (right-continuous at breakpoints)."""
-    return schedule.eval(t)
-
-
 @dataclass(frozen=True)
 class LQProblem:
     """Datum of a finite-horizon time-varying LQ problem.
@@ -220,8 +217,10 @@ class LQProblem:
         n, m = self.state_dim, self.input_dim
         if n < 1 or m < 1:
             raise ValueError("state_dim and input_dim must be positive")
-        if not self.t0 < self.T:
-            raise ValueError(f"need t0 < T, got [{self.t0}, {self.T}]")
+        if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.t0 < self.T):
+            raise ValueError(f"need finite t0 < T, got [{self.t0}, {self.T}]")
+        if not self.r_min > 0:
+            raise ValueError(f"r_min must be positive, got {self.r_min}")
         for name, sched, shape in (
             ("A", self.A, (n, n)), ("B", self.B, (n, m)),
             ("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
@@ -243,10 +242,6 @@ class LQProblem:
         J_T = J_T.copy()
         J_T.flags.writeable = False
         object.__setattr__(self, "J_T", J_T)
-
-    @property
-    def horizon(self) -> tuple[float, float]:
-        return (self.t0, self.T)
 
     def breakpoints(self) -> np.ndarray:
         """Interior non-smooth times of all four schedules, sorted."""
@@ -277,10 +272,6 @@ class ControlledTrajectory:
         span = max(1.0, self.x.b - self.x.a)
         if abs(self.x.a - self.u.a) > 1e-9 * span or abs(self.x.b - self.u.b) > 1e-9 * span:
             raise HorizonMismatchError("state and control cover different horizons")
-
-    @property
-    def horizon(self) -> tuple[float, float]:
-        return (self.x.a, self.x.b)
 
 
 def dynamics_defect(problem: LQProblem, traj: ControlledTrajectory) -> float:
@@ -327,7 +318,7 @@ class ValidationReport:
 
 
 def validate_problem(problem: LQProblem, grid_points: int = 201) -> ValidationReport:
-    """Check the standing assumptions on a uniform grid; never raises.
+    """Check the standing assumptions on a grid and at the breakpoints; never raises.
 
     Flags: J_T not positive definite, R(t) not uniformly positive definite
     (min eigenvalue below the problem's r_min), Q(t) not positive
@@ -339,19 +330,29 @@ def validate_problem(problem: LQProblem, grid_points: int = 201) -> ValidationRe
         bad.append(AssumptionViolation(
             "terminal_weight_pd", "J_T not positive definite", time=None, eigenvalue=float(w[0])))
 
-    ts = np.linspace(problem.t0, problem.T, max(2, grid_points))
+    # pwc pieces may fall between grid points (no np.unique: it imports numpy.ma)
+    knots = np.concatenate([problem.R.breakpoints(), problem.Q.breakpoints()])
+    ts = np.sort(np.concatenate([np.linspace(problem.t0, problem.T, max(2, grid_points)),
+                                 knots[(knots > problem.t0) & (knots < problem.T)]]))
     for name, sched, floor, msg in (
         ("R_uniform_pd", problem.R, problem.r_min, "R not uniformly positive definite"),
         ("Q_psd", problem.Q, -PSD_TOL, "Q not positive semi-definite"),
     ):
         vals = sched.eval_many(ts)
+        sym = 0.5 * (vals + np.swapaxes(vals, 1, 2))
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        if not finite.all():
+            bad.append(AssumptionViolation(
+                name + "_finite", f"{name.split('_')[0]} not finite",
+                time=float(ts[np.argmin(finite)]), eigenvalue=None))
+            continue
         asym = np.max(np.abs(vals - np.swapaxes(vals, 1, 2)), axis=(1, 2))
         k = int(np.argmax(asym))
         if asym[k] > 1e-9 * (1.0 + np.max(np.abs(vals))):
             bad.append(AssumptionViolation(
                 name + "_symmetry", f"{name.split('_')[0]} not symmetric",
                 time=float(ts[k]), eigenvalue=None))
-        eigs = np.linalg.eigvalsh(0.5 * (vals + np.swapaxes(vals, 1, 2)))
+        eigs = np.linalg.eigvalsh(sym)
         k = int(np.argmin(eigs[:, 0]))
         if eigs[k, 0] < floor:
             bad.append(AssumptionViolation(name, msg, time=float(ts[k]), eigenvalue=float(eigs[k, 0])))

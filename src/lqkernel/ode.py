@@ -228,11 +228,6 @@ class DenseSolution:
         )
 
 
-def dense_eval(solution: DenseSolution, t: float) -> np.ndarray:
-    """Cubic-Hermite evaluation of `solution` at time t (exact at nodes)."""
-    return solution.eval(t)
-
-
 def combine_solutions(parts: Sequence[tuple[float, DenseSolution]]) -> DenseSolution:
     """Linear combination sum_i c_i * s_i(t) on the union of all grids.
 
@@ -332,11 +327,11 @@ def rk4_drive(
 # -- linear systems with precomputed stage tables ---------------------------
 
 def schedule_stage_table(schedule, grid: np.ndarray):
-    """Evaluate a MatrixSchedule at all RK4 stage points of `grid`.
+    """Evaluate a MatrixSchedule or a DenseSolution at all RK4 stage points.
 
-    Returns (lo, mid, hi) arrays of shape (n_intervals, rows, cols) where lo
-    uses the right limit at each interval's left end and hi the left limit at
-    its right end.
+    Returns (lo, mid, hi) arrays with one entry per interval of `grid`,
+    where lo uses the right limit at each interval's left end and hi the
+    left limit at its right end.
     """
     lo_t, hi_t = grid[:-1], grid[1:]
     mid_t = 0.5 * (lo_t + hi_t)
@@ -456,59 +451,3 @@ def rk4_affine(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     if np.ndim(y0) == 1:
         values, d_lo, d_hi = values[:, :, 0], d_lo[:, :, 0], d_hi[:, :, 0]
     return DenseSolution(grid, values[:-1], values[1:], d_lo, d_hi)
-
-
-def transition_matrix(A, t: float, s: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """State-transition matrix Phi_A(t, s) of z' = A(tau) z (any ordering of t, s)."""
-    n = A.rows
-    eye = np.eye(n)
-    if t == s:
-        return eye
-    backward = t < s
-    lo, hi = (t, s) if backward else (s, t)
-    grid = build_grid(lo, hi, steps, A.breakpoints())
-    sol = rk4_affine(grid, schedule_stage_table(A, grid), eye, backward=backward)
-    return sol.eval(t, side=1 if not backward else -1)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense propagator Phi_A(., s) of a linear system over a whole interval."""
-
-    schedule: object
-    anchor: float
-    solution: DenseSolution
-
-    @classmethod
-    def compute(cls, A, anchor: float, a: float, b: float,
-                steps: int = DEFAULT_STEPS) -> "TransitionMatrix":
-        if not a <= anchor <= b:
-            raise DomainError(f"anchor {anchor} outside [{a}, {b}]")
-        n = A.rows
-        eye = np.eye(n)
-        span = max(1.0, b - a)
-        parts = []
-        if anchor - a > 1e-12 * span:
-            grid = build_grid(a, anchor, max(1, round(steps * (anchor - a) / (b - a))),
-                              A.breakpoints())
-            parts.append(rk4_affine(grid, schedule_stage_table(A, grid), eye,
-                                    backward=True))
-        if b - anchor > 1e-12 * span:
-            grid = build_grid(anchor, b, max(1, round(steps * (b - anchor) / (b - a))),
-                              A.breakpoints())
-            parts.append(rk4_affine(grid, schedule_stage_table(A, grid), eye))
-        if len(parts) == 1:
-            sol = parts[0]
-        else:
-            lo, hi = parts
-            sol = DenseSolution(
-                np.concatenate([lo.times, hi.times[1:]]),
-                np.concatenate([lo.v_start, hi.v_start]),
-                np.concatenate([lo.v_end, hi.v_end]),
-                np.concatenate([lo.d_start, hi.d_start]),
-                np.concatenate([lo.d_end, hi.d_end]),
-            )
-        return cls(A, float(anchor), sol)
-
-    def at(self, t: float, side: int = 1) -> np.ndarray:
-        return self.solution.eval(t, side)

@@ -48,12 +48,10 @@ class DiscreteLQ:
             J_T=np.asarray(problem.J_T, dtype=float),
         )
 
-    def backward_pass(self):
-        """Riccati recursion; returns (P_0, gains) with one gain per step."""
+    def backward_pass(self) -> np.ndarray:
+        """The backward Riccati recursion; returns P_0."""
         P = self.J_T
-        steps = self.times.size
-        gains = [None] * steps
-        for k in range(steps - 1, -1, -1):
+        for k in range(self.times.size - 1, -1, -1):
             A, B, Q, R = self.A[k], self.B[k], self.Q[k], self.R[k]
             BtP = B.T @ P
             inner = R + BtP @ B
@@ -64,29 +62,14 @@ class DiscreteLQ:
                     f"discrete Riccati inner solve singular at step {k}") from exc
             P = Q + A.T @ P @ A - (BtP @ A).T @ gain
             P = 0.5 * (P + P.T)
-            gains[k] = gain
-        return P, gains
+        return P
 
 
 def discrete_value(problem: LQProblem, x0, steps: int) -> float:
     """x0' P_0 x0 from the backward discrete Riccati recursion."""
     x0 = np.asarray(x0, dtype=float)
-    P0, _ = DiscreteLQ.from_problem(problem, steps).backward_pass()
+    P0 = DiscreteLQ.from_problem(problem, steps).backward_pass()
     return float(x0 @ P0 @ x0)
-
-
-def discrete_trajectory(problem: LQProblem, x0, steps: int):
-    """Forward rollout with the discrete gains: (times incl. T, states)."""
-    x0 = np.asarray(x0, dtype=float)
-    dlq = DiscreteLQ.from_problem(problem, steps)
-    _, gains = dlq.backward_pass()
-    xs = np.zeros((steps + 1, x0.size))
-    xs[0] = x0
-    for k in range(steps):
-        u = -gains[k] @ xs[k]
-        xs[k + 1] = dlq.A[k] @ xs[k] + dlq.B[k] @ u
-    times = np.concatenate([dlq.times, [problem.T]])
-    return times, xs
 
 
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:

@@ -63,6 +63,19 @@ def _riccati_tables(problem: LQProblem, steps: int):
     return grid, A_tab, AT_tab, S_tab, Q_tab
 
 
+def _hamiltonian_table(A_tab, S_tab, Q_tab):
+    """Stage tables of [[A, -S], [-Q, -A']], filled block by block: np.block
+    also holds negated copies and row blocks, raising a section's peak memory."""
+    n = A_tab[0].shape[1]
+    H_tab = tuple(np.empty((A.shape[0], 2 * n, 2 * n)) for A in A_tab)
+    for H, A, S, Q in zip(H_tab, A_tab, S_tab, Q_tab):
+        H[:, :n, :n] = A
+        np.negative(S, out=H[:, :n, n:])
+        np.negative(Q, out=H[:, n:, :n])
+        np.negative(np.swapaxes(A, 1, 2), out=H[:, n:, n:])
+    return H_tab
+
+
 class _SymmetrizeTracker:
     """Symmetrization Y <- (Y + Y')/2 of a matrix or a stack, recording the worst drift."""
 
@@ -127,8 +140,7 @@ def solve_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
     non-finite, PositivityLostError where J is not positive definite.
     """
     grid, A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, steps)
-    H_tab = tuple(np.block([[A, -S], [-Q, -AT]])
-                  for A, AT, S, Q in zip(A_tab, AT_tab, S_tab, Q_tab))
+    H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
     tracker = _track if _track is not None else _SymmetrizeTracker()
     n = problem.state_dim
     eye = np.eye(n)
@@ -194,13 +206,6 @@ def riccati_pair(problem: LQProblem, steps: int = DEFAULT_STEPS) -> RiccatiSolut
     return RiccatiSolution(J, M, steps, trJ.max_asymmetry, trM.max_asymmetry)
 
 
-def feedback_gain(problem: LQProblem, J_at_t: np.ndarray, t: float) -> np.ndarray:
-    """Closed-loop gain G(t) = -R(t)^{-1} B(t)' J at one time."""
-    R = problem.R.eval(t)
-    B = problem.B.eval(t)
-    return -spd_inverse(R) @ B.T @ np.asarray(J_at_t, dtype=float)
-
-
 def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarray:
     """Batched feedback gains G(t) = -R^{-1} B' J(t) along `ts`."""
     ts = np.asarray(ts, dtype=float)
@@ -227,21 +232,13 @@ def closed_loop_propagator(problem: LQProblem, J_sol: DenseSolution,
     return rk4_affine(grid, tabs, np.eye(problem.state_dim))
 
 
-def riccati_value(J_sol: DenseSolution, t0: float, x0: np.ndarray) -> float:
-    """Optimal cost-to-go x0' J(t0) x0."""
-    x0 = np.asarray(x0, dtype=float)
-    return float(x0 @ J_sol.eval(t0) @ x0)
-
-
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution,
                   steps: int = DEFAULT_STEPS) -> DenseSolution:
     """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)."""
     grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
     H_tab = tuple(-np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
     Q_tab = schedule_stage_table(problem.Q, grid)
-    lo_t, hi_t = grid[:-1], grid[1:]
-    mid_t = 0.5 * (lo_t + hi_t)
-    x_tab = (xbar.eval_many(lo_t, 1), xbar.eval_many(mid_t, 1), xbar.eval_many(hi_t, -1))
+    x_tab = schedule_stage_table(xbar, grid)
     F_tab = tuple(np.einsum("kij,kj->ki", Q, x) for Q, x in zip(Q_tab, x_tab))
     p_T = -np.asarray(problem.J_T) @ xbar.eval(problem.T)
     return rk4_affine(grid, H_tab, p_T, F_tab, backward=True)

@@ -18,8 +18,8 @@ from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
                      minimal_control)
 from .linalg import pinv_svd, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
-from .ode import DEFAULT_STEPS, DenseSolution, build_grid, combine_solutions
-from .riccati import closed_loop_propagator, gain_many, riccati_pair
+from .ode import DEFAULT_STEPS, DenseSolution, combine_solutions
+from .riccati import gain_many
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,6 @@ class LQSolveResult:
     trajectory: ControlledTrajectory
     value: float
     method: str
-
-
-def recover_control(problem: LQProblem, x: DenseSolution,
-                    steps: int | None = None) -> DenseSolution:
-    """Minimal-R-norm control u = B^(-) [x' - A x] along x's grid.
-
-    With `steps` given, x is first resampled onto a uniform grid of that many
-    intervals (its jump nodes and the schedule breakpoints kept as nodes).
-    """
-    if steps is not None:
-        snap = np.concatenate([x.jump_nodes(), problem.breakpoints()])
-        ts = build_grid(x.a, x.b, steps, snap)
-        lo, hi = ts[:-1], ts[1:]
-        x = DenseSolution(ts, x.eval_many(lo, 1), x.eval_many(hi, -1),
-                          x.deriv_many(lo, 1), x.deriv_many(hi, -1))
-    return minimal_control(problem, x)
 
 
 def evaluate_cost(problem: LQProblem, traj: ControlledTrajectory,
@@ -77,12 +61,9 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
                    operator: KernelOperator | None = None) -> LQSolveResult:
     """Optimal trajectory by rolling out x' = (A + B G) x with the Riccati gain."""
     x0 = np.asarray(x0, dtype=float)
-    if operator is not None:
-        J, grid = operator.riccati.J, operator.grid
-    else:
-        J = riccati_pair(problem, steps).J
-        grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
-    x = closed_loop_propagator(problem, J, grid).right_multiply(x0)
+    op = operator if operator is not None else KernelOperator(problem, steps)
+    J = op.riccati.J
+    x = op.closed_loop_solution().right_multiply(x0)
     lo, hi = x.times[:-1], x.times[1:]
     u_start = np.einsum("kij,kj->ki", gain_many(problem, J, lo, 1), x.v_start)
     u_end = np.einsum("kij,kj->ki", gain_many(problem, J, hi, -1), x.v_end)
@@ -94,6 +75,18 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
                          ControlledTrajectory(x, u), value, "feedback")
 
 
+def check_constraint_times(problem: LQProblem, times: np.ndarray) -> None:
+    """Raise ValueError unless `times` is non-empty, strictly increasing and
+    inside the horizon (up to roundoff at t0 and T)."""
+    if times.size == 0:
+        raise ValueError("need at least one constraint")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("constraint times must be sorted and distinct")
+    span = max(1.0, problem.T - problem.t0)
+    if not (times[0] >= problem.t0 - 1e-12 * span and times[-1] <= problem.T + 1e-12 * span):
+        raise ValueError("constraint times must lie in the horizon")
+
+
 def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS,
                      operator: KernelOperator | None = None) -> LQSolveResult:
     """Minimal-norm trajectory through rendezvous points x(t_i) = c_i.
@@ -103,14 +96,7 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
     """
     times = np.asarray([t for t, _ in constraints], dtype=float)
     targets = [np.asarray(c, dtype=float) for _, c in constraints]
-    if times.size == 0:
-        raise ValueError("need at least one constraint")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("constraint times must be sorted and distinct")
-    span = max(1.0, problem.T - problem.t0)
-    if times[0] < problem.t0 - 1e-12 * span or times[-1] > problem.T + 1e-12 * span:
-        raise ValueError("constraint times must lie in the horizon")
-
+    check_constraint_times(problem, times)
     op = operator if operator is not None else KernelOperator(
         problem, steps, extra_nodes=times)
     gram, _ = op.gram(times)

@@ -143,8 +143,7 @@ def test_c05_reproducing_property(section_problems, operator_cache):
             for _ in range(3):
                 t = float(pool[rng.integers(0, pool.size)])
                 pv = rng.normal(size=p.state_dim)
-                r = reproducing_residual(p, traj, t, pv, operator=op,
-                                         quad_intervals=2000)
+                r = reproducing_residual(op, traj, t, pv, quad_intervals=2000)
                 worst = max(worst, r / (1.0 + xnorm * np.linalg.norm(pv)))
     assert _report(5, "reproducing property on random trajectories", worst, 1e-4)
     assert worst <= 1e-4

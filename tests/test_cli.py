@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
                           problem_to_dict)
 from lqkernel.errors import ProblemFileError
-from lqkernel.problems import double_integrator_problem
+from lqkernel.problems import double_integrator_problem, random_problem
 
 
 def _scalar_doc(q=0.0, **over):
@@ -213,6 +215,20 @@ def test_numerical_blowup_maps_to_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_numpy_linalg_failure_maps_to_exit_3(tmp_path, capsys):
+    # over a horizon of 1e8 at 4 steps the adjoint propagator Theta0 is
+    # exactly singular at a column time, and numpy's inverse raises
+    doc = problem_to_dict(random_problem(np.random.default_rng(22)))
+    doc["T"] = 1e8
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        rc = main(["kernel", str(path), "--steps", "4", "--grid-count", "4",
+                   "--out", str(tmp_path / "k.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def test_parse_error_names_offending_key(tmp_path):
     doc = _scalar_doc()
     doc["Q"] = {"kind": "samples", "times": [0.0, 1.0]}  # missing matrices
@@ -277,22 +293,134 @@ def test_csv_floats_are_full_precision(p1_file, tmp_path, capsys):
     assert len(second[0].replace("-", "").replace(".", "").lstrip("0")) >= 15
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], None),
-    (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], None),
-    (["solve", "{doc}", "--steps", "0", "--out", "{out}"], None),
-    (["compare", "{doc}", "--oracle-steps", "5"], None),
-    (["solve", "{doc}", "--method", "multipoint", "--constraints",
-      "[[0, [1, 0]], [1, [1]]]", "--out", "{out}"], None),
-    (["riccati", "{doc}", "--out", "{out}"], "abc"),
+def _fill(argv, doc, tmp):
+    """argv with the {doc}, {out} and {missing} placeholders replaced by paths."""
+    paths = {"{doc}": doc, "{out}": tmp / "out.csv", "{missing}": tmp / "missing" / "out.csv"}
+    return [str(paths.get(a, a)) for a in argv]
+
+
+def _multipoint(constraints):
+    return ["solve", "{doc}", "--method", "multipoint", "--steps", "20",
+            "--constraints", constraints, "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, env, doc_extra", [
+    (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], None, {}),
+    (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], None, {}),
+    (["solve", "{doc}", "--steps", "0", "--out", "{out}"], None, {}),
+    (["compare", "{doc}", "--oracle-steps", "5"], None, {}),
+    (_multipoint("[[0, [1, 0]], [1, [1]]]"), None, {}),
+    (["riccati", "{doc}", "--out", "{out}"], "abc", {}),
+    (_multipoint("[]"), None, {}),
+    (_multipoint("[[1, [1, 0]], [0, [0, 0]]]"), None, {}),
+    (_multipoint("[[0.5, [1, 0]], [0.5, [0, 0]]]"), None, {}),
+    (_multipoint("[[5, [1, 0]]]"), None, {}),
+    (["kernel", "{doc}", "--grid-count", "-1", "--out", "{out}"], None, {}),
+    (["kernel", "{doc}", "--grid-count", "0", "--out", "{out}"], None, {}),
+    (["verify", "{doc}", "--tolerances", "[1]"], None, {}),
+    (["verify", "{doc}", "--tolerances", '{"duality": "x"}'], None, {}),
+    (["verify", "{doc}", "--tolerances", '{"dualty": 1e-6}'], None, {}),
+    (["verify", "{doc}", "--seed", "-1"], None, {}),
+    (["verify", "{doc}"], None, {"settings": "fast"}),
+    (["verify", "{doc}"], None, {"settings": {"seed": 1.5}}),
+    (["verify", "{doc}"], None, {"settings": {"tolerances": {"duality": "x"}}}),
+    (["solve", "{doc}", "--out", "{out}"], None, {"x0": "abc"}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{missing}"], None, {}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None, {"r_min": 0.0}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None, {"T": math.inf}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
+     {"A": {"kind": "pwc", "breakpoints": [], "matrices": []}}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
+     {"Q": {"kind": "poly", "coefficients": [[[1e308, 0], [0, 1e308]]] * 2}}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
+     {"R": {"kind": "pwc", "breakpoints": [0.5001, 0.5002], "matrices": [[[1]], [[0]], [[1]]]}}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
-        "constraint-length", "env-steps-not-an-integer"])
-def test_malformed_flags_are_input_errors(argv, env, tmp_path, capsys, monkeypatch):
+        "constraint-length", "env-steps-not-an-integer", "constraints-empty",
+        "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
+        "grid-count-negative", "grid-count-zero", "tolerances-not-an-object",
+        "tolerance-not-a-number", "tolerance-unknown-check", "seed-negative",
+        "settings-not-an-object", "settings-seed-not-an-integer",
+        "settings-tolerance-not-a-number", "file-x0-not-numbers", "out-unwritable",
+        "r-min-zero", "horizon-infinite", "schedule-without-pieces", "Q-overflows",
+        "R-singular-between-grid-points"])
+def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
+                                          monkeypatch):
     path = tmp_path / "dint.json"
-    path.write_text(json.dumps(problem_to_dict(double_integrator_problem(),
-                                               {"x0": [1.0, 0.0]})))
+    doc = problem_to_dict(double_integrator_problem(), {"x0": [1.0, 0.0]})
+    path.write_text(json.dumps({**doc, **doc_extra}))
     if env is not None:
         monkeypatch.setenv("LQK_DEFAULT_STEPS", env)
-    args = [a.format(doc=path, out=tmp_path / "out.csv") for a in argv]
-    assert main(args) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    with np.errstate(over="ignore"):
+        assert main(_fill(argv, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- fuzzing: malformed flags and documents never end in a traceback ----------
+
+_ODD_TEXT = ["", "x", "-1", "0", "1", "1,0", "1,x", "nan,0", "1e999,0", "[]", "{}",
+             "[1]", "[[0, [1, 0]]]", "[[0.5, [1]], [0.2, [0, 0]]]",
+             '{"duality": 1e-3}', '{"duality": "x"}', '{"nope": 1}']
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=2)
+                | st.sampled_from([0.5, -1.0, 1e300, float("nan"), float("inf")]))
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(["kind", "matrix", "seed"]), kids,
+                                    max_size=2)),
+    max_leaves=6)
+_SITES = ["state_dim", "input_dim", "t0", "T", "A", "B", "Q", "R", "J_T", "x0",
+          "r_min", "settings", "A.kind", "A.matrix", "R.matrix", "settings.seed",
+          "settings.tolerances"]
+_FLAGS = {
+    "solve": ["--x0", "--method", "--constraints"],
+    "riccati": [],
+    "kernel": ["--grid-count"],
+    "verify": ["--seed", "--tolerances"],
+    "compare": ["--x0", "--oracle-steps"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    doc = problem_to_dict(double_integrator_problem(),
+                          {"x0": [1.0, 0.0], "settings": {"seed": 1}})
+    for site in draw(st.lists(st.sampled_from(_SITES), max_size=3)):
+        *parents, key = site.split(".")
+        node = doc
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = draw(_JSON)
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "{doc}", "--steps",
+            draw(st.sampled_from(["x", "-1", "0"]) | st.integers(1, 20).map(str))]
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True)) if _FLAGS[command] else []
+    for flag in flags:
+        if flag == "--method":
+            value = draw(st.sampled_from(["kernel", "feedback", "both", "multipoint", "x"]))
+        elif flag in ("--grid-count", "--oracle-steps", "--seed"):
+            value = draw(st.sampled_from(_ODD_TEXT) | st.integers(-2, 40).map(str))
+        else:
+            value = draw(st.sampled_from(_ODD_TEXT))
+        argv += [flag, value]
+    if command in ("solve", "riccati", "kernel"):
+        argv += ["--out", draw(st.sampled_from(["{out}", "{missing}"]))]
+    return doc, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=_cli_calls())
+def test_fuzzed_cli_calls_exit_with_a_contract_code(call, tmp_path_factory):
+    doc, argv = call
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        rc = main(_fill(argv, path, root))
+    # 1 means "checks failed", which only verify reports (a 20-step grid may fail them)
+    assert rc in ({0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3})

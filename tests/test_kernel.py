@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from lqkernel.errors import HorizonMismatchError
-from lqkernel.kernel import (KernelOperator, gram_matrix, kernel_column,
-                             kernel_diagonal, kernel_full, lq_inner_product,
+from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              kernel_section_trajectory, reproducing_residual)
 from lqkernel.linalg import pinv_svd, spd_inverse
 from lqkernel.model import ControlledTrajectory
 from lqkernel.ode import DenseSolution
-from lqkernel.problems import random_problem, random_trajectory
+from lqkernel.problems import random_trajectory
 
 
 def k_scalar_energy(s, t):
@@ -26,27 +25,30 @@ def k_scalar_unit(s, t):
 # -- diagonal -----------------------------------------------------------------
 
 def test_diagonal_matches_inverse_riccati_closed_form(p1):
-    assert kernel_diagonal(p1, 0.0, 800)[0, 0] == pytest.approx(2.0, abs=1e-8)
-    assert kernel_diagonal(p1, 0.5, 800)[0, 0] == pytest.approx(1.5, abs=1e-8)
+    op = KernelOperator(p1, 800)
+    assert op.diagonal(0.0)[0, 0] == pytest.approx(2.0, abs=1e-8)
+    assert op.diagonal(0.5)[0, 0] == pytest.approx(1.5, abs=1e-8)
 
 
 def test_diagonal_fixed_point(p2):
+    op = KernelOperator(p2, 400)
     for tq in (0.0, 0.3, 0.9):
-        assert kernel_diagonal(p2, tq, 400)[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert op.diagonal(tq)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_diagonal_at_terminal_time(p1):
-    assert np.array_equal(kernel_diagonal(p1, 1.0, 100), spd_inverse(p1.J_T))
+    assert np.array_equal(KernelOperator(p1, 100).diagonal(1.0), spd_inverse(p1.J_T))
 
 
 def test_diagonal_rejects_queries_after_terminal(p1):
     with pytest.raises(HorizonMismatchError):
-        kernel_diagonal(p1, 1.5, 100)
+        KernelOperator(p1, 100).diagonal(1.5)
 
 
 def test_diagonal_extends_before_problem_start(p1):
-    # the diagonal map lives on ]-inf, T]; constant schedules extend freely
-    assert kernel_diagonal(p1, -0.5, 600)[0, 0] == pytest.approx(2.5, abs=1e-8)
+    # the diagonal map lives on ]-inf, T]; constant schedules extend freely,
+    # and a query before t0 restarts the dual Riccati solve on [t, T]
+    assert KernelOperator(p1, 600).diagonal(-0.5)[0, 0] == pytest.approx(2.5, abs=1e-8)
 
 
 def test_diagonal_symmetric_positive(dint, operator_cache):
@@ -58,12 +60,12 @@ def test_diagonal_symmetric_positive(dint, operator_cache):
 # -- first column -------------------------------------------------------------
 
 def test_column_closed_form(p1):
-    col = kernel_column(p1, 800)
+    col = KernelOperator(p1, 800).column_solution()
     assert col.eval(0.5)[0, 0] == pytest.approx(1.5, abs=1e-8)
 
 
 def test_column_exponential_decay(p2):
-    col = kernel_column(p2, 800)
+    col = KernelOperator(p2, 800).column_solution()
     assert col.eval(1.0)[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
@@ -75,12 +77,12 @@ def test_column_start_equals_diagonal(p1):
 # -- full entries via the shooting BVP ---------------------------------------
 
 def test_full_entry_unit_cost_closed_form(p2):
-    got = kernel_full(p2, 0.5, 1.0, 800)[0, 0]
+    got = KernelOperator(p2, 800).entry(0.5, 1.0)[0, 0]
     assert got == pytest.approx(k_scalar_unit(0.5, 1.0), abs=1e-6)
 
 
 def test_full_entry_energy_closed_form(p1):
-    got = kernel_full(p1, 0.5, 0.25, 800)[0, 0]
+    got = KernelOperator(p1, 800).entry(0.5, 0.25)[0, 0]
     assert got == pytest.approx(1.5, abs=1e-6)
 
 
@@ -201,21 +203,25 @@ def test_bvp_against_scipy_collocation_oracle():
 
 # -- Gram matrices ------------------------------------------------------------
 
+def _gram(problem, times, steps):
+    return KernelOperator(problem, steps, extra_nodes=times).gram(times)[0]
+
+
 def test_gram_scalar_unit_cost(p2):
-    got = gram_matrix(p2, [0.0, 1.0], 800)
+    got = _gram(p2, [0.0, 1.0], 800)
     want = np.array([[k_scalar_unit(0, 0), k_scalar_unit(0, 1)],
                      [k_scalar_unit(1, 0), k_scalar_unit(1, 1)]])
     assert np.max(np.abs(got - want)) < 1e-6
 
 
 def test_gram_scalar_energy(p1):
-    got = gram_matrix(p1, [0.0, 1.0], 800)
+    got = _gram(p1, [0.0, 1.0], 800)
     assert np.max(np.abs(got - np.array([[2.0, 1.0], [1.0, 1.0]]))) < 1e-6
 
 
 def test_gram_single_time_is_diagonal(p1):
-    got = gram_matrix(p1, [0.0], 600)
-    assert np.max(np.abs(got - kernel_diagonal(p1, 0.0, 600))) < 1e-6
+    got = _gram(p1, [0.0], 600)
+    assert np.max(np.abs(got - KernelOperator(p1, 600).diagonal(0.0))) < 1e-6
 
 
 def test_gram_positive_semidefinite(dint, random_problems, operator_cache):
@@ -274,7 +280,7 @@ def test_reproducing_on_optimal_trajectory(p2, operator_cache):
     tr = _traj_from_formulas(ts, lambda t: np.exp(-t), lambda t: -np.exp(-t),
                              lambda t: -np.exp(-t), lambda t: np.exp(-t))
     op = operator_cache(p2, 1000)
-    r = reproducing_residual(p2, tr, 0.0, [1.0], operator=op, quad_intervals=1000)
+    r = reproducing_residual(op, tr, 0.0, [1.0], quad_intervals=1000)
     assert r <= 1e-5
 
 
@@ -283,8 +289,7 @@ def test_reproducing_zero_covector(p1, operator_cache):
     tr = _traj_from_formulas(ts, lambda t: t, lambda t: 1 + 0 * t,
                              lambda t: 1 + 0 * t, lambda t: 0 * t)
     op = operator_cache(p1, 700)
-    assert reproducing_residual(p1, tr, 0.3, [0.0], operator=op,
-                                quad_intervals=400) == 0.0
+    assert reproducing_residual(op, tr, 0.3, [0.0], quad_intervals=400) == 0.0
 
 
 def test_reproducing_ramp_against_kinked_section(p1, operator_cache):
@@ -292,7 +297,7 @@ def test_reproducing_ramp_against_kinked_section(p1, operator_cache):
     tr = _traj_from_formulas(ts, lambda t: t, lambda t: 1 + 0 * t,
                              lambda t: 1 + 0 * t, lambda t: 0 * t)
     op = operator_cache(p1, 700)
-    r = reproducing_residual(p1, tr, 0.5, [1.0], operator=op, quad_intervals=1000)
+    r = reproducing_residual(op, tr, 0.5, [1.0], quad_intervals=1000)
     assert r <= 1e-5
 
 
@@ -305,14 +310,14 @@ def test_reproducing_random_trajectories(random_problems, operator_cache):
         tr = random_trajectory(p, rng, steps=700)
         t = float(pool[rng.integers(0, pool.size)])
         pv = rng.normal(size=p.state_dim)
-        r = reproducing_residual(p, tr, t, pv, operator=op, quad_intervals=900)
+        r = reproducing_residual(op, tr, t, pv, quad_intervals=900)
         xnorm = math.sqrt(max(lq_inner_product(p, tr, tr, 900), 0.0))
         assert r <= 1e-4 * (1.0 + xnorm * np.linalg.norm(pv))
 
 
 def test_section_trajectory_control_is_minimal(dint, operator_cache):
     op = operator_cache(dint, 900)
-    sec = kernel_section_trajectory(dint, op, 0.35, np.array([0.7, -0.2]))
+    sec = kernel_section_trajectory(op, 0.35, np.array([0.7, -0.2]))
     # recovered control must reproduce the section's own dynamics residual
     ts = sec.x.times[::60]
     B = dint.B.eval_many(ts)

@@ -7,26 +7,26 @@ from hypothesis import strategies as st
 
 from lqkernel.errors import HorizonMismatchError, ScheduleDomainError
 from lqkernel.model import (ControlledTrajectory, MatrixSchedule, LQProblem,
-                            dynamics_defect, eval_schedule, validate_problem)
+                            dynamics_defect, validate_problem)
 from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_trajectory
 
 
 def test_constant_schedule_value():
     s = MatrixSchedule.constant([[2.0]])
-    assert np.array_equal(eval_schedule(s, 0.3), [[2.0]])
+    assert np.array_equal(s.eval(0.3), [[2.0]])
 
 
 def test_sampled_linear_midpoint():
     s = MatrixSchedule.sampled_linear([0.0, 1.0], [[[0.0]], [[2.0]]])
-    assert np.allclose(eval_schedule(s, 0.5), [[1.0]])
+    assert np.allclose(s.eval(0.5), [[1.0]])
 
 
 def test_pwc_right_continuous_at_breakpoint():
     s = MatrixSchedule.piecewise_constant([0.5], [[[1.0]], [[3.0]]])
-    assert np.array_equal(eval_schedule(s, 0.5), [[3.0]])
+    assert np.array_equal(s.eval(0.5), [[3.0]])
     assert np.array_equal(s.eval(0.5, side=-1), [[1.0]])
-    assert np.array_equal(eval_schedule(s, 0.49), [[1.0]])
+    assert np.array_equal(s.eval(0.49), [[1.0]])
 
 
 def test_sampled_schedule_exact_at_sample_times():

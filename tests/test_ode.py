@@ -5,10 +5,9 @@ import pytest
 
 from lqkernel.errors import DomainError, IntegrationBlowupError
 from lqkernel.model import MatrixSchedule
-from lqkernel.ode import (DenseSolution, TransitionMatrix, build_grid,
-                          combine_solutions, dense_eval, rk4_affine,
-                          rk4_affine_values, rk4_drive, schedule_stage_table,
-                          transition_matrix)
+from lqkernel.ode import (DenseSolution, build_grid, combine_solutions,
+                          rk4_affine, rk4_affine_values, rk4_drive,
+                          schedule_stage_table)
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -139,20 +138,30 @@ def test_affine_blowup_reports_time():
     assert exc.value.time is not None and 0.9 < exc.value.time <= 1.0
 
 
+# -- state-transition matrices: Phi_A(., s) is rk4_affine from the identity --
+
+def _transition(A, s, t, steps, backward=False):
+    """Dense Phi_A(., s) on [s, t] (forward) or Phi_A(., t) on [s, t] (backward)."""
+    grid = build_grid(s, t, steps, A.breakpoints())
+    return rk4_affine(grid, schedule_stage_table(A, grid), np.eye(A.rows), backward=backward)
+
+
 def test_transition_of_nilpotent_system():
     A = MatrixSchedule.constant([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(transition_matrix(A, 1.0, 0.0, 200),
+    assert np.allclose(_transition(A, 0.0, 1.0, 200).eval(1.0),
                        [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_transition_anchor_is_identity():
     A = MatrixSchedule.constant([[0.3, -0.2], [0.1, 0.4]])
-    assert np.array_equal(transition_matrix(A, 0.7, 0.7, 10), np.eye(2))
+    assert np.array_equal(_transition(A, 0.7, 1.0, 10).eval(0.7), np.eye(2))
+    assert np.array_equal(_transition(A, 0.0, 0.7, 10, backward=True).eval(0.7, side=-1),
+                          np.eye(2))
 
 
 def test_transition_of_negated_transpose():
     A = MatrixSchedule.constant([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(transition_matrix(A.transposed_negated(), 1.0, 0.0, 200),
+    assert np.allclose(_transition(A.transposed_negated(), 0.0, 1.0, 200).eval(1.0),
                        [[1.0, 0.0], [-1.0, 1.0]], atol=1e-12)
 
 
@@ -161,19 +170,9 @@ def test_transition_cocycle_property():
     A = MatrixSchedule.sampled_linear(
         [0.0, 0.5, 1.0], [rng.normal(size=(3, 3)) * 0.8 for _ in range(3)])
     r, s, t = 0.1, 0.45, 0.9
-    lhs = transition_matrix(A, t, s, 400) @ transition_matrix(A, s, r, 400)
-    rhs = transition_matrix(A, t, r, 400)
+    lhs = _transition(A, s, t, 400).eval(t) @ _transition(A, r, s, 400).eval(s)
+    rhs = _transition(A, r, t, 400).eval(t)
     assert np.max(np.abs(lhs - rhs)) < 1e-7
-
-
-def test_transition_object_inverse_pairs():
-    rng = np.random.default_rng(8)
-    A = MatrixSchedule.constant(rng.normal(size=(2, 2)))
-    tm = TransitionMatrix.compute(A, anchor=0.4, a=0.0, b=1.0, steps=500)
-    assert np.array_equal(tm.at(0.4), np.eye(2))
-    for t in (0.1, 0.9):
-        back = transition_matrix(A, 0.4, t, 500)
-        assert np.max(np.abs(tm.at(t) @ back - np.eye(2))) < 1e-8
 
 
 def test_dense_eval_exact_at_nodes():
@@ -182,7 +181,7 @@ def test_dense_eval_exact_at_nodes():
     derivs = np.cos(ts)[:, None, None]
     sol = DenseSolution.from_nodes(ts, vals, derivs)
     for k, t in enumerate(ts):
-        assert np.array_equal(dense_eval(sol, t), vals[k])
+        assert np.array_equal(sol.eval(t), vals[k])
 
 
 def test_dense_eval_exact_on_cubics():
@@ -190,13 +189,13 @@ def test_dense_eval_exact_on_cubics():
     sol = DenseSolution.from_nodes(ts, (ts ** 2)[:, None, None], (2 * ts)[:, None, None])
     mids = 0.5 * (ts[:-1] + ts[1:])
     for t in mids:
-        assert dense_eval(sol, t)[0, 0] == pytest.approx(t * t, abs=1e-14)
+        assert sol.eval(t)[0, 0] == pytest.approx(t * t, abs=1e-14)
 
 
 def test_dense_eval_constant_everywhere():
     ts = np.linspace(0.0, 2.0, 5)
     sol = DenseSolution.from_nodes(ts, np.full((5, 1), 3.25), np.zeros((5, 1)))
-    assert dense_eval(sol, 1.234)[0] == 3.25
+    assert sol.eval(1.234)[0] == 3.25
 
 
 def test_dense_eval_out_of_range_raises():

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from lqkernel.oracle import (DiscreteLQ, discrete_trajectory, discrete_value,
-                             richardson_value)
-from lqkernel.riccati import riccati_value, solve_riccati
+from lqkernel.oracle import DiscreteLQ, discrete_value, richardson_value
+from lqkernel.solver import solve_feedback
 
 
 def test_value_scalar_energy(p1):
@@ -18,23 +15,6 @@ def test_value_unit_cost(p2):
 
 def test_value_zero_state(p2):
     assert discrete_value(p2, [0.0], 100) == 0.0
-
-
-def test_trajectory_scalar_energy(p1):
-    ts, xs = discrete_trajectory(p1, [1.0], 1000)
-    assert ts[-1] == 1.0
-    assert xs[-1, 0] == pytest.approx(0.5, abs=2e-3)
-
-
-def test_trajectory_unit_cost(p2):
-    ts, xs = discrete_trajectory(p2, [1.0], 1000)
-    k = np.argmin(np.abs(ts - 0.5))
-    assert xs[k, 0] == pytest.approx(math.exp(-0.5), abs=5e-3)
-
-
-def test_trajectory_zero_state(p2):
-    _, xs = discrete_trajectory(p2, [0.0], 200)
-    assert np.max(np.abs(xs)) == 0.0
 
 
 def test_minimum_resolution_enforced(p1):
@@ -63,5 +43,5 @@ def test_extrapolated_value_matches_continuous(p2, dint, random_problems):
     for p in [p2, dint, random_problems[1]]:
         x0 = np.ones(p.state_dim)
         rich = richardson_value(p, x0, 1500)
-        v_cont = riccati_value(solve_riccati(p, 1500), p.t0, x0)
+        v_cont = solve_feedback(p, x0, 1500).value
         assert abs(rich["extrapolated"] - v_cont) <= 1e-4 * (1.0 + abs(v_cont))

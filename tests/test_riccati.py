@@ -12,9 +12,9 @@ from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution, build_grid, rk4_drive, schedule_stage_table
 from lqkernel.problems import random_problem
-from lqkernel.riccati import (feedback_gain, riccati_pair, riccati_value,
-                              solve_adjoint, solve_dual_riccati, solve_riccati)
-from lqkernel.solver import solve_kernel
+from lqkernel.riccati import (gain_many, riccati_pair, solve_adjoint,
+                              solve_dual_riccati, solve_riccati)
+from lqkernel.solver import solve_feedback, solve_kernel
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "scripts" / "problems").glob("*.json"))
@@ -77,19 +77,18 @@ def test_duality_along_grid(p1, p2, dint, random_problems):
 
 def test_feedback_gain_values(p1, p2, zero_drive):
     J1 = solve_riccati(p1, 500)
-    assert feedback_gain(p1, J1.eval(0.0), 0.0)[0, 0] == pytest.approx(-0.5, abs=1e-8)
+    assert gain_many(p1, J1, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-8)
     J2 = solve_riccati(p2, 500)
-    assert feedback_gain(p2, J2.eval(0.3), 0.3)[0, 0] == pytest.approx(-1.0, abs=1e-9)
+    assert gain_many(p2, J2, [0.3])[0, 0, 0] == pytest.approx(-1.0, abs=1e-9)
     Jz = solve_riccati(zero_drive, 100)
-    assert np.array_equal(feedback_gain(zero_drive, Jz.eval(0.5), 0.5), np.zeros((1, 2)))
+    assert np.array_equal(gain_many(zero_drive, Jz, [0.5])[0], np.zeros((1, 2)))
 
 
 def test_riccati_value_examples(p1, p2):
-    J1 = solve_riccati(p1, 800)
-    assert riccati_value(J1, 0.0, [1.0]) == pytest.approx(0.5, abs=1e-8)
-    J2 = solve_riccati(p2, 400)
-    assert riccati_value(J2, 0.0, [2.0]) == pytest.approx(4.0, abs=1e-9)
-    assert riccati_value(J1, 0.0, [0.0]) == 0.0
+    # the feedback route's value is the cost-to-go x0' J(t0) x0
+    assert solve_feedback(p1, [1.0], 800).value == pytest.approx(0.5, abs=1e-8)
+    assert solve_feedback(p2, [2.0], 400).value == pytest.approx(4.0, abs=1e-9)
+    assert solve_feedback(p1, [0.0], 800).value == 0.0
 
 
 def test_adjoint_constant_costate(p1):
@@ -131,8 +130,8 @@ def test_value_monotone_in_state_cost(random_problems):
     for p in random_problems[:2]:
         bumped = dataclasses.replace(p, Q=_bump(p.Q, 0.1))
         x0 = np.ones(p.state_dim)
-        v0 = riccati_value(solve_riccati(p, 800), p.t0, x0)
-        v1 = riccati_value(solve_riccati(bumped, 800), p.t0, x0)
+        v0 = solve_feedback(p, x0, 800).value
+        v1 = solve_feedback(bumped, x0, 800).value
         assert v1 >= v0 - 1e-10
 
 

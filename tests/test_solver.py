@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
+from lqkernel.kernel import minimal_control
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution, combine_solutions
 from lqkernel.problems import random_trajectory, rollout
-from lqkernel.solver import (evaluate_cost, recover_control, solve_feedback,
-                             solve_kernel, solve_multipoint)
+from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
+                             solve_multipoint)
 
 
 def test_kernel_route_scalar_energy(p1, operator_cache):
@@ -135,7 +136,7 @@ def test_multipoint_consistent_constraint_in_rank_deficient_gram(zero_drive):
 def test_recover_control_linear_ramp(p1):
     ts = np.linspace(0.0, 1.0, 51)
     x = DenseSolution.from_nodes(ts, ts[:, None], np.ones((51, 1)))
-    u = recover_control(p1, x)
+    u = minimal_control(p1, x)
     assert np.max(np.abs(u.values - 1.0)) < 1e-12
 
 
@@ -144,7 +145,7 @@ def test_recover_control_double_integrator(dint):
     states = np.stack([ts ** 2 / 2, ts], axis=1)
     derivs = np.stack([ts, np.ones_like(ts)], axis=1)
     x = DenseSolution.from_nodes(ts, states, derivs)
-    u = recover_control(dint, x)
+    u = minimal_control(dint, x)
     assert np.max(np.abs(u.values - 1.0)) < 1e-12
 
 
@@ -153,16 +154,8 @@ def test_recover_control_zero_for_homogeneous_motion(dint):
     ts = np.linspace(0.0, 1.0, 41)
     states = np.stack([1 + ts, np.ones_like(ts)], axis=1)
     derivs = np.stack([np.ones_like(ts), np.zeros_like(ts)], axis=1)
-    u = recover_control(dint, DenseSolution.from_nodes(ts, states, derivs))
+    u = minimal_control(dint, DenseSolution.from_nodes(ts, states, derivs))
     assert np.max(np.abs(u.values)) < 1e-8
-
-
-def test_recover_control_resamples_when_steps_given(p1):
-    ts = np.linspace(0.0, 1.0, 21)
-    x = DenseSolution.from_nodes(ts, (ts ** 2)[:, None], (2 * ts)[:, None])
-    u = recover_control(p1, x, steps=50)
-    assert u.times.size == 51
-    assert u.eval(0.5)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evaluate_cost_examples(p1):
