@@ -14,13 +14,12 @@ matched to its use:
   shooting BVP of the restarted problem, which shares no Riccati solve);
 * first column K(., t0): closed-loop propagation of K(t0, t0), since
   K(., t0) p is the optimal trajectory from x0 = K(t0, t0) p;
-* arbitrary K(., t): a linear two-point boundary value problem in the pair
-  (K(., t), Pi(., t)) with a forcing term that switches branches at s = t,
-  solved by single shooting on the unknown initial block K(t0, t).
+* arbitrary K(., t): the optimal trajectory whose costate jumps at s = t:
+  [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] (S = B R^{-1} B')
+  from [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
+  J_T K(T) + Pi(T) = 0; single shooting solves for the block K(t0, t).
 
-The switch time is inserted as a grid node, and the branch for s >= t is
-applied on the closed interval [t, T]; stage evaluations use one-sided
-limits so the integrator keeps full order across the switch.
+The column time is a grid node; K keeps both one-sided derivatives there.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
 from .linalg import RANK_TOL, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
-                  rk4_affine_values, schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values,
+                  schedule_stage_table)
 from .riccati import (_control_weight_table, _hamiltonian_table,
                       closed_loop_propagator, riccati_pair, solve_dual_riccati)
 
@@ -48,9 +47,9 @@ class KernelOperator:
 
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Riccati solutions, the
-    closed-loop propagator, the adjoint propagator and per-column-time BVP
-    solutions are computed lazily and cached; the operator is logically
-    immutable and evaluations are pure.
+    closed-loop propagator and per-column-time BVP solutions are computed
+    lazily and cached; the operator is logically immutable and evaluations
+    are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -61,7 +60,6 @@ class KernelOperator:
                                      np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, self._snap)
         self._riccati = None
-        self._theta0 = None          # Phi_A(t0, .)^T on the grid
         self._closed_loop = None     # Phi_{A+BG}(., t0) on the grid
         self._sections: dict[float, DenseSolution] = {}
 
@@ -72,15 +70,6 @@ class KernelOperator:
         if self._riccati is None:
             self._riccati = riccati_pair(self.problem, self.steps)
         return self._riccati
-
-    def _theta0_solution(self) -> DenseSolution:
-        """Theta0(s) = Phi_A(t0, s)^T, solving Theta' = -A(s)' Theta, Theta(t0) = I."""
-        if self._theta0 is None:
-            sched = self.problem.A.transposed_negated()
-            table = schedule_stage_table(sched, self.grid)
-            eye = np.eye(self.problem.state_dim)
-            self._theta0 = rk4_affine(self.grid, table, eye)
-        return self._theta0
 
     def closed_loop_solution(self) -> DenseSolution:
         """Propagator of x' = (A + B G) x anchored at t0."""
@@ -151,44 +140,27 @@ class KernelOperator:
         span = max(1.0, p.T - p.t0)
         if not (p.t0 - 1e-12 * span <= t <= p.T + 1e-12 * span):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
-        t = min(max(t, p.t0), p.T)
 
         grid = build_grid(p.t0, p.T, self.steps,
                           np.concatenate([self._snap, [t]]))
-        lo_t, hi_t = grid[:-1], grid[1:]
-        mid_t = 0.5 * (lo_t + hi_t)
-
         A_tab, S_tab = _control_weight_table(p, grid)
-        Q_tab = schedule_stage_table(p.Q, grid)
+        H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(p.Q, grid))
 
-        theta0 = self._theta0_solution()
-        th_tab = schedule_stage_table(theta0, grid)
-        D_t = np.linalg.inv(theta0.eval(t))
-        tol = 1e-12 * span
-        # branch indicator: the s >= t forcing applies on the closed interval [t, T]
-        ind = (lo_t >= t - tol, mid_t > t, hi_t > t + tol)
-        F_tab = tuple(
-            S @ (th - flags[:, None, None] * (th @ D_t))
-            for S, th, flags in zip(S_tab, th_tab, ind)
-        )
-
-        # carrier W = [K; -Pi]: where [K; Pi]' = [[A, S], [Q, -A']] [K; Pi] + F,
-        # W' = [[A, -S], [-Q, -A']] W + F (F only enters the K rows), from
-        # W(t0) = I; its first n columns are homogeneous, its last n the forced
-        # particular solution, and only its node values are kept
-        H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
-        Fz_tab = tuple(np.zeros((lo_t.size, 2 * n, 2 * n)) for _ in range(3))
-        for Fz, F in zip(Fz_tab, F_tab):
-            Fz[:, :n, n:] = F
-        W = rk4_affine_values(grid, H_tab, np.eye(2 * n), Fz_tab)
-        del H_tab, Fz_tab  # the 2n-wide tables are the largest arrays held here
+        # V = [K; -Pi] solves V' = H V from [X; 0], its -Pi rows jump by +I at
+        # the node j of t, and J_T K(T) + Pi(T) = 0.  V = W [X; I] with the
+        # carrier W = [I; 0] swept up to t, then widened by [0; I] at t.
+        j = int(np.argmin(np.abs(grid - t)))
+        W = np.zeros((grid.size, 2 * n, 2 * n))
+        W[:j + 1, :, :n] = rk4_affine_values(
+            grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))
+        W[j, n:, n:] = np.eye(n)
+        W[j:] = rk4_affine_values(grid[j:], tuple(H[j:] for H in H_tab), W[j])
+        del H_tab  # the 2n-wide tables are the largest arrays held here
 
         WT = W[-1]
         J_T = np.asarray(p.J_T)
         E = J_T @ WT[:n, :n] - WT[n:, :n]
-        theta_T = theta0.eval(p.T, side=-1)
-        C_T = theta_T @ D_t - theta_T
-        rhs = C_T - J_T @ WT[:n, n:] + WT[n:, n:]
+        rhs = WT[n:, n:] - J_T @ WT[:n, n:]
         sv = np.linalg.svd(E, compute_uv=False)
         if sv[-1] <= _SHOOTING_RCOND * sv[0]:
             raise BvpDegenerateError(
@@ -196,11 +168,13 @@ class KernelOperator:
                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
         X = np.linalg.solve(E, rhs)
 
-        ext = np.vstack([X, np.eye(n)])  # [K; -Pi] = W [X; I]
+        ext = np.vstack([X, np.eye(n)])
         K = W[:, :n] @ ext
         minus_Pi = W[:, n:] @ ext
-        d_lo = A_tab[0] @ K[:-1] - S_tab[0] @ minus_Pi[:-1] + F_tab[0]
-        d_hi = A_tab[2] @ K[1:] - S_tab[2] @ minus_Pi[1:] + F_tab[2]
+        d_lo = A_tab[0] @ K[:-1] - S_tab[0] @ minus_Pi[:-1]
+        d_hi = A_tab[2] @ K[1:] - S_tab[2] @ minus_Pi[1:]
+        if j > 0:  # the left limit at t is taken before the jump
+            d_hi[j - 1] += S_tab[2][j - 1]
         return DenseSolution(grid, K[:-1], K[1:], d_lo, d_hi)
 
 

@@ -187,11 +187,6 @@ class MatrixSchedule:
             out = out * x[:, None, None] + coeff
         return out
 
-    def transposed_negated(self) -> "MatrixSchedule":
-        """The schedule t -> -S(t)^T, same kind and knots."""
-        mats = -np.swapaxes(self.matrices, 1, 2)
-        return MatrixSchedule(self.kind, self.cols, self.rows, mats, self.knots, self.origin)
-
 
 @dataclass(frozen=True)
 class LQProblem:

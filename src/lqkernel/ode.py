@@ -3,7 +3,7 @@
 Design notes:
 
 * Grids are uniform except that caller-supplied breakpoints (schedule jumps,
-  kernel-forcing switch times) are inserted as nodes, so every RK4 step sees
+  kernel column times) are inserted as nodes, so every RK4 step sees
   a smooth right-hand side.  Stage evaluations at interval endpoints carry a
   one-sided limit flag: the stage at the *left* end of an interval uses the
   right limit of any discontinuous coefficient, the stage at the *right* end

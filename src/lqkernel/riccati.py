@@ -22,6 +22,7 @@ absorbed by that projection is reported as a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,13 +184,30 @@ def solve_dual_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """J(., T) and M(., T) on a shared grid, with symmetrization diagnostics."""
+    """J(., T) and M(., T) on a shared grid, with symmetrization diagnostics.
 
-    J: DenseSolution
-    M: DenseSolution
+    M is solved on its first read, so a caller that needs only J (the
+    feedback route) never integrates the dual equation.
+    """
+
+    problem: LQProblem
     steps: int
+    J: DenseSolution
     max_asymmetry_J: float
-    max_asymmetry_M: float
+
+    @cached_property
+    def _dual(self) -> tuple[DenseSolution, float]:
+        tracker = _SymmetrizeTracker()
+        M = solve_dual_riccati(self.problem, self.steps, _track=tracker)
+        return M, tracker.max_asymmetry
+
+    @property
+    def M(self) -> DenseSolution:
+        return self._dual[0]
+
+    @property
+    def max_asymmetry_M(self) -> float:
+        return self._dual[1]
 
     def duality_defects(self) -> np.ndarray:
         """Frobenius norm of J(t)M(t) - I at every grid node."""
@@ -199,11 +217,10 @@ class RiccatiSolution:
 
 
 def riccati_pair(problem: LQProblem, steps: int = DEFAULT_STEPS) -> RiccatiSolution:
-    """Solve both Riccati equations on the same grid, J and M by separate routes."""
-    trJ, trM = _SymmetrizeTracker(), _SymmetrizeTracker()
-    J = solve_riccati(problem, steps, _track=trJ)
-    M = solve_dual_riccati(problem, steps, _track=trM)
-    return RiccatiSolution(J, M, steps, trJ.max_asymmetry, trM.max_asymmetry)
+    """Both Riccati solutions on one grid by separate routes: J now, M on first read."""
+    tracker = _SymmetrizeTracker()
+    J = solve_riccati(problem, steps, _track=tracker)
+    return RiccatiSolution(problem, steps, J, tracker.max_asymmetry)
 
 
 def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarray:

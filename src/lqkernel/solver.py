@@ -18,7 +18,7 @@ from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
                      minimal_control)
 from .linalg import pinv_svd, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
-from .ode import DEFAULT_STEPS, DenseSolution, combine_solutions
+from .ode import DEFAULT_STEPS, DenseSolution
 from .riccati import gain_many
 
 
@@ -87,8 +87,7 @@ def check_constraint_times(problem: LQProblem, times: np.ndarray) -> None:
         raise ValueError("constraint times must lie in the horizon")
 
 
-def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS,
-                     operator: KernelOperator | None = None) -> LQSolveResult:
+def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS) -> LQSolveResult:
     """Minimal-norm trajectory through rendezvous points x(t_i) = c_i.
 
     Solves the block Gram system via SVD pseudoinverse, so nearly coincident
@@ -97,8 +96,7 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
     times = np.asarray([t for t, _ in constraints], dtype=float)
     targets = [np.asarray(c, dtype=float) for _, c in constraints]
     check_constraint_times(problem, times)
-    op = operator if operator is not None else KernelOperator(
-        problem, steps, extra_nodes=times)
+    op = KernelOperator(problem, steps, extra_nodes=times)
     gram, _ = op.gram(times)
     n = problem.state_dim
     c = np.concatenate(targets)
@@ -108,9 +106,10 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
         raise InfeasibleInterpolationError(
             f"constraints inconsistent with the Gram range (residual {resid:.3e})")
     covecs = tuple((float(t), pvec[i * n:(i + 1) * n]) for i, t in enumerate(times))
-    x = combine_solutions([
-        (1.0, op.section(float(t)).right_multiply(p)) for t, p in covecs
-    ])
+    # every section lies on op.grid, which holds all the pinned times
+    parts = [op.section(t).right_multiply(p) for t, p in covecs]
+    x = DenseSolution(op.grid, *(sum(getattr(s, f) for s in parts)
+                                 for f in ("v_start", "v_end", "d_start", "d_end")))
     for t, target in zip(times, targets):
         err = np.linalg.norm(x.eval(float(t)) - target)
         if err > 1e-6 * (1.0 + np.linalg.norm(target)):

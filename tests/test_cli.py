@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
                           problem_to_dict)
 from lqkernel.errors import ProblemFileError
-from lqkernel.problems import double_integrator_problem, random_problem
+from lqkernel.problems import double_integrator_problem
 
 
 def _scalar_doc(q=0.0, **over):
@@ -69,6 +69,21 @@ def test_solve_multipoint_constraints(p1_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == pytest.approx(2.0, abs=1e-5)
     assert [c["vector"][0] for c in doc["covectors"]] == pytest.approx([-1.0, 2.0], abs=1e-5)
+
+
+def test_solve_multipoint_on_a_horizon_below_the_node_tolerance(tmp_path, capsys):
+    # T - t0 = 1e-300 is far below the 1e-12 relative tolerance under which
+    # nodes count as equal; the solution must keep every grid node
+    doc = problem_to_dict(double_integrator_problem(), {"x0": [1.0, 0.0]})
+    doc["T"] = 1e-300
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path), "--method", "multipoint", "--steps", "20",
+               "--constraints", "[[0, [1, 0]]]", "--out", str(tmp_path / "mp.csv")])
+    assert rc == 0
+    rows = _read_csv(str(tmp_path / "mp.csv"))[1]
+    assert rows.shape[0] == 21
+    assert rows[0, 1:3] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_solve_missing_x0_is_input_error(tmp_path, capsys):
@@ -216,15 +231,14 @@ def test_numerical_blowup_maps_to_exit_3(tmp_path, capsys):
 
 
 def test_numpy_linalg_failure_maps_to_exit_3(tmp_path, capsys):
-    # over a horizon of 1e8 at 4 steps the adjoint propagator Theta0 is
-    # exactly singular at a column time, and numpy's inverse raises
-    doc = problem_to_dict(random_problem(np.random.default_rng(22)))
-    doc["T"] = 1e8
-    path = tmp_path / "long.json"
+    # R(t) = (t - 385/1024)^2 is positive at every validation point but
+    # exactly zero at a node of the 1024-step grid, where numpy's inverse of R
+    # raises
+    doc = _scalar_doc(R={"kind": "poly", "origin": 385 / 1024,
+                         "coefficients": [[[0.0]], [[0.0]], [[1.0]]]})
+    path = tmp_path / "singular_r.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
-        rc = main(["kernel", str(path), "--steps", "4", "--grid-count", "4",
-                   "--out", str(tmp_path / "k.csv")])
+    rc = main(["solve", str(path), "--steps", "1024", "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
 

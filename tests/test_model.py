@@ -75,19 +75,6 @@ def test_schedule_shape_mismatch_rejected():
         MatrixSchedule.sampled_linear([0.5, 0.2], [[[1.0]], [[2.0]]])  # decreasing
 
 
-def test_transposed_negated_all_kinds():
-    mats = [np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            np.array([[0.0, -1.0], [2.0, 0.5], [1.0, 1.0]])]
-    for s in (MatrixSchedule.constant(mats[0]),
-              MatrixSchedule.piecewise_constant([0.5], mats),
-              MatrixSchedule.sampled_linear([0.0, 1.0], mats),
-              MatrixSchedule.polynomial(mats)):
-        nt = s.transposed_negated()
-        assert nt.shape == (2, 3)
-        for t in (0.1, 0.5, 0.9):
-            assert np.allclose(nt.eval(t), -s.eval(t).T, atol=1e-14)
-
-
 def _scalar_problem(**over):
     c = MatrixSchedule.constant
     base = dict(state_dim=1, input_dim=1, t0=0.0, T=1.0,

@@ -160,8 +160,8 @@ def test_transition_anchor_is_identity():
 
 
 def test_transition_of_negated_transpose():
-    A = MatrixSchedule.constant([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(_transition(A.transposed_negated(), 0.0, 1.0, 200).eval(1.0),
+    A = MatrixSchedule.constant([[0.0, 0.0], [-1.0, 0.0]])
+    assert np.allclose(_transition(A, 0.0, 1.0, 200).eval(1.0),
                        [[1.0, 0.0], [-1.0, 1.0]], atol=1e-12)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lqkernel import riccati
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import minimal_control
 from lqkernel.model import LQProblem, MatrixSchedule
@@ -52,6 +53,20 @@ def test_feedback_zero_state(p2):
     res = solve_feedback(p2, [0.0], 300)
     assert res.value == 0.0
     assert np.max(np.abs(res.trajectory.u.values)) == 0.0
+
+
+def test_feedback_solves_no_dual_riccati(dint, monkeypatch):
+    calls = []
+    original = riccati.solve_dual_riccati
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dual_riccati", counted)
+    res = solve_feedback(dint, [1.0, 0.0], 300)
+    assert calls == []
+    assert res.value > 0.0
 
 
 def test_route_agreement_random(random_problems, operator_cache):
