@@ -13,7 +13,7 @@ from .errors import (BvpDegenerateError, DegenerateProblemError, DomainError,
                      SingularMatrixError)
 from .kernel import (KernelOperator, lq_inner_product, minimal_control,
                      reproducing_residual)
-from .linalg import pinv_svd, spd_inverse, sym_eig_pinv
+from .linalg import spd_inverse, sym_eig_pinv
 from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
                     ValidationReport, dynamics_defect, validate_problem)
 from .ode import DEFAULT_STEPS, DenseSolution, build_grid, combine_solutions
@@ -33,7 +33,7 @@ __all__ = [
     "SingularMatrixError",
     "KernelOperator", "lq_inner_product", "minimal_control",
     "reproducing_residual",
-    "pinv_svd", "spd_inverse", "sym_eig_pinv",
+    "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
     "DEFAULT_STEPS", "DenseSolution", "build_grid", "combine_solutions",

@@ -134,19 +134,16 @@ def problem_to_dict(problem: LQProblem, extras: dict | None = None) -> dict:
 
 # -- output helpers ----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise ProblemFileError(f"cannot write output: {exc}") from exc
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def _print_json(doc: dict) -> None:

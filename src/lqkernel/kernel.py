@@ -18,6 +18,8 @@ matched to its use:
   [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] (S = B R^{-1} B')
   from [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
   J_T K(T) + Pi(T) = 0; single shooting solves for the block K(t0, t).
+  Every section runs the same flow, so its RK4 step maps are built once per
+  operator and each section is two recurrences on them.
 
 The column time is a grid node; K keeps both one-sided derivatives there.
 """
@@ -32,8 +34,8 @@ from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
 from .linalg import RANK_TOL, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values,
-                  schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_recurrence,
+                  _affine_step_maps, build_grid, schedule_stage_table)
 from .riccati import (_control_weight_table, _hamiltonian_table,
                       closed_loop_propagator, riccati_pair, solve_dual_riccati)
 
@@ -46,10 +48,15 @@ class KernelOperator:
     """Kernel evaluator for one problem: diagonal, columns, entries, Grams.
 
     Construction fixes the integration grid (`steps` uniform intervals plus
-    schedule breakpoints and any `extra_nodes`).  Riccati solutions, the
-    closed-loop propagator and per-column-time BVP solutions are computed
-    lazily and cached; the operator is logically immutable and evaluations
-    are pure.
+    schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
+    the Riccati solutions, the closed-loop propagator, the sections (one BVP
+    solution per column time), and, on the first section, the RK4 step maps
+    of the Hamiltonian flow on the grid with the lo/hi stage slots of A, S
+    and H that node derivatives and the blow-up check read.  A section's grid
+    is `build_grid` of the snapped times and its column time; for a column
+    time off the operator's grid only the intervals near it differ, and just
+    those get fresh tables and maps.  The operator is logically immutable
+    and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -61,6 +68,7 @@ class KernelOperator:
         self.grid = build_grid(problem.t0, problem.T, self.steps, self._snap)
         self._riccati = None
         self._closed_loop = None     # Phi_{A+BG}(., t0) on the grid
+        self._flow = None            # see _flow_on
         self._sections: dict[float, DenseSolution] = {}
 
     # -- cached building blocks -------------------------------------------
@@ -134,6 +142,27 @@ class KernelOperator:
 
     # -- the boundary value problem ----------------------------------------
 
+    def _flow_on(self, grid: np.ndarray) -> tuple:
+        """The Hamiltonian flow's step maps and end slots over a section grid.
+
+        Built once on `self.grid`.  A section grid that `build_grid` made
+        differ near its column time shares all other intervals with
+        `self.grid`; only the differing stretch gets fresh tables and maps.
+        """
+        if self._flow is None:
+            self._flow = _hamiltonian_steps(self.problem, self.grid)
+        own = self.grid
+        if grid.size == own.size and np.array_equal(grid, own):
+            return self._flow
+        m = min(grid.size, own.size)
+        differ = np.flatnonzero(grid[:m] != own[:m])
+        a = int(differ[0]) if differ.size else m        # shared leading nodes
+        differ = np.flatnonzero(grid[::-1][:m - a] != own[::-1][:m - a])
+        b = int(differ[0]) if differ.size else m - a    # shared trailing nodes
+        fresh = _hamiltonian_steps(self.problem, grid[a - 1:grid.size - b + 1])
+        return tuple(np.concatenate([old[:a - 1], new, old[own.size - b:]])
+                     for old, new in zip(self._flow, fresh))
+
     def _solve_section(self, t: float) -> DenseSolution:
         p = self.problem
         n = p.state_dim
@@ -143,19 +172,17 @@ class KernelOperator:
 
         grid = build_grid(p.t0, p.T, self.steps,
                           np.concatenate([self._snap, [t]]))
-        A_tab, S_tab = _control_weight_table(p, grid)
-        H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(p.Q, grid))
+        A_lo, A_hi, S_lo, S_hi, H_lo, H_hi, D = self._flow_on(grid)
 
         # V = [K; -Pi] solves V' = H V from [X; 0], its -Pi rows jump by +I at
         # the node j of t, and J_T K(T) + Pi(T) = 0.  V = W [X; I] with the
         # carrier W = [I; 0] swept up to t, then widened by [0; I] at t.
         j = int(np.argmin(np.abs(grid - t)))
         W = np.zeros((grid.size, 2 * n, 2 * n))
-        W[:j + 1, :, :n] = rk4_affine_values(
-            grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))
+        W[:j + 1, :, :n] = _affine_recurrence(
+            grid[:j + 1], (D[:j], None), np.eye(2 * n, n), (H_lo[:j], H_hi[:j]))
         W[j, n:, n:] = np.eye(n)
-        W[j:] = rk4_affine_values(grid[j:], tuple(H[j:] for H in H_tab), W[j])
-        del H_tab  # the 2n-wide tables are the largest arrays held here
+        W[j:] = _affine_recurrence(grid[j:], (D[j:], None), W[j], (H_lo[j:], H_hi[j:]))
 
         WT = W[-1]
         J_T = np.asarray(p.J_T)
@@ -171,11 +198,22 @@ class KernelOperator:
         ext = np.vstack([X, np.eye(n)])
         K = W[:, :n] @ ext
         minus_Pi = W[:, n:] @ ext
-        d_lo = A_tab[0] @ K[:-1] - S_tab[0] @ minus_Pi[:-1]
-        d_hi = A_tab[2] @ K[1:] - S_tab[2] @ minus_Pi[1:]
+        d_lo = A_lo @ K[:-1] - S_lo @ minus_Pi[:-1]
+        d_hi = A_hi @ K[1:] - S_hi @ minus_Pi[1:]
         if j > 0:  # the left limit at t is taken before the jump
-            d_hi[j - 1] += S_tab[2][j - 1]
+            d_hi[j - 1] += S_hi[j - 1]
         return DenseSolution(grid, K[:-1], K[1:], d_lo, d_hi)
+
+
+def _hamiltonian_steps(problem: LQProblem, grid: np.ndarray) -> tuple:
+    """RK4 step maps D of [[A, -S], [-Q, -A']] over `grid`, with the lo/hi
+    stage slots of A, S and H that node derivatives and the blow-up check
+    read: (A_lo, A_hi, S_lo, S_hi, H_lo, H_hi, D).  The mid slot only
+    enters D and is dropped."""
+    A_tab, S_tab = _control_weight_table(problem, grid)
+    H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(problem.Q, grid))
+    D, _ = _affine_step_maps(grid, H_tab)
+    return A_tab[0], A_tab[2], S_tab[0], S_tab[2], H_tab[0], H_tab[2], D
 
 
 # -- trajectories, controls and the inner product -----------------------------

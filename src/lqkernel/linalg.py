@@ -31,16 +31,6 @@ def spd_inverse(A: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
     return _sym((V / w) @ V.T)
 
 
-def pinv_svd(A: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values <= rank_tol * s_max drop."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
-
-
 def sym_eig_pinv(A: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
     """Symmetric eigendecomposition inverse with small eigenvalues clipped.
 

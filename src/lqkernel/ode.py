@@ -23,9 +23,12 @@ Design notes:
   map Y_{k+1} = Y_k + (D_k Y_k + c_k): the stages compose as K1 = H1,
   K2 = Hm (I + h/2 K1), K3 = Hm (I + h/2 K2), K4 = H3 (I + h K3), and
   D_k = h/6 (K1 + 2 K2 + 2 K3 + K4), with c_k built the same way from F.
-  The maps are built with batched matmuls in fixed-size blocks of intervals
-  (bounding the temporaries), the recurrence costs one small matmul per
-  step, and node derivatives H Y + F come out batched.  The increment map
+  Building the maps and running the recurrence are two steps, so a caller
+  that sweeps one flow many times (the kernel sections of one operator)
+  builds the maps once.  The maps are built with batched matmuls in
+  fixed-size blocks of intervals (bounding the temporaries), the recurrence
+  costs one small matmul per step, and node derivatives H Y + F come out
+  batched.  The increment map
   D_k is kept apart from the identity so that a constant coefficient does
   not round the same P_k = I + D_k at every step.  Blow-up rule: the first
   node, in integration order, whose value or one-sided node stage H Y + F
@@ -343,8 +346,13 @@ def schedule_stage_table(schedule, grid: np.ndarray):
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
 
 
-def _affine_sweep(grid, H_table, Y0, F_table, backward):
-    """Node values of RK4 on Y' = H Y + F for a matrix Y0; see rk4_affine_values."""
+def _affine_step_maps(grid, H_table, F_table=None, backward=False):
+    """Increment maps (D, c) of every RK4 step on Y' = H Y + F, one per interval.
+
+    Step k maps Y_k to Y_k + (D_k Y_k + c_k) in integration order; c is None
+    without a forcing.  The maps are built in blocks of `_AFFINE_BLOCK`
+    intervals, which bounds the stage temporaries.
+    """
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
     F_lo, F_mid, F_hi = (None,) * 3 if F_table is None else (
@@ -352,14 +360,11 @@ def _affine_sweep(grid, H_table, Y0, F_table, backward):
     # integration runs from the lo slot to the hi slot, or back
     H1, H3, F1, F3 = (H_hi, H_lo, F_hi, F_lo) if backward else (H_lo, H_hi, F_lo, F_hi)
     steps = -np.diff(grid) if backward else np.diff(grid)
-    values = np.empty((n + 1,) + Y0.shape)
-    values[n if backward else 0] = Y0
-
-    starts = range(0, n, _AFFINE_BLOCK)
+    D = np.empty((n,) + H_mid.shape[1:])
+    c = None if F_table is None else np.empty((n,) + F_mid.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in (reversed(starts) if backward else starts):
-            k1 = min(k0 + _AFFINE_BLOCK, n)
-            sl = slice(k0, k1)
+        for k0 in range(0, n, _AFFINE_BLOCK):
+            sl = slice(k0, min(k0 + _AFFINE_BLOCK, n))
             h = steps[sl, None, None]
             hm, h3 = H_mid[sl], H3[sl]
             # one RK4 step is affine: stage k_i = K_i Y + f_i, and
@@ -369,21 +374,40 @@ def _affine_sweep(grid, H_table, Y0, F_table, backward):
             K2 = hm + (0.5 * h) * (hm @ K1)
             K3 = hm + (0.5 * h) * (hm @ K2)
             K4 = h3 + h * (h3 @ K3)
-            D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            c = None
-            if F_table is not None:
+            D[sl] = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            if c is not None:
                 f1, fm = F1[sl], F_mid[sl]
                 f2 = (0.5 * h) * (hm @ f1) + fm
                 f3 = (0.5 * h) * (hm @ f2) + fm
                 f4 = h * (h3 @ f3) + F3[sl]
-                c = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                c[sl] = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return D, c
+
+
+def _affine_recurrence(grid, maps, Y0, H_ends, F_ends=None, backward=False):
+    """Node values of Y_{k+1} = Y_k + (D_k Y_k + c_k) from the step `maps`.
+
+    `H_ends` and `F_ends` are the (lo, hi) stage slots that the blow-up
+    check of each block of `_AFFINE_BLOCK` intervals reads; see
+    rk4_affine_values.
+    """
+    D, c = maps
+    n = grid.size - 1
+    values = np.empty((n + 1,) + Y0.shape)
+    values[n if backward else 0] = Y0
+    H_lo, H_hi = H_ends
+    F_lo, F_hi = (None, None) if F_ends is None else F_ends
+    starts = range(0, n, _AFFINE_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in (reversed(starts) if backward else starts):
+            k1 = min(k0 + _AFFINE_BLOCK, n)
             for k in (range(k1 - 1, k0 - 1, -1) if backward else range(k0, k1)):
                 src, dst = (k + 1, k) if backward else (k, k + 1)
-                inc = D[k - k0] @ values[src]
+                inc = D[k] @ values[src]
                 if c is not None:
-                    inc += c[k - k0]
+                    inc += c[k]
                 np.add(values[src], inc, out=values[dst])
-            _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi)
+            _check_block(grid, slice(k0, k1), backward, values, H_lo, H_hi, F_lo, F_hi)
     return values
 
 
@@ -414,6 +438,12 @@ def _column_form(y0, F_table, n):
     return y0[:, None], F_table
 
 
+def _ends(table):
+    """The (lo, hi) slots of a (lo, mid, hi) stage table, or None."""
+    return None if table is None else (np.asarray(table[0], dtype=float),
+                                       np.asarray(table[2], dtype=float))
+
+
 def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
                       backward: bool = False) -> np.ndarray:
     """Node values of classical RK4 on the linear flow Y' = H(t) Y + F(t).
@@ -428,7 +458,9 @@ def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     """
     grid = np.asarray(grid, dtype=float)
     Y0, F_table = _column_form(y0, F_table, grid.size - 1)
-    values = _affine_sweep(grid, H_table, Y0, F_table, backward)
+    maps = _affine_step_maps(grid, H_table, F_table, backward)
+    values = _affine_recurrence(grid, maps, Y0, _ends(H_table), _ends(F_table),
+                                backward)
     return values[:, :, 0] if np.ndim(y0) == 1 else values
 
 
@@ -442,7 +474,9 @@ def rk4_affine(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     """
     grid = np.asarray(grid, dtype=float)
     Y0, F_cols = _column_form(y0, F_table, grid.size - 1)
-    values = _affine_sweep(grid, H_table, Y0, F_cols, backward)
+    maps = _affine_step_maps(grid, H_table, F_cols, backward)
+    values = _affine_recurrence(grid, maps, Y0, _ends(H_table), _ends(F_cols),
+                                backward)
     d_lo = np.asarray(H_table[0]) @ values[:-1]
     d_hi = np.asarray(H_table[2]) @ values[1:]
     if F_cols is not None:

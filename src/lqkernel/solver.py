@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateProblemError, InfeasibleInterpolationError
 from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
                      minimal_control)
-from .linalg import pinv_svd, sym_eig_pinv
+from .linalg import RANK_TOL, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
 from .ode import DEFAULT_STEPS, DenseSolution
 from .riccati import gain_many
@@ -90,8 +90,10 @@ def check_constraint_times(problem: LQProblem, times: np.ndarray) -> None:
 def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS) -> LQSolveResult:
     """Minimal-norm trajectory through rendezvous points x(t_i) = c_i.
 
-    Solves the block Gram system via SVD pseudoinverse, so nearly coincident
-    times degrade gracefully; genuinely inconsistent constraints raise.
+    Solves the block Gram system by least squares (`np.linalg.lstsq`, which
+    is backward stable, with singular values below 1e-12 of the largest
+    dropped), so nearly coincident times degrade gracefully; constraints
+    off the Gram range by more than 1e-6 relative raise.
     """
     times = np.asarray([t for t, _ in constraints], dtype=float)
     targets = [np.asarray(c, dtype=float) for _, c in constraints]
@@ -100,7 +102,7 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
     gram, _ = op.gram(times)
     n = problem.state_dim
     c = np.concatenate(targets)
-    pvec = pinv_svd(gram) @ c
+    pvec = np.linalg.lstsq(gram, c, rcond=RANK_TOL)[0]
     resid = np.linalg.norm(gram @ pvec - c)
     if resid > 1e-6 * (1.0 + np.linalg.norm(c)):
         raise InfeasibleInterpolationError(

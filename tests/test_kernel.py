@@ -6,7 +6,7 @@ import pytest
 from lqkernel.errors import BvpDegenerateError, HorizonMismatchError
 from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              kernel_section_trajectory, reproducing_residual)
-from lqkernel.linalg import pinv_svd, spd_inverse
+from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_trajectory
@@ -132,7 +132,7 @@ def test_kernel_section_stays_in_trajectory_space(dint, operator_cache):
     B = dint.B.eval_many(ts)
     resid = sec.deriv_many(ts) - np.einsum("kij,kj->ki", A, sec.eval_many(ts))
     for k in range(ts.size):
-        Bp = B[k] @ pinv_svd(B[k])
+        Bp = B[k] @ np.linalg.pinv(B[k])
         off_range = resid[k] - Bp @ resid[k]
         assert np.linalg.norm(off_range) < 1e-6
 
@@ -145,6 +145,55 @@ def test_section_derivative_jump_at_column_time(p1, operator_cache):
     right = sec.deriv(0.5, side=1)[0, 0]
     assert left == pytest.approx(0.0, abs=1e-8)
     assert right == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
+    import lqkernel.kernel as kernel_module
+
+    built = []
+    original = kernel_module._hamiltonian_table
+
+    def counting(*tables):
+        built.append(tables[0][0].shape[0])
+        return original(*tables)
+
+    monkeypatch.setattr(kernel_module, "_hamiltonian_table", counting)
+    times = [0.2, 0.45, 0.7, 0.9]
+    op = KernelOperator(dint, 300, extra_nodes=times)
+    for t in times:
+        op.section(t)
+    assert built == [op.grid.size - 1]
+
+
+def _switched_problem():
+    """Two states with a piecewise-constant A (jump at 0.4), a time-varying
+    B and R, and a state cost: every stage table varies along the grid."""
+    c = MatrixSchedule.constant
+    return LQProblem(
+        2, 1, 0.0, 1.0,
+        MatrixSchedule.piecewise_constant(
+            [0.4], [[[0.0, 1.0], [-1.0, 0.2]], [[0.3, 1.0], [0.0, -0.5]]]),
+        MatrixSchedule.polynomial([[[0.0], [1.0]], [[0.5], [0.2]]]),
+        c([[1.0, 0.2], [0.2, 0.5]]),
+        MatrixSchedule.sampled_linear([0.0, 1.0], [[[1.0]], [[2.0]]]),
+        np.eye(2))
+
+
+# column times off the 300-step grid: one inserted between uniform nodes, one
+# replacing the uniform node within a quarter step, one beside the jump node
+@pytest.mark.parametrize("t", [0.6123, 0.5005, 0.4004])
+def test_off_grid_section_equals_section_on_its_own_grid(t):
+    p = _switched_problem()
+    op = KernelOperator(p, 300)
+    assert not np.any(op.grid == t)
+    op.section(0.25)  # the operator's own tables exist before the splice
+    got = op.section(t)
+    ref = KernelOperator(p, 300, extra_nodes=[t]).section(t)
+    for field in ("times", "v_start", "v_end", "d_start", "d_end"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    B, R = p.B.eval(t), p.R.eval(t)
+    jump = got.deriv(t, side=-1) - got.deriv(t, side=1)
+    assert np.allclose(jump, B @ np.linalg.inv(R) @ B.T, rtol=1e-10, atol=1e-12)
 
 
 # -- independent collocation oracle for the t = t0 system ---------------------

@@ -12,7 +12,7 @@ SURFACE = {
     "PositivityLostError", "ProblemFileError", "ScheduleDomainError",
     "SingularMatrixError",
     "KernelOperator", "lq_inner_product", "minimal_control", "reproducing_residual",
-    "pinv_svd", "spd_inverse", "sym_eig_pinv",
+    "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
     "DEFAULT_STEPS", "DenseSolution", "build_grid", "combine_solutions",

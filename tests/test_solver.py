@@ -8,7 +8,7 @@ from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import minimal_control
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution, combine_solutions
-from lqkernel.problems import random_trajectory, rollout
+from lqkernel.problems import random_problem, random_trajectory, rollout
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
                              solve_multipoint)
 
@@ -146,6 +146,25 @@ def test_multipoint_consistent_constraint_in_rank_deficient_gram(zero_drive):
     assert res.trajectory.x.eval(0.5) == pytest.approx([1.0, 1.0], abs=1e-8)
     # value = x' J_T x for the constant trajectory (J_T = diag(1, 2))
     assert res.value == pytest.approx(3.0, abs=1e-6)
+
+
+# Feasible targets read off a random trajectory, on problems whose Gram
+# system is ill conditioned.  An explicit pseudoinverse, pinv(G) @ c, refused
+# all three: (1, 6, 4, 1) and (5, 8, 5, 1) by a pin error above 1e-6, and
+# (8, 8, 5, 2) by the range residual.
+@pytest.mark.parametrize("seed, n, k, m", [(1, 6, 4, 1), (5, 8, 5, 1), (8, 8, 5, 2)])
+def test_multipoint_accepts_ill_conditioned_feasible_targets(seed, n, k, m):
+    rng = np.random.default_rng([seed, 7])
+    p = random_problem(rng, n, m)
+    traj = random_trajectory(p, rng)
+    times = np.linspace(p.t0, p.T, k)
+    targets = traj.x.eval_many(times)
+    res = solve_multipoint(p, list(zip(times, targets)), 1000)
+    for t, c in zip(times, targets):
+        err = np.linalg.norm(res.trajectory.x.eval(t) - c)
+        assert err <= 1e-6 * (1.0 + np.linalg.norm(c))
+    # the minimal-norm interpolant costs no more than the trajectory it pins
+    assert res.value <= evaluate_cost(p, traj) * (1.0 + 1e-6)
 
 
 def test_recover_control_linear_ramp(p1):
