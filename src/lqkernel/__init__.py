@@ -16,7 +16,7 @@ from .kernel import (KernelOperator, lq_inner_product, minimal_control,
 from .linalg import spd_inverse, sym_eig_pinv
 from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
                     ValidationReport, dynamics_defect, validate_problem)
-from .ode import DEFAULT_STEPS, DenseSolution, build_grid, combine_solutions
+from .ode import DEFAULT_STEPS, DenseSolution, build_grid
 from .oracle import DiscreteLQ, discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)
@@ -36,7 +36,7 @@ __all__ = [
     "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
-    "DEFAULT_STEPS", "DenseSolution", "build_grid", "combine_solutions",
+    "DEFAULT_STEPS", "DenseSolution", "build_grid",
     "DiscreteLQ", "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory",
     "rollout", "unit_scalar_problem",

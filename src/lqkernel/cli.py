@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from .errors import LQKernelError, NumericalError, ProblemFileError
-from .kernel import KernelOperator, lq_inner_product, reproducing_residual
+from .kernel import (KernelOperator, lq_inner_product, reproducing_residual,
+                     shooting_diagonal)
 from .model import R_MIN_DEFAULT, LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
 from .oracle import MIN_ORACLE_STEPS, richardson_value
@@ -382,7 +383,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         np.linalg.norm(rs.J.eval(tq) @ op.diagonal(float(tq)) - eye) for tq in queries))
     bvp = 0.0
     for tq in map(float, queries[:-1]):
-        K_tt = KernelOperator(p.restricted(tq), steps).section(tq).eval(tq)
+        K_tt = shooting_diagonal(p.restricted(tq), tq, steps)
         bvp = max(bvp, np.linalg.norm(rs.J.eval(tq) @ K_tt - eye))
     add("kernel_diagonal_bvp", bvp)
 

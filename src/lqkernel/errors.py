@@ -58,7 +58,7 @@ class PositivityLostError(NumericalError):
 
 
 class BvpDegenerateError(NumericalError):
-    """Shooting linear system for a kernel entry is numerically singular."""
+    """Shooting system of the reference kernel diagonal is numerically singular."""
 
 
 class DegenerateProblemError(NumericalError):

@@ -5,28 +5,29 @@ with the cost inner product
 
     <x1, x2> = x1(T)' J_T x2(T) + int [x1' Q x2 + u1' R u2] dt,
 
-is a vector-valued RKHS.  Its kernel K(s, t) is computed three ways, each
+is a vector-valued RKHS.  Its kernel K(s, t) is computed two ways, each
 matched to its use:
 
-* diagonal K(t, t): the dual Riccati solution M(t), which is the kernel
-  diagonal of the problem restarted at t (this equality is the headline
-  identity; the test suite certifies it against J(t)^{-1} and against the
-  shooting BVP of the restarted problem, which shares no Riccati solve);
-* first column K(., t0): closed-loop propagation of K(t0, t0), since
-  K(., t0) p is the optimal trajectory from x0 = K(t0, t0) p;
-* arbitrary K(., t): the optimal trajectory whose costate jumps at s = t:
-  [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] (S = B R^{-1} B')
-  from [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
-  J_T K(T) + Pi(T) = 0; single shooting solves for the block K(t0, t).
-  Every section runs the same flow, so its RK4 step maps are built once per
-  operator and each section is two recurrences on them.
+* diagonal K(t, t) of the space restarted at t: the dual Riccati solution
+  M(t) (this equality is the headline identity; the test suite certifies it
+  against J(t)^{-1} and against `shooting_diagonal` of the restarted
+  problem, which solves no Riccati equation);
+* sections K(., t), two-filter style (Fraser & Potter, IEEE TAC 1969): with
+  the backward value Hessian J and the forward arrival cost P (P(t0) = 0),
+  K(t, t) = (J(t) + P(t))^{-1}; for s >= t, K(s, t) is K(t, t) carried
+  forward by the closed loop A - S J, and for s <= t, carried backward by
+  A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
+  re-anchored Hamiltonian flows of J and P, solved once per operator; the
+  first column K(., t0) is the closed loop from t0 applied to K(t0, t0).
 
-The column time is a grid node; K keeps both one-sided derivatives there.
+K keeps both one-sided derivatives at the column time, where they differ
+by S(t).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +35,44 @@ from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
 from .linalg import RANK_TOL, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _affine_recurrence,
-                  _affine_step_maps, build_grid, schedule_stage_table)
-from .riccati import (_control_weight_table, _hamiltonian_table,
-                      closed_loop_propagator, riccati_pair, solve_dual_riccati)
+from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values,
+                  schedule_stage_table)
+from .riccati import (RiccatiSolution, _SymmetrizeTracker,
+                      _control_weight_table, _hamiltonian_table,
+                      _reanchored_flow, _riccati_flow, solve_dual_riccati)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
 _SHOOTING_RCOND = 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class _Flows:
+    """J and P at the grid nodes, the X blocks of their flows (see
+    `_reanchored_flow`), and the closed loops F = A - S J and G = A + S P
+    at the (lo, hi) stage slots of every interval."""
+
+    J: np.ndarray
+    P: np.ndarray
+    X_J: np.ndarray
+    X_P: np.ndarray
+    block: int
+    F: tuple
+    G: tuple
+
+    def carry(self, k: int, value: np.ndarray, right: bool) -> np.ndarray:
+        """K at nodes k..end along F (right) or 0..k along G, from its value
+        at node k: one solve where the walk enters a block, one product."""
+        X = self.X_J if right else self.X_P
+        end = X.shape[0] - 1 if right else 0
+        nodes = np.arange(k, end + 1) if right else np.arange(k, -1, -1)
+        enter = (nodes % self.block == 0) & (nodes != k) & (nodes != end)
+        carries = [np.linalg.solve(X[k], value)]  # K at the block anchors
+        for c in nodes[enter]:
+            carries.append(np.linalg.solve(X[c], carries[-1]))
+        out = (X[k:] if right else X[k::-1]) @ np.stack(carries)[np.cumsum(enter)]
+        out[0] = value
+        return out if right else out[::-1]
 
 
 class KernelOperator:
@@ -49,42 +80,48 @@ class KernelOperator:
 
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
-    the Riccati solutions, the closed-loop propagator, the sections (one BVP
-    solution per column time), and, on the first section, the RK4 step maps
-    of the Hamiltonian flow on the grid with the lo/hi stage slots of A, S
-    and H that node derivatives and the blow-up check read.  A section's grid
-    is `build_grid` of the snapped times and its column time; for a column
-    time off the operator's grid only the intervals near it differ, and just
-    those get fresh tables and maps.  The operator is logically immutable
-    and evaluations are pure.
+    the J and P flows on the grid (once, from one Hamiltonian table; J is
+    the Riccati pair's, and M is solved on the same grid when read) and the
+    sections.  A section is two carries of K(t, t) over the X blocks of the
+    flows.  A column time off the grid is inserted as a node: one RK4 step
+    of the Hamiltonian from each neighbouring node gives J, P and the
+    carriers there.  The operator is logically immutable and evaluations
+    are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
                  extra_nodes=()):
         self.problem = problem
         self.steps = int(steps)
-        self._snap = np.concatenate([problem.breakpoints(),
-                                     np.asarray(extra_nodes, dtype=float)])
-        self.grid = build_grid(problem.t0, problem.T, self.steps, self._snap)
-        self._riccati = None
-        self._closed_loop = None     # Phi_{A+BG}(., t0) on the grid
-        self._flow = None            # see _flow_on
+        snap = np.concatenate([problem.breakpoints(),
+                               np.asarray(extra_nodes, dtype=float)])
+        self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
         self._sections: dict[float, DenseSolution] = {}
 
     # -- cached building blocks -------------------------------------------
 
+    @cached_property
+    def _pair_and_flows(self) -> tuple[RiccatiSolution, _Flows]:
+        p, grid = self.problem, self.grid
+        tracker = _SymmetrizeTracker()
+        J_sol, J, X_J, block, (A_tab, S_tab, H_tab) = _riccati_flow(p, grid, tracker)
+        pair = RiccatiSolution(p, J_sol, tracker.max_asymmetry)
+        minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros_like(J[0]))
+        P = -minus_P
+        F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
+        G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
+        return pair, _Flows(J, P, X_J, X_P, block, F, G)
+
     @property
-    def riccati(self):
-        if self._riccati is None:
-            self._riccati = riccati_pair(self.problem, self.steps)
-        return self._riccati
+    def riccati(self) -> RiccatiSolution:
+        return self._pair_and_flows[0]
 
     def closed_loop_solution(self) -> DenseSolution:
-        """Propagator of x' = (A + B G) x anchored at t0."""
-        if self._closed_loop is None:
-            self._closed_loop = closed_loop_propagator(
-                self.problem, self.riccati.J, self.grid)
-        return self._closed_loop
+        """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0."""
+        f = self._pair_and_flows[1]
+        Phi = f.carry(0, np.eye(self.problem.state_dim), right=True)
+        return DenseSolution(self.grid, Phi[:-1], Phi[1:],
+                             f.F[0] @ Phi[:-1], f.F[1] @ Phi[1:])
 
     # -- kernel values ------------------------------------------------------
 
@@ -112,7 +149,7 @@ class KernelOperator:
         return self.closed_loop_solution().right_multiply(M0)
 
     def section(self, t: float) -> DenseSolution:
-        """Dense K(., t) for a fixed second argument, via the shooting BVP."""
+        """Dense K(., t) for a fixed second argument, from the J and P flows."""
         key = float(t)
         if key not in self._sections:
             self._sections[key] = self._solve_section(key)
@@ -125,9 +162,9 @@ class KernelOperator:
     def gram(self, times) -> tuple[np.ndarray, float]:
         """Block Gram matrix at `times`, symmetrized; returns (matrix, defect).
 
-        Block (i, j) is K(t_i, t_j); one BVP is solved per column time and all
-        rows are read off its dense solution.  The reported defect is the
-        worst entry moved by the final (G + G')/2 projection.
+        Block (i, j) is K(t_i, t_j); one section is computed per column time
+        and all rows are read off it.  The reported defect is the worst
+        entry moved by the final (G + G')/2 projection.
         """
         times = np.asarray(times, dtype=float)
         n = self.problem.state_dim
@@ -140,80 +177,76 @@ class KernelOperator:
         defect = float(np.max(np.abs(raw - raw.T)))
         return 0.5 * (raw + raw.T), defect
 
-    # -- the boundary value problem ----------------------------------------
-
-    def _flow_on(self, grid: np.ndarray) -> tuple:
-        """The Hamiltonian flow's step maps and end slots over a section grid.
-
-        Built once on `self.grid`.  A section grid that `build_grid` made
-        differ near its column time shares all other intervals with
-        `self.grid`; only the differing stretch gets fresh tables and maps.
-        """
-        if self._flow is None:
-            self._flow = _hamiltonian_steps(self.problem, self.grid)
-        own = self.grid
-        if grid.size == own.size and np.array_equal(grid, own):
-            return self._flow
-        m = min(grid.size, own.size)
-        differ = np.flatnonzero(grid[:m] != own[:m])
-        a = int(differ[0]) if differ.size else m        # shared leading nodes
-        differ = np.flatnonzero(grid[::-1][:m - a] != own[::-1][:m - a])
-        b = int(differ[0]) if differ.size else m - a    # shared trailing nodes
-        fresh = _hamiltonian_steps(self.problem, grid[a - 1:grid.size - b + 1])
-        return tuple(np.concatenate([old[:a - 1], new, old[own.size - b:]])
-                     for old, new in zip(self._flow, fresh))
+    # -- sections -----------------------------------------------------------
 
     def _solve_section(self, t: float) -> DenseSolution:
-        p = self.problem
-        n = p.state_dim
+        p, grid = self.problem, self.grid
         span = max(1.0, p.T - p.t0)
         if not (p.t0 - 1e-12 * span <= t <= p.T + 1e-12 * span):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
-
-        grid = build_grid(p.t0, p.T, self.steps,
-                          np.concatenate([self._snap, [t]]))
-        A_lo, A_hi, S_lo, S_hi, H_lo, H_hi, D = self._flow_on(grid)
-
-        # V = [K; -Pi] solves V' = H V from [X; 0], its -Pi rows jump by +I at
-        # the node j of t, and J_T K(T) + Pi(T) = 0.  V = W [X; I] with the
-        # carrier W = [I; 0] swept up to t, then widened by [0; I] at t.
+        f = self._pair_and_flows[1]
+        (F_lo, F_hi), (G_lo, G_hi) = f.F, f.G
+        # right of t the section follows F, left of it G
         j = int(np.argmin(np.abs(grid - t)))
-        W = np.zeros((grid.size, 2 * n, 2 * n))
-        W[:j + 1, :, :n] = _affine_recurrence(
-            grid[:j + 1], (D[:j], None), np.eye(2 * n, n), (H_lo[:j], H_hi[:j]))
-        W[j, n:, n:] = np.eye(n)
-        W[j:] = _affine_recurrence(grid[j:], (D[j:], None), W[j], (H_lo[j:], H_hi[j:]))
+        if abs(grid[j] - t) <= 1e-12 * span:
+            V = np.linalg.inv(f.J[j] + f.P[j])
+            times = grid
+            K = np.concatenate([f.carry(j, V, right=False)[:-1], V[None],
+                                f.carry(j, V, right=True)[1:]])
+            lo = np.concatenate([G_lo[:j], F_lo[j:]])
+            hi = np.concatenate([G_hi[:j], F_hi[j:]])
+        else:
+            # t inside interval k becomes a node: one fresh RK4 step from
+            # each end gives J, P and the propagators to the ends
+            k = int(np.searchsorted(grid, t)) - 1
+            g3 = np.array([grid[k], t, grid[k + 1]])
+            A3, S3 = _control_weight_table(p, g3)
+            H3 = _hamiltonian_table(A3, S3, schedule_stage_table(p.Q, g3))
+            minus_P, X_P, _ = _reanchored_flow(g3, H3, -f.P[k])
+            J, X_J, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
+            V = np.linalg.inv(J[1] - minus_P[1])
+            times = np.insert(grid, k + 1, t)
+            K = np.concatenate([
+                f.carry(k, np.linalg.solve(X_P[1], V), right=False), V[None],
+                f.carry(k + 1, np.linalg.solve(X_J[1], V), right=True)])
+            lo = np.concatenate([G_lo[:k + 1], (A3[0][1] - S3[0][1] @ J[1])[None],
+                                 F_lo[k + 1:]])
+            hi = np.concatenate([G_hi[:k], (A3[2][0] - S3[2][0] @ minus_P[1])[None],
+                                 F_hi[k:]])
+        return DenseSolution(times, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
 
-        WT = W[-1]
-        J_T = np.asarray(p.J_T)
-        E = J_T @ WT[:n, :n] - WT[n:, :n]
-        rhs = WT[n:, n:] - J_T @ WT[:n, n:]
-        sv = np.linalg.svd(E, compute_uv=False)
-        if sv[-1] <= _SHOOTING_RCOND * sv[0]:
-            raise BvpDegenerateError(
-                f"shooting system singular for column time {t} "
-                f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
-        X = np.linalg.solve(E, rhs)
 
-        ext = np.vstack([X, np.eye(n)])
-        K = W[:, :n] @ ext
-        minus_Pi = W[:, n:] @ ext
-        d_lo = A_lo @ K[:-1] - S_lo @ minus_Pi[:-1]
-        d_hi = A_hi @ K[1:] - S_hi @ minus_Pi[1:]
-        if j > 0:  # the left limit at t is taken before the jump
-            d_hi[j - 1] += S_hi[j - 1]
-        return DenseSolution(grid, K[:-1], K[1:], d_lo, d_hi)
+def shooting_diagonal(problem: LQProblem, t: float,
+                      steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """K(t, t) by single shooting, a route that solves no Riccati equation.
 
-
-def _hamiltonian_steps(problem: LQProblem, grid: np.ndarray) -> tuple:
-    """RK4 step maps D of [[A, -S], [-Q, -A']] over `grid`, with the lo/hi
-    stage slots of A, S and H that node derivatives and the blow-up check
-    read: (A_lo, A_hi, S_lo, S_hi, H_lo, H_hi, D).  The mid slot only
-    enters D and is dropped."""
-    A_tab, S_tab = _control_weight_table(problem, grid)
-    H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(problem.Q, grid))
-    D, _ = _affine_step_maps(grid, H_tab)
-    return A_tab[0], A_tab[2], S_tab[0], S_tab[2], H_tab[0], H_tab[2], D
+    [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] from
+    [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
+    J_T K(T) + Pi(T) = 0; the carrier [I; 0] swept to t and widened by
+    [0; I] there gives the shooting system for K(t0, t).  The test suite
+    and `verify` compare it with the Riccati routes.  Loses accuracy on
+    long unstable horizons; raises BvpDegenerateError when the shooting
+    system is numerically singular.
+    """
+    p = problem
+    n = p.state_dim
+    grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
+    A_tab, S_tab = _control_weight_table(p, grid)
+    H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(p.Q, grid))
+    j = int(np.argmin(np.abs(grid - t)))
+    W = np.eye(2 * n)
+    W[:, :n] = rk4_affine_values(grid[:j + 1], tuple(H[:j] for H in H_tab),
+                                 np.eye(2 * n, n))[-1]
+    WT = rk4_affine_values(grid[j:], tuple(H[j:] for H in H_tab), W)[-1]
+    J_T = np.asarray(p.J_T)
+    E = J_T @ WT[:n, :n] - WT[n:, :n]
+    rhs = WT[n:, n:] - J_T @ WT[:n, n:]
+    sv = np.linalg.svd(E, compute_uv=False)
+    if sv[-1] <= _SHOOTING_RCOND * sv[0]:
+        raise BvpDegenerateError(
+            f"shooting system singular for column time {t} "
+            f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
+    return W[:n] @ np.vstack([np.linalg.solve(E, rhs), np.eye(n)])
 
 
 # -- trajectories, controls and the inner product -----------------------------

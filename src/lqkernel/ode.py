@@ -23,17 +23,15 @@ Design notes:
   map Y_{k+1} = Y_k + (D_k Y_k + c_k): the stages compose as K1 = H1,
   K2 = Hm (I + h/2 K1), K3 = Hm (I + h/2 K2), K4 = H3 (I + h K3), and
   D_k = h/6 (K1 + 2 K2 + 2 K3 + K4), with c_k built the same way from F.
-  Building the maps and running the recurrence are two steps, so a caller
-  that sweeps one flow many times (the kernel sections of one operator)
-  builds the maps once.  The maps are built with batched matmuls in
-  fixed-size blocks of intervals (bounding the temporaries), the recurrence
-  costs one small matmul per step, and node derivatives H Y + F come out
-  batched.  The increment map
-  D_k is kept apart from the identity so that a constant coefficient does
-  not round the same P_k = I + D_k at every step.  Blow-up rule: the first
-  node, in integration order, whose value or one-sided node stage H Y + F
-  is non-finite raises IntegrationBlowupError; the stage check matters
-  when values stay just below overflow (h * lambda = 4 on x' = 800 x).
+  The maps are built with batched matmuls in fixed-size blocks of
+  intervals (bounding the temporaries), the recurrence costs one small
+  matmul per step, and node derivatives H Y + F come out batched.  The
+  increment map D_k is kept apart from the identity so that a constant
+  coefficient does not round the same P_k = I + D_k at every step.
+  Blow-up rule: the first node, in integration order, whose value or
+  one-sided node stage H Y + F is non-finite raises IntegrationBlowupError;
+  the stage check matters when values stay just below overflow
+  (h * lambda = 4 on x' = 800 x).
   The one nonlinear flow, the dual Riccati equation, uses the
   stage-function loop `rk4_drive`.
 """
@@ -231,39 +229,6 @@ class DenseSolution:
         )
 
 
-def combine_solutions(parts: Sequence[tuple[float, DenseSolution]]) -> DenseSolution:
-    """Linear combination sum_i c_i * s_i(t) on the union of all grids.
-
-    One-sided values at every union node are preserved, so jumps of the
-    parts survive in the combination.
-    """
-    if not parts:
-        raise ValueError("nothing to combine")
-    sols = [s for _, s in parts]
-    a, b = sols[0].a, sols[0].b
-    span = max(1.0, b - a)
-    for s in sols[1:]:
-        if abs(s.a - a) > 1e-9 * span or abs(s.b - b) > 1e-9 * span:
-            raise DomainError("solutions cover different horizons")
-    times = np.unique(np.concatenate([s.times for s in sols]))
-    # merge nodes identical up to roundoff
-    keep = np.ones(times.size, dtype=bool)
-    keep[1:] = np.diff(times) > _NODE_TOL_REL * span
-    times = times[keep]
-    lo, hi = times[:-1], times[1:]
-    acc = [np.zeros(1)] * 4
-    first = True
-    for c, s in parts:
-        data = (s.eval_many(lo, +1), s.eval_many(hi, -1),
-                s.deriv_many(lo, +1), s.deriv_many(hi, -1))
-        if first:
-            acc = [c * d for d in data]
-            first = False
-        else:
-            acc = [aa + c * d for aa, d in zip(acc, data)]
-    return DenseSolution(times, acc[0], acc[1], acc[2], acc[3])
-
-
 # -- RK4 driver -------------------------------------------------------------
 
 #: stage slots: 0 = left end of interval (right limit), 1 = midpoint,
@@ -346,12 +311,13 @@ def schedule_stage_table(schedule, grid: np.ndarray):
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
 
 
-def _affine_step_maps(grid, H_table, F_table=None, backward=False):
-    """Increment maps (D, c) of every RK4 step on Y' = H Y + F, one per interval.
+def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
+    """Node values of RK4 on Y' = H Y + F by its affine step maps; see
+    rk4_affine_values.
 
-    Step k maps Y_k to Y_k + (D_k Y_k + c_k) in integration order; c is None
-    without a forcing.  The maps are built in blocks of `_AFFINE_BLOCK`
-    intervals, which bounds the stage temporaries.
+    Step k maps Y_k to Y_k + (D_k Y_k + c_k) in integration order.  The maps
+    of each block of `_AFFINE_BLOCK` intervals are built batched, the
+    recurrence runs over the block, and `_check_block` checks it.
     """
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
@@ -360,10 +326,11 @@ def _affine_step_maps(grid, H_table, F_table=None, backward=False):
     # integration runs from the lo slot to the hi slot, or back
     H1, H3, F1, F3 = (H_hi, H_lo, F_hi, F_lo) if backward else (H_lo, H_hi, F_lo, F_hi)
     steps = -np.diff(grid) if backward else np.diff(grid)
-    D = np.empty((n,) + H_mid.shape[1:])
-    c = None if F_table is None else np.empty((n,) + F_mid.shape[1:])
+    values = np.empty((n + 1,) + Y0.shape)
+    values[n if backward else 0] = Y0
+    starts = range(0, n, _AFFINE_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n, _AFFINE_BLOCK):
+        for k0 in (reversed(starts) if backward else starts):
             sl = slice(k0, min(k0 + _AFFINE_BLOCK, n))
             h = steps[sl, None, None]
             hm, h3 = H_mid[sl], H3[sl]
@@ -374,40 +341,21 @@ def _affine_step_maps(grid, H_table, F_table=None, backward=False):
             K2 = hm + (0.5 * h) * (hm @ K1)
             K3 = hm + (0.5 * h) * (hm @ K2)
             K4 = h3 + h * (h3 @ K3)
-            D[sl] = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            if c is not None:
+            D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            c = None
+            if F_table is not None:
                 f1, fm = F1[sl], F_mid[sl]
                 f2 = (0.5 * h) * (hm @ f1) + fm
                 f3 = (0.5 * h) * (hm @ f2) + fm
                 f4 = h * (h3 @ f3) + F3[sl]
-                c[sl] = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return D, c
-
-
-def _affine_recurrence(grid, maps, Y0, H_ends, F_ends=None, backward=False):
-    """Node values of Y_{k+1} = Y_k + (D_k Y_k + c_k) from the step `maps`.
-
-    `H_ends` and `F_ends` are the (lo, hi) stage slots that the blow-up
-    check of each block of `_AFFINE_BLOCK` intervals reads; see
-    rk4_affine_values.
-    """
-    D, c = maps
-    n = grid.size - 1
-    values = np.empty((n + 1,) + Y0.shape)
-    values[n if backward else 0] = Y0
-    H_lo, H_hi = H_ends
-    F_lo, F_hi = (None, None) if F_ends is None else F_ends
-    starts = range(0, n, _AFFINE_BLOCK)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in (reversed(starts) if backward else starts):
-            k1 = min(k0 + _AFFINE_BLOCK, n)
-            for k in (range(k1 - 1, k0 - 1, -1) if backward else range(k0, k1)):
-                src, dst = (k + 1, k) if backward else (k, k + 1)
-                inc = D[k] @ values[src]
+                c = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            for i in (range(D.shape[0] - 1, -1, -1) if backward else range(D.shape[0])):
+                src, dst = (k0 + i + 1, k0 + i) if backward else (k0 + i, k0 + i + 1)
+                inc = D[i] @ values[src]
                 if c is not None:
-                    inc += c[k]
+                    inc += c[i]
                 np.add(values[src], inc, out=values[dst])
-            _check_block(grid, slice(k0, k1), backward, values, H_lo, H_hi, F_lo, F_hi)
+            _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi)
     return values
 
 
@@ -438,12 +386,6 @@ def _column_form(y0, F_table, n):
     return y0[:, None], F_table
 
 
-def _ends(table):
-    """The (lo, hi) slots of a (lo, mid, hi) stage table, or None."""
-    return None if table is None else (np.asarray(table[0], dtype=float),
-                                       np.asarray(table[2], dtype=float))
-
-
 def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
                       backward: bool = False) -> np.ndarray:
     """Node values of classical RK4 on the linear flow Y' = H(t) Y + F(t).
@@ -458,9 +400,7 @@ def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     """
     grid = np.asarray(grid, dtype=float)
     Y0, F_table = _column_form(y0, F_table, grid.size - 1)
-    maps = _affine_step_maps(grid, H_table, F_table, backward)
-    values = _affine_recurrence(grid, maps, Y0, _ends(H_table), _ends(F_table),
-                                backward)
+    values = _affine_sweep(grid, H_table, Y0, F_table, backward)
     return values[:, :, 0] if np.ndim(y0) == 1 else values
 
 
@@ -474,9 +414,7 @@ def rk4_affine(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     """
     grid = np.asarray(grid, dtype=float)
     Y0, F_cols = _column_form(y0, F_table, grid.size - 1)
-    maps = _affine_step_maps(grid, H_table, F_cols, backward)
-    values = _affine_recurrence(grid, maps, Y0, _ends(H_table), _ends(F_cols),
-                                backward)
+    values = _affine_sweep(grid, H_table, Y0, F_cols, backward)
     d_lo = np.asarray(H_table[0]) @ values[:-1]
     d_hi = np.asarray(H_table[2]) @ values[1:]
     if F_cols is not None:

@@ -13,9 +13,13 @@ with S = B R^{-1} B', the pair [X; Y]' = [[A, -S], [-Q, -A']] [X; Y] runs
 backward through `rk4_affine_values` and J = Y X^{-1} at every node.  The
 flow restarts from [I; J_k] after every block of intervals over which it
 can grow by at most e^4, before the fastest modes swamp the columns of
-[X; Y].  M is integrated directly with a negative step on the same grid (no
+[X; Y].  The same routine, run forward on the same table from [I; 0], gives
+the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
+from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
+[[A, S], [Q, -A']]).  The kernel reads its sections off the X blocks of both
+flows.  M is integrated directly with a negative step on the same grid (no
 time reversal substitution), so J M = I compares two routes that share no
-discretization.  Both are re-symmetrized at every node; the worst asymmetry
+discretization.  All are re-symmetrized at every node; the worst asymmetry
 absorbed by that projection is reported as a diagnostic.
 """
 
@@ -55,13 +59,17 @@ def _control_weight_table(problem: LQProblem, grid: np.ndarray):
     return A_tab, S_tab
 
 
-def _riccati_tables(problem: LQProblem, steps: int):
-    """The Riccati grid and its stage tables of A, A', S and Q."""
-    grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
+def _riccati_grid(problem: LQProblem, steps: int) -> np.ndarray:
+    """`steps` uniform intervals with the schedule breakpoints as nodes."""
+    return build_grid(problem.t0, problem.T, steps, problem.breakpoints())
+
+
+def _riccati_tables(problem: LQProblem, grid: np.ndarray):
+    """Stage tables of A, A', S and Q over `grid`."""
     A_tab, S_tab = _control_weight_table(problem, grid)
     Q_tab = schedule_stage_table(problem.Q, grid)
     AT_tab = tuple(np.swapaxes(a, 1, 2) for a in A_tab)
-    return grid, A_tab, AT_tab, S_tab, Q_tab
+    return A_tab, AT_tab, S_tab, Q_tab
 
 
 def _hamiltonian_table(A_tab, S_tab, Q_tab):
@@ -110,24 +118,80 @@ def _blowup(t) -> IntegrationBlowupError:
     return IntegrationBlowupError(f"integration blew up at t={t}", time=float(t))
 
 
-def _hessian_from_flow(times: np.ndarray, Z: np.ndarray, n: int) -> np.ndarray:
-    """J = Y X^{-1} at each node of a backward flow Z = [X; Y]; raises at
-    the latest node where X is singular or J is non-finite."""
+def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
+                     backward: bool) -> np.ndarray:
+    """Y X^{-1} at each node of a flow Z = [X; Y]; raises at the first node,
+    in integration order, where X is singular or the ratio is non-finite."""
     XT, YT = np.swapaxes(Z[:, :n], 1, 2), np.swapaxes(Z[:, n:], 1, 2)
+    order = range(times.size - 1, -1, -1) if backward else range(times.size)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            J = np.swapaxes(np.linalg.solve(XT, YT), 1, 2)
+            R = np.swapaxes(np.linalg.solve(XT, YT), 1, 2)
         except np.linalg.LinAlgError:
-            for k in range(times.size - 1, -1, -1):
+            for k in order:
                 try:
                     np.linalg.solve(XT[k], YT[k])
                 except np.linalg.LinAlgError:
                     raise _blowup(times[k]) from None
             raise
-    bad = np.flatnonzero(~np.isfinite(J).reshape(J.shape[0], -1).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(R).reshape(R.shape[0], -1).all(axis=1))
     if bad.size:
-        raise _blowup(times[bad[-1]])
-    return J
+        raise _blowup(times[bad[-1] if backward else bad[0]])
+    return R
+
+
+def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, tracker=None,
+                     backward: bool = False):
+    """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
+
+    Z' = H Z runs from [I; R0] at grid[0] (grid[-1] if backward) and
+    restarts from [I; R_k] after every `block` intervals, the most that keep
+    sum h |H|_inf under `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block) with
+    R and X at every node.  Block i spans nodes i*block to (i+1)*block and
+    is anchored at its end if backward, at its start if not; X at a node is
+    the propagator of A - S R from the anchor of the block that holds the
+    node past its anchor (X = I at the first anchor).
+    """
+    tracker = tracker if tracker is not None else _SymmetrizeTracker()
+    n = R0.shape[0]
+    eye = np.eye(n)
+    n_int = grid.size - 1
+    R = np.empty((grid.size, n, n))
+    X = np.empty((grid.size, n, n))
+    R[-1 if backward else 0] = R0
+    X[-1 if backward else 0] = eye
+    rate = float(np.max(np.diff(grid) * np.abs(H_tab[1]).sum(axis=2).max(axis=1)))
+    block = n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
+        1, int(_REANCHOR_LOG_GROWTH / rate))
+    starts = range(0, n_int, block)
+    for k0 in (reversed(starts) if backward else starts):
+        k1 = min(k0 + block, n_int)
+        Z = rk4_affine_values(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
+                              np.vstack([eye, R[k1 if backward else k0]]),
+                              backward=backward)
+        inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
+        R[inner] = tracker.symmetrize(_ratio_from_flow(grid[inner], Z, n, backward))
+        X[inner] = Z[:, :n]
+    return R, X, block
+
+
+def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
+    """J on `grid` by the backward re-anchored flow, with what the kernel's
+    sections read: (J solution, J and X at the nodes, block, (A, S, H)
+    stage tables).  Node derivatives are the Riccati right-hand side.
+    Raises PositivityLostError where J is not positive definite."""
+    A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, grid)
+    H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
+    J, X, block = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
+                                   tracker, backward=True)
+
+    def rhs(slot, Jv):
+        return (Jv @ S_tab[slot] @ Jv - AT_tab[slot] @ Jv - Jv @ A_tab[slot]
+                - Q_tab[slot])
+
+    sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
+    _check_positive(sol, "J")
+    return sol, J, X, block, (A_tab, S_tab, H_tab)
 
 
 def solve_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -140,65 +204,45 @@ def solve_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
     IntegrationBlowupError at the first node met where X is singular or J
     non-finite, PositivityLostError where J is not positive definite.
     """
-    grid, A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, steps)
-    H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
     tracker = _track if _track is not None else _SymmetrizeTracker()
-    n = problem.state_dim
-    eye = np.eye(n)
-    J = np.empty((grid.size, n, n))
-    J[-1] = problem.J_T
-    n_int = grid.size - 1
-    rate = float(np.max(np.diff(grid) * np.abs(H_tab[1]).sum(axis=2).max(axis=1)))
-    block = n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
-        1, int(_REANCHOR_LOG_GROWTH / rate))
-    for k0 in reversed(range(0, n_int, block)):
-        k1 = min(k0 + block, n_int)
-        Z = rk4_affine_values(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
-                              np.vstack([eye, J[k1]]), backward=True)
-        J[k0:k1] = tracker.symmetrize(_hessian_from_flow(grid[k0:k1], Z[:-1], n))
-
-    def rhs(slot, Jv):
-        return (Jv @ S_tab[slot] @ Jv - AT_tab[slot] @ Jv - Jv @ A_tab[slot]
-                - Q_tab[slot])
-
-    sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
-    _check_positive(sol, "J")
-    return sol
+    return _riccati_flow(problem, _riccati_grid(problem, steps), tracker)[0]
 
 
-def solve_dual_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
-                       _track=None) -> DenseSolution:
-    """Solve the dual Riccati equation backward from M(T) = J_T^{-1}."""
-    grid, A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, steps)
+def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, tracker) -> DenseSolution:
+    """M on `grid` by `rk4_drive`; see `solve_dual_riccati`."""
+    A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, grid)
 
     def stagefn(k, slot, t, M):
         A, AT = A_tab[slot][k], AT_tab[slot][k]
         return A @ M + M @ AT - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
 
-    tracker = _track if _track is not None else _SymmetrizeTracker()
     sol = rk4_drive(stagefn, grid, spd_inverse(problem.J_T),
                     backward=True, post_step=tracker)
     _check_positive(sol, "M")
     return sol
 
 
+def solve_dual_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS) -> DenseSolution:
+    """Solve the dual Riccati equation backward from M(T) = J_T^{-1}."""
+    return _dual_riccati_on(problem, _riccati_grid(problem, steps), _SymmetrizeTracker())
+
+
 @dataclass(frozen=True)
 class RiccatiSolution:
     """J(., T) and M(., T) on a shared grid, with symmetrization diagnostics.
 
-    M is solved on its first read, so a caller that needs only J (the
-    feedback route) never integrates the dual equation.
+    M is solved on its first read, on the grid of J, so a caller that needs
+    only J (the feedback route) never integrates the dual equation.
     """
 
     problem: LQProblem
-    steps: int
     J: DenseSolution
     max_asymmetry_J: float
 
     @cached_property
     def _dual(self) -> tuple[DenseSolution, float]:
         tracker = _SymmetrizeTracker()
-        M = solve_dual_riccati(self.problem, self.steps, _track=tracker)
+        M = _dual_riccati_on(self.problem, self.J.times, tracker)
         return M, tracker.max_asymmetry
 
     @property
@@ -220,7 +264,7 @@ def riccati_pair(problem: LQProblem, steps: int = DEFAULT_STEPS) -> RiccatiSolut
     """Both Riccati solutions on one grid by separate routes: J now, M on first read."""
     tracker = _SymmetrizeTracker()
     J = solve_riccati(problem, steps, _track=tracker)
-    return RiccatiSolution(problem, steps, J, tracker.max_asymmetry)
+    return RiccatiSolution(problem, J, tracker.max_asymmetry)
 
 
 def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarray:
@@ -232,27 +276,10 @@ def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarr
     return -np.linalg.inv(R) @ np.swapaxes(B, 1, 2) @ J
 
 
-def closed_loop_propagator(problem: LQProblem, J_sol: DenseSolution,
-                           grid: np.ndarray) -> DenseSolution:
-    """Propagator of the optimal closed loop x' = (A + B G) x, anchored at t0."""
-    lo_t, hi_t = grid[:-1], grid[1:]
-    mid_t = 0.5 * (lo_t + hi_t)
-    A_tab = schedule_stage_table(problem.A, grid)
-    B_tab = schedule_stage_table(problem.B, grid)
-    tabs = []
-    for ts, sides, A_s, B_s in (
-        (lo_t, 1, A_tab[0], B_tab[0]),
-        (mid_t, 1, A_tab[1], B_tab[1]),
-        (hi_t, -1, A_tab[2], B_tab[2]),
-    ):
-        tabs.append(A_s + B_s @ gain_many(problem, J_sol, ts, sides))
-    return rk4_affine(grid, tabs, np.eye(problem.state_dim))
-
-
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution,
                   steps: int = DEFAULT_STEPS) -> DenseSolution:
     """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)."""
-    grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
+    grid = _riccati_grid(problem, steps)
     H_tab = tuple(-np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
     Q_tab = schedule_stage_table(problem.Q, grid)
     x_tab = schedule_stage_table(xbar, grid)

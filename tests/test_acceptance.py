@@ -12,10 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from lqkernel.kernel import KernelOperator, lq_inner_product, reproducing_residual
-from lqkernel.model import ControlledTrajectory, MatrixSchedule
-from lqkernel.ode import (build_grid, combine_solutions, rk4_affine,
-                          schedule_stage_table)
+from lqkernel.kernel import (lq_inner_product, reproducing_residual,
+                             shooting_diagonal)
+from lqkernel.model import MatrixSchedule
+from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
 from lqkernel.oracle import discrete_value
 from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import evaluate_cost, solve_feedback, solve_kernel, solve_multipoint
@@ -74,9 +74,28 @@ def test_c01b_restarted_bvp_diagonal_inverts_value_hessian(section_problems,
         eye = np.eye(p.state_dim)
         for frac in (0.0, 0.25, 0.5, 0.75):
             tq = p.t0 + frac * (p.T - p.t0)
-            K_tt = KernelOperator(p.restricted(tq), SECTION_STEPS).section(tq).eval(tq)
+            K_tt = shooting_diagonal(p.restricted(tq), tq, SECTION_STEPS)
             worst = max(worst, np.linalg.norm(J.eval(tq) @ K_tt - eye))
     assert _report("1b", "restarted BVP diagonal vs inverse Riccati, 4 query times",
+                   worst, 1e-5)
+    assert worst <= 1e-5
+
+
+def test_c01c_full_space_bvp_diagonal_inverts_j_plus_p(section_problems,
+                                                       operator_cache):
+    # on the whole space K(t, t) = (J(t) + P(t))^{-1}, with P the forward
+    # arrival cost; the operator reads its sections off that inverse, and
+    # the shooting BVP with the costate jump at t solves no Riccati equation
+    worst = 0.0
+    for name, p in section_problems:
+        op = operator_cache(p, SECTION_STEPS)
+        eye = np.eye(p.state_dim)
+        for frac in (0.25, 0.5, 0.75):
+            tq = p.t0 + frac * (p.T - p.t0)
+            J_plus_P = np.linalg.inv(op.entry(tq, tq))
+            K_tt = shooting_diagonal(p, tq, SECTION_STEPS)
+            worst = max(worst, np.linalg.norm(K_tt @ J_plus_P - eye))
+    assert _report("1c", "full-space BVP diagonal vs inverse of J + P, 3 query times",
                    worst, 1e-5)
     assert worst <= 1e-5
 
@@ -192,12 +211,13 @@ def test_c08_optimality_against_feasible_perturbations(dint, operator_cache):
     op = operator_cache(dint, STEPS)
     x0 = np.array([1.0, 0.0])
     opt = solve_kernel(dint, x0, operator=op)
+    opt_cost = evaluate_cost(dint, opt.trajectory, 1000)
     margin = 0.0
     for _ in range(100):
         pert = random_trajectory(dint, rng, steps=1000, zero_start=True)
-        x = combine_solutions([(1.0, opt.trajectory.x), (1.0, pert.x)])
-        u = combine_solutions([(1.0, opt.trajectory.u), (1.0, pert.u)])
-        cost = evaluate_cost(dint, ControlledTrajectory(x, u), 1000)
+        # the cost is the squared norm: cost(x + d) = cost(x) + 2<x, d> + cost(d)
+        cost = (opt_cost + 2.0 * lq_inner_product(dint, opt.trajectory, pert, 1000)
+                + evaluate_cost(dint, pert, 1000))
         margin = max(margin, opt.value - cost)
     assert _report(8, "optimal cost below 100 perturbed costs", margin, 1e-7)
     assert margin <= 1e-7

@@ -220,14 +220,17 @@ def test_compare_zero_state(tmp_path, capsys):
 
 
 def test_numerical_blowup_maps_to_exit_3(tmp_path, capsys):
+    # h * a = 4: the dual Riccati flow M overflows (the J and P flows restart
+    # every step and stay finite, see test_stiff_scalar_sections)
     doc = _scalar_doc()
     doc["A"] = {"kind": "constant", "matrix": [[800.0]]}
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["kernel", str(path), "--grid-count", "3", "--steps", "200",
-                   "--out", str(tmp_path / "k.csv")])
+        rc = main(["riccati", str(path), "--steps", "200",
+                   "--out", str(tmp_path / "r.csv")])
     assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: integration blew up")
 
 
 def test_numpy_linalg_failure_maps_to_exit_3(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from lqkernel.errors import BvpDegenerateError, HorizonMismatchError
 from lqkernel.kernel import (KernelOperator, lq_inner_product,
-                             kernel_section_trajectory, reproducing_residual)
+                             kernel_section_trajectory, reproducing_residual,
+                             shooting_diagonal)
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
@@ -74,7 +75,7 @@ def test_column_start_equals_diagonal(p1):
     assert np.allclose(op.column_solution().eval(0.0), op.diagonal(0.0), atol=1e-10)
 
 
-# -- full entries via the shooting BVP ---------------------------------------
+# -- full entries from the J and P flows --------------------------------------
 
 def test_full_entry_unit_cost_closed_form(p2):
     got = KernelOperator(p2, 800).entry(0.5, 1.0)[0, 0]
@@ -149,19 +150,23 @@ def test_section_derivative_jump_at_column_time(p1, operator_cache):
 
 def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     import lqkernel.kernel as kernel_module
+    import lqkernel.riccati as riccati_module
 
     built = []
-    original = kernel_module._hamiltonian_table
+    original = riccati_module._hamiltonian_table
 
     def counting(*tables):
         built.append(tables[0][0].shape[0])
         return original(*tables)
 
-    monkeypatch.setattr(kernel_module, "_hamiltonian_table", counting)
+    for module in (kernel_module, riccati_module):
+        monkeypatch.setattr(module, "_hamiltonian_table", counting)
     times = [0.2, 0.45, 0.7, 0.9]
     op = KernelOperator(dint, 300, extra_nodes=times)
     for t in times:
         op.section(t)
+    op.closed_loop_solution()
+    assert np.array_equal(op.riccati.J.times, op.grid)
     assert built == [op.grid.size - 1]
 
 
@@ -179,18 +184,23 @@ def _switched_problem():
         np.eye(2))
 
 
-# column times off the 300-step grid: one inserted between uniform nodes, one
-# replacing the uniform node within a quarter step, one beside the jump node
+# column times off the 300-step grid: one between uniform nodes, one within a
+# quarter step of a uniform node (which the reference grid drops), one beside
+# the jump node
 @pytest.mark.parametrize("t", [0.6123, 0.5005, 0.4004])
 def test_off_grid_section_equals_section_on_its_own_grid(t):
     p = _switched_problem()
     op = KernelOperator(p, 300)
     assert not np.any(op.grid == t)
-    op.section(0.25)  # the operator's own tables exist before the splice
     got = op.section(t)
+    assert np.array_equal(got.times, np.sort(np.append(op.grid, t)))
     ref = KernelOperator(p, 300, extra_nodes=[t]).section(t)
-    for field in ("times", "v_start", "v_end", "d_start", "d_end"):
-        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    pts = np.concatenate([ref.times, np.linspace(p.t0, p.T, 50)])
+    for side in (-1, 1):
+        for read in ("eval_many", "deriv_many"):
+            want = getattr(ref, read)(pts, side)
+            diff = np.max(np.abs(getattr(got, read)(pts, side) - want))
+            assert diff <= 1e-11 * np.max(np.abs(want)), (read, side)
     B, R = p.B.eval(t), p.R.eval(t)
     jump = got.deriv(t, side=-1) - got.deriv(t, side=1)
     assert np.allclose(jump, B @ np.linalg.inv(R) @ B.T, rtol=1e-10, atol=1e-12)
@@ -250,7 +260,7 @@ def test_bvp_against_scipy_collocation_oracle():
         assert np.max(np.abs(op.entry(float(s), p.t0) - K_oracle)) < 1e-6
 
 
-# -- single shooting on a long unstable horizon -------------------------------
+# -- a long unstable horizon ---------------------------------------------------
 
 def _unstable_problem(a):
     """x1' = a x1 + x2, x2' = u on [0, 10]: single shooting integrates the
@@ -260,13 +270,11 @@ def _unstable_problem(a):
                      c(np.eye(2)), c([[1.0]]), np.eye(2))
 
 
-_SILENT_LOSS = pytest.mark.xfail(
-    strict=True, reason="single shooting loses accuracy before its rcond guard "
-    "trips: |J K_t(t0, t0) - I| = 2.0e-5, Hermitian defect 4.4e-4")
-
-
-@pytest.mark.parametrize("a", [3.0, pytest.param(3.6, marks=_SILENT_LOSS)])
-def test_single_shooting_accuracy_on_unstable_horizon(a):
+# single shooting is off by 2.0e-5 (diagonal) and 4.4e-4 (Hermitian defect)
+# at a = 3.6 and raises from a = 4; the J and P flows restart before either
+# grows by more than e^4
+@pytest.mark.parametrize("a", [3.0, 3.6, 4.0, 10.0, 30.0])
+def test_operator_accuracy_on_unstable_horizon(a):
     times = [2.5, 5.0, 7.5]
     op = KernelOperator(_unstable_problem(a), 4000, extra_nodes=times)
     diag = np.linalg.norm(op.riccati.J.eval(0.0) @ op.entry(0.0, 0.0) - np.eye(2))
@@ -275,9 +283,21 @@ def test_single_shooting_accuracy_on_unstable_horizon(a):
     assert defect / np.max(np.abs(gram)) <= 1e-5
 
 
+def test_stiff_scalar_sections():
+    # x' = 800 x + u, Q = 0, R = 1, J_T = 1 at 200 steps (h * a = 4): J is
+    # 1600 up to e^(-800) away from T, so K(t, t) = 1/1600 there and 1 at T,
+    # and K(s, t) decays like e^(-800 |s - t|)
+    c = MatrixSchedule.constant
+    p = LQProblem(1, 1, 0.0, 1.0, c([[800.0]]), c([[1.0]]), c([[0.0]]), c([[1.0]]),
+                  np.eye(1))
+    times = [0.0, 0.5, 1.0]
+    gram, _ = KernelOperator(p, 200, extra_nodes=times).gram(times)
+    assert np.allclose(gram, np.diag([1 / 1600, 1 / 1600, 1.0]), rtol=1e-12, atol=1e-100)
+
+
 def test_single_shooting_degeneracy_is_reported():
     with pytest.raises(BvpDegenerateError):
-        KernelOperator(_unstable_problem(4.0), 4000).section(0.0)
+        shooting_diagonal(_unstable_problem(4.0), 0.0, 4000)
 
 
 # -- Gram matrices ------------------------------------------------------------

@@ -5,9 +5,8 @@ import pytest
 
 from lqkernel.errors import DomainError, IntegrationBlowupError
 from lqkernel.model import MatrixSchedule
-from lqkernel.ode import (DenseSolution, build_grid, combine_solutions,
-                          rk4_affine, rk4_affine_values, rk4_drive,
-                          schedule_stage_table)
+from lqkernel.ode import (DenseSolution, build_grid, rk4_affine,
+                          rk4_affine_values, rk4_drive, schedule_stage_table)
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -225,16 +224,6 @@ def test_deriv_matches_analytic_interior():
     sol = DenseSolution.from_nodes(ts, np.exp(ts)[:, None], np.exp(ts)[:, None])
     for t in (0.21, 0.63):
         assert sol.deriv(t)[0] == pytest.approx(math.exp(t), rel=1e-6)
-
-
-def test_combine_solutions_is_linear():
-    ts1 = np.linspace(0.0, 1.0, 7)
-    ts2 = np.linspace(0.0, 1.0, 11)
-    s1 = DenseSolution.from_nodes(ts1, (ts1 ** 2)[:, None], (2 * ts1)[:, None])
-    s2 = DenseSolution.from_nodes(ts2, (ts2 ** 3)[:, None], (3 * ts2 ** 2)[:, None])
-    combo = combine_solutions([(2.0, s1), (-1.0, s2)])
-    for t in np.linspace(0, 1, 17):
-        assert combo.eval(t)[0] == pytest.approx(2 * t ** 2 - t ** 3, abs=1e-12)
 
 
 def test_integrate_values_immutable():

@@ -15,7 +15,7 @@ SURFACE = {
     "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
-    "DEFAULT_STEPS", "DenseSolution", "build_grid", "combine_solutions",
+    "DEFAULT_STEPS", "DenseSolution", "build_grid",
     "DiscreteLQ", "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory", "rollout",
     "unit_scalar_problem",
