@@ -20,8 +20,7 @@ from .ode import DEFAULT_STEPS, DenseSolution, build_grid
 from .oracle import DiscreteLQ, discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)
-from .riccati import (RiccatiSolution, riccati_pair, solve_adjoint,
-                      solve_dual_riccati, solve_riccati)
+from .riccati import RiccatiSolution, solve_adjoint
 from .solver import (LQSolveResult, evaluate_cost, solve_feedback,
                      solve_kernel, solve_multipoint)
 
@@ -40,8 +39,7 @@ __all__ = [
     "DiscreteLQ", "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory",
     "rollout", "unit_scalar_problem",
-    "RiccatiSolution", "riccati_pair", "solve_adjoint", "solve_dual_riccati",
-    "solve_riccati",
+    "RiccatiSolution", "solve_adjoint",
     "LQSolveResult", "evaluate_cost", "solve_feedback", "solve_kernel",
     "solve_multipoint",
 ]

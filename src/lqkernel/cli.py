@@ -341,12 +341,12 @@ _VERIFY_TOLERANCES = {
     "adjoint_identity": 1e-6,
     "oracle_richardson": 1e-4,
 }
+_VERIFY_QUAD_INTERVALS = 1000
+_VERIFY_ORACLE_STEPS = 2000
 
 
 def run_verification(problem: LQProblem, seed: int, steps: int,
-                     tolerances: dict | None = None,
-                     quad_intervals: int = 1000,
-                     oracle_steps: int = 2000) -> dict:
+                     tolerances: dict | None = None) -> dict:
     """Run the full identity checklist; deterministic for a given seed.
 
     Checks: Riccati duality; the kernel-diagonal/Riccati-inverse identity at
@@ -401,8 +401,8 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         traj = random_trajectory(p, rng, steps=min(steps, 1000))
         t = float(pool[rng.integers(0, pool.size)])
         pv = rng.normal(size=n)
-        r = reproducing_residual(op, traj, t, pv, quad_intervals)
-        xnorm = np.sqrt(max(lq_inner_product(p, traj, traj, quad_intervals), 0.0))
+        r = reproducing_residual(op, traj, t, pv, _VERIFY_QUAD_INTERVALS)
+        xnorm = np.sqrt(max(lq_inner_product(p, traj, traj, _VERIFY_QUAD_INTERVALS), 0.0))
         worst = max(worst, r / (1.0 + xnorm * np.linalg.norm(pv)))
     add("reproducing", worst)
 
@@ -419,15 +419,15 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
                                     rk.trajectory.x.eval_many(padj.times))
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 
-    rich = richardson_value(p, x0, oracle_steps)
+    rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)
     add("oracle_richardson",
         abs(rich["extrapolated"] - rf.value) / (1.0 + abs(rf.value)))
 
     return {
         "seed": int(seed),
         "steps": int(steps),
-        "quad_intervals": int(quad_intervals),
-        "oracle_steps": int(oracle_steps),
+        "quad_intervals": _VERIFY_QUAD_INTERVALS,
+        "oracle_steps": _VERIFY_ORACLE_STEPS,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

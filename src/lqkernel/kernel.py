@@ -35,11 +35,10 @@ from .errors import (BvpDegenerateError, HorizonMismatchError,
                      SingularMatrixError)
 from .linalg import RANK_TOL, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values,
-                  schedule_stage_table)
-from .riccati import (RiccatiSolution, _SymmetrizeTracker,
-                      _control_weight_table, _hamiltonian_table,
-                      _reanchored_flow, _riccati_flow, solve_dual_riccati)
+from .ode import DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values
+from .riccati import (RiccatiSolution, _SymmetrizeTracker, _coefficient_tables,
+                      _dual_riccati_on, _hamiltonian_table, _reanchored_flow,
+                      _riccati_flow)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -130,18 +129,24 @@ class KernelOperator:
 
         Exactly J_T^{-1} at T.  Before the problem's start, where the
         schedules extend that far, the dual Riccati equation is solved again
-        on [t, T]; after T the query is rejected.
+        on [t, T]; after T, or before a schedule's domain, the query is
+        rejected.
         """
         p = self.problem
+        t = float(t_query)
         tol = 1e-12 * max(1.0, p.T - p.t0)
-        if t_query > p.T + tol:
-            raise HorizonMismatchError(f"query time {t_query} exceeds T={p.T}")
-        if abs(t_query - p.T) <= tol:
+        if t > p.T + tol:
+            raise HorizonMismatchError(f"query time {t} exceeds T={p.T}")
+        if abs(t - p.T) <= tol:
             return spd_inverse(p.J_T)
-        if t_query >= p.t0 - tol:
-            return self.riccati.M.eval(float(t_query))
-        sub = dataclasses.replace(p, t0=float(t_query))
-        return solve_dual_riccati(sub, self.steps).eval(float(t_query))
+        if t >= p.t0 - tol:
+            return self.riccati.M.eval(t)
+        try:
+            sub = dataclasses.replace(p, t0=t)
+        except ValueError as exc:  # a schedule's domain does not reach t
+            raise HorizonMismatchError(f"query time {t} before t0={p.t0}: {exc}") from None
+        grid = build_grid(t, p.T, self.steps, sub.breakpoints())
+        return _dual_riccati_on(sub, grid, _SymmetrizeTracker()).eval(t)
 
     def column_solution(self) -> DenseSolution:
         """K(., t0) = Phi_cl(., t0) K(t0, t0) as a dense matrix solution."""
@@ -200,8 +205,8 @@ class KernelOperator:
             # each end gives J, P and the propagators to the ends
             k = int(np.searchsorted(grid, t)) - 1
             g3 = np.array([grid[k], t, grid[k + 1]])
-            A3, S3 = _control_weight_table(p, g3)
-            H3 = _hamiltonian_table(A3, S3, schedule_stage_table(p.Q, g3))
+            A3, S3, Q3 = _coefficient_tables(p, g3)
+            H3 = _hamiltonian_table(A3, S3, Q3)
             minus_P, X_P, _ = _reanchored_flow(g3, H3, -f.P[k])
             J, X_J, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
             V = np.linalg.inv(J[1] - minus_P[1])
@@ -231,8 +236,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
     p = problem
     n = p.state_dim
     grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
-    A_tab, S_tab = _control_weight_table(p, grid)
-    H_tab = _hamiltonian_table(A_tab, S_tab, schedule_stage_table(p.Q, grid))
+    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid))
     j = int(np.argmin(np.abs(grid - t)))
     W = np.eye(2 * n)
     W[:, :n] = rk4_affine_values(grid[:j + 1], tuple(H[:j] for H in H_tab),

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-PD_TOL = 1e-10
+PD_TOL = 1e-10  # strict positive definiteness threshold (J_T, spd_inverse)
 RANK_TOL = 1e-12
 
 
@@ -18,23 +18,23 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def spd_inverse(A: np.ndarray, pd_tol: float = PD_TOL) -> np.ndarray:
+def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, explicitly symmetric.
 
     Raises SingularMatrixError, with the minimum eigenvalue, if A is not PD.
     """
     w, V = np.linalg.eigh(_sym(np.asarray(A, dtype=float)))
-    if w[0] <= pd_tol:
+    if w[0] <= PD_TOL:
         raise SingularMatrixError(
             f"matrix not positive definite (min eigenvalue {w[0]:.3e})",
             min_eigenvalue=float(w[0]))
     return _sym((V / w) @ V.T)
 
 
-def sym_eig_pinv(A: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
+def sym_eig_pinv(A: np.ndarray) -> np.ndarray:
     """Symmetric eigendecomposition inverse with small eigenvalues clipped.
 
-    Eigenvalues below clip_tol * max(|eigenvalues|) are treated as zero, so a
+    Eigenvalues below 1e-10 * max(|eigenvalues|) are treated as zero, so a
     nominally PD matrix that is numerically degenerate inverts gracefully.
     """
     A = np.asarray(A, dtype=float)
@@ -42,5 +42,5 @@ def sym_eig_pinv(A: np.ndarray, clip_tol: float = 1e-10) -> np.ndarray:
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     if wmax == 0.0:
         return np.zeros_like(A)
-    inv = np.where(np.abs(w) > clip_tol * wmax, 1.0 / w, 0.0)
+    inv = np.where(np.abs(w) > 1e-10 * wmax, 1.0 / w, 0.0)
     return _sym((V * inv) @ V.T)

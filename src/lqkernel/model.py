@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import HorizonMismatchError, ScheduleDomainError
+from .linalg import PD_TOL
 from .ode import DenseSolution
 
-PD_TOL = 1e-10       # strict positive definiteness threshold (J_T)
 PSD_TOL = 1e-9       # slack allowed below zero for Q eigenvalues
 R_MIN_DEFAULT = 1e-8  # default uniform lower bound for eigenvalues of R(t)
 DYN_TOL = 1e-6       # relative dynamics-residual tolerance for trajectories

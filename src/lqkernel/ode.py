@@ -140,13 +140,14 @@ class DenseSolution:
         """Per-node values (right-continuous representative at jumps)."""
         return np.concatenate([self.v_start, self.v_end[-1:]], axis=0)
 
-    def jump_nodes(self, rtol: float = 1e-9) -> np.ndarray:
-        """Interior node times where the stored one-sided values disagree."""
+    def jump_nodes(self) -> np.ndarray:
+        """Interior node times where the stored one-sided values disagree by
+        more than 1e-9 (1 + max |value|)."""
         if self.times.size < 3:
             return np.zeros(0)
         gap = self.v_end[:-1] - self.v_start[1:]
         scale = 1.0 + np.max(np.abs(self.v_start))
-        mask = np.max(np.abs(gap), axis=tuple(range(1, gap.ndim))) > rtol * scale
+        mask = np.max(np.abs(gap), axis=tuple(range(1, gap.ndim))) > 1e-9 * scale
         return self.times[1:-1][mask]
 
     # -- evaluation --------------------------------------------------------
@@ -233,7 +234,7 @@ class DenseSolution:
 
 #: stage slots: 0 = left end of interval (right limit), 1 = midpoint,
 #: 2 = right end of interval (left limit)
-StageFn = Callable[[int, int, float, np.ndarray], np.ndarray]
+StageFn = Callable[[int, int, np.ndarray], np.ndarray]
 
 
 def rk4_drive(
@@ -241,11 +242,11 @@ def rk4_drive(
     grid: np.ndarray,
     y0: np.ndarray,
     backward: bool = False,
-    post_step: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
+    post_step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DenseSolution:
     """Classical RK4 over `grid` (increasing); y0 sits at grid[-1] if backward.
 
-    `stagefn(k, slot, t, Y)` returns the right-hand side for interval k at the
+    `stagefn(k, slot, Y)` returns the right-hand side for interval k at the
     given stage; the slot tells side-sensitive coefficients which one-sided
     limit to use.  `post_step` (e.g. re-symmetrization) maps each accepted
     value; stored node derivatives are evaluated at the mapped values.
@@ -267,23 +268,22 @@ def rk4_drive(
         else:
             t_from, t_to, s_from, s_to = ta, tb, 0, 2
         h = t_to - t_from
-        tm = t_from + 0.5 * h
-        k1 = stagefn(k, s_from, t_from, y)
-        k2 = stagefn(k, 1, tm, y + (0.5 * h) * k1)
-        k3 = stagefn(k, 1, tm, y + (0.5 * h) * k2)
-        k4 = stagefn(k, s_to, t_to, y + h * k3)
+        k1 = stagefn(k, s_from, y)
+        k2 = stagefn(k, 1, y + (0.5 * h) * k1)
+        k3 = stagefn(k, 1, y + (0.5 * h) * k2)
+        k4 = stagefn(k, s_to, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if post_step is not None:
-            y = post_step(t_to, y)
+            y = post_step(y)
         if not np.all(np.isfinite(y)):
             raise IntegrationBlowupError(f"integration blew up at t={t_to}", time=float(t_to))
         if backward:
             d_hi[k] = k1
-            d_lo[k] = stagefn(k, 0, ta, y)
+            d_lo[k] = stagefn(k, 0, y)
             vals[k] = y
         else:
             d_lo[k] = k1
-            d_hi[k] = stagefn(k, 2, tb, y)
+            d_hi[k] = stagefn(k, 2, y)
             vals[k + 1] = y
     return DenseSolution(
         grid,

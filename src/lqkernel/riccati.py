@@ -21,6 +21,10 @@ flows.  M is integrated directly with a negative step on the same grid (no
 time reversal substitution), so J M = I compares two routes that share no
 discretization.  All are re-symmetrized at every node; the worst asymmetry
 absorbed by that projection is reported as a diagnostic.
+
+The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
+on the operator's grid and with the J flow it shares with the kernel
+sections; this module holds the flows and the `RiccatiSolution` they fill.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
 _REANCHOR_LOG_GROWTH = 4.0
 
 
-def _control_weight_table(problem: LQProblem, grid: np.ndarray):
-    """Stage tables of A(t) and S(t) = B(t) R(t)^{-1} B(t)' over `grid`."""
+def _coefficient_tables(problem: LQProblem, grid: np.ndarray):
+    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t) over `grid`."""
     A_tab = schedule_stage_table(problem.A, grid)
     B_tab = schedule_stage_table(problem.B, grid)
     R_tab = schedule_stage_table(problem.R, grid)
@@ -56,20 +60,7 @@ def _control_weight_table(problem: LQProblem, grid: np.ndarray):
         Bs @ np.linalg.inv(Rs) @ np.swapaxes(Bs, 1, 2)
         for Bs, Rs in zip(B_tab, R_tab)
     )
-    return A_tab, S_tab
-
-
-def _riccati_grid(problem: LQProblem, steps: int) -> np.ndarray:
-    """`steps` uniform intervals with the schedule breakpoints as nodes."""
-    return build_grid(problem.t0, problem.T, steps, problem.breakpoints())
-
-
-def _riccati_tables(problem: LQProblem, grid: np.ndarray):
-    """Stage tables of A, A', S and Q over `grid`."""
-    A_tab, S_tab = _control_weight_table(problem, grid)
-    Q_tab = schedule_stage_table(problem.Q, grid)
-    AT_tab = tuple(np.swapaxes(a, 1, 2) for a in A_tab)
-    return A_tab, AT_tab, S_tab, Q_tab
+    return A_tab, S_tab, schedule_stage_table(problem.Q, grid)
 
 
 def _hamiltonian_table(A_tab, S_tab, Q_tab):
@@ -97,10 +88,6 @@ class _SymmetrizeTracker:
         if defect > self.max_asymmetry:
             self.max_asymmetry = defect
         return 0.5 * (Y + YT)
-
-    def __call__(self, t, Y):
-        """The `post_step` hook of `rk4_drive`."""
-        return self.symmetrize(Y)
 
 
 def _check_positive(sol: DenseSolution, what: str) -> None:
@@ -179,60 +166,45 @@ def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
     """J on `grid` by the backward re-anchored flow, with what the kernel's
     sections read: (J solution, J and X at the nodes, block, (A, S, H)
     stage tables).  Node derivatives are the Riccati right-hand side.
-    Raises PositivityLostError where J is not positive definite."""
-    A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, grid)
+    Raises IntegrationBlowupError at the first node met where X is singular
+    or J non-finite, PositivityLostError where J is not positive definite."""
+    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)
     H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
     J, X, block = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
                                    tracker, backward=True)
 
     def rhs(slot, Jv):
-        return (Jv @ S_tab[slot] @ Jv - AT_tab[slot] @ Jv - Jv @ A_tab[slot]
-                - Q_tab[slot])
+        return (Jv @ S_tab[slot] @ Jv - np.swapaxes(A_tab[slot], 1, 2) @ Jv
+                - Jv @ A_tab[slot] - Q_tab[slot])
 
     sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
     _check_positive(sol, "J")
     return sol, J, X, block, (A_tab, S_tab, H_tab)
 
 
-def solve_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS,
-                  _track=None) -> DenseSolution:
-    """Solve the Riccati equation backward from J(T) = J_T on [t0, T].
-
-    J = Y X^{-1} on the Hamiltonian flow, restarted from [I; J_k] after
-    every block of intervals that `_REANCHOR_LOG_GROWTH` allows; node
-    derivatives are the Riccati right-hand side at the nodes.  Raises
-    IntegrationBlowupError at the first node met where X is singular or J
-    non-finite, PositivityLostError where J is not positive definite.
-    """
-    tracker = _track if _track is not None else _SymmetrizeTracker()
-    return _riccati_flow(problem, _riccati_grid(problem, steps), tracker)[0]
-
-
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, tracker) -> DenseSolution:
-    """M on `grid` by `rk4_drive`; see `solve_dual_riccati`."""
-    A_tab, AT_tab, S_tab, Q_tab = _riccati_tables(problem, grid)
+    """M on `grid` by `rk4_drive`, backward from M(T) = J_T^{-1}, symmetrized
+    by `tracker` at every node.  Raises PositivityLostError where M is not
+    positive definite."""
+    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)
 
-    def stagefn(k, slot, t, M):
-        A, AT = A_tab[slot][k], AT_tab[slot][k]
-        return A @ M + M @ AT - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
+    def stagefn(k, slot, M):
+        A = A_tab[slot][k]
+        return A @ M + M @ A.T - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
 
     sol = rk4_drive(stagefn, grid, spd_inverse(problem.J_T),
-                    backward=True, post_step=tracker)
+                    backward=True, post_step=tracker.symmetrize)
     _check_positive(sol, "M")
     return sol
-
-
-def solve_dual_riccati(problem: LQProblem, steps: int = DEFAULT_STEPS) -> DenseSolution:
-    """Solve the dual Riccati equation backward from M(T) = J_T^{-1}."""
-    return _dual_riccati_on(problem, _riccati_grid(problem, steps), _SymmetrizeTracker())
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
     """J(., T) and M(., T) on a shared grid, with symmetrization diagnostics.
 
-    M is solved on its first read, on the grid of J, so a caller that needs
-    only J (the feedback route) never integrates the dual equation.
+    Built by `KernelOperator(problem, steps).riccati`.  M is solved on its
+    first read, on the grid of J, so a caller that needs only J (the
+    feedback route) never integrates the dual equation.
     """
 
     problem: LQProblem
@@ -260,13 +232,6 @@ class RiccatiSolution:
         return np.linalg.norm(prod - eye, axis=(1, 2))
 
 
-def riccati_pair(problem: LQProblem, steps: int = DEFAULT_STEPS) -> RiccatiSolution:
-    """Both Riccati solutions on one grid by separate routes: J now, M on first read."""
-    tracker = _SymmetrizeTracker()
-    J = solve_riccati(problem, steps, _track=tracker)
-    return RiccatiSolution(problem, J, tracker.max_asymmetry)
-
-
 def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarray:
     """Batched feedback gains G(t) = -R^{-1} B' J(t) along `ts`."""
     ts = np.asarray(ts, dtype=float)
@@ -279,7 +244,7 @@ def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarr
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution,
                   steps: int = DEFAULT_STEPS) -> DenseSolution:
     """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)."""
-    grid = _riccati_grid(problem, steps)
+    grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
     H_tab = tuple(-np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
     Q_tab = schedule_stage_table(problem.Q, grid)
     x_tab = schedule_stage_table(xbar, grid)

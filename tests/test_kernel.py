@@ -10,7 +10,7 @@ from lqkernel.kernel import (KernelOperator, lq_inner_product,
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
-from lqkernel.problems import random_trajectory
+from lqkernel.problems import random_problem, random_trajectory
 
 
 def k_scalar_energy(s, t):
@@ -50,6 +50,14 @@ def test_diagonal_extends_before_problem_start(p1):
     # the diagonal map lives on ]-inf, T]; constant schedules extend freely,
     # and a query before t0 restarts the dual Riccati solve on [t, T]
     assert KernelOperator(p1, 600).diagonal(-0.5)[0, 0] == pytest.approx(2.5, abs=1e-8)
+
+
+def test_diagonal_rejects_queries_before_schedule_domain():
+    # sampled schedules are defined on their knots only, so no restart
+    # before t0 can evaluate them
+    p = random_problem(np.random.default_rng(100), 2)
+    with pytest.raises(HorizonMismatchError, match="B domain"):
+        KernelOperator(p, 200).diagonal(p.t0 - 0.1)
 
 
 def test_diagonal_symmetric_positive(dint, operator_cache):

@@ -51,7 +51,7 @@ def test_backward_integration_recovers_initial_value():
 
 def test_blowup_reports_time():
     # Y' = Y^2 from Y(0) = 1 escapes at t = 1
-    def square(k, slot, t, Y):
+    def square(k, slot, Y):
         return Y * Y
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,7 +115,7 @@ def test_affine_matches_stagewise_rk4(backward):
     H_tab, F_tab = schedule_stage_table(H, grid), schedule_stage_table(F, grid)
     y0 = rng.normal(size=(3, 2))
 
-    def stagefn(k, slot, t, Y):
+    def stagefn(k, slot, Y):
         return H_tab[slot][k] @ Y + F_tab[slot][k]
 
     ref = rk4_drive(stagefn, grid, y0, backward=backward)

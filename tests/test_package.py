@@ -19,8 +19,7 @@ SURFACE = {
     "DiscreteLQ", "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory", "rollout",
     "unit_scalar_problem",
-    "RiccatiSolution", "riccati_pair", "solve_adjoint", "solve_dual_riccati",
-    "solve_riccati",
+    "RiccatiSolution", "solve_adjoint",
     "LQSolveResult", "evaluate_cost", "solve_feedback", "solve_kernel",
     "solve_multipoint",
 }

@@ -8,12 +8,12 @@ import pytest
 from lqkernel import riccati
 from lqkernel.cli import load_problem_file
 from lqkernel.errors import IntegrationBlowupError, PositivityLostError
+from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution, build_grid, rk4_drive, schedule_stage_table
 from lqkernel.problems import random_problem
-from lqkernel.riccati import (gain_many, riccati_pair, solve_adjoint,
-                              solve_dual_riccati, solve_riccati)
+from lqkernel.riccati import gain_many, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
@@ -22,46 +22,46 @@ BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
 
 def test_riccati_scalar_closed_form(p1):
     # -J' = -J^2 with J(1) = 1 gives J(t) = 1/(2-t)
-    J = solve_riccati(p1, 1000)
+    J = KernelOperator(p1, 1000).riccati.J
     assert J.eval(0.0)[0, 0] == pytest.approx(0.5, abs=1e-8)
     assert J.eval(0.5)[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
 def test_riccati_fixed_point(p2):
-    J = solve_riccati(p2, 500)
+    J = KernelOperator(p2, 500).riccati.J
     assert np.max(np.abs(J.values - 1.0)) < 1e-10
 
 
 def test_riccati_zero_rhs_constant(zero_drive):
-    J = solve_riccati(zero_drive, 200)
+    J = KernelOperator(zero_drive, 200).riccati.J
     assert np.max(np.abs(J.values - zero_drive.J_T)) < 1e-13
 
 
 def test_dual_riccati_scalar_closed_form(p1):
-    M = solve_dual_riccati(p1, 1000)
+    M = KernelOperator(p1, 1000).riccati.M
     assert M.eval(0.0)[0, 0] == pytest.approx(2.0, abs=1e-8)
     assert M.eval(0.25)[0, 0] == pytest.approx(1.75, abs=1e-8)
 
 
 def test_dual_riccati_fixed_point(p2):
-    M = solve_dual_riccati(p2, 500)
+    M = KernelOperator(p2, 500).riccati.M
     assert np.max(np.abs(M.values - 1.0)) < 1e-10
 
 
 def test_dual_riccati_zero_rhs(zero_drive):
-    M = solve_dual_riccati(zero_drive, 200)
+    M = KernelOperator(zero_drive, 200).riccati.M
     assert np.max(np.abs(M.values - spd_inverse(zero_drive.J_T))) < 1e-13
 
 
 def test_terminal_conditions_exact(p1):
-    rs = riccati_pair(p1, 300)
+    rs = KernelOperator(p1, 300).riccati
     assert np.array_equal(rs.J.values[-1], p1.J_T)
     assert np.array_equal(rs.M.values[-1], spd_inverse(p1.J_T))
 
 
 def test_solutions_symmetric_and_positive(random_problems):
     for p in random_problems[:3]:
-        rs = riccati_pair(p, 800)
+        rs = KernelOperator(p, 800).riccati
         for sol in (rs.J, rs.M):
             vals = sol.values
             assert np.max(np.abs(vals - np.swapaxes(vals, 1, 2))) < 1e-9
@@ -71,16 +71,16 @@ def test_solutions_symmetric_and_positive(random_problems):
 
 def test_duality_along_grid(p1, p2, dint, random_problems):
     for p in [p1, p2, dint] + list(random_problems[:2]):
-        rs = riccati_pair(p, 1500)
+        rs = KernelOperator(p, 1500).riccati
         assert rs.duality_defects().max() < 1e-6
 
 
 def test_feedback_gain_values(p1, p2, zero_drive):
-    J1 = solve_riccati(p1, 500)
+    J1 = KernelOperator(p1, 500).riccati.J
     assert gain_many(p1, J1, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-8)
-    J2 = solve_riccati(p2, 500)
+    J2 = KernelOperator(p2, 500).riccati.J
     assert gain_many(p2, J2, [0.3])[0, 0, 0] == pytest.approx(-1.0, abs=1e-9)
-    Jz = solve_riccati(zero_drive, 100)
+    Jz = KernelOperator(zero_drive, 100).riccati.J
     assert np.array_equal(gain_many(zero_drive, Jz, [0.5])[0], np.zeros((1, 2)))
 
 
@@ -118,7 +118,7 @@ def test_costate_is_negative_hessian_times_state(dint, random_problems):
     # p(t) = -J(t) xbar(t) along the optimal trajectory
     for p in [dint, random_problems[0]]:
         res = solve_kernel(p, np.ones(p.state_dim), 1200)
-        J = solve_riccati(p, 1200)
+        J = KernelOperator(p, 1200).riccati.J
         pa = solve_adjoint(p, res.trajectory.x, 1200)
         resid = pa.values + np.einsum(
             "kij,kj->ki", J.eval_many(pa.times), res.trajectory.x.eval_many(pa.times))
@@ -150,7 +150,7 @@ def test_positivity_loss_detected():
     bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
                     c([[-1.2]]), c([[1.0]]), [[1.0]])
     with pytest.raises(PositivityLostError) as exc:
-        solve_riccati(bad, 400)
+        KernelOperator(bad, 400).riccati.J
     assert exc.value.time == pytest.approx(0.3247, abs=0.02)
 
 
@@ -161,13 +161,13 @@ def _direct_riccati(p, steps):
     grid = build_grid(p.t0, p.T, steps, p.breakpoints())
     A, B, R, Q = (schedule_stage_table(s, grid) for s in (p.A, p.B, p.R, p.Q))
 
-    def stagefn(k, slot, t, J):
+    def stagefn(k, slot, J):
         a, b = A[slot][k], B[slot][k]
         S = b @ np.linalg.solve(R[slot][k], b.T)
         return J @ S @ J - a.T @ J - J @ a - Q[slot][k]
 
     return rk4_drive(stagefn, grid, np.asarray(p.J_T, dtype=float), backward=True,
-                     post_step=lambda t, J: 0.5 * (J + J.T))
+                     post_step=lambda J: 0.5 * (J + J.T))
 
 
 def _relative_gaps(J, ref):
@@ -187,7 +187,7 @@ def _parity_problems():
 
 @pytest.mark.parametrize("problem", _parity_problems())
 def test_hamiltonian_route_matches_direct_riccati(problem):
-    J = solve_riccati(problem, 4000)
+    J = KernelOperator(problem, 4000).riccati.J
     ref = _direct_riccati(problem, 4000)
     assert np.max(_relative_gaps(J, ref)) <= 1e-10
     for got, want in ((J.d_start, ref.d_start), (J.d_end, ref.d_end)):
@@ -205,7 +205,8 @@ def _steady_gap(problem):
     """Worst relative gap to the direct flow on [0, 5], off the terminal layer
     where the two discretizations differ by their own truncation errors."""
     ref = _direct_riccati(problem, 4000)
-    return np.max(_relative_gaps(solve_riccati(problem, 4000), ref)[ref.times <= 5.0])
+    J = KernelOperator(problem, 4000).riccati.J
+    return np.max(_relative_gaps(J, ref)[ref.times <= 5.0])
 
 
 @pytest.mark.parametrize("a, d", [(30.0, 30.0), (30.0, 0.0), (200.0, 0.0)])
@@ -232,7 +233,7 @@ def test_escape_through_zero_is_positivity_loss():
     bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
                     c([[-10.0]]), c([[1.0]]), [[1.0]])
     with pytest.raises(PositivityLostError) as exc:
-        solve_riccati(bad, 400)
+        KernelOperator(bad, 400).riccati.J
     assert exc.value.time == pytest.approx(0.903, abs=0.01)
 
 
@@ -243,5 +244,5 @@ def test_singular_hamiltonian_state_is_blowup():
     bad = LQProblem(1, 1, 0.0, 2.0, c([[0.0]]), c([[1.0]]),
                     c([[0.0]]), c([[1.0]]), [[-1.0]])
     with pytest.raises(IntegrationBlowupError) as exc:
-        solve_riccati(bad, 4)
+        KernelOperator(bad, 4).riccati.J
     assert exc.value.time == 1.0

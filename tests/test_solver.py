@@ -57,13 +57,13 @@ def test_feedback_zero_state(p2):
 
 def test_feedback_solves_no_dual_riccati(dint, monkeypatch):
     calls = []
-    original = riccati.solve_dual_riccati
+    original = riccati._dual_riccati_on
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(riccati, "solve_dual_riccati", counted)
+    monkeypatch.setattr(riccati, "_dual_riccati_on", counted)
     res = solve_feedback(dint, [1.0, 0.0], 300)
     assert calls == []
     assert res.value > 0.0
