@@ -11,8 +11,7 @@ from .errors import (BvpDegenerateError, DegenerateProblemError, DomainError,
                      IntegrationBlowupError, LQKernelError, NumericalError,
                      PositivityLostError, ProblemFileError, ScheduleDomainError,
                      SingularMatrixError)
-from .kernel import (KernelOperator, lq_inner_product, minimal_control,
-                     reproducing_residual)
+from .kernel import KernelOperator, lq_inner_product, reproducing_residual
 from .linalg import spd_inverse, sym_eig_pinv
 from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
                     ValidationReport, dynamics_defect, validate_problem)
@@ -30,8 +29,7 @@ __all__ = [
     "IntegrationBlowupError", "LQKernelError", "NumericalError",
     "PositivityLostError", "ProblemFileError", "ScheduleDomainError",
     "SingularMatrixError",
-    "KernelOperator", "lq_inner_product", "minimal_control",
-    "reproducing_residual",
+    "KernelOperator", "lq_inner_product", "reproducing_residual",
     "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",

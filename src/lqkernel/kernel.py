@@ -21,19 +21,20 @@ matched to its use:
   first column K(., t0) is the closed loop from t0 applied to K(t0, t0).
 
 K keeps both one-sided derivatives at the column time, where they differ
-by S(t).
+by S(t).  The control of K(., t) p, read off the costate (J x right of t,
+-P x left of it) by `KernelOperator.control`, jumps there too.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (BvpDegenerateError, HorizonMismatchError,
-                     SingularMatrixError)
-from .linalg import RANK_TOL, spd_inverse
+from .errors import BvpDegenerateError, HorizonMismatchError
+from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values
 from .riccati import (RiccatiSolution, _SymmetrizeTracker, _coefficient_tables,
@@ -49,7 +50,8 @@ _SHOOTING_RCOND = 1e-12
 class _Flows:
     """J and P at the grid nodes, the X blocks of their flows (see
     `_reanchored_flow`), and the closed loops F = A - S J and G = A + S P
-    at the (lo, hi) stage slots of every interval."""
+    and the control map W = R^{-1} B' at the (lo, hi) stage slots of every
+    interval."""
 
     J: np.ndarray
     P: np.ndarray
@@ -58,6 +60,7 @@ class _Flows:
     block: int
     F: tuple
     G: tuple
+    W: tuple
 
     def carry(self, k: int, value: np.ndarray, right: bool) -> np.ndarray:
         """K at nodes k..end along F (right) or 0..k along G, from its value
@@ -72,6 +75,11 @@ class _Flows:
         out = (X[k:] if right else X[k::-1]) @ np.stack(carries)[np.cumsum(enter)]
         out[0] = value
         return out if right else out[::-1]
+
+
+# An off-grid column time t as a node of its section grid: J and P at t, the
+# X blocks of their flows there, F(t+), G(t-), and W at (t-, t+).
+_Node = collections.namedtuple("_Node", "J P X_J X_P F G W")
 
 
 class KernelOperator:
@@ -96,6 +104,7 @@ class KernelOperator:
                                np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
         self._sections: dict[float, DenseSolution] = {}
+        self._nodes: dict[float, tuple[int, _Node | None]] = {}
 
     # -- cached building blocks -------------------------------------------
 
@@ -103,13 +112,13 @@ class KernelOperator:
     def _pair_and_flows(self) -> tuple[RiccatiSolution, _Flows]:
         p, grid = self.problem, self.grid
         tracker = _SymmetrizeTracker()
-        J_sol, J, X_J, block, (A_tab, S_tab, H_tab) = _riccati_flow(p, grid, tracker)
+        J_sol, J, X_J, block, (A_tab, S_tab, H_tab, W_tab) = _riccati_flow(p, grid, tracker)
         pair = RiccatiSolution(p, J_sol, tracker.max_asymmetry)
         minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros_like(J[0]))
         P = -minus_P
         F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
         G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
-        return pair, _Flows(J, P, X_J, X_P, block, F, G)
+        return pair, _Flows(J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
 
     @property
     def riccati(self) -> RiccatiSolution:
@@ -182,42 +191,81 @@ class KernelOperator:
         defect = float(np.max(np.abs(raw - raw.T)))
         return 0.5 * (raw + raw.T), defect
 
+    def control(self, t: float, x: DenseSolution) -> DenseSolution:
+        """Control of a vector trajectory x on the section grid of t (the
+        grid, with t inserted when off it), such as K(., t) p: at both ends
+        of every interval u = -W lambda, W = R^{-1} B', with the costate
+        lambda = J x right of t and -P x left of it; the chord in between.
+        As B u = -S lambda = x' - A x and u is in the range of W, u is the
+        minimal-R-norm control of x."""
+        f = self._pair_and_flows[1]
+        j, node = self._node(float(t))
+        J, P, (W_lo, W_hi) = f.J, f.P, f.W
+        if node is not None:
+            J, P = np.insert(J, j, node.J, axis=0), np.insert(P, j, node.P, axis=0)
+            W_lo = np.insert(W_lo, j, node.W[1], axis=0)
+            W_hi = np.insert(W_hi, j - 1, node.W[0], axis=0)
+
+        def u(W, M, v, sign):  # sign W M v, interval by interval
+            return sign * np.einsum("kij,kjl,kl->ki", W, M, v)
+
+        u_start = np.concatenate([u(W_lo[:j], P[:j], x.v_start[:j], 1.0),
+                                  u(W_lo[j:], J[j:-1], x.v_start[j:], -1.0)])
+        u_end = np.concatenate([u(W_hi[:j], P[1:j + 1], x.v_end[:j], 1.0),
+                                u(W_hi[j:], J[j + 1:], x.v_end[j:], -1.0)])
+        slope = (u_end - u_start) / np.diff(x.times)[:, None]
+        return DenseSolution(x.times, u_start, u_end, slope, slope)
+
     # -- sections -----------------------------------------------------------
 
-    def _solve_section(self, t: float) -> DenseSolution:
+    def _node(self, t: float) -> tuple[int, _Node | None]:
+        """(j, node): t is node j of its section grid.  On the grid node is
+        None; inside interval j - 1, t is inserted, and one fresh RK4 step
+        of the Hamiltonian from each end gives J, P and the carriers there."""
+        if t in self._nodes:
+            return self._nodes[t]
         p, grid = self.problem, self.grid
         span = max(1.0, p.T - p.t0)
         if not (p.t0 - 1e-12 * span <= t <= p.T + 1e-12 * span):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
+        j = int(np.argmin(np.abs(grid - t)))
+        if abs(grid[j] - t) <= 1e-12 * span:
+            out = j, None
+        else:
+            f = self._pair_and_flows[1]
+            k = int(np.searchsorted(grid, t)) - 1
+            g3 = np.array([grid[k], t, grid[k + 1]])
+            A3, S3, Q3, W3 = _coefficient_tables(p, g3)
+            H3 = _hamiltonian_table(A3, S3, Q3)
+            minus_P, X_P, _ = _reanchored_flow(g3, H3, -f.P[k])
+            J, X_J, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
+            out = k + 1, _Node(J[1], -minus_P[1], X_J[1], X_P[1],
+                               A3[0][1] - S3[0][1] @ J[1],
+                               A3[2][0] - S3[2][0] @ minus_P[1], (W3[2][0], W3[0][1]))
+        self._nodes[t] = out
+        return out
+
+    def _solve_section(self, t: float) -> DenseSolution:
+        j, node = self._node(t)
         f = self._pair_and_flows[1]
         (F_lo, F_hi), (G_lo, G_hi) = f.F, f.G
         # right of t the section follows F, left of it G
-        j = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[j] - t) <= 1e-12 * span:
+        if node is None:
             V = np.linalg.inv(f.J[j] + f.P[j])
-            times = grid
+            times = self.grid
             K = np.concatenate([f.carry(j, V, right=False)[:-1], V[None],
                                 f.carry(j, V, right=True)[1:]])
             lo = np.concatenate([G_lo[:j], F_lo[j:]])
             hi = np.concatenate([G_hi[:j], F_hi[j:]])
         else:
-            # t inside interval k becomes a node: one fresh RK4 step from
-            # each end gives J, P and the propagators to the ends
-            k = int(np.searchsorted(grid, t)) - 1
-            g3 = np.array([grid[k], t, grid[k + 1]])
-            A3, S3, Q3 = _coefficient_tables(p, g3)
-            H3 = _hamiltonian_table(A3, S3, Q3)
-            minus_P, X_P, _ = _reanchored_flow(g3, H3, -f.P[k])
-            J, X_J, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
-            V = np.linalg.inv(J[1] - minus_P[1])
-            times = np.insert(grid, k + 1, t)
+            k = j - 1
+            V = np.linalg.inv(node.J + node.P)
+            times = np.insert(self.grid, j, t)
             K = np.concatenate([
-                f.carry(k, np.linalg.solve(X_P[1], V), right=False), V[None],
-                f.carry(k + 1, np.linalg.solve(X_J[1], V), right=True)])
-            lo = np.concatenate([G_lo[:k + 1], (A3[0][1] - S3[0][1] @ J[1])[None],
-                                 F_lo[k + 1:]])
-            hi = np.concatenate([G_hi[:k], (A3[2][0] - S3[2][0] @ minus_P[1])[None],
-                                 F_hi[k:]])
+                f.carry(k, np.linalg.solve(node.X_P, V), right=False), V[None],
+                f.carry(j, np.linalg.solve(node.X_J, V), right=True)])
+            lo = np.concatenate([G_lo[:j], node.F[None], F_lo[j:]])
+            hi = np.concatenate([G_hi[:k], node.G[None], F_hi[k:]])
         return DenseSolution(times, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
 
 
@@ -236,7 +284,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
     p = problem
     n = p.state_dim
     grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
-    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid))
+    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid)[:3])
     j = int(np.argmin(np.abs(grid - t)))
     W = np.eye(2 * n)
     W[:, :n] = rk4_affine_values(grid[:j + 1], tuple(H[:j] for H in H_tab),
@@ -253,40 +301,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
     return W[:n] @ np.vstack([np.linalg.solve(E, rhs), np.eye(n)])
 
 
-# -- trajectories, controls and the inner product -----------------------------
-
-def minimal_control(problem: LQProblem, x: DenseSolution) -> DenseSolution:
-    """Minimal-R-norm control generating x: u = B^(-) [x' - A x] nodewise.
-
-    Evaluated on both sides of every node of x's grid, so controls of kinked
-    trajectories keep their jumps; interior interpolation is the chord.
-    """
-    ts = x.times
-    lo, hi = ts[:-1], ts[1:]
-    out = []
-    for sub, side, xv, xd in (
-        (lo, 1, x.v_start, x.d_start),
-        (hi, -1, x.v_end, x.d_end),
-    ):
-        B = problem.B.eval_many(sub, side)
-        R = problem.R.eval_many(sub, side)
-        A = problem.A.eval_many(sub, side)
-        w, V = np.linalg.eigh(0.5 * (R + np.swapaxes(R, 1, 2)))
-        if np.min(w) <= 0.0:
-            k = int(np.argmin(w[:, 0]))
-            raise SingularMatrixError(
-                f"R not positive definite at t={float(sub[k])}",
-                min_eigenvalue=float(w[k, 0]))
-        Rm12 = (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-        pinv = np.linalg.pinv(B @ Rm12, rcond=RANK_TOL)
-        resid = xd - np.einsum("kij,k...j->k...i", A, xv)
-        u = np.einsum("kij,kjl,k...l->k...i", Rm12, pinv, resid)
-        out.append(u)
-    u_start, u_end = out
-    h = (hi - lo).reshape((-1,) + (1,) * (u_start.ndim - 1))
-    slope = (u_end - u_start) / h
-    return DenseSolution(ts, u_start, u_end, slope, slope)
-
+# -- trajectories and the inner product ---------------------------------------
 
 def _simpson_points(problem: LQProblem, extra_breaks, quad_intervals: int):
     """Simpson nodes over the horizon: (times, sides, weights).
@@ -339,12 +354,12 @@ def kernel_section_trajectory(operator: KernelOperator, t: float,
                               pvec: np.ndarray) -> ControlledTrajectory:
     """The kernel section K(., t) p as a controlled trajectory.
 
-    The control is the minimal-R-norm control and is genuinely
-    discontinuous at s = t; that node is stored two-sidedly.
+    Its control, read off the costate by `KernelOperator.control`, jumps
+    at s = t; that node is stored two-sidedly.
     """
     pvec = np.asarray(pvec, dtype=float)
     x = operator.section(t).right_multiply(pvec)
-    return ControlledTrajectory(x, minimal_control(operator.problem, x))
+    return ControlledTrajectory(x, operator.control(t, x))
 
 
 def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,

@@ -25,7 +25,7 @@ from .ode import DenseSolution
 
 PSD_TOL = 1e-9       # slack allowed below zero for Q eigenvalues
 R_MIN_DEFAULT = 1e-8  # default uniform lower bound for eigenvalues of R(t)
-DYN_TOL = 1e-6       # relative dynamics-residual tolerance for trajectories
+_VALIDATION_POINTS = 201  # uniform sample times of `validate_problem`
 
 _KINDS = ("constant", "pwc", "samples", "poly")
 
@@ -300,7 +300,6 @@ class AssumptionViolation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[AssumptionViolation, ...]
-    grid_points: int
 
     @property
     def valid(self) -> bool:
@@ -312,7 +311,7 @@ class ValidationReport:
         return "; ".join(v.message for v in self.violations)
 
 
-def validate_problem(problem: LQProblem, grid_points: int = 201) -> ValidationReport:
+def validate_problem(problem: LQProblem) -> ValidationReport:
     """Check the standing assumptions on a grid and at the breakpoints; never raises.
 
     Flags: J_T not positive definite, R(t) not uniformly positive definite
@@ -327,7 +326,7 @@ def validate_problem(problem: LQProblem, grid_points: int = 201) -> ValidationRe
 
     # pwc pieces may fall between grid points (no np.unique: it imports numpy.ma)
     knots = np.concatenate([problem.R.breakpoints(), problem.Q.breakpoints()])
-    ts = np.sort(np.concatenate([np.linspace(problem.t0, problem.T, max(2, grid_points)),
+    ts = np.sort(np.concatenate([np.linspace(problem.t0, problem.T, _VALIDATION_POINTS),
                                  knots[(knots > problem.t0) & (knots < problem.T)]]))
     for name, sched, floor, msg in (
         ("R_uniform_pd", problem.R, problem.r_min, "R not uniformly positive definite"),
@@ -351,4 +350,4 @@ def validate_problem(problem: LQProblem, grid_points: int = 201) -> ValidationRe
         k = int(np.argmin(eigs[:, 0]))
         if eigs[k, 0] < floor:
             bad.append(AssumptionViolation(name, msg, time=float(ts[k]), eigenvalue=float(eigs[k, 0])))
-    return ValidationReport(tuple(bad), grid_points)
+    return ValidationReport(tuple(bad))

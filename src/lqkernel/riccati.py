@@ -1,4 +1,4 @@
-"""Differential Riccati equation, its dual, feedback gains, and the adjoint.
+"""Differential Riccati equation, its dual, and the adjoint.
 
 The value Hessian J(., T) solves, backward from J(T) = J_T,
 
@@ -17,10 +17,11 @@ can grow by at most e^4, before the fastest modes swamp the columns of
 the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  The kernel reads its sections off the X blocks of both
-flows.  M is integrated directly with a negative step on the same grid (no
-time reversal substitution), so J M = I compares two routes that share no
-discretization.  All are re-symmetrized at every node; the worst asymmetry
-absorbed by that projection is reported as a diagnostic.
+flows, and every control off the costate J x or -P x through the stage
+table of W = R^{-1} B'.  M is integrated directly with a negative step on
+the same grid (no time reversal substitution), so J M = I compares two
+routes that share no discretization.  All are re-symmetrized at every node;
+the worst asymmetry absorbed by that projection is reported as a diagnostic.
 
 The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
 on the operator's grid and with the J flow it shares with the kernel
@@ -52,15 +53,14 @@ _REANCHOR_LOG_GROWTH = 4.0
 
 
 def _coefficient_tables(problem: LQProblem, grid: np.ndarray):
-    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t) over `grid`."""
-    A_tab = schedule_stage_table(problem.A, grid)
+    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)', Q(t) and the
+    control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) over `grid`."""
     B_tab = schedule_stage_table(problem.B, grid)
-    R_tab = schedule_stage_table(problem.R, grid)
-    S_tab = tuple(
-        Bs @ np.linalg.inv(Rs) @ np.swapaxes(Bs, 1, 2)
-        for Bs, Rs in zip(B_tab, R_tab)
-    )
-    return A_tab, S_tab, schedule_stage_table(problem.Q, grid)
+    R_inv = [np.linalg.inv(Rs) for Rs in schedule_stage_table(problem.R, grid)]
+    S_tab = tuple(Bs @ Ri @ np.swapaxes(Bs, 1, 2) for Bs, Ri in zip(B_tab, R_inv))
+    W_tab = tuple(Ri @ np.swapaxes(Bs, 1, 2) for Bs, Ri in zip(B_tab, R_inv))
+    return (schedule_stage_table(problem.A, grid), S_tab,
+            schedule_stage_table(problem.Q, grid), W_tab)
 
 
 def _hamiltonian_table(A_tab, S_tab, Q_tab):
@@ -163,12 +163,12 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, tracker=None,
 
 
 def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
-    """J on `grid` by the backward re-anchored flow, with what the kernel's
-    sections read: (J solution, J and X at the nodes, block, (A, S, H)
-    stage tables).  Node derivatives are the Riccati right-hand side.
-    Raises IntegrationBlowupError at the first node met where X is singular
-    or J non-finite, PositivityLostError where J is not positive definite."""
-    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)
+    """J on `grid` by the backward re-anchored flow, with what the kernel
+    reads: (J solution, J and X at the nodes, block, (A, S, H, W) stage
+    tables).  Node derivatives are the Riccati right-hand side.  Raises
+    IntegrationBlowupError at the first node met where X is singular or J
+    non-finite, PositivityLostError where J is not positive definite."""
+    A_tab, S_tab, Q_tab, W_tab = _coefficient_tables(problem, grid)
     H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
     J, X, block = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
                                    tracker, backward=True)
@@ -179,14 +179,14 @@ def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
 
     sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
     _check_positive(sol, "J")
-    return sol, J, X, block, (A_tab, S_tab, H_tab)
+    return sol, J, X, block, (A_tab, S_tab, H_tab, W_tab)
 
 
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, tracker) -> DenseSolution:
     """M on `grid` by `rk4_drive`, backward from M(T) = J_T^{-1}, symmetrized
     by `tracker` at every node.  Raises PositivityLostError where M is not
     positive definite."""
-    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)
+    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)[:3]
 
     def stagefn(k, slot, M):
         A = A_tab[slot][k]
@@ -230,15 +230,6 @@ class RiccatiSolution:
         eye = np.eye(self.J.value_shape[0])
         prod = self.J.values @ self.M.values
         return np.linalg.norm(prod - eye, axis=(1, 2))
-
-
-def gain_many(problem: LQProblem, J_sol: DenseSolution, ts, sides=1) -> np.ndarray:
-    """Batched feedback gains G(t) = -R^{-1} B' J(t) along `ts`."""
-    ts = np.asarray(ts, dtype=float)
-    R = problem.R.eval_many(ts, sides)
-    B = problem.B.eval_many(ts, sides)
-    J = J_sol.eval_many(ts, sides)
-    return -np.linalg.inv(R) @ np.swapaxes(B, 1, 2) @ J
 
 
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution,

@@ -2,9 +2,10 @@
 
 The kernel route encodes the whole optimal trajectory in one covector:
 p0 = K(t0, t0)^(-) x0 and xbar(s) = K(s, t0) p0, with value p0' x0.  The
-feedback route rolls the closed loop forward with the Riccati gain.  The
-multipoint solve pins the trajectory at several times and solves the block
-Gram system for one covector per pinned time.
+feedback route rolls the closed loop forward from x0.  The multipoint solve
+pins the trajectory at several times and solves the block Gram system for
+one covector per pinned time.  Every route reads its control off the
+costate (`KernelOperator.control`), the multipoint solve section by section.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, InfeasibleInterpolationError
-from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product,
-                     minimal_control)
+from .kernel import DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product
 from .linalg import RANK_TOL, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
 from .ode import DEFAULT_STEPS, DenseSolution
-from .riccati import gain_many
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
         raise DegenerateProblemError(
             f"kernel diagonal numerically singular: reproduced initial state "
             f"off by {start_err:.3e}")
-    u = minimal_control(problem, x)
+    u = op.control(problem.t0, x)
     value = float(p0 @ x0)
     return LQSolveResult(((problem.t0, p0),), ControlledTrajectory(x, u),
                          value, "kernel")
@@ -59,17 +58,12 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
 
 def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
                    operator: KernelOperator | None = None) -> LQSolveResult:
-    """Optimal trajectory by rolling out x' = (A + B G) x with the Riccati gain."""
+    """Optimal trajectory by rolling out the closed loop x' = (A - S J) x."""
     x0 = np.asarray(x0, dtype=float)
     op = operator if operator is not None else KernelOperator(problem, steps)
     J = op.riccati.J
     x = op.closed_loop_solution().right_multiply(x0)
-    lo, hi = x.times[:-1], x.times[1:]
-    u_start = np.einsum("kij,kj->ki", gain_many(problem, J, lo, 1), x.v_start)
-    u_end = np.einsum("kij,kj->ki", gain_many(problem, J, hi, -1), x.v_end)
-    h = (hi - lo)[:, None]
-    slope = (u_end - u_start) / h
-    u = DenseSolution(x.times, u_start, u_end, slope, slope)
+    u = op.control(problem.t0, x)
     value = float(x0 @ J.eval(problem.t0) @ x0)
     return LQSolveResult(((problem.t0, J.eval(problem.t0) @ x0),),
                          ControlledTrajectory(x, u), value, "feedback")
@@ -110,13 +104,14 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
     covecs = tuple((float(t), pvec[i * n:(i + 1) * n]) for i, t in enumerate(times))
     # every section lies on op.grid, which holds all the pinned times
     parts = [op.section(t).right_multiply(p) for t, p in covecs]
-    x = DenseSolution(op.grid, *(sum(getattr(s, f) for s in parts)
-                                 for f in ("v_start", "v_end", "d_start", "d_end")))
+    fields = ("v_start", "v_end", "d_start", "d_end")
+    x = DenseSolution(op.grid, *(sum(getattr(s, f) for s in parts) for f in fields))
     for t, target in zip(times, targets):
         err = np.linalg.norm(x.eval(float(t)) - target)
         if err > 1e-6 * (1.0 + np.linalg.norm(target)):
             raise InfeasibleInterpolationError(
                 f"interpolation condition at t={t} violated by {err:.3e}")
-    u = minimal_control(problem, x)
+    us = [op.control(t, s) for (t, _), s in zip(covecs, parts)]
+    u = DenseSolution(op.grid, *(sum(getattr(s, f) for s in us) for f in fields))
     value = float(pvec @ c)
     return LQSolveResult(covecs, ControlledTrajectory(x, u), value, "multipoint")

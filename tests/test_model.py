@@ -104,7 +104,7 @@ def test_validate_flags_zero_terminal_weight():
 
 def test_validate_flags_indefinite_q_with_time():
     q = MatrixSchedule.sampled_linear([0.0, 1.0], [[[1.0]], [[-1.0]]])
-    report = validate_problem(_scalar_problem(Q=q), grid_points=101)
+    report = validate_problem(_scalar_problem(Q=q))
     bad = [v for v in report.violations if "Q" in v.message]
     assert bad and bad[0].time is not None and bad[0].time > 0.5
 

@@ -11,7 +11,7 @@ SURFACE = {
     "IntegrationBlowupError", "LQKernelError", "NumericalError",
     "PositivityLostError", "ProblemFileError", "ScheduleDomainError",
     "SingularMatrixError",
-    "KernelOperator", "lq_inner_product", "minimal_control", "reproducing_residual",
+    "KernelOperator", "lq_inner_product", "reproducing_residual",
     "spd_inverse", "sym_eig_pinv",
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",

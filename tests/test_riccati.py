@@ -13,7 +13,7 @@ from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution, build_grid, rk4_drive, schedule_stage_table
 from lqkernel.problems import random_problem
-from lqkernel.riccati import gain_many, solve_adjoint
+from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
@@ -76,12 +76,13 @@ def test_duality_along_grid(p1, p2, dint, random_problems):
 
 
 def test_feedback_gain_values(p1, p2, zero_drive):
-    J1 = KernelOperator(p1, 500).riccati.J
-    assert gain_many(p1, J1, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-8)
-    J2 = KernelOperator(p2, 500).riccati.J
-    assert gain_many(p2, J2, [0.3])[0, 0, 0] == pytest.approx(-1.0, abs=1e-9)
-    Jz = KernelOperator(zero_drive, 100).riccati.J
-    assert np.array_equal(gain_many(zero_drive, Jz, [0.5])[0], np.zeros((1, 2)))
+    # u = -R^{-1} B' J x: gain -J(0) = -0.5 on p1, -1 along p2, 0 without B
+    u1 = solve_feedback(p1, [1.0], 500).trajectory.u
+    assert u1.eval(0.0)[0] == pytest.approx(-0.5, abs=1e-8)
+    traj2 = solve_feedback(p2, [1.0], 500).trajectory
+    assert traj2.u.eval(0.3)[0] == pytest.approx(-traj2.x.eval(0.3)[0], abs=1e-9)
+    uz = solve_feedback(zero_drive, [1.0, -1.0], 100).trajectory.u
+    assert np.array_equal(uz.values, np.zeros((101, 1)))
 
 
 def test_riccati_value_examples(p1, p2):

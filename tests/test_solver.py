@@ -5,8 +5,8 @@ import pytest
 
 from lqkernel import riccati
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
-from lqkernel.kernel import minimal_control
-from lqkernel.model import LQProblem, MatrixSchedule
+from lqkernel.kernel import KernelOperator, kernel_section_trajectory
+from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
 from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_problem, random_trajectory, rollout
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
@@ -153,29 +153,59 @@ def test_multipoint_accepts_ill_conditioned_feasible_targets(seed, n, k, m):
     assert res.value <= evaluate_cost(p, traj) * (1.0 + 1e-6)
 
 
-def test_recover_control_linear_ramp(p1):
-    ts = np.linspace(0.0, 1.0, 51)
-    x = DenseSolution.from_nodes(ts, ts[:, None], np.ones((51, 1)))
-    u = minimal_control(p1, x)
-    assert np.max(np.abs(u.values - 1.0)) < 1e-12
+def _control_problem(kind):
+    """N = 2 problems whose B is wide, has equal columns, or is zero."""
+    c = MatrixSchedule.constant
+    A = MatrixSchedule.polynomial([[[0.0, 1.0], [-1.0, 0.2]], [[0.3, 0.0], [0.5, -0.4]]])
+    if kind == "wide_B":
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(2, 3))
+        Ls = rng.normal(size=(2, 3, 3))
+        R = MatrixSchedule.sampled_linear([0.0, 1.0], Ls @ np.swapaxes(Ls, 1, 2) + 0.5 * np.eye(3))
+    elif kind == "duplicate_columns":
+        B, R = np.array([[0.0, 0.0], [1.0, 1.0]]), c(np.diag([1.0, 4.0]))
+    else:
+        B, R = np.zeros((2, 1)), c([[1.0]])
+    return LQProblem(2, B.shape[1], 0.0, 1.0, A, c(B), c([[1.0, 0.2], [0.2, 0.5]]), R,
+                     np.eye(2))
 
 
-def test_recover_control_double_integrator(dint):
-    ts = np.linspace(0.0, 1.0, 51)
-    states = np.stack([ts ** 2 / 2, ts], axis=1)
-    derivs = np.stack([ts, np.ones_like(ts)], axis=1)
-    x = DenseSolution.from_nodes(ts, states, derivs)
-    u = minimal_control(dint, x)
-    assert np.max(np.abs(u.values - 1.0)) < 1e-12
+def _reference_control(p, ts, side, x, xd):
+    """R^{-1/2} pinv(B R^{-1/2}) (x' - A x), one-sided toward `side`."""
+    w, V = np.linalg.eigh(p.R.eval_many(ts, side))
+    Rm12 = (V / np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
+    resid = xd - np.einsum("kij,kj->ki", p.A.eval_many(ts, side), x)
+    pinv = np.linalg.pinv(p.B.eval_many(ts, side) @ Rm12)
+    return np.einsum("kij,kjl,kl->ki", Rm12, pinv, resid)
 
 
-def test_recover_control_zero_for_homogeneous_motion(dint):
-    # x = (1 + s, 1) solves x' = A x exactly, so the control is zero
-    ts = np.linspace(0.0, 1.0, 41)
-    states = np.stack([1 + ts, np.ones_like(ts)], axis=1)
-    derivs = np.stack([np.ones_like(ts), np.zeros_like(ts)], axis=1)
-    u = minimal_control(dint, DenseSolution.from_nodes(ts, states, derivs))
-    assert np.max(np.abs(u.values)) < 1e-8
+# the controls read off the costate are the minimal-R-norm controls of the
+# kernel's trajectories, and a section's control jumps by -R^{-1} B' p at t
+@pytest.mark.parametrize("kind", ["wide_B", "duplicate_columns", "zero_B"])
+def test_costate_controls_are_minimal_r_norm_controls(kind):
+    p = _control_problem(kind)
+    op = KernelOperator(p, 600)  # 0.5 is a node, 0.61234 is not
+    pvec, x0 = np.array([0.7, -0.4]), np.array([1.0, -0.5])
+    target = random_trajectory(p, np.random.default_rng(5))
+    times = [0.25, 0.61234, 1.0]
+    trajs = {t: kernel_section_trajectory(op, t, pvec) for t in (0.0, 0.5, 0.61234, 1.0)}
+    trajs["kernel"] = solve_kernel(p, x0, operator=op).trajectory
+    trajs["feedback"] = solve_feedback(p, x0, operator=op).trajectory
+    trajs["multipoint"] = solve_multipoint(
+        p, list(zip(times, target.x.eval_many(times))), 600).trajectory
+    for key, tr in trajs.items():
+        assert dynamics_defect(p, tr) <= 1e-10, key
+        x, u = tr.x, tr.u
+        for ts, side, xv, xd, uv in ((x.times[:-1], 1, x.v_start, x.d_start, u.v_start),
+                                     (x.times[1:], -1, x.v_end, x.d_end, u.v_end)):
+            ref = _reference_control(p, ts, side, xv, xd)
+            assert np.max(np.abs(uv - ref)) <= 1e-10 * np.max(np.abs(ref)), key
+    for t in (0.5, 0.61234):
+        W = np.linalg.solve(p.R.eval(t), p.B.eval(t).T)
+        u = trajs[t].u
+        jump = u.eval(t, side=1) - u.eval(t, side=-1)
+        assert np.max(np.abs(jump + W @ pvec)) <= 1e-10 * (1.0 + np.max(np.abs(W @ pvec)))
+        assert t in u.jump_nodes() or kind == "zero_B"
 
 
 def test_evaluate_cost_examples(p1):
