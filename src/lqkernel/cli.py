@@ -151,10 +151,15 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _require_valid(problem: LQProblem) -> None:
+def _open_problem(args) -> tuple[LQProblem, dict, int]:
+    """The problem file, its extras and the step count; raises if the file
+    does not load, then if the problem violates the standing assumptions,
+    then if the step count is bad."""
+    problem, extras = load_problem_file(args.problem_file)
     report = validate_problem(problem)
     if not report.valid:
         raise ProblemFileError(f"problem violates standing assumptions: {report.summary()}")
+    return problem, extras, _default_steps(args.steps)
 
 
 def _default_steps(args_steps) -> int:
@@ -209,9 +214,7 @@ def _constraints_from(text: str, problem: LQProblem) -> list:
 # -- commands ----------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    problem, extras = load_problem_file(args.problem_file)
-    _require_valid(problem)
-    steps = _default_steps(args.steps)
+    problem, extras, steps = _open_problem(args)
     x0 = _x0_from(args, extras, problem.state_dim)
     method = args.method
     if method in ("kernel", "feedback", "both") and x0 is None:
@@ -230,9 +233,7 @@ def cmd_solve(args) -> int:
         result = solve_kernel(problem, x0, steps, operator=op)
         if method == "both":
             fb = solve_feedback(problem, x0, steps, operator=op)
-            ts = result.trajectory.x.times
-            gap = float(np.max(np.abs(result.trajectory.x.eval_many(ts)
-                                      - fb.trajectory.x.eval_many(ts))))
+            gap = float(np.max(np.abs(result.trajectory.x.values - fb.trajectory.x.values)))
             summary["value_feedback"] = fb.value
 
     traj = result.trajectory
@@ -255,9 +256,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    problem, _ = load_problem_file(args.problem_file)
-    _require_valid(problem)
-    steps = _default_steps(args.steps)
+    problem, _, steps = _open_problem(args)
     op = KernelOperator(problem, steps)
     rs = op.riccati
     n = problem.state_dim
@@ -282,9 +281,7 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    problem, _ = load_problem_file(args.problem_file)
-    _require_valid(problem)
-    steps = _default_steps(args.steps)
+    problem, _, steps = _open_problem(args)
     if args.grid_count < 1:
         raise ProblemFileError(f"--grid-count: must be at least 1, got {args.grid_count}")
     grid = np.linspace(problem.t0, problem.T, args.grid_count)
@@ -303,9 +300,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    problem, extras = load_problem_file(args.problem_file)
-    _require_valid(problem)
-    steps = _default_steps(args.steps)
+    problem, extras, steps = _open_problem(args)
     x0 = _x0_from(args, extras, problem.state_dim)
     if x0 is None:
         raise ProblemFileError("compare requires 'x0' (flag or problem file)")
@@ -410,8 +405,8 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     rk = solve_kernel(p, x0, steps, operator=op)
     rf = solve_feedback(p, x0, steps, operator=op)
     add("value_agreement", abs(rk.value - rf.value) / (1.0 + abs(rf.value)))
-    ts = rk.trajectory.x.times
-    gap = np.max(np.abs(rk.trajectory.x.eval_many(ts) - rf.trajectory.x.eval_many(ts)))
+    # both trajectories lie on op.grid
+    gap = np.max(np.abs(rk.trajectory.x.values - rf.trajectory.x.values))
     add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
 
     padj = solve_adjoint(p, rk.trajectory.x, steps)
@@ -446,9 +441,7 @@ def _tolerances_from(doc, what: str) -> dict:
 
 
 def cmd_verify(args) -> int:
-    problem, extras = load_problem_file(args.problem_file)
-    _require_valid(problem)
-    steps = _default_steps(args.steps)
+    problem, extras, steps = _open_problem(args)
     settings = extras["settings"]
     tolerances = _tolerances_from(settings.get("tolerances", {}),
                                   "key 'settings.tolerances'")

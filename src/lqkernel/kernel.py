@@ -36,7 +36,8 @@ import numpy as np
 from .errors import BvpDegenerateError, HorizonMismatchError
 from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine_values
+from .ode import (DEFAULT_STEPS, DenseSolution, _time_tol, build_grid,
+                  rk4_affine_values)
 from .riccati import (RiccatiSolution, _SymmetrizeTracker, _coefficient_tables,
                       _dual_riccati_on, _hamiltonian_table, _reanchored_flow,
                       _riccati_flow)
@@ -143,7 +144,7 @@ class KernelOperator:
         """
         p = self.problem
         t = float(t_query)
-        tol = 1e-12 * max(1.0, p.T - p.t0)
+        tol = _time_tol(p.t0, p.T)
         if t > p.T + tol:
             raise HorizonMismatchError(f"query time {t} exceeds T={p.T}")
         if abs(t - p.T) <= tol:
@@ -225,11 +226,11 @@ class KernelOperator:
         if t in self._nodes:
             return self._nodes[t]
         p, grid = self.problem, self.grid
-        span = max(1.0, p.T - p.t0)
-        if not (p.t0 - 1e-12 * span <= t <= p.T + 1e-12 * span):
+        tol = _time_tol(p.t0, p.T)
+        if not (p.t0 - tol <= t <= p.T + tol):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
         j = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[j] - t) <= 1e-12 * span:
+        if abs(grid[j] - t) <= tol:
             out = j, None
         else:
             f = self._pair_and_flows[1]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HorizonMismatchError, ScheduleDomainError
 from .linalg import PD_TOL
-from .ode import DenseSolution
+from .ode import DenseSolution, _time_tol
 
 PSD_TOL = 1e-9       # slack allowed below zero for Q eigenvalues
 R_MIN_DEFAULT = 1e-8  # default uniform lower bound for eigenvalues of R(t)
@@ -141,9 +141,9 @@ class MatrixSchedule:
         if dom is None:
             return
         lo, hi = dom
-        slack = 1e-12 * max(1.0, hi - lo)
-        if np.any(ts < lo - slack) or np.any(ts > hi + slack):
-            bad = ts[(ts < lo - slack) | (ts > hi + slack)]
+        tol = _time_tol(lo, hi)
+        if np.any(ts < lo - tol) or np.any(ts > hi + tol):
+            bad = ts[(ts < lo - tol) | (ts > hi + tol)]
             raise ScheduleDomainError(
                 f"time {float(np.ravel(bad)[0])} outside schedule domain [{lo}, {hi}]")
 
@@ -224,8 +224,8 @@ class LQProblem:
                 raise ValueError(f"{name} has shape {sched.shape}, expected {shape}")
             dom = sched.domain()
             if dom is not None:
-                slack = 1e-12 * max(1.0, self.T - self.t0)
-                if dom[0] > self.t0 + slack or dom[1] < self.T - slack:
+                tol = _time_tol(self.t0, self.T)
+                if dom[0] > self.t0 + tol or dom[1] < self.T - tol:
                     raise ValueError(f"{name} domain {dom} does not cover [{self.t0}, {self.T}]")
         J_T = np.asarray(self.J_T, dtype=float)
         if J_T.shape != (n, n):

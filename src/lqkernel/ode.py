@@ -47,27 +47,39 @@ from .errors import DomainError, IntegrationBlowupError
 
 DEFAULT_STEPS = 4000
 
-_NODE_TOL_REL = 1e-12
+
+def _time_tol(lo: float, hi: float) -> float:
+    """Two times on [lo, hi] within this distance are the same node, and a
+    time within it outside [lo, hi] is inside up to roundoff."""
+    return 1e-12 * max(1.0, hi - lo)
+
+
+def _blowup(t) -> IntegrationBlowupError:
+    t = float(t)
+    return IntegrationBlowupError(f"integration blew up at t={t}", time=t)
 
 
 def build_grid(lo: float, hi: float, steps: int, snap: Sequence[float] = ()) -> np.ndarray:
     """Increasing grid: `steps` uniform intervals on [lo, hi] plus snapped nodes.
 
-    Interior `snap` times become grid nodes; uniform nodes closer than a
-    quarter step to a snapped node are dropped so interval lengths stay
-    bounded below.
+    Interior `snap` times become grid nodes.  A snap within `_time_tol` of
+    an end or of the snap before it is the same node and is dropped, so a
+    run of such snaps keeps its first.  Uniform nodes closer than a quarter
+    step to a snapped node are dropped so interval lengths stay bounded
+    below.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not hi > lo:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     ts = np.linspace(lo, hi, steps + 1)
-    span = hi - lo
+    tol = _time_tol(lo, hi)
     snap = np.asarray(sorted(set(float(s) for s in snap)), dtype=float)
-    snap = snap[(snap > lo + 1e-12 * span) & (snap < hi - 1e-12 * span)]
+    snap = snap[(snap > lo + tol) & (snap < hi - tol)]
     if snap.size == 0:
         return ts
-    h = span / steps
+    snap = snap[np.concatenate([[True], np.diff(snap) > tol])]
+    h = (hi - lo) / steps
     near = np.min(np.abs(ts[:, None] - snap[None, :]), axis=1)
     keep = (near >= 0.25 * h) | (np.arange(ts.size) == 0) | (np.arange(ts.size) == steps)
     out = np.unique(np.concatenate([ts[keep], snap]))
@@ -154,9 +166,9 @@ class DenseSolution:
 
     def _locate(self, ts: np.ndarray) -> np.ndarray:
         a, b = self.times[0], self.times[-1]
-        slack = 1e-12 * max(1.0, b - a)
-        if np.any(ts < a - slack) or np.any(ts > b + slack):
-            bad = ts[(ts < a - slack) | (ts > b + slack)]
+        tol = _time_tol(a, b)
+        if np.any(ts < a - tol) or np.any(ts > b + tol):
+            bad = ts[(ts < a - tol) | (ts > b + tol)]
             raise DomainError(f"time {float(np.ravel(bad)[0])} outside [{a}, {b}]")
         return np.clip(ts, a, b)
 
@@ -187,7 +199,7 @@ class DenseSolution:
             out = (g00 * self.v_start[k] + g10 * self.d_start[k]
                    + g01 * self.v_end[k] + g11 * self.d_end[k])
         # snap to stored one-sided data at nodes
-        tol = _NODE_TOL_REL * max(1.0, times[-1] - times[0])
+        tol = _time_tol(times[0], times[-1])
         vs, ve = (self.d_start, self.d_end) if want_deriv else (self.v_start, self.v_end)
         at_left = np.nonzero(np.abs(ts - times[k]) <= tol)[0]
         if at_left.size:
@@ -276,7 +288,7 @@ def rk4_drive(
         if post_step is not None:
             y = post_step(y)
         if not np.all(np.isfinite(y)):
-            raise IntegrationBlowupError(f"integration blew up at t={t_to}", time=float(t_to))
+            raise _blowup(t_to)
         if backward:
             d_hi[k] = k1
             d_lo[k] = stagefn(k, 0, y)
@@ -372,8 +384,7 @@ def _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi) -> None:
     ok[1:] &= finite(values[sl.start + 1:sl.stop + 1], H_hi, F_hi)
     if not ok.all():
         bad = np.flatnonzero(~ok)
-        t_bad = float(grid[sl.start + (bad[-1] if backward else bad[0])])
-        raise IntegrationBlowupError(f"integration blew up at t={t_bad}", time=t_bad)
+        raise _blowup(grid[sl.start + (bad[-1] if backward else bad[0])])
 
 
 def _column_form(y0, F_table, n):

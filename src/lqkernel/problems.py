@@ -102,20 +102,12 @@ def rollout(problem: LQProblem, x0, control_edges, control_values,
     edges = np.asarray(control_edges, dtype=float)
     vals = np.asarray(control_values, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    pieces = vals.shape[0]
     snap = np.concatenate([edges[1:-1], problem.breakpoints()])
     grid = build_grid(problem.t0, problem.T, steps, snap)
-    lo_t, hi_t = grid[:-1], grid[1:]
-    mid_t = 0.5 * (lo_t + hi_t)
-
-    def piece_index(ts, side_right):
-        mode = "right" if side_right else "left"
-        return np.clip(np.searchsorted(edges, ts, side=mode) - 1, 0, pieces - 1)
-
+    control = MatrixSchedule.piecewise_constant(edges[1:-1], vals[:, :, None])
     A_tab = schedule_stage_table(problem.A, grid)
     B_tab = schedule_stage_table(problem.B, grid)
-    u_tab = (vals[piece_index(lo_t, True)], vals[piece_index(mid_t, True)],
-             vals[piece_index(hi_t, False)])
+    u_tab = tuple(u[:, :, 0] for u in schedule_stage_table(control, grid))
     F_tab = tuple(np.einsum("kij,kj->ki", B, u) for B, u in zip(B_tab, u_tab))
     x = rk4_affine(grid, A_tab, x0, F_tab)
     zeros = np.zeros_like(u_tab[0])

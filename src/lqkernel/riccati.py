@@ -35,10 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrationBlowupError, PositivityLostError
+from .errors import PositivityLostError
 from .linalg import spd_inverse
 from .model import LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, build_grid, rk4_affine,
+from .ode import (DEFAULT_STEPS, DenseSolution, _blowup, build_grid, rk4_affine,
                   rk4_affine_values, rk4_drive, schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
@@ -99,10 +99,6 @@ def _check_positive(sol: DenseSolution, what: str) -> None:
         raise PositivityLostError(
             f"{what} lost positive definiteness at t={t_bad} "
             f"(min eigenvalue {eigs[bad[-1], 0]:.3e})", time=t_bad)
-
-
-def _blowup(t) -> IntegrationBlowupError:
-    return IntegrationBlowupError(f"integration blew up at t={t}", time=float(t))
 
 
 def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,

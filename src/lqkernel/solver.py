@@ -18,7 +18,7 @@ from .errors import DegenerateProblemError, InfeasibleInterpolationError
 from .kernel import DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product
 from .linalg import RANK_TOL, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
-from .ode import DEFAULT_STEPS, DenseSolution
+from .ode import DEFAULT_STEPS, DenseSolution, _time_tol
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def check_constraint_times(problem: LQProblem, times: np.ndarray) -> None:
         raise ValueError("need at least one constraint")
     if np.any(np.diff(times) <= 0):
         raise ValueError("constraint times must be sorted and distinct")
-    span = max(1.0, problem.T - problem.t0)
-    if not (times[0] >= problem.t0 - 1e-12 * span and times[-1] <= problem.T + 1e-12 * span):
+    tol = _time_tol(problem.t0, problem.T)
+    if not (times[0] >= problem.t0 - tol and times[-1] <= problem.T + tol):
         raise ValueError("constraint times must lie in the horizon")
 
 
@@ -85,7 +85,7 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
     """Minimal-norm trajectory through rendezvous points x(t_i) = c_i.
 
     Solves the block Gram system by least squares (`np.linalg.lstsq`, which
-    is backward stable, with singular values below 1e-12 of the largest
+    is backward stable, with singular values below `RANK_TOL` of the largest
     dropped), so nearly coincident times degrade gracefully; constraints
     off the Gram range by more than 1e-6 relative raise.
     """

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
-                          problem_to_dict)
+                          problem_to_dict, run_verification)
 from lqkernel.errors import ProblemFileError
-from lqkernel.problems import double_integrator_problem
+from lqkernel.problems import double_integrator_problem, random_problem
 
 
 def _scalar_doc(q=0.0, **over):
@@ -162,6 +162,18 @@ def test_verify_passes_on_valid_problem(p1_file, capsys):
     assert {"duality", "kernel_diagonal_identity", "kernel_diagonal_bvp",
             "hermitian_symmetry", "reproducing", "value_agreement",
             "trajectory_agreement", "adjoint_identity", "oracle_richardson"} <= names
+
+
+def test_verify_reproducing_across_snaps_one_ulp_apart():
+    # the R sample knot 0.42311494484042117 and a control edge
+    # 0.4231149448404211 of the random trajectories are one node; kept as
+    # two, a Simpson cell ending at the edge read the control past its jump
+    # (defect 7.8e-5)
+    problem = random_problem(np.random.default_rng([6, 2]), state_dim=2)
+    report = run_verification(problem, 6, 4000)
+    defects = {c["name"]: c["defect"] for c in report["checks"]}
+    assert defects["reproducing"] <= 1e-9
+    assert report["passed"] is True
 
 
 def test_verify_rejects_invalid_problem(tmp_path, capsys):

@@ -1,12 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lqkernel.errors import DomainError, IntegrationBlowupError
+from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowupError,
+                             ScheduleDomainError)
+from lqkernel.kernel import KernelOperator
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import (DenseSolution, build_grid, rk4_affine,
                           rk4_affine_values, rk4_drive, schedule_stage_table)
+from lqkernel.problems import unit_scalar_problem
+from lqkernel.solver import check_constraint_times
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -21,6 +28,92 @@ def test_build_grid_drops_uniform_node_too_close_to_snap():
     assert 0.5 + 1e-9 in g
     assert 0.5 not in g
     assert np.min(np.diff(g)) > 0.02
+
+
+def _time_tol(lo, hi):
+    """The one time rule: times this close are the same node."""
+    return 1e-12 * max(1.0, hi - lo)
+
+
+def test_build_grid_merges_snaps_closer_than_the_time_tolerance():
+    # a sample knot and a control edge one ulp apart (random_problem seed
+    # [6, 2]) are one node, the first of the run
+    T, knot, edge = 0.8462298896808423, 0.42311494484042117, 0.4231149448404211
+    g = build_grid(0.0, T, 1000, snap=[knot, edge, 0.2817090934011437])
+    near = g[np.abs(g - knot) <= _time_tol(0.0, T)]
+    assert near.tolist() == [edge]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-10.0, 10.0), span=st.floats(1e-9, 100.0),
+       steps=st.integers(1, 300),
+       fracs=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6),
+       ulps=st.lists(st.integers(-3000, 3000), min_size=1, max_size=6))
+def test_build_grid_intervals_exceed_the_time_tolerance(lo, span, steps, fracs, ulps):
+    hi = lo + span
+    tol = _time_tol(lo, hi)
+    assume(hi > lo and (hi - lo) / steps > 4.0 * tol)
+    # runs of snaps a few ulps to a few tolerances apart, near the ends too
+    base = [lo + f * (hi - lo) for f in fracs] + [lo, hi]
+    snap = [b + u * 1e-15 * max(1.0, abs(b)) for b in base for u in ulps]
+    g = build_grid(lo, hi, steps, snap)
+    assert g[0] == lo and g[-1] == hi
+    assert np.all(np.diff(g) > tol)
+
+
+def _scalar_on(t0, T, **over):
+    return dataclasses.replace(unit_scalar_problem(), t0=t0, T=T, **over)
+
+
+def _dense_eval(t0, T, t):
+    ts = np.linspace(t0, T, 5)
+    DenseSolution.from_nodes(ts, ts[:, None], np.ones((5, 1))).eval(t)
+
+
+def _samples_eval(t0, T, t):
+    MatrixSchedule.sampled_linear([t0, T], [[[1.0]], [[2.0]]]).eval(t)
+
+
+def _domain_cover(t0, T, t):
+    # R sampled on [t0, T] for a horizon reaching out to t
+    R = MatrixSchedule.sampled_linear([t0, T], [[[1.0]], [[2.0]]])
+    _scalar_on(min(t, t0), max(t, T), R=R)
+
+
+def _section(t0, T, t):
+    KernelOperator(_scalar_on(t0, T), 20).section(t)
+
+
+def _constraint_times(t0, T, t):
+    check_constraint_times(_scalar_on(t0, T), np.array([t]))
+
+
+def _diagonal(t0, T, t):
+    KernelOperator(_scalar_on(t0, T), 20).diagonal(t)
+
+
+_HORIZON_CHECKS = [  # (entry point, ends it checks, error, message)
+    (_dense_eval, ("t0", "T"), DomainError, "outside"),
+    (_samples_eval, ("t0", "T"), ScheduleDomainError, "outside schedule domain"),
+    (_domain_cover, ("t0", "T"), ValueError, "does not cover"),
+    (_section, ("t0", "T"), HorizonMismatchError, "column time .* outside"),
+    (_constraint_times, ("t0", "T"), ValueError, "must lie in the horizon"),
+    (_diagonal, ("T",), HorizonMismatchError, "exceeds T"),  # re-solves before t0
+]
+
+
+@pytest.mark.parametrize("t0, T", [(0.0, 0.5), (1.0, 4.0)])
+@pytest.mark.parametrize("call, end, error, message", [
+    pytest.param(call, end, error, message, id=f"{call.__name__[1:]}-{end}")
+    for call, ends, error, message in _HORIZON_CHECKS for end in ends])
+def test_time_rule_at_every_horizon_check(call, end, error, message, t0, T):
+    # half the time tolerance outside an end is inside up to roundoff; ten
+    # times it is outside
+    tol = _time_tol(t0, T)
+    edge, out = (t0, -1.0) if end == "t0" else (T, 1.0)
+    call(t0, T, edge + out * 0.5 * tol)
+    with pytest.raises(error, match=message):
+        call(t0, T, edge + out * 10.0 * tol)
 
 
 def _constant_flow(H, y0, steps, backward=False):
