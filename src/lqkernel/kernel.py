@@ -37,7 +37,7 @@ from .errors import BvpDegenerateError, HorizonMismatchError
 from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _time_tol, build_grid,
-                  rk4_affine_values)
+                  rk4_affine_values, schedule_stage_table)
 from .riccati import (RiccatiSolution, _SymmetrizeTracker, _coefficient_tables,
                       _dual_riccati_on, _hamiltonian_table, _reanchored_flow,
                       _riccati_flow)
@@ -305,11 +305,12 @@ def shooting_diagonal(problem: LQProblem, t: float,
 # -- trajectories and the inner product ---------------------------------------
 
 def _simpson_points(problem: LQProblem, extra_breaks, quad_intervals: int):
-    """Simpson nodes over the horizon: (times, sides, weights).
+    """Simpson nodes over the horizon: (edges, times, sides, weights).
 
-    Each subinterval of the uniform quadrature grid (with schedule breakpoints
-    and the supplied jump times inserted) contributes its endpoints, evaluated
-    one-sidedly toward the interval interior, and its midpoint.
+    Each interval of the quadrature grid `edges` (uniform, with schedule
+    breakpoints and the supplied jump times inserted) contributes the stage
+    points of `schedule_stage_table`, in its order: both ends evaluated
+    one-sidedly toward the interior, and the midpoint.
     """
     snap = np.concatenate([problem.breakpoints(), np.asarray(extra_breaks, dtype=float)])
     edges = build_grid(problem.t0, problem.T, quad_intervals, snap)
@@ -318,7 +319,7 @@ def _simpson_points(problem: LQProblem, extra_breaks, quad_intervals: int):
     ts = np.concatenate([lo, 0.5 * (lo + hi), hi])
     sides = np.concatenate([np.ones_like(lo), np.ones_like(lo), -np.ones_like(hi)])
     weights = np.concatenate([h / 6.0, 4.0 * h / 6.0, h / 6.0])
-    return ts, sides, weights
+    return edges, ts, sides, weights
 
 
 def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
@@ -337,13 +338,12 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
                 f"trajectory on [{tr.x.a}, {tr.x.b}] does not match horizon "
                 f"[{problem.t0}, {problem.T}]")
     breaks = np.concatenate([traj1.u.jump_nodes(), traj2.u.jump_nodes()])
-    ts, sides, w = _simpson_points(problem, breaks, quad_intervals)
+    edges, ts, sides, w = _simpson_points(problem, breaks, quad_intervals)
     x1 = traj1.x.eval_many(ts, sides)
     x2 = traj2.x.eval_many(ts, sides)
     u1 = traj1.u.eval_many(ts, sides)
     u2 = traj2.u.eval_many(ts, sides)
-    Q = problem.Q.eval_many(ts, sides)
-    R = problem.R.eval_many(ts, sides)
+    Q, R = (np.concatenate(schedule_stage_table(s, edges)) for s in (problem.Q, problem.R))
     stage = np.einsum("ki,kij,kj->k", x1, Q, x2) + np.einsum("ki,kij,kj->k", u1, R, u2)
     integral = float(w @ stage)
     xT1 = traj1.x.eval(problem.T, side=-1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HorizonMismatchError, ScheduleDomainError
 from .linalg import PD_TOL
-from .ode import DenseSolution, _time_tol
+from .ode import DenseSolution, _time_tol, schedule_stage_table
 
 PSD_TOL = 1e-9       # slack allowed below zero for Q eigenvalues
 R_MIN_DEFAULT = 1e-8  # default uniform lower bound for eigenvalues of R(t)
@@ -272,17 +272,18 @@ class ControlledTrajectory:
 def dynamics_defect(problem: LQProblem, traj: ControlledTrajectory) -> float:
     """max_t ||x'(t) - A(t)x(t) - B(t)u(t)|| / (1 + ||x(t)||) over grid times.
 
-    Both one-sided limits are checked at every node of the state grid.
+    Both one-sided limits are checked at every node of the state grid, with
+    A and B from its RK4 stage tables (`schedule_stage_table`).
     """
     ts = traj.x.times
+    A_tab, B_tab = schedule_stage_table(problem.A, ts), schedule_stage_table(problem.B, ts)
     worst = 0.0
-    for sides, lo, hi in ((1, 0, ts.size - 1), (-1, 1, ts.size)):
+    for sides, lo, hi, slot in ((1, 0, ts.size - 1, 0), (-1, 1, ts.size, 2)):
         sub = ts[lo:hi]
         xv = traj.x.eval_many(sub, sides)
         xd = traj.x.deriv_many(sub, sides)
         uv = traj.u.eval_many(sub, sides)
-        Av = problem.A.eval_many(sub, sides)
-        Bv = problem.B.eval_many(sub, sides)
+        Av, Bv = A_tab[slot], B_tab[slot]
         res = xd - np.einsum("kij,kj->ki", Av, xv) - np.einsum("kij,kj->ki", Bv, uv)
         scale = 1.0 + np.linalg.norm(xv, axis=1)
         worst = max(worst, float(np.max(np.linalg.norm(res, axis=1) / scale)))

@@ -311,13 +311,16 @@ def schedule_stage_table(schedule, grid: np.ndarray):
 
     Returns (lo, mid, hi) arrays with one entry per interval of `grid`,
     where lo uses the right limit at each interval's left end and hi the
-    left limit at its right end.
+    left limit at its right end.  A piecewise-constant schedule takes all
+    three at the midpoint: its breakpoints are nodes up to `_time_tol`, so
+    that piece holds on the whole interval, even past a merged node.
     """
     lo_t, hi_t = grid[:-1], grid[1:]
     mid_t = 0.5 * (lo_t + hi_t)
-    return (schedule.eval_many(lo_t, 1),
-            schedule.eval_many(mid_t, 1),
-            schedule.eval_many(hi_t, -1))
+    mid = schedule.eval_many(mid_t, 1)
+    if getattr(schedule, "kind", None) == "pwc":
+        return mid, mid.copy(), mid.copy()
+    return schedule.eval_many(lo_t, 1), mid, schedule.eval_many(hi_t, -1)
 
 
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries

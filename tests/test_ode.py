@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowupError,
                              ScheduleDomainError)
-from lqkernel.kernel import KernelOperator
-from lqkernel.model import MatrixSchedule
+from lqkernel.kernel import KernelOperator, lq_inner_product
+from lqkernel.model import MatrixSchedule, dynamics_defect
 from lqkernel.ode import (DenseSolution, build_grid, rk4_affine,
                           rk4_affine_values, rk4_drive, schedule_stage_table)
-from lqkernel.problems import unit_scalar_problem
+from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 
 
@@ -114,6 +114,53 @@ def test_time_rule_at_every_horizon_check(call, end, error, message, t0, T):
     call(t0, T, edge + out * 0.5 * tol)
     with pytest.raises(error, match=message):
         call(t0, T, edge + out * 10.0 * tol)
+
+
+# a sample knot at 1/2 and a jump one ulp to either side of it are one grid
+# node, the first of the two; after the knot, the jump lies just after the
+# node and must still act on the interval that starts there
+_ULP_SIDES = pytest.mark.parametrize("jump", [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+                                     ids=["before_knot", "after_knot"])
+
+
+def _knot_at_half(B_jump=None, R_jump=None):
+    Q = MatrixSchedule.sampled_linear([0.0, 0.5, 1.0], [[[1.0]], [[2.0]], [[1.0]]])
+    pwc = MatrixSchedule.piecewise_constant
+    over = {"Q": Q}
+    if B_jump is not None:
+        over["B"] = pwc([B_jump], [[[1.0]], [[3.0]]])
+    if R_jump is not None:
+        over["R"] = pwc([R_jump], [[[1.0]], [[4.0]]])
+    return _scalar_on(0.0, 1.0, **over)
+
+
+@_ULP_SIDES
+def test_rollout_keeps_the_control_jump_at_a_merged_node(jump):
+    p = _knot_at_half()
+    vals = np.array([[1.0], [-2.0]])
+    near = rollout(p, [1.0], [0.0, jump, 1.0], vals, 100)
+    exact = rollout(p, [1.0], [0.0, 0.5, 1.0], vals, 100)
+    node = near.u.times[np.abs(near.u.times - 0.5) <= _time_tol(0.0, 1.0)]
+    assert node.size == 1 and node[0] in near.u.jump_nodes()
+    assert near.u.eval(node[0], -1) == vals[0] and near.u.eval(node[0], 1) == vals[1]
+    assert np.max(np.abs(near.x.values - exact.x.values)) <= 1e-14
+    assert dynamics_defect(p, near) <= 1e-12
+
+
+@_ULP_SIDES
+def test_pwc_jump_one_ulp_from_a_sample_knot_acts_at_the_merged_node(jump):
+    # B and R jumping one ulp off the Q knot give what they give jumping at it
+    near, exact = _knot_at_half(jump, jump), _knot_at_half(0.5, 0.5)
+    rn, re = KernelOperator(near, 200).riccati, KernelOperator(exact, 200).riccati
+    for name in ("J", "M"):
+        a, b = getattr(rn, name).values, getattr(re, name).values
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+    args = ([1.0], [0.0, 0.3, 1.0], [[1.0], [-1.0]], 200)
+    tn, te = rollout(near, *args), rollout(exact, *args)
+    assert np.max(np.abs(tn.x.values - te.x.values)) <= 1e-14
+    assert dynamics_defect(near, tn) <= 1e-12
+    ip_near, ip_exact = lq_inner_product(near, tn, tn), lq_inner_product(exact, te, te)
+    assert abs(ip_near - ip_exact) <= 1e-13 * abs(ip_exact)
 
 
 def _constant_flow(H, y0, steps, backward=False):
