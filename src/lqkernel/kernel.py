@@ -38,9 +38,8 @@ from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _time_tol, build_grid,
                   rk4_affine_values, schedule_stage_table)
-from .riccati import (RiccatiSolution, _SymmetrizeTracker, _coefficient_tables,
-                      _dual_riccati_on, _hamiltonian_table, _reanchored_flow,
-                      _riccati_flow)
+from .riccati import (RiccatiSolution, _coefficient_tables, _dual_riccati_on,
+                      _hamiltonian_table, _reanchored_flow, _riccati_flow)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -112,10 +111,9 @@ class KernelOperator:
     @cached_property
     def _pair_and_flows(self) -> tuple[RiccatiSolution, _Flows]:
         p, grid = self.problem, self.grid
-        tracker = _SymmetrizeTracker()
-        J_sol, J, X_J, block, (A_tab, S_tab, H_tab, W_tab) = _riccati_flow(p, grid, tracker)
-        pair = RiccatiSolution(p, J_sol, tracker.max_asymmetry)
-        minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros_like(J[0]))
+        J_sol, drift, J, X_J, block, (A_tab, S_tab, H_tab, W_tab) = _riccati_flow(p, grid)
+        pair = RiccatiSolution(p, J_sol, drift)
+        minus_P, X_P, _, _ = _reanchored_flow(grid, H_tab, np.zeros_like(J[0]))
         P = -minus_P
         F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
         G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
@@ -156,12 +154,7 @@ class KernelOperator:
         except ValueError as exc:  # a schedule's domain does not reach t
             raise HorizonMismatchError(f"query time {t} before t0={p.t0}: {exc}") from None
         grid = build_grid(t, p.T, self.steps, sub.breakpoints())
-        return _dual_riccati_on(sub, grid, _SymmetrizeTracker()).eval(t)
-
-    def column_solution(self) -> DenseSolution:
-        """K(., t0) = Phi_cl(., t0) K(t0, t0) as a dense matrix solution."""
-        M0 = self.riccati.M.eval(self.problem.t0)
-        return self.closed_loop_solution().right_multiply(M0)
+        return _dual_riccati_on(sub, grid)[0].eval(t)
 
     def section(self, t: float) -> DenseSolution:
         """Dense K(., t) for a fixed second argument, from the J and P flows."""
@@ -238,8 +231,8 @@ class KernelOperator:
             g3 = np.array([grid[k], t, grid[k + 1]])
             A3, S3, Q3, W3 = _coefficient_tables(p, g3)
             H3 = _hamiltonian_table(A3, S3, Q3)
-            minus_P, X_P, _ = _reanchored_flow(g3, H3, -f.P[k])
-            J, X_J, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
+            minus_P, X_P, _, _ = _reanchored_flow(g3, H3, -f.P[k])
+            J, X_J, _, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
             out = k + 1, _Node(J[1], -minus_P[1], X_J[1], X_P[1],
                                A3[0][1] - S3[0][1] @ J[1],
                                A3[2][0] - S3[2][0] @ minus_P[1], (W3[2][0], W3[0][1]))

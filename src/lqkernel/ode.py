@@ -32,14 +32,12 @@ Design notes:
   one-sided node stage H Y + F is non-finite raises IntegrationBlowupError;
   the stage check matters when values stay just below overflow
   (h * lambda = 4 on x' = 800 x).
-  The one nonlinear flow, the dual Riccati equation, uses the
-  stage-function loop `rk4_drive`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -242,78 +240,18 @@ class DenseSolution:
         )
 
 
-# -- RK4 driver -------------------------------------------------------------
-
-#: stage slots: 0 = left end of interval (right limit), 1 = midpoint,
-#: 2 = right end of interval (left limit)
-StageFn = Callable[[int, int, np.ndarray], np.ndarray]
-
-
-def rk4_drive(
-    stagefn: StageFn,
-    grid: np.ndarray,
-    y0: np.ndarray,
-    backward: bool = False,
-    post_step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> DenseSolution:
-    """Classical RK4 over `grid` (increasing); y0 sits at grid[-1] if backward.
-
-    `stagefn(k, slot, Y)` returns the right-hand side for interval k at the
-    given stage; the slot tells side-sensitive coefficients which one-sided
-    limit to use.  `post_step` (e.g. re-symmetrization) maps each accepted
-    value; stored node derivatives are evaluated at the mapped values.
-    """
-    grid = np.asarray(grid, dtype=float)
-    n = grid.size - 1
-    y0 = np.asarray(y0, dtype=float)
-    vals = [None] * (n + 1)
-    d_lo = [None] * n
-    d_hi = [None] * n
-
-    order = range(n) if not backward else range(n - 1, -1, -1)
-    y = y0
-    vals[n if backward else 0] = y
-    for k in order:
-        ta, tb = grid[k], grid[k + 1]
-        if backward:
-            t_from, t_to, s_from, s_to = tb, ta, 2, 0
-        else:
-            t_from, t_to, s_from, s_to = ta, tb, 0, 2
-        h = t_to - t_from
-        k1 = stagefn(k, s_from, y)
-        k2 = stagefn(k, 1, y + (0.5 * h) * k1)
-        k3 = stagefn(k, 1, y + (0.5 * h) * k2)
-        k4 = stagefn(k, s_to, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if post_step is not None:
-            y = post_step(y)
-        if not np.all(np.isfinite(y)):
-            raise _blowup(t_to)
-        if backward:
-            d_hi[k] = k1
-            d_lo[k] = stagefn(k, 0, y)
-            vals[k] = y
-        else:
-            d_lo[k] = k1
-            d_hi[k] = stagefn(k, 2, y)
-            vals[k + 1] = y
-    return DenseSolution(
-        grid,
-        np.stack(vals[:-1]), np.stack(vals[1:]),
-        np.stack(d_lo), np.stack(d_hi),
-    )
-
-
 # -- linear systems with precomputed stage tables ---------------------------
 
 def schedule_stage_table(schedule, grid: np.ndarray):
     """Evaluate a MatrixSchedule or a DenseSolution at all RK4 stage points.
 
-    Returns (lo, mid, hi) arrays with one entry per interval of `grid`,
-    where lo uses the right limit at each interval's left end and hi the
-    left limit at its right end.  A piecewise-constant schedule takes all
-    three at the midpoint: its breakpoints are nodes up to `_time_tol`, so
-    that piece holds on the whole interval, even past a merged node.
+    Returns (lo, mid, hi) arrays with one entry per interval of `grid`.
+    These are the stage slots of every RK4 loop: slot 0 (lo) is the
+    interval's left end, taking the right limit there; slot 1 (mid) its
+    midpoint; slot 2 (hi) its right end, taking the left limit.  A
+    piecewise-constant schedule takes all three at the midpoint: its
+    breakpoints are nodes up to `_time_tol`, so that piece holds on the
+    whole interval, even past a merged node.
     """
     lo_t, hi_t = grid[:-1], grid[1:]
     mid_t = 0.5 * (lo_t + hi_t)
@@ -405,8 +343,8 @@ def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
     """Node values of classical RK4 on the linear flow Y' = H(t) Y + F(t).
 
     `H_table` and `F_table` are (lo, mid, hi) stage tables as returned by
-    `schedule_stage_table`, with the one-sided slot convention of
-    `rk4_drive`; F has the shape of Y per interval.  `y0` is a vector or a
+    `schedule_stage_table`, whose docstring gives the one-sided slot
+    convention; F has the shape of Y per interval.  `y0` is a vector or a
     matrix and sits at grid[-1] if backward.  Returns the values at every
     grid node in increasing time order.  Raises IntegrationBlowupError at the
     first node, in integration order, where a value or a one-sided stage

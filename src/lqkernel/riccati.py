@@ -18,10 +18,12 @@ the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  The kernel reads its sections off the X blocks of both
 flows, and every control off the costate J x or -P x through the stage
-table of W = R^{-1} B'.  M is integrated directly with a negative step on
-the same grid (no time reversal substitution), so J M = I compares two
-routes that share no discretization.  All are re-symmetrized at every node;
-the worst asymmetry absorbed by that projection is reported as a diagnostic.
+table of W = R^{-1} B'.  M, the one nonlinear flow, runs its own classical
+RK4 loop (`_dual_riccati_on`) straight on the dual equation, with a negative
+step on the same grid (no time reversal substitution), so J M = I compares
+two routes that share no discretization.  All are re-symmetrized at every
+node; the worst asymmetry absorbed by that projection is reported as a
+diagnostic.
 
 The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
 on the operator's grid and with the J flow it shares with the kernel
@@ -39,7 +41,7 @@ from .errors import PositivityLostError
 from .linalg import spd_inverse
 from .model import LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _blowup, build_grid, rk4_affine,
-                  rk4_affine_values, rk4_drive, schedule_stage_table)
+                  rk4_affine_values, schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
 # a block the columns of [X; Y] drift toward its fastest-growing modes, and X
@@ -76,18 +78,10 @@ def _hamiltonian_table(A_tab, S_tab, Q_tab):
     return H_tab
 
 
-class _SymmetrizeTracker:
-    """Symmetrization Y <- (Y + Y')/2 of a matrix or a stack, recording the worst drift."""
-
-    def __init__(self):
-        self.max_asymmetry = 0.0
-
-    def symmetrize(self, Y):
-        YT = np.swapaxes(Y, -1, -2)
-        defect = float(np.max(np.abs(Y - YT)))
-        if defect > self.max_asymmetry:
-            self.max_asymmetry = defect
-        return 0.5 * (Y + YT)
+def _symmetrized(Y):
+    """(Y + Y')/2 of a matrix or a stack, and the drift max |Y - Y'| it absorbs."""
+    YT = np.swapaxes(Y, -1, -2)
+    return 0.5 * (Y + YT), float(np.max(np.abs(Y - YT)))
 
 
 def _check_positive(sol: DenseSolution, what: str) -> None:
@@ -123,19 +117,18 @@ def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
     return R
 
 
-def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, tracker=None,
-                     backward: bool = False):
+def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = False):
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
     Z' = H Z runs from [I; R0] at grid[0] (grid[-1] if backward) and
     restarts from [I; R_k] after every `block` intervals, the most that keep
-    sum h |H|_inf under `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block) with
-    R and X at every node.  Block i spans nodes i*block to (i+1)*block and
-    is anchored at its end if backward, at its start if not; X at a node is
-    the propagator of A - S R from the anchor of the block that holds the
-    node past its anchor (X = I at the first anchor).
+    sum h |H|_inf under `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block,
+    drift): R and X at every node, and the worst asymmetry that symmetrizing
+    R absorbed.  Block i spans nodes i*block to (i+1)*block and is anchored
+    at its end if backward, at its start if not; X at a node is the
+    propagator of A - S R from the anchor of the block that holds the node
+    past its anchor (X = I at the first anchor).
     """
-    tracker = tracker if tracker is not None else _SymmetrizeTracker()
     n = R0.shape[0]
     eye = np.eye(n)
     n_int = grid.size - 1
@@ -147,27 +140,29 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, tracker=None,
     block = n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
         1, int(_REANCHOR_LOG_GROWTH / rate))
     starts = range(0, n_int, block)
+    drift = 0.0
     for k0 in (reversed(starts) if backward else starts):
         k1 = min(k0 + block, n_int)
         Z = rk4_affine_values(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
                               np.vstack([eye, R[k1 if backward else k0]]),
                               backward=backward)
         inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
-        R[inner] = tracker.symmetrize(_ratio_from_flow(grid[inner], Z, n, backward))
+        R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z, n, backward))
+        drift = max(drift, d)
         X[inner] = Z[:, :n]
-    return R, X, block
+    return R, X, block, drift
 
 
-def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
+def _riccati_flow(problem: LQProblem, grid: np.ndarray):
     """J on `grid` by the backward re-anchored flow, with what the kernel
-    reads: (J solution, J and X at the nodes, block, (A, S, H, W) stage
-    tables).  Node derivatives are the Riccati right-hand side.  Raises
+    reads: (J solution, its drift, J and X at the nodes, block, (A, S, H, W)
+    stage tables).  Node derivatives are the Riccati right-hand side.  Raises
     IntegrationBlowupError at the first node met where X is singular or J
     non-finite, PositivityLostError where J is not positive definite."""
     A_tab, S_tab, Q_tab, W_tab = _coefficient_tables(problem, grid)
     H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
-    J, X, block = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
-                                   tracker, backward=True)
+    J, X, block, drift = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
+                                          backward=True)
 
     def rhs(slot, Jv):
         return (Jv @ S_tab[slot] @ Jv - np.swapaxes(A_tab[slot], 1, 2) @ Jv
@@ -175,23 +170,41 @@ def _riccati_flow(problem: LQProblem, grid: np.ndarray, tracker):
 
     sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
     _check_positive(sol, "J")
-    return sol, J, X, block, (A_tab, S_tab, H_tab, W_tab)
+    return sol, drift, J, X, block, (A_tab, S_tab, H_tab, W_tab)
 
 
-def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, tracker) -> DenseSolution:
-    """M on `grid` by `rk4_drive`, backward from M(T) = J_T^{-1}, symmetrized
-    by `tracker` at every node.  Raises PositivityLostError where M is not
+def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:
+    """M on `grid` by classical RK4 on the dual equation, backward from
+    M(T) = J_T^{-1} and symmetrized at every node.  Returns (M, drift), the
+    worst asymmetry absorbed.  Raises IntegrationBlowupError at the first
+    node met where M is non-finite, PositivityLostError where M is not
     positive definite."""
     A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)[:3]
 
-    def stagefn(k, slot, M):
+    def rhs(slot, k, M):  # k an interval, or a slice of them with M a stack
         A = A_tab[slot][k]
-        return A @ M + M @ A.T - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
+        return A @ M + M @ np.swapaxes(A, -1, -2) - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
 
-    sol = rk4_drive(stagefn, grid, spd_inverse(problem.J_T),
-                    backward=True, post_step=tracker.symmetrize)
+    n = grid.size - 1
+    y = spd_inverse(problem.J_T)
+    vals = np.empty((n + 1,) + y.shape)
+    vals[n] = y
+    drift = 0.0
+    for k in range(n - 1, -1, -1):  # from the hi slot of interval k to its lo slot
+        h = grid[k] - grid[k + 1]
+        k1 = rhs(2, k, y)
+        k2 = rhs(1, k, y + (0.5 * h) * k1)
+        k3 = rhs(1, k, y + (0.5 * h) * k2)
+        k4 = rhs(0, k, y + h * k3)
+        y, d = _symmetrized(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        drift = max(drift, d)
+        if not np.all(np.isfinite(y)):
+            raise _blowup(grid[k])
+        vals[k] = y
+    sol = DenseSolution(grid, vals[:-1], vals[1:], rhs(0, slice(None), vals[:-1]),
+                        rhs(2, slice(None), vals[1:]))
     _check_positive(sol, "M")
-    return sol
+    return sol, drift
 
 
 @dataclass(frozen=True)
@@ -209,9 +222,7 @@ class RiccatiSolution:
 
     @cached_property
     def _dual(self) -> tuple[DenseSolution, float]:
-        tracker = _SymmetrizeTracker()
-        M = _dual_riccati_on(self.problem, self.J.times, tracker)
-        return M, tracker.max_asymmetry
+        return _dual_riccati_on(self.problem, self.J.times)
 
     @property
     def M(self) -> DenseSolution:

@@ -44,7 +44,7 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     op = operator if operator is not None else KernelOperator(problem, steps)
     K00 = op.diagonal(problem.t0)
     p0 = sym_eig_pinv(K00) @ x0
-    x = op.column_solution().right_multiply(p0)
+    x = op.closed_loop_solution().right_multiply(K00).right_multiply(p0)
     start_err = np.linalg.norm(x.eval(problem.t0) - x0)
     if start_err > 1e-8 * (1.0 + np.linalg.norm(x0)):
         raise DegenerateProblemError(

@@ -68,19 +68,24 @@ def test_diagonal_symmetric_positive(dint, operator_cache):
 
 # -- first column -------------------------------------------------------------
 
+def _first_column(op):
+    """K(., t0) = Phi_cl(., t0) K(t0, t0), as `solve_kernel` reads it."""
+    return op.closed_loop_solution().right_multiply(op.diagonal(op.problem.t0))
+
+
 def test_column_closed_form(p1):
-    col = KernelOperator(p1, 800).column_solution()
+    col = _first_column(KernelOperator(p1, 800))
     assert col.eval(0.5)[0, 0] == pytest.approx(1.5, abs=1e-8)
 
 
 def test_column_exponential_decay(p2):
-    col = KernelOperator(p2, 800).column_solution()
+    col = _first_column(KernelOperator(p2, 800))
     assert col.eval(1.0)[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_column_start_equals_diagonal(p1):
     op = KernelOperator(p1, 600)
-    assert np.allclose(op.column_solution().eval(0.0), op.diagonal(0.0), atol=1e-10)
+    assert np.allclose(_first_column(op).eval(0.0), op.diagonal(0.0), atol=1e-10)
 
 
 # -- full entries from the J and P flows --------------------------------------
@@ -111,7 +116,7 @@ def test_full_grid_of_closed_form_values(p1, p2, operator_cache):
 
 def test_full_agrees_with_column_route(dint, operator_cache):
     op = operator_cache(dint, 900)
-    col = op.column_solution()
+    col = _first_column(op)
     sec = op.section(dint.t0)
     rng = np.random.default_rng(11)
     for s in rng.uniform(0.0, 1.0, size=10):

@@ -11,10 +11,11 @@ from lqkernel.errors import IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
-from lqkernel.ode import DenseSolution, build_grid, rk4_drive, schedule_stage_table
+from lqkernel.ode import DenseSolution, build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
-from lqkernel.riccati import solve_adjoint
+from lqkernel.riccati import _dual_riccati_on, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
+from rk4_reference import stagewise_rk4
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "scripts" / "problems").glob("*.json"))
@@ -155,20 +156,40 @@ def test_positivity_loss_detected():
     assert exc.value.time == pytest.approx(0.3247, abs=0.02)
 
 
-# -- J from the Hamiltonian flow against the direct Riccati flow --------------
+# -- J from the Hamiltonian flow, and M, against stage-wise RK4 --------------
 
-def _direct_riccati(p, steps):
-    """Reference: RK4 straight on -J' = A'J + JA - J S J + Q, symmetrized per step."""
+def _stage_coefficients(p, steps):
+    """The grid, and (A, S, Q) on interval k at a stage slot, one at a time."""
     grid = build_grid(p.t0, p.T, steps, p.breakpoints())
     A, B, R, Q = (schedule_stage_table(s, grid) for s in (p.A, p.B, p.R, p.Q))
 
-    def stagefn(k, slot, J):
-        a, b = A[slot][k], B[slot][k]
-        S = b @ np.linalg.solve(R[slot][k], b.T)
-        return J @ S @ J - a.T @ J - J @ a - Q[slot][k]
+    def coefficients(k, slot):
+        b = B[slot][k]
+        return A[slot][k], b @ np.linalg.solve(R[slot][k], b.T), Q[slot][k]
 
-    return rk4_drive(stagefn, grid, np.asarray(p.J_T, dtype=float), backward=True,
-                     post_step=lambda J: 0.5 * (J + J.T))
+    return grid, coefficients
+
+
+def _direct_riccati(p, steps):
+    """Reference: RK4 straight on -J' = A'J + JA - J S J + Q."""
+    grid, coefficients = _stage_coefficients(p, steps)
+
+    def stage(k, slot, J):
+        a, S, q = coefficients(k, slot)
+        return J @ S @ J - a.T @ J - J @ a - q
+
+    return stagewise_rk4(stage, grid, p.J_T, backward=True)
+
+
+def _direct_dual_riccati(p, steps):
+    """Reference: RK4 on M' = AM + MA' - S + MQM, stage by stage."""
+    grid, coefficients = _stage_coefficients(p, steps)
+
+    def stage(k, slot, M):
+        a, S, q = coefficients(k, slot)
+        return a @ M + M @ a.T - S + M @ q @ M
+
+    return stagewise_rk4(stage, grid, spd_inverse(p.J_T), backward=True)
 
 
 def _relative_gaps(J, ref):
@@ -193,6 +214,15 @@ def test_hamiltonian_route_matches_direct_riccati(problem):
     assert np.max(_relative_gaps(J, ref)) <= 1e-10
     for got, want in ((J.d_start, ref.d_start), (J.d_end, ref.d_end)):
         assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("problem", _parity_problems())
+def test_dual_riccati_loop_matches_stagewise_rk4(problem):
+    M = KernelOperator(problem, 4000).riccati.M
+    ref = _direct_dual_riccati(problem, 4000)
+    assert np.max(_relative_gaps(M, ref)) <= 1e-13
+    for got, want in ((M.d_start, ref.d_start), (M.d_end, ref.d_end)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _stress_problem(a, d):
@@ -247,3 +277,21 @@ def test_singular_hamiltonian_state_is_blowup():
     with pytest.raises(IntegrationBlowupError) as exc:
         KernelOperator(bad, 4).riccati.J
     assert exc.value.time == 1.0
+
+
+def _dual_pole(t0):
+    # M' = -M^2 from M(2) = 1 is M = 1/(t - 1), with its pole at t = 1
+    c = MatrixSchedule.constant
+    return LQProblem(1, 1, t0, 2.0, c([[0.0]]), c([[0.0]]),
+                     c([[-1.0]]), c([[1.0]]), [[1.0]])
+
+
+def test_dual_riccati_blowup_reports_time():
+    grid = build_grid(0.0, 2.0, 40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationBlowupError) as direct:
+            _dual_riccati_on(_dual_pole(0.0), grid)
+        # the restart of the diagonal before t0 solves M again on [0, 2]
+        with pytest.raises(IntegrationBlowupError) as restart:
+            KernelOperator(_dual_pole(1.5), 40).diagonal(0.0)
+    assert direct.value.time == restart.value.time == pytest.approx(0.85, abs=1e-15)
