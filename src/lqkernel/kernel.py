@@ -324,9 +324,9 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     inserted as quadrature breakpoints, so the integrand is smooth on every
     Simpson subinterval.
     """
-    span = max(1.0, problem.T - problem.t0)
+    tol = _time_tol(problem.t0, problem.T)
     for tr in (traj1, traj2):
-        if abs(tr.x.a - problem.t0) > 1e-9 * span or abs(tr.x.b - problem.T) > 1e-9 * span:
+        if abs(tr.x.a - problem.t0) > tol or abs(tr.x.b - problem.T) > tol:
             raise HorizonMismatchError(
                 f"trajectory on [{tr.x.a}, {tr.x.b}] does not match horizon "
                 f"[{problem.t0}, {problem.T}]")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HorizonMismatchError, ScheduleDomainError
 from .linalg import PD_TOL
-from .ode import DenseSolution, _time_tol, schedule_stage_table
+from .ode import DenseSolution, _clip_to_span, _time_tol, schedule_stage_table
 
 PSD_TOL = 1e-9       # slack allowed below zero for Q eigenvalues
 R_MIN_DEFAULT = 1e-8  # default uniform lower bound for eigenvalues of R(t)
@@ -136,17 +136,6 @@ class MatrixSchedule:
             return np.asarray(self.knots[1:-1])
         return np.zeros(0)
 
-    def _check_domain(self, ts):
-        dom = self.domain()
-        if dom is None:
-            return
-        lo, hi = dom
-        tol = _time_tol(lo, hi)
-        if np.any(ts < lo - tol) or np.any(ts > hi + tol):
-            bad = ts[(ts < lo - tol) | (ts > hi + tol)]
-            raise ScheduleDomainError(
-                f"time {float(np.ravel(bad)[0])} outside schedule domain [{lo}, {hi}]")
-
     def eval(self, t: float, side: int = 1) -> np.ndarray:
         """Value at time t; side=-1 takes the left limit at a pwc breakpoint."""
         return self.eval_many(np.asarray([t], dtype=float), side)[0]
@@ -158,7 +147,6 @@ class MatrixSchedule:
         schedules are side-sensitive, exactly at their breakpoints.
         """
         ts = np.asarray(ts, dtype=float)
-        self._check_domain(ts)
         if self.kind == "constant":
             return np.broadcast_to(self.matrices[0], (ts.size, self.rows, self.cols)).copy()
         if self.kind == "pwc":
@@ -168,18 +156,14 @@ class MatrixSchedule:
             idx = np.where(sides < 0, left, idx)
             return self.matrices[idx]
         if self.kind == "samples":
+            # at a knot w is exactly 0 or 1: the stored sample, bit-exactly
             knots = self.knots
-            tc = np.clip(ts, knots[0], knots[-1])
+            tc = _clip_to_span(ts, *self.domain(), ScheduleDomainError,
+                               "schedule domain [{lo}, {hi}]")
             idx = np.clip(np.searchsorted(knots, tc, side="right") - 1, 0, knots.size - 2)
             t0, t1 = knots[idx], knots[idx + 1]
             w = ((tc - t0) / (t1 - t0))[:, None, None]
-            out = (1.0 - w) * self.matrices[idx] + w * self.matrices[idx + 1]
-            exact = np.isin(ts, knots)
-            if np.any(exact):
-                # reproduce stored samples bit-exactly at sample times
-                pos = np.searchsorted(knots, ts[exact])
-                out[exact] = self.matrices[pos]
-            return out
+            return (1.0 - w) * self.matrices[idx] + w * self.matrices[idx + 1]
         # poly
         x = ts - self.origin
         out = np.zeros((ts.size, self.rows, self.cols))
@@ -264,8 +248,8 @@ class ControlledTrajectory:
     u: DenseSolution
 
     def __post_init__(self):
-        span = max(1.0, self.x.b - self.x.a)
-        if abs(self.x.a - self.u.a) > 1e-9 * span or abs(self.x.b - self.u.b) > 1e-9 * span:
+        tol = _time_tol(self.x.a, self.x.b)
+        if abs(self.x.a - self.u.a) > tol or abs(self.x.b - self.u.b) > tol:
             raise HorizonMismatchError("state and control cover different horizons")
 
 

@@ -13,7 +13,8 @@ Design notes:
 * Dense output is cubic Hermite per interval, built from the stored value and
   right-hand side at both interval ends.  Values and derivatives are stored
   per interval (not per node) so a genuine jump at a node keeps both one-sided
-  values; evaluation takes an optional `side` argument.
+  values.  Evaluation at a node returns the stored one-sided data, and the
+  optional `side` argument picks which.
 
 * Backward integration (a > b) runs directly with a negative step; the stored
   solution is always re-oriented so `times` is increasing.
@@ -50,6 +51,17 @@ def _time_tol(lo: float, hi: float) -> float:
     """Two times on [lo, hi] within this distance are the same node, and a
     time within it outside [lo, hi] is inside up to roundoff."""
     return 1e-12 * max(1.0, hi - lo)
+
+
+def _clip_to_span(ts: np.ndarray, lo: float, hi: float, error,
+                  span: str = "[{lo}, {hi}]") -> np.ndarray:
+    """`ts` clipped to [lo, hi]; a time more than `_time_tol` outside raises
+    `error`, naming the time and `span` formatted with lo and hi."""
+    tol = _time_tol(lo, hi)
+    bad = (ts < lo - tol) | (ts > hi + tol)
+    if np.any(bad):
+        raise error(f"time {float(ts[bad][0])} outside " + span.format(lo=lo, hi=hi))
+    return np.clip(ts, lo, hi)
 
 
 def _blowup(t) -> IntegrationBlowupError:
@@ -122,15 +134,6 @@ class DenseSolution:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_nodes(cls, times, values, derivs) -> "DenseSolution":
-        """Build from per-node values/derivatives of a continuous function."""
-        values = np.asarray(values, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        return cls(times, values[:-1], values[1:], derivs[:-1], derivs[1:])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -162,21 +165,23 @@ class DenseSolution:
 
     # -- evaluation --------------------------------------------------------
 
-    def _locate(self, ts: np.ndarray) -> np.ndarray:
-        a, b = self.times[0], self.times[-1]
-        tol = _time_tol(a, b)
-        if np.any(ts < a - tol) or np.any(ts > b + tol):
-            bad = ts[(ts < a - tol) | (ts > b + tol)]
-            raise DomainError(f"time {float(np.ravel(bad)[0])} outside [{a}, {b}]")
-        return np.clip(ts, a, b)
-
     def _interp(self, ts, sides, want_deriv: bool) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        sides = np.broadcast_to(np.asarray(sides), ts.shape)
-        ts = self._locate(ts)
+        """Hermite value or derivative at `ts`.  A time within `_time_tol` of
+        a node is that node, and `sides` picks the interval: the one ending
+        there for side < 0, else the one starting there (clipped at the two
+        ends).  At a node the basis is exactly 0 or 1, so the stored
+        one-sided data comes out bit-exactly."""
         times = self.times
+        a, b = times[0], times[-1]
+        ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
+        sides = np.broadcast_to(np.asarray(sides), ts.shape)
         n = times.size - 1
-        k = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
+        tol = _time_tol(a, b)
+        at_lo = ts - times[i] <= tol
+        at_hi = ~at_lo & (times[i + 1] - ts <= tol)
+        ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
+        k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
         h = times[k + 1] - times[k]
         th = (ts - times[k]) / h
         ex = (1,) * self.v_start.ndim  # broadcast scalars over value dims
@@ -187,33 +192,14 @@ class DenseSolution:
             h10 = th * (1.0 - th) ** 2
             h01 = th * th * (3.0 - 2.0 * th)
             h11 = th * th * (th - 1.0)
-            out = (h00 * self.v_start[k] + (h10 * hh) * self.d_start[k]
-                   + h01 * self.v_end[k] + (h11 * hh) * self.d_end[k])
-        else:
-            g00 = 6.0 * th * (th - 1.0) / hh
-            g10 = (3.0 * th - 1.0) * (th - 1.0)
-            g01 = -6.0 * th * (th - 1.0) / hh
-            g11 = th * (3.0 * th - 2.0)
-            out = (g00 * self.v_start[k] + g10 * self.d_start[k]
-                   + g01 * self.v_end[k] + g11 * self.d_end[k])
-        # snap to stored one-sided data at nodes
-        tol = _time_tol(times[0], times[-1])
-        vs, ve = (self.d_start, self.d_end) if want_deriv else (self.v_start, self.v_end)
-        at_left = np.nonzero(np.abs(ts - times[k]) <= tol)[0]
-        if at_left.size:
-            use_start = (sides[at_left] >= 0) | (k[at_left] == 0)
-            ri = at_left[use_start]
-            out[ri] = vs[k[ri]]
-            li = at_left[~use_start]
-            out[li] = ve[k[li] - 1]
-        at_right = np.nonzero(np.abs(times[k + 1] - ts) <= tol)[0]
-        if at_right.size:
-            use_start = (sides[at_right] >= 0) & (k[at_right] + 1 < n)
-            ri = at_right[use_start]
-            out[ri] = vs[k[ri] + 1]
-            li = at_right[~use_start]
-            out[li] = ve[k[li]]
-        return out
+            return (h00 * self.v_start[k] + (h10 * hh) * self.d_start[k]
+                    + h01 * self.v_end[k] + (h11 * hh) * self.d_end[k])
+        g00 = 6.0 * th * (th - 1.0) / hh
+        g10 = (3.0 * th - 1.0) * (th - 1.0)
+        g01 = -6.0 * th * (th - 1.0) / hh
+        g11 = th * (3.0 * th - 2.0)
+        return (g00 * self.v_start[k] + g10 * self.d_start[k]
+                + g01 * self.v_end[k] + g11 * self.d_end[k])
 
     def eval_many(self, ts, sides=1) -> np.ndarray:
         """Vectorized evaluation; `sides` scalar or per-time (+1 right, -1 left)."""
@@ -225,9 +211,6 @@ class DenseSolution:
 
     def deriv_many(self, ts, sides=1) -> np.ndarray:
         return self._interp(ts, sides, want_deriv=True)
-
-    def deriv(self, t: float, side: int = 1) -> np.ndarray:
-        return self._interp(np.asarray([t], dtype=float), side, want_deriv=True)[0]
 
     # -- algebra -----------------------------------------------------------
 

@@ -9,8 +9,8 @@ from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              shooting_diagonal)
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
-from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_problem, random_trajectory
+from dense_nodes import dense_from_nodes
 
 
 def k_scalar_energy(s, t):
@@ -155,8 +155,7 @@ def test_section_derivative_jump_at_column_time(p1, operator_cache):
     # u = k' jumps by -p at s = t for the scalar energy problem
     op = operator_cache(p1, 700)
     sec = op.section(0.5)
-    left = sec.deriv(0.5, side=-1)[0, 0]
-    right = sec.deriv(0.5, side=1)[0, 0]
+    left, right = sec.deriv_many([0.5, 0.5], [-1, 1])[:, 0, 0]
     assert left == pytest.approx(0.0, abs=1e-8)
     assert right == pytest.approx(-1.0, abs=1e-8)
 
@@ -215,7 +214,8 @@ def test_off_grid_section_equals_section_on_its_own_grid(t):
             diff = np.max(np.abs(getattr(got, read)(pts, side) - want))
             assert diff <= 1e-11 * np.max(np.abs(want)), (read, side)
     B, R = p.B.eval(t), p.R.eval(t)
-    jump = got.deriv(t, side=-1) - got.deriv(t, side=1)
+    left, right = got.deriv_many([t, t], [-1, 1])
+    jump = left - right
     assert np.allclose(jump, B @ np.linalg.inv(R) @ B.T, rtol=1e-10, atol=1e-12)
 
 
@@ -350,8 +350,8 @@ def test_gram_positive_semidefinite(dint, random_problems, operator_cache):
 # -- inner product and reproducing property -----------------------------------
 
 def _traj_from_formulas(ts, x_fn, xd_fn, u_fn, ud_fn):
-    x = DenseSolution.from_nodes(ts, x_fn(ts)[:, None], xd_fn(ts)[:, None])
-    u = DenseSolution.from_nodes(ts, u_fn(ts)[:, None], ud_fn(ts)[:, None])
+    x = dense_from_nodes(ts, x_fn(ts)[:, None], xd_fn(ts)[:, None])
+    u = dense_from_nodes(ts, u_fn(ts)[:, None], ud_fn(ts)[:, None])
     return ControlledTrajectory(x, u)
 
 

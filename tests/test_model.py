@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lqkernel.errors import HorizonMismatchError, ScheduleDomainError
 from lqkernel.model import (ControlledTrajectory, MatrixSchedule, LQProblem,
                             dynamics_defect, validate_problem)
-from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_trajectory
+from dense_nodes import dense_from_nodes
 
 
 def test_constant_schedule_value():
@@ -138,7 +138,7 @@ def test_restricted_problem_shifts_start():
 def test_trajectory_horizon_mismatch_rejected():
     ts1 = np.linspace(0, 1, 11)
     ts2 = np.linspace(0, 2, 11)
-    mk = lambda ts: DenseSolution.from_nodes(ts, np.zeros((ts.size, 1)), np.zeros((ts.size, 1)))
+    mk = lambda ts: dense_from_nodes(ts, np.zeros((ts.size, 1)), np.zeros((ts.size, 1)))
     with pytest.raises(HorizonMismatchError):
         ControlledTrajectory(mk(ts1), mk(ts2))
 
@@ -151,8 +151,8 @@ def test_dynamics_defect_small_for_rolled_out_trajectory(p2):
 
 def test_dynamics_defect_large_for_inconsistent_pair(p2):
     ts = np.linspace(0, 1, 21)
-    x = DenseSolution.from_nodes(ts, ts[:, None] ** 2, 2 * ts[:, None])
-    u = DenseSolution.from_nodes(ts, np.zeros((21, 1)), np.zeros((21, 1)))
+    x = dense_from_nodes(ts, ts[:, None] ** 2, 2 * ts[:, None])
+    u = dense_from_nodes(ts, np.zeros((21, 1)), np.zeros((21, 1)))
     assert dynamics_defect(p2, ControlledTrajectory(x, u)) > 0.1
 
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowupError,
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, lq_inner_product
-from lqkernel.model import MatrixSchedule, dynamics_defect
+from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
 from lqkernel.ode import (DenseSolution, build_grid, rk4_affine,
                           rk4_affine_values, schedule_stage_table)
 from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
+from dense_nodes import dense_from_nodes
 from rk4_reference import stagewise_rk4
 
 
@@ -68,7 +69,7 @@ def _scalar_on(t0, T, **over):
 
 def _dense_eval(t0, T, t):
     ts = np.linspace(t0, T, 5)
-    DenseSolution.from_nodes(ts, ts[:, None], np.ones((5, 1))).eval(t)
+    dense_from_nodes(ts, ts[:, None], np.ones((5, 1))).eval(t)
 
 
 def _samples_eval(t0, T, t):
@@ -93,6 +94,21 @@ def _diagonal(t0, T, t):
     KernelOperator(_scalar_on(t0, T), 20).diagonal(t)
 
 
+def _zero_on(lo, hi):
+    return dense_from_nodes(np.linspace(lo, hi, 5), np.zeros((5, 1)), np.zeros((5, 1)))
+
+
+def _trajectory_pair(t0, T, t):
+    # a control reaching out to t beside a state on [t0, T]
+    ControlledTrajectory(_zero_on(t0, T), _zero_on(min(t, t0), max(t, T)))
+
+
+def _inner_product(t0, T, t):
+    # a trajectory on [t0, T] under a problem whose horizon reaches out to t
+    traj = ControlledTrajectory(_zero_on(t0, T), _zero_on(t0, T))
+    lq_inner_product(_scalar_on(min(t, t0), max(t, T)), traj, traj, 20)
+
+
 _HORIZON_CHECKS = [  # (entry point, ends it checks, error, message)
     (_dense_eval, ("t0", "T"), DomainError, "outside"),
     (_samples_eval, ("t0", "T"), ScheduleDomainError, "outside schedule domain"),
@@ -100,6 +116,8 @@ _HORIZON_CHECKS = [  # (entry point, ends it checks, error, message)
     (_section, ("t0", "T"), HorizonMismatchError, "column time .* outside"),
     (_constraint_times, ("t0", "T"), ValueError, "must lie in the horizon"),
     (_diagonal, ("T",), HorizonMismatchError, "exceeds T"),  # re-solves before t0
+    (_trajectory_pair, ("t0", "T"), HorizonMismatchError, "different horizons"),
+    (_inner_product, ("t0", "T"), HorizonMismatchError, "does not match horizon"),
 ]
 
 
@@ -231,7 +249,7 @@ def test_affine_forced_flow_closed_form(y0, C):
     for t in (0.0, 0.37, 1.0):
         exact = (y0 + C) * math.exp(-t) + C * (t - 1.0)
         assert np.max(np.abs(sol.eval(t) - exact)) < 1e-10
-        assert np.max(np.abs(sol.deriv(t) - (C * t - exact))) < 1e-10
+        assert np.max(np.abs(sol.deriv_many(t)[0] - (C * t - exact))) < 1e-10
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -305,17 +323,40 @@ def test_transition_cocycle_property():
 
 
 def test_dense_eval_exact_at_nodes():
-    ts = np.linspace(0.0, 1.0, 11)
-    vals = np.sin(ts)[:, None, None]
-    derivs = np.cos(ts)[:, None, None]
-    sol = DenseSolution.from_nodes(ts, vals, derivs)
-    for k, t in enumerate(ts):
-        assert np.array_equal(sol.eval(t), vals[k])
+    # random matrix data per interval, so every interior node is a genuine
+    # jump of values and derivatives: a time within the tolerance of a node
+    # reads the stored one-sided data, the side picking which
+    rng = np.random.default_rng(12)
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 9)), [2.0]])
+    n = ts.size - 1
+    v_start, v_end, d_start, d_end = (rng.normal(size=(n, 2, 3)) for _ in range(4))
+    sol = DenseSolution(ts, v_start, v_end, d_start, d_end)
+    assert np.all(v_end[:-1] != v_start[1:]) and np.all(d_end[:-1] != d_start[1:])
+    stored = {  # per node: the one-sided data, clipped at the two ends
+        (1, "eval_many"): np.concatenate([v_start, v_end[-1:]]),
+        (-1, "eval_many"): np.concatenate([v_start[:1], v_end]),
+        (1, "deriv_many"): np.concatenate([d_start, d_end[-1:]]),
+        (-1, "deriv_many"): np.concatenate([d_start[:1], d_end]),
+    }
+    tol = _time_tol(0.0, 2.0)
+    for (side, read), want in stored.items():
+        for off in (0.0, -0.5 * tol, 0.5 * tol):
+            assert np.array_equal(getattr(sol, read)(ts + off, side), want), (read, side, off)
+    mixed = np.where(np.arange(n + 1) % 2 == 0, 1, -1)
+    want = np.where((mixed > 0)[:, None, None], stored[1, "eval_many"], stored[-1, "eval_many"])
+    assert np.array_equal(sol.eval_many(ts, mixed), want)
+    for j, t in enumerate(ts):
+        assert np.array_equal(sol.eval(t, side=-1), stored[-1, "eval_many"][j])
+    # a sampled schedule returns its stored matrices at its knots
+    mats = rng.normal(size=(ts.size, 2, 3))
+    sched = MatrixSchedule.sampled_linear(ts, mats)
+    for side in (1, -1):
+        assert np.array_equal(sched.eval_many(ts, side), mats)
 
 
 def test_dense_eval_exact_on_cubics():
     ts = np.linspace(0.0, 1.0, 10)
-    sol = DenseSolution.from_nodes(ts, (ts ** 2)[:, None, None], (2 * ts)[:, None, None])
+    sol = dense_from_nodes(ts, (ts ** 2)[:, None, None], (2 * ts)[:, None, None])
     mids = 0.5 * (ts[:-1] + ts[1:])
     for t in mids:
         assert sol.eval(t)[0, 0] == pytest.approx(t * t, abs=1e-14)
@@ -323,13 +364,13 @@ def test_dense_eval_exact_on_cubics():
 
 def test_dense_eval_constant_everywhere():
     ts = np.linspace(0.0, 2.0, 5)
-    sol = DenseSolution.from_nodes(ts, np.full((5, 1), 3.25), np.zeros((5, 1)))
+    sol = dense_from_nodes(ts, np.full((5, 1), 3.25), np.zeros((5, 1)))
     assert sol.eval(1.234)[0] == 3.25
 
 
 def test_dense_eval_out_of_range_raises():
     ts = np.linspace(0.0, 1.0, 5)
-    sol = DenseSolution.from_nodes(ts, np.zeros((5, 1)), np.zeros((5, 1)))
+    sol = dense_from_nodes(ts, np.zeros((5, 1)), np.zeros((5, 1)))
     with pytest.raises(DomainError):
         sol.eval(1.1)
     sol.eval(1.0 + 1e-13)  # tiny slack tolerated
@@ -345,15 +386,15 @@ def test_one_sided_values_at_jump_node():
     assert sol.eval(0.5, side=1)[0] == 2.0
     assert sol.eval(0.5, side=-1)[0] == 1.0
     assert np.allclose(sol.jump_nodes(), [0.5])
-    smooth = DenseSolution.from_nodes(times, np.ones((3, 1)), np.zeros((3, 1)))
+    smooth = dense_from_nodes(times, np.ones((3, 1)), np.zeros((3, 1)))
     assert smooth.jump_nodes().size == 0
 
 
 def test_deriv_matches_analytic_interior():
     ts = np.linspace(0.0, 1.0, 40)
-    sol = DenseSolution.from_nodes(ts, np.exp(ts)[:, None], np.exp(ts)[:, None])
+    sol = dense_from_nodes(ts, np.exp(ts)[:, None], np.exp(ts)[:, None])
     for t in (0.21, 0.63):
-        assert sol.deriv(t)[0] == pytest.approx(math.exp(t), rel=1e-6)
+        assert sol.deriv_many(t)[0, 0] == pytest.approx(math.exp(t), rel=1e-6)
 
 
 def test_integrate_values_immutable():

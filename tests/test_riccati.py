@@ -11,10 +11,11 @@ from lqkernel.errors import IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
-from lqkernel.ode import DenseSolution, build_grid, schedule_stage_table
+from lqkernel.ode import build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
 from lqkernel.riccati import _dual_riccati_on, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
+from dense_nodes import dense_from_nodes
 from rk4_reference import stagewise_rk4
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
@@ -96,14 +97,14 @@ def test_riccati_value_examples(p1, p2):
 def test_adjoint_constant_costate(p1):
     # optimal trajectory from x0 = 1 is (2-s)/2; A = Q = 0 keeps p constant
     ts = np.linspace(0.0, 1.0, 201)
-    xbar = DenseSolution.from_nodes(ts, ((2 - ts) / 2)[:, None], np.full((201, 1), -0.5))
+    xbar = dense_from_nodes(ts, ((2 - ts) / 2)[:, None], np.full((201, 1), -0.5))
     p = solve_adjoint(p1, xbar, 400)
     assert np.max(np.abs(p.values + 0.5)) < 1e-12
 
 
 def test_adjoint_exponential_costate(p2):
     ts = np.linspace(0.0, 1.0, 301)
-    xbar = DenseSolution.from_nodes(ts, np.exp(-ts)[:, None], -np.exp(-ts)[:, None])
+    xbar = dense_from_nodes(ts, np.exp(-ts)[:, None], -np.exp(-ts)[:, None])
     p = solve_adjoint(p2, xbar, 600)
     expected = -np.exp(-p.times)[:, None]
     assert np.max(np.abs(p.values - expected)) < 1e-8
@@ -111,7 +112,7 @@ def test_adjoint_exponential_costate(p2):
 
 def test_adjoint_zero_state(p2):
     ts = np.linspace(0.0, 1.0, 51)
-    xbar = DenseSolution.from_nodes(ts, np.zeros((51, 1)), np.zeros((51, 1)))
+    xbar = dense_from_nodes(ts, np.zeros((51, 1)), np.zeros((51, 1)))
     p = solve_adjoint(p2, xbar, 200)
     assert np.max(np.abs(p.values)) == 0.0
 

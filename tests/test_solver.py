@@ -7,10 +7,10 @@ from lqkernel import riccati
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import KernelOperator, kernel_section_trajectory
 from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
-from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_problem, random_trajectory, rollout
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
                              solve_multipoint)
+from dense_nodes import dense_from_nodes
 
 
 def test_kernel_route_scalar_energy(p1, operator_cache):
@@ -210,13 +210,13 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
 
 def test_evaluate_cost_examples(p1):
     ts = np.linspace(0.0, 1.0, 101)
-    x = DenseSolution.from_nodes(ts, ts[:, None], np.ones((101, 1)))
-    u = DenseSolution.from_nodes(ts, np.ones((101, 1)), np.zeros((101, 1)))
+    x = dense_from_nodes(ts, ts[:, None], np.ones((101, 1)))
+    u = dense_from_nodes(ts, np.ones((101, 1)), np.zeros((101, 1)))
     from lqkernel.model import ControlledTrajectory
     assert evaluate_cost(p1, ControlledTrajectory(x, u), 400) == pytest.approx(2.0, abs=1e-10)
     zero = ControlledTrajectory(
-        DenseSolution.from_nodes(ts, np.zeros((101, 1)), np.zeros((101, 1))),
-        DenseSolution.from_nodes(ts, np.zeros((101, 1)), np.zeros((101, 1))))
+        dense_from_nodes(ts, np.zeros((101, 1)), np.zeros((101, 1))),
+        dense_from_nodes(ts, np.zeros((101, 1)), np.zeros((101, 1))))
     assert evaluate_cost(p1, zero, 100) == 0.0
 
 
