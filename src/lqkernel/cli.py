@@ -58,6 +58,15 @@ def _parse_schedule(doc, key: str, t0: float) -> MatrixSchedule:
         f"key '{key}': unknown kind {kind!r} (expected constant|pwc|samples|poly)")
 
 
+def _dimension(doc: dict, key: str) -> int:
+    """doc[key] as a dimension: a JSON number with an integral value, not a boolean."""
+    raw = doc[key]
+    if isinstance(raw, bool) or not (
+            isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())):
+        raise ProblemFileError(f"key '{key}': expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
     """Build an LQProblem from a parsed JSON document.
 
@@ -70,7 +79,7 @@ def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
         t0 = float(doc["t0"])
         scheds = {k: _parse_schedule(doc[k], k, t0) for k in _SCHEDULE_KEYS}
         problem = LQProblem(
-            state_dim=int(doc["state_dim"]), input_dim=int(doc["input_dim"]),
+            state_dim=_dimension(doc, "state_dim"), input_dim=_dimension(doc, "input_dim"),
             t0=t0, T=float(doc["T"]),
             A=scheds["A"], B=scheds["B"], Q=scheds["Q"], R=scheds["R"],
             J_T=np.asarray(doc["J_T"], dtype=float),

@@ -17,8 +17,9 @@ matched to its use:
   K(t, t) = (J(t) + P(t))^{-1}; for s >= t, K(s, t) is K(t, t) carried
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
-  re-anchored Hamiltonian flows of J and P, solved once per operator; the
-  first column K(., t0) is the closed loop from t0 applied to K(t0, t0).
+  re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
+  once per operator; the first column K(., t0) is the closed loop from t0
+  applied to K(t0, t0).
 
 K keeps both one-sided derivatives at the column time, where they differ
 by S(t).  The control of K(., t) p, read off the costate (J x right of t,
@@ -27,7 +28,6 @@ by S(t).  The control of K(., t) p, read off the costate (J x right of t,
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 from functools import cached_property
 
@@ -39,47 +39,11 @@ from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _time_tol, build_grid,
                   rk4_affine_values, schedule_stage_table)
 from .riccati import (RiccatiSolution, _coefficient_tables, _dual_riccati_on,
-                      _hamiltonian_table, _reanchored_flow, _riccati_flow)
+                      _Flows, _hamiltonian_table, _solve_flows)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
 _SHOOTING_RCOND = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class _Flows:
-    """J and P at the grid nodes, the X blocks of their flows (see
-    `_reanchored_flow`), and the closed loops F = A - S J and G = A + S P
-    and the control map W = R^{-1} B' at the (lo, hi) stage slots of every
-    interval."""
-
-    J: np.ndarray
-    P: np.ndarray
-    X_J: np.ndarray
-    X_P: np.ndarray
-    block: int
-    F: tuple
-    G: tuple
-    W: tuple
-
-    def carry(self, k: int, value: np.ndarray, right: bool) -> np.ndarray:
-        """K at nodes k..end along F (right) or 0..k along G, from its value
-        at node k: one solve where the walk enters a block, one product."""
-        X = self.X_J if right else self.X_P
-        end = X.shape[0] - 1 if right else 0
-        nodes = np.arange(k, end + 1) if right else np.arange(k, -1, -1)
-        enter = (nodes % self.block == 0) & (nodes != k) & (nodes != end)
-        carries = [np.linalg.solve(X[k], value)]  # K at the block anchors
-        for c in nodes[enter]:
-            carries.append(np.linalg.solve(X[c], carries[-1]))
-        out = (X[k:] if right else X[k::-1]) @ np.stack(carries)[np.cumsum(enter)]
-        out[0] = value
-        return out if right else out[::-1]
-
-
-# An off-grid column time t as a node of its section grid: J and P at t, the
-# X blocks of their flows there, F(t+), G(t-), and W at (t-, t+).
-_Node = collections.namedtuple("_Node", "J P X_J X_P F G W")
 
 
 class KernelOperator:
@@ -87,12 +51,12 @@ class KernelOperator:
 
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
-    the J and P flows on the grid (once, from one Hamiltonian table; J is
-    the Riccati pair's, and M is solved on the same grid when read) and the
-    sections.  A section is two carries of K(t, t) over the X blocks of the
-    flows.  A column time off the grid is inserted as a node: one RK4 step
-    of the Hamiltonian from each neighbouring node gives J, P and the
-    carriers there.  The operator is logically immutable and evaluations
+    the J and P flows on the grid (once, by `_solve_flows`; J is the Riccati
+    pair's, and M is solved on the same grid when read) and the sections.
+    A section is two carries of K(t, t) over the X blocks of the flows.  A
+    column time off the grid is inserted as a node: the same builder, run
+    on that time and its two neighbouring nodes, gives J, P and the
+    carriers at it.  The operator is logically immutable and evaluations
     are pure.
     """
 
@@ -104,28 +68,22 @@ class KernelOperator:
                                np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
         self._sections: dict[float, DenseSolution] = {}
-        self._nodes: dict[float, tuple[int, _Node | None]] = {}
 
     # -- cached building blocks -------------------------------------------
 
     @cached_property
-    def _pair_and_flows(self) -> tuple[RiccatiSolution, _Flows]:
-        p, grid = self.problem, self.grid
-        J_sol, drift, J, X_J, block, (A_tab, S_tab, H_tab, W_tab) = _riccati_flow(p, grid)
-        pair = RiccatiSolution(p, J_sol, drift)
-        minus_P, X_P, _, _ = _reanchored_flow(grid, H_tab, np.zeros_like(J[0]))
-        P = -minus_P
-        F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
-        G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
-        return pair, _Flows(J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
+    def _flows(self) -> _Flows:
+        J_T = self.problem.J_T
+        return _solve_flows(self.problem, self.grid, J_T, np.zeros_like(J_T))
 
-    @property
+    @cached_property
     def riccati(self) -> RiccatiSolution:
-        return self._pair_and_flows[0]
+        f = self._flows
+        return RiccatiSolution(self.problem, f.J_solution, f.drift_J)
 
     def closed_loop_solution(self) -> DenseSolution:
         """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0."""
-        f = self._pair_and_flows[1]
+        f = self._flows
         Phi = f.carry(0, np.eye(self.problem.state_dim), right=True)
         return DenseSolution(self.grid, Phi[:-1], Phi[1:],
                              f.F[0] @ Phi[:-1], f.F[1] @ Phi[1:])
@@ -180,8 +138,7 @@ class KernelOperator:
         raw = np.zeros((k * n, k * n))
         for j, tj in enumerate(times):
             sec = self.section(float(tj))
-            for i, ti in enumerate(times):
-                raw[i * n:(i + 1) * n, j * n:(j + 1) * n] = sec.eval(float(ti))
+            raw[:, j * n:(j + 1) * n] = sec.eval_many(times).reshape(k * n, n)
         defect = float(np.max(np.abs(raw - raw.T)))
         return 0.5 * (raw + raw.T), defect
 
@@ -192,13 +149,13 @@ class KernelOperator:
         lambda = J x right of t and -P x left of it; the chord in between.
         As B u = -S lambda = x' - A x and u is in the range of W, u is the
         minimal-R-norm control of x."""
-        f = self._pair_and_flows[1]
+        f = self._flows
         j, node = self._node(float(t))
         J, P, (W_lo, W_hi) = f.J, f.P, f.W
         if node is not None:
-            J, P = np.insert(J, j, node.J, axis=0), np.insert(P, j, node.P, axis=0)
-            W_lo = np.insert(W_lo, j, node.W[1], axis=0)
-            W_hi = np.insert(W_hi, j - 1, node.W[0], axis=0)
+            J, P = np.insert(J, j, node.J[1], axis=0), np.insert(P, j, node.P[1], axis=0)
+            W_lo = np.insert(W_lo, j, node.W[0][1], axis=0)
+            W_hi = np.insert(W_hi, j - 1, node.W[1][0], axis=0)
 
         def u(W, M, v, sign):  # sign W M v, interval by interval
             return sign * np.einsum("kij,kjl,kl->ki", W, M, v)
@@ -212,36 +169,25 @@ class KernelOperator:
 
     # -- sections -----------------------------------------------------------
 
-    def _node(self, t: float) -> tuple[int, _Node | None]:
+    def _node(self, t: float) -> tuple[int, _Flows | None]:
         """(j, node): t is node j of its section grid.  On the grid node is
-        None; inside interval j - 1, t is inserted, and one fresh RK4 step
-        of the Hamiltonian from each end gives J, P and the carriers there."""
-        if t in self._nodes:
-            return self._nodes[t]
+        None; inside interval j - 1, t is inserted, and node holds the J and
+        P flows on [grid[j - 1], t, grid[j]], from the operator's J at
+        grid[j] and P at grid[j - 1]: its node 1 is t."""
         p, grid = self.problem, self.grid
         tol = _time_tol(p.t0, p.T)
         if not (p.t0 - tol <= t <= p.T + tol):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
         j = int(np.argmin(np.abs(grid - t)))
         if abs(grid[j] - t) <= tol:
-            out = j, None
-        else:
-            f = self._pair_and_flows[1]
-            k = int(np.searchsorted(grid, t)) - 1
-            g3 = np.array([grid[k], t, grid[k + 1]])
-            A3, S3, Q3, W3 = _coefficient_tables(p, g3)
-            H3 = _hamiltonian_table(A3, S3, Q3)
-            minus_P, X_P, _, _ = _reanchored_flow(g3, H3, -f.P[k])
-            J, X_J, _, _ = _reanchored_flow(g3, H3, f.J[k + 1], backward=True)
-            out = k + 1, _Node(J[1], -minus_P[1], X_J[1], X_P[1],
-                               A3[0][1] - S3[0][1] @ J[1],
-                               A3[2][0] - S3[2][0] @ minus_P[1], (W3[2][0], W3[0][1]))
-        self._nodes[t] = out
-        return out
+            return j, None
+        f = self._flows
+        k = int(np.searchsorted(grid, t)) - 1
+        return k + 1, _solve_flows(p, np.array([grid[k], t, grid[k + 1]]), f.J[k + 1], -f.P[k])
 
     def _solve_section(self, t: float) -> DenseSolution:
         j, node = self._node(t)
-        f = self._pair_and_flows[1]
+        f = self._flows
         (F_lo, F_hi), (G_lo, G_hi) = f.F, f.G
         # right of t the section follows F, left of it G
         if node is None:
@@ -253,13 +199,13 @@ class KernelOperator:
             hi = np.concatenate([G_hi[:j], F_hi[j:]])
         else:
             k = j - 1
-            V = np.linalg.inv(node.J + node.P)
+            V = np.linalg.inv(node.J[1] + node.P[1])
             times = np.insert(self.grid, j, t)
             K = np.concatenate([
-                f.carry(k, np.linalg.solve(node.X_P, V), right=False), V[None],
-                f.carry(j, np.linalg.solve(node.X_J, V), right=True)])
-            lo = np.concatenate([G_lo[:j], node.F[None], F_lo[j:]])
-            hi = np.concatenate([G_hi[:k], node.G[None], F_hi[k:]])
+                f.carry(k, np.linalg.solve(node.X_P[1], V), right=False), V[None],
+                f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
+            lo = np.concatenate([G_lo[:j], node.F[0][1:], F_lo[j:]])
+            hi = np.concatenate([G_hi[:k], node.G[1][:1], F_hi[k:]])
         return DenseSolution(times, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
 
 

@@ -196,8 +196,8 @@ class LQProblem:
         n, m = self.state_dim, self.input_dim
         if n < 1 or m < 1:
             raise ValueError("state_dim and input_dim must be positive")
-        if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.t0 < self.T):
-            raise ValueError(f"need finite t0 < T, got [{self.t0}, {self.T}]")
+        if not (np.isfinite(float(self.T) - float(self.t0)) and self.t0 < self.T):
+            raise ValueError(f"need t0 < T and a finite T - t0, got [{self.t0}, {self.T}]")
         if not self.r_min > 0:
             raise ValueError(f"r_min must be positive, got {self.r_min}")
         for name, sched, shape in (

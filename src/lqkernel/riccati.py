@@ -16,9 +16,11 @@ can grow by at most e^4, before the fastest modes swamp the columns of
 [X; Y].  The same routine, run forward on the same table from [I; 0], gives
 the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
-[[A, S], [Q, -A']]).  The kernel reads its sections off the X blocks of both
-flows, and every control off the costate J x or -P x through the stage
-table of W = R^{-1} B'.  M, the one nonlinear flow, runs its own classical
+[[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
+grid and returns them as one `_Flows` value, with the closed loops A - S J
+and A + S P and the stage table of W = R^{-1} B'.  The kernel reads its
+sections off the X blocks of both flows, and every control off the costate
+J x or -P x through W.  M, the one nonlinear flow, runs its own classical
 RK4 loop (`_dual_riccati_on`) straight on the dual equation, with a negative
 step on the same grid (no time reversal substitution), so J M = I compares
 two routes that share no discretization.  All are re-symmetrized at every
@@ -153,24 +155,64 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = F
     return R, X, block, drift
 
 
-def _riccati_flow(problem: LQProblem, grid: np.ndarray):
-    """J on `grid` by the backward re-anchored flow, with what the kernel
-    reads: (J solution, its drift, J and X at the nodes, block, (A, S, H, W)
-    stage tables).  Node derivatives are the Riccati right-hand side.  Raises
-    IntegrationBlowupError at the first node met where X is singular or J
-    non-finite, PositivityLostError where J is not positive definite."""
+@dataclass(frozen=True)
+class _Flows:
+    """The J and P flows on a grid: J as a `DenseSolution` and the asymmetry
+    its symmetrization absorbed, J and P at the nodes, the X blocks of their
+    flows (see `_reanchored_flow`), and the closed loops F = A - S J and
+    G = A + S P and the control map W = R^{-1} B' at the (lo, hi) stage
+    slots of every interval."""
+
+    J_solution: DenseSolution
+    drift_J: float
+    J: np.ndarray
+    P: np.ndarray
+    X_J: np.ndarray
+    X_P: np.ndarray
+    block: int
+    F: tuple
+    G: tuple
+    W: tuple
+
+    def carry(self, k: int, value: np.ndarray, right: bool) -> np.ndarray:
+        """K at nodes k..end along F (right) or 0..k along G, from its value
+        at node k: one solve where the walk enters a block, one product."""
+        X = self.X_J if right else self.X_P
+        end = X.shape[0] - 1 if right else 0
+        nodes = np.arange(k, end + 1) if right else np.arange(k, -1, -1)
+        enter = (nodes % self.block == 0) & (nodes != k) & (nodes != end)
+        carries = [np.linalg.solve(X[k], value)]  # K at the block anchors
+        for c in nodes[enter]:
+            carries.append(np.linalg.solve(X[c], carries[-1]))
+        out = (X[k:] if right else X[k::-1]) @ np.stack(carries)[np.cumsum(enter)]
+        out[0] = value
+        return out if right else out[::-1]
+
+
+def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
+                 minus_P_start: np.ndarray) -> _Flows:
+    """The J and P flows on `grid` through one Hamiltonian table: J backward
+    from J_end, with the Riccati right-hand side as node derivatives, then P
+    forward from -P = minus_P_start (the flow runs on -P).  Raises
+    IntegrationBlowupError at the first node met where X is singular or a
+    ratio non-finite, PositivityLostError (before P runs) where J is not
+    positive definite."""
     A_tab, S_tab, Q_tab, W_tab = _coefficient_tables(problem, grid)
     H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
-    J, X, block, drift = _reanchored_flow(grid, H_tab, np.asarray(problem.J_T, dtype=float),
-                                          backward=True)
+    J, X_J, block, drift = _reanchored_flow(grid, H_tab, J_end, backward=True)
 
     def rhs(slot, Jv):
         return (Jv @ S_tab[slot] @ Jv - np.swapaxes(A_tab[slot], 1, 2) @ Jv
                 - Jv @ A_tab[slot] - Q_tab[slot])
 
-    sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
-    _check_positive(sol, "J")
-    return sol, drift, J, X, block, (A_tab, S_tab, H_tab, W_tab)
+    J_sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
+    _check_positive(J_sol, "J")
+    del Q_tab  # H holds Q now; freeing the table before the P flow lowers peak memory
+    minus_P, X_P, _, _ = _reanchored_flow(grid, H_tab, minus_P_start)
+    P = -minus_P
+    F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
+    G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
+    return _Flows(J_sol, drift, J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
 
 
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:

@@ -59,6 +59,9 @@ def test_solve_both_reports_value_and_gap(p1_file, tmp_path, capsys):
     assert np.all(np.diff(rows[:, 0]) > 0)
     assert rows[0, 1] == 1.0 and rows[-1, 1] == pytest.approx(0.5, abs=1e-6)
     assert np.max(np.abs(rows[:, 2] + 0.5)) < 1e-6
+    rc = main(["solve", p1_file, "--method", "feedback", "--steps", "800", "--out", out])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["value"] == doc["value_feedback"]
 
 
 def test_solve_multipoint_constraints(p1_file, tmp_path, capsys):
@@ -328,6 +331,9 @@ def _fill(argv, doc, tmp):
     return [str(paths.get(a, a)) for a in argv]
 
 
+_riccati = ["riccati", "{doc}", "--steps", "10", "--out", "{out}"]
+
+
 def _multipoint(constraints):
     return ["solve", "{doc}", "--method", "multipoint", "--steps", "20",
             "--constraints", constraints, "--out", "{out}"]
@@ -355,14 +361,37 @@ def _multipoint(constraints):
     (["verify", "{doc}"], None, {"settings": {"tolerances": {"duality": "x"}}}),
     (["solve", "{doc}", "--out", "{out}"], None, {"x0": "abc"}),
     (["riccati", "{doc}", "--steps", "10", "--out", "{missing}"], None, {}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None, {"r_min": 0.0}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None, {"T": math.inf}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
-     {"A": {"kind": "pwc", "breakpoints": [], "matrices": []}}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
-     {"Q": {"kind": "poly", "coefficients": [[[1e308, 0], [0, 1e308]]] * 2}}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{out}"], None,
+    (_riccati, None, {"r_min": 0.0}),
+    (_riccati, None, {"T": math.inf}),
+    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [], "matrices": []}}),
+    (_riccati, None, {"Q": {"kind": "poly", "coefficients": [[[1e308, 0], [0, 1e308]]] * 2}}),
+    (_riccati, None,
      {"R": {"kind": "pwc", "breakpoints": [0.5001, 0.5002], "matrices": [[[1]], [[0]], [[1]]]}}),
+    (_riccati, None, {"t0": -1e308, "T": 1e308}),
+    (_riccati, None, {"state_dim": 2.5}),
+    (_riccati, None, {"input_dim": True}),
+    (["riccati", "{missing}", "--out", "{out}"], None, {}),
+    (_riccati, None, "{"),
+    (_riccati, None, "[1, 2]"),
+    (["solve", "{doc}", "--x0", "nan,0", "--out", "{out}"], None, {}),
+    (_multipoint("[["), None, {}),
+    (["solve", "{doc}", "--method", "multipoint", "--out", "{out}"], None, {}),
+    (["compare", "{doc}"], None, {"x0": None}),
+    (["verify", "{doc}", "--tolerances", "{"], None, {}),
+    (_riccati, None, {"A": {"kind": "constant", "matrix": [[[0, 1], [0, 0]]]}}),
+    (_riccati, None, {"Q": {"kind": "constant", "matrix": [[math.nan, 0], [0, 1]]}}),
+    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [[0.5]],
+                            "matrices": [[[0, 1], [0, 0]]] * 2}}),
+    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [0.5],
+                            "matrices": [[[0, 1], [0, 0]]]}}),
+    (_riccati, None, {"B": {"kind": "samples", "times": [0.0], "matrices": [[[0], [1]]]}}),
+    (_riccati, None, {"B": {"kind": "samples", "times": [0.0, 1.0],
+                            "matrices": [[[0], [1]]] * 3}}),
+    (_riccati, None, {"state_dim": 0}),
+    (_riccati, None, {"J_T": [[1.0]]}),
+    (_riccati, None, {"J_T": [[math.inf, 0], [0, 1]]}),
+    (_riccati, None, {"J_T": [[1, 1], [0, 1]]}),
+    (_riccati, None, {"Q": {"kind": "constant", "matrix": [[1, 1], [0, 1]]}}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
         "constraint-length", "env-steps-not-an-integer", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
@@ -371,12 +400,24 @@ def _multipoint(constraints):
         "settings-not-an-object", "settings-seed-not-an-integer",
         "settings-tolerance-not-a-number", "file-x0-not-numbers", "out-unwritable",
         "r-min-zero", "horizon-infinite", "schedule-without-pieces", "Q-overflows",
-        "R-singular-between-grid-points"])
+        "R-singular-between-grid-points", "horizon-length-overflows",
+        "state-dim-not-integral", "input-dim-boolean", "file-unreadable",
+        "file-invalid-json", "file-not-an-object", "x0-non-finite",
+        "constraints-invalid-json", "multipoint-without-constraints", "compare-without-x0",
+        "tolerances-invalid-json", "schedule-stack-shape", "schedule-non-finite",
+        "knots-not-one-dimensional", "pwc-piece-count", "samples-too-few",
+        "samples-mismatched", "state-dim-zero", "J_T-shape", "J_T-non-finite",
+        "J_T-asymmetric", "Q-asymmetric"])
 def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
                                           monkeypatch):
+    # doc_extra: keys to set (None drops the key), or the file's whole text
     path = tmp_path / "dint.json"
     doc = problem_to_dict(double_integrator_problem(), {"x0": [1.0, 0.0]})
-    path.write_text(json.dumps({**doc, **doc_extra}))
+    if isinstance(doc_extra, str):
+        path.write_text(doc_extra)
+    else:
+        doc.update(doc_extra)
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     if env is not None:
         monkeypatch.setenv("LQK_DEFAULT_STEPS", env)
     with np.errstate(over="ignore"):
