@@ -16,7 +16,7 @@ from .linalg import spd_inverse, sym_eig_pinv
 from .model import (ControlledTrajectory, LQProblem, MatrixSchedule,
                     ValidationReport, dynamics_defect, validate_problem)
 from .ode import DEFAULT_STEPS, DenseSolution, build_grid
-from .oracle import DiscreteLQ, discrete_value, richardson_value
+from .oracle import discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)
 from .riccati import RiccatiSolution, solve_adjoint
@@ -34,7 +34,7 @@ __all__ = [
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
     "DEFAULT_STEPS", "DenseSolution", "build_grid",
-    "DiscreteLQ", "discrete_value", "richardson_value",
+    "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory",
     "rollout", "unit_scalar_problem",
     "RiccatiSolution", "solve_adjoint",

@@ -290,16 +290,17 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     return float(xT1 @ np.asarray(problem.J_T) @ xT2) + integral
 
 
-def kernel_section_trajectory(operator: KernelOperator, t: float,
-                              pvec: np.ndarray) -> ControlledTrajectory:
-    """The kernel section K(., t) p as a controlled trajectory.
-
-    Its control, read off the costate by `KernelOperator.control`, jumps
-    at s = t; that node is stored two-sidedly.
-    """
-    pvec = np.asarray(pvec, dtype=float)
-    x = operator.section(t).right_multiply(pvec)
-    return ControlledTrajectory(x, operator.control(t, x))
+def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
+    """sum_i K(., t_i) p_i over (t_i, p_i) pairs sharing one grid (every t_i a
+    node of the operator's grid, or a single term), as a controlled trajectory.
+    Each term takes its own control off the costate (`KernelOperator.control`),
+    which jumps at s = t_i, where it is stored two-sidedly."""
+    xs = [operator.section(t).right_multiply(np.asarray(p, dtype=float)) for t, p in covectors]
+    us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]
+    fields = ("v_start", "v_end", "d_start", "d_end")
+    x, u = (DenseSolution(xs[0].times, *(sum(getattr(s, f) for s in parts) for f in fields))
+            for parts in (xs, us))
+    return ControlledTrajectory(x, u)
 
 
 def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,
@@ -307,7 +308,7 @@ def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,
                          quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float:
     """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property."""
     pvec = np.asarray(pvec, dtype=float)
-    section = kernel_section_trajectory(operator, t, pvec)
+    section = kernel_trajectory(operator, [(t, pvec)])
     lhs = float(pvec @ traj.x.eval(t))
     rhs = lq_inner_product(operator.problem, traj, section, quad_intervals)
     return abs(lhs - rhs)

@@ -136,10 +136,6 @@ class MatrixSchedule:
             return np.asarray(self.knots[1:-1])
         return np.zeros(0)
 
-    def eval(self, t: float, side: int = 1) -> np.ndarray:
-        """Value at time t; side=-1 takes the left limit at a pwc breakpoint."""
-        return self.eval_many(np.asarray([t], dtype=float), side)[0]
-
     def eval_many(self, ts, sides=1) -> np.ndarray:
         """Vectorized evaluation: (len(ts), rows, cols).
 

@@ -145,10 +145,6 @@ class DenseSolution:
         return float(self.times[-1])
 
     @property
-    def value_shape(self) -> tuple:
-        return self.v_start.shape[1:]
-
-    @property
     def values(self) -> np.ndarray:
         """Per-node values (right-continuous representative at jumps)."""
         return np.concatenate([self.v_start, self.v_end[-1:]], axis=0)

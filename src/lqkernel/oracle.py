@@ -9,8 +9,6 @@ acceptance tests sharpen by Richardson extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -19,57 +17,28 @@ from .model import LQProblem
 MIN_ORACLE_STEPS = 10
 
 
-@dataclass(frozen=True)
-class DiscreteLQ:
-    """Forward-Euler discretization of an LQ problem on a uniform grid."""
-
-    h: float
-    times: np.ndarray     # (steps,) left endpoints t_k
-    A: np.ndarray         # (steps, N, N)  I + h A(t_k)
-    B: np.ndarray         # (steps, N, M)  h B(t_k)
-    Q: np.ndarray         # (steps, N, N)  h Q(t_k)
-    R: np.ndarray         # (steps, M, M)  h R(t_k)
-    J_T: np.ndarray
-
-    @classmethod
-    def from_problem(cls, problem: LQProblem, steps: int) -> "DiscreteLQ":
-        if steps < MIN_ORACLE_STEPS:
-            raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
-        h = (problem.T - problem.t0) / steps
-        tk = problem.t0 + h * np.arange(steps)
-        eye = np.eye(problem.state_dim)
-        return cls(
-            h=h,
-            times=tk,
-            A=eye + h * problem.A.eval_many(tk),
-            B=h * problem.B.eval_many(tk),
-            Q=h * problem.Q.eval_many(tk),
-            R=h * problem.R.eval_many(tk),
-            J_T=np.asarray(problem.J_T, dtype=float),
-        )
-
-    def backward_pass(self) -> np.ndarray:
-        """The backward Riccati recursion; returns P_0."""
-        P = self.J_T
-        for k in range(self.times.size - 1, -1, -1):
-            A, B, Q, R = self.A[k], self.B[k], self.Q[k], self.R[k]
-            BtP = B.T @ P
-            inner = R + BtP @ B
-            try:
-                gain = np.linalg.solve(inner, BtP @ A)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"discrete Riccati inner solve singular at step {k}") from exc
-            P = Q + A.T @ P @ A - (BtP @ A).T @ gain
-            P = 0.5 * (P + P.T)
-        return P
-
-
 def discrete_value(problem: LQProblem, x0, steps: int) -> float:
-    """x0' P_0 x0 from the backward discrete Riccati recursion."""
+    """x0' P_0 x0, with P_0 from the backward discrete Riccati recursion on
+    `steps` uniform intervals of the forward-Euler discretization."""
     x0 = np.asarray(x0, dtype=float)
-    P0 = DiscreteLQ.from_problem(problem, steps).backward_pass()
-    return float(x0 @ P0 @ x0)
+    if steps < MIN_ORACLE_STEPS:
+        raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
+    h = (problem.T - problem.t0) / steps
+    tk = problem.t0 + h * np.arange(steps)  # left endpoints t_k
+    Ad = np.eye(problem.state_dim) + h * problem.A.eval_many(tk)
+    Bd, Qd, Rd = (h * s.eval_many(tk) for s in (problem.B, problem.Q, problem.R))
+    P = np.asarray(problem.J_T, dtype=float)
+    for k in range(tk.size - 1, -1, -1):
+        A, B = Ad[k], Bd[k]
+        BtP = B.T @ P
+        try:
+            gain = np.linalg.solve(Rd[k] + BtP @ B, BtP @ A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"discrete Riccati inner solve singular at step {k}") from exc
+        P = Qd[k] + A.T @ P @ A - (BtP @ A).T @ gain
+        P = 0.5 * (P + P.T)
+    return float(x0 @ P @ x0)
 
 
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:

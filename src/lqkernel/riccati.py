@@ -276,7 +276,7 @@ class RiccatiSolution:
 
     def duality_defects(self) -> np.ndarray:
         """Frobenius norm of J(t)M(t) - I at every grid node."""
-        eye = np.eye(self.J.value_shape[0])
+        eye = np.eye(self.problem.state_dim)
         prod = self.J.values @ self.M.values
         return np.linalg.norm(prod - eye, axis=(1, 2))
 

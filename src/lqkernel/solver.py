@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProblemError, InfeasibleInterpolationError
-from .kernel import DEFAULT_QUAD_INTERVALS, KernelOperator, lq_inner_product
+from .kernel import (DEFAULT_QUAD_INTERVALS, KernelOperator, kernel_trajectory,
+                     lq_inner_product)
 from .linalg import RANK_TOL, sym_eig_pinv
 from .model import ControlledTrajectory, LQProblem
-from .ode import DEFAULT_STEPS, DenseSolution, _time_tol
+from .ode import DEFAULT_STEPS, _time_tol
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,11 @@ def solve_multipoint(problem: LQProblem, constraints, steps: int = DEFAULT_STEPS
             f"constraints inconsistent with the Gram range (residual {resid:.3e})")
     covecs = tuple((float(t), pvec[i * n:(i + 1) * n]) for i, t in enumerate(times))
     # every section lies on op.grid, which holds all the pinned times
-    parts = [op.section(t).right_multiply(p) for t, p in covecs]
-    fields = ("v_start", "v_end", "d_start", "d_end")
-    x = DenseSolution(op.grid, *(sum(getattr(s, f) for s in parts) for f in fields))
+    traj = kernel_trajectory(op, covecs)
     for t, target in zip(times, targets):
-        err = np.linalg.norm(x.eval(float(t)) - target)
+        err = np.linalg.norm(traj.x.eval(float(t)) - target)
         if err > 1e-6 * (1.0 + np.linalg.norm(target)):
             raise InfeasibleInterpolationError(
                 f"interpolation condition at t={t} violated by {err:.3e}")
-    us = [op.control(t, s) for (t, _), s in zip(covecs, parts)]
-    u = DenseSolution(op.grid, *(sum(getattr(s, f) for s in us) for f in fields))
     value = float(pvec @ c)
-    return LQSolveResult(covecs, ControlledTrajectory(x, u), value, "multipoint")
+    return LQSolveResult(covecs, traj, value, "multipoint")

@@ -5,7 +5,7 @@ import pytest
 
 from lqkernel.errors import BvpDegenerateError, HorizonMismatchError
 from lqkernel.kernel import (KernelOperator, lq_inner_product,
-                             kernel_section_trajectory, reproducing_residual,
+                             kernel_trajectory, reproducing_residual,
                              shooting_diagonal)
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
@@ -213,7 +213,7 @@ def test_off_grid_section_equals_section_on_its_own_grid(t):
             want = getattr(ref, read)(pts, side)
             diff = np.max(np.abs(getattr(got, read)(pts, side) - want))
             assert diff <= 1e-11 * np.max(np.abs(want)), (read, side)
-    B, R = p.B.eval(t), p.R.eval(t)
+    B, R = p.B.eval_many([t])[0], p.R.eval_many([t])[0]
     left, right = got.deriv_many([t, t], [-1, 1])
     jump = left - right
     assert np.allclose(jump, B @ np.linalg.inv(R) @ B.T, rtol=1e-10, atol=1e-12)
@@ -429,7 +429,7 @@ def test_reproducing_random_trajectories(random_problems, operator_cache):
 
 def test_section_trajectory_control_is_minimal(dint, operator_cache):
     op = operator_cache(dint, 900)
-    sec = kernel_section_trajectory(op, 0.35, np.array([0.7, -0.2]))
+    sec = kernel_trajectory(op, [(0.35, np.array([0.7, -0.2]))])
     # recovered control must reproduce the section's own dynamics residual
     ts = sec.x.times[::60]
     B = dint.B.eval_many(ts)

@@ -14,19 +14,19 @@ from dense_nodes import dense_from_nodes
 
 def test_constant_schedule_value():
     s = MatrixSchedule.constant([[2.0]])
-    assert np.array_equal(s.eval(0.3), [[2.0]])
+    assert np.array_equal(s.eval_many([0.3])[0], [[2.0]])
 
 
 def test_sampled_linear_midpoint():
     s = MatrixSchedule.sampled_linear([0.0, 1.0], [[[0.0]], [[2.0]]])
-    assert np.allclose(s.eval(0.5), [[1.0]])
+    assert np.allclose(s.eval_many([0.5])[0], [[1.0]])
 
 
 def test_pwc_right_continuous_at_breakpoint():
     s = MatrixSchedule.piecewise_constant([0.5], [[[1.0]], [[3.0]]])
-    assert np.array_equal(s.eval(0.5), [[3.0]])
-    assert np.array_equal(s.eval(0.5, side=-1), [[1.0]])
-    assert np.array_equal(s.eval(0.49), [[1.0]])
+    assert np.array_equal(s.eval_many([0.5])[0], [[3.0]])
+    assert np.array_equal(s.eval_many([0.5], -1)[0], [[1.0]])
+    assert np.array_equal(s.eval_many([0.49])[0], [[1.0]])
 
 
 def test_sampled_schedule_exact_at_sample_times():
@@ -34,14 +34,14 @@ def test_sampled_schedule_exact_at_sample_times():
     mats = [np.array([[0.1, 0.2], [0.3, 0.4]]) * k for k in (1, 2, 3)]
     s = MatrixSchedule.sampled_linear(times, mats)
     for t, m in zip(times, mats):
-        assert np.array_equal(s.eval(t), m)
+        assert np.array_equal(s.eval_many([t])[0], m)
 
 
 def test_polynomial_uses_powers_of_shifted_time():
     s = MatrixSchedule.polynomial([[[1.0]], [[2.0]], [[3.0]]], origin=0.5)
     t = 0.9
     x = t - 0.5
-    assert s.eval(t)[0, 0] == pytest.approx(1.0 + 2.0 * x + 3.0 * x * x, abs=1e-15)
+    assert s.eval_many([t])[0, 0, 0] == pytest.approx(1.0 + 2.0 * x + 3.0 * x * x, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,8 +49,8 @@ def test_polynomial_uses_powers_of_shifted_time():
 def test_eval_schedule_deterministic(t):
     s = MatrixSchedule.sampled_linear([0.0, 0.4, 1.0],
                                       [[[1.0, 2.0]], [[0.5, -1.0]], [[3.0, 0.0]]])
-    a = s.eval(t)
-    b = s.eval(t)
+    a = s.eval_many([t])[0]
+    b = s.eval_many([t])[0]
     assert np.array_equal(a, b)
 
 
@@ -59,13 +59,13 @@ def test_eval_many_matches_scalar_eval():
     ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     batch = s.eval_many(ts)
     for t, m in zip(ts, batch):
-        assert np.array_equal(s.eval(t), m)
+        assert np.array_equal(s.eval_many([t])[0], m)
 
 
 def test_samples_outside_domain_raises():
     s = MatrixSchedule.sampled_linear([0.0, 1.0], [[[0.0]], [[2.0]]])
     with pytest.raises(ScheduleDomainError):
-        s.eval(1.5)
+        s.eval_many([1.5])
 
 
 def test_schedule_shape_mismatch_rejected():

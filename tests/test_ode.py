@@ -73,7 +73,7 @@ def _dense_eval(t0, T, t):
 
 
 def _samples_eval(t0, T, t):
-    MatrixSchedule.sampled_linear([t0, T], [[[1.0]], [[2.0]]]).eval(t)
+    MatrixSchedule.sampled_linear([t0, T], [[[1.0]], [[2.0]]]).eval_many([t])
 
 
 def _domain_cover(t0, T, t):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqkernel.oracle import DiscreteLQ, discrete_value, richardson_value
+from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.solver import solve_feedback
 
 
@@ -20,13 +20,6 @@ def test_value_zero_state(p2):
 def test_minimum_resolution_enforced(p1):
     with pytest.raises(ValueError):
         discrete_value(p1, [1.0], 5)
-
-
-def test_node_matrices_shapes(dint):
-    dlq = DiscreteLQ.from_problem(dint, 50)
-    assert dlq.A.shape == (50, 2, 2)
-    assert dlq.B.shape == (50, 2, 1)
-    assert dlq.h == pytest.approx(0.02)
 
 
 def test_first_order_richardson_ratio(dint, random_problems):

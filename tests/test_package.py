@@ -16,7 +16,7 @@ SURFACE = {
     "ControlledTrajectory", "LQProblem", "MatrixSchedule", "ValidationReport",
     "dynamics_defect", "validate_problem",
     "DEFAULT_STEPS", "DenseSolution", "build_grid",
-    "DiscreteLQ", "discrete_value", "richardson_value",
+    "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory", "rollout",
     "unit_scalar_problem",
     "RiccatiSolution", "solve_adjoint",

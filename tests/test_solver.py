@@ -5,7 +5,7 @@ import pytest
 
 from lqkernel import riccati
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
-from lqkernel.kernel import KernelOperator, kernel_section_trajectory
+from lqkernel.kernel import KernelOperator, kernel_trajectory
 from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
 from lqkernel.problems import random_problem, random_trajectory, rollout
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
@@ -188,7 +188,7 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
     pvec, x0 = np.array([0.7, -0.4]), np.array([1.0, -0.5])
     target = random_trajectory(p, np.random.default_rng(5))
     times = [0.25, 0.61234, 1.0]
-    trajs = {t: kernel_section_trajectory(op, t, pvec) for t in (0.0, 0.5, 0.61234, 1.0)}
+    trajs = {t: kernel_trajectory(op, [(t, pvec)]) for t in (0.0, 0.5, 0.61234, 1.0)}
     trajs["kernel"] = solve_kernel(p, x0, operator=op).trajectory
     trajs["feedback"] = solve_feedback(p, x0, operator=op).trajectory
     trajs["multipoint"] = solve_multipoint(
@@ -201,7 +201,7 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
             ref = _reference_control(p, ts, side, xv, xd)
             assert np.max(np.abs(uv - ref)) <= 1e-10 * np.max(np.abs(ref)), key
     for t in (0.5, 0.61234):
-        W = np.linalg.solve(p.R.eval(t), p.B.eval(t).T)
+        W = np.linalg.solve(p.R.eval_many([t])[0], p.B.eval_many([t])[0].T)
         u = trajs[t].u
         jump = u.eval(t, side=1) - u.eval(t, side=-1)
         assert np.max(np.abs(jump + W @ pvec)) <= 1e-10 * (1.0 + np.max(np.abs(W @ pvec)))
