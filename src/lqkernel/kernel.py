@@ -157,8 +157,8 @@ class KernelOperator:
             W_lo = np.insert(W_lo, j, node.W[0][1], axis=0)
             W_hi = np.insert(W_hi, j - 1, node.W[1][0], axis=0)
 
-        def u(W, M, v, sign):  # sign W M v, interval by interval
-            return sign * np.einsum("kij,kjl,kl->ki", W, M, v)
+        def u(W, M, v, sign):  # sign W (M v), interval by interval
+            return sign * np.einsum("kij,kj->ki", W, np.einsum("kij,kj->ki", M, v))
 
         u_start = np.concatenate([u(W_lo[:j], P[:j], x.v_start[:j], 1.0),
                                   u(W_lo[j:], J[j:-1], x.v_start[j:], -1.0)])
