@@ -28,7 +28,6 @@ by S(t).  The control of K(., t) p, read off the costate (J x right of t,
 
 from __future__ import annotations
 
-import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -107,10 +106,7 @@ class KernelOperator:
             return spd_inverse(p.J_T)
         if t >= p.t0 - tol:
             return self.riccati.M.eval(t)
-        try:
-            sub = dataclasses.replace(p, t0=t)
-        except ValueError as exc:  # a schedule's domain does not reach t
-            raise HorizonMismatchError(f"query time {t} before t0={p.t0}: {exc}") from None
+        sub = p.restricted(t)
         grid = build_grid(t, p.T, self.steps, sub.breakpoints())
         return _dual_riccati_on(sub, grid)[0].eval(t)
 

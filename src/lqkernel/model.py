@@ -58,8 +58,7 @@ class MatrixSchedule:
 
     `matrices` stacks the payload along axis 0: the single value, the pieces
     (len(knots)+1 of them), the samples (len(knots)), or the coefficients.
-    Evaluation accepts a one-sided limit flag so integrators can query the
-    left limit at a breakpoint node.
+    Stage tables take pwc pieces at interval midpoints (`schedule_stage_table`).
     """
 
     kind: str
@@ -225,10 +224,12 @@ class LQProblem:
         return np.unique(pts)
 
     def restricted(self, t0_new: float) -> "LQProblem":
-        """The same problem started at a later initial time."""
-        if not self.t0 <= t0_new < self.T:
-            raise HorizonMismatchError(f"restriction time {t0_new} not in [{self.t0}, {self.T})")
-        return dataclasses.replace(self, t0=float(t0_new))
+        """The same problem started at t0_new < T, earlier or later than t0;
+        every schedule's domain must reach back to t0_new."""
+        try:
+            return dataclasses.replace(self, t0=float(t0_new))
+        except ValueError as exc:
+            raise HorizonMismatchError(f"cannot restart at {t0_new}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,7 @@ def test_restricted_problem_shifts_start():
     p = _scalar_problem()
     sub = p.restricted(0.25)
     assert sub.t0 == 0.25 and sub.T == p.T
+    assert p.restricted(-0.5).t0 == -0.5  # constant schedules reach back before t0
     with pytest.raises(HorizonMismatchError):
         p.restricted(1.5)
 
