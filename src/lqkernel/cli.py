@@ -36,20 +36,37 @@ _SCHEDULE_KEYS = ("A", "B", "Q", "R")
 
 # -- problem file parsing ----------------------------------------------------
 
+def _json_numbers(raw, what: str):
+    """`raw` if it is a JSON number or nested lists of them, else a
+    ProblemFileError naming `what`: booleans, strings and null are not numbers."""
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ProblemFileError(f"{what}: expected a number, got {item!r}")
+    return raw
+
+
 def _parse_schedule(doc, key: str, t0: float) -> MatrixSchedule:
     if not isinstance(doc, dict):
         raise ProblemFileError(f"key '{key}': expected a schedule object")
     kind = doc.get("kind")
+
+    def num(field):
+        return _json_numbers(doc[field], f"key '{key}.{field}'")
+
     try:
         if kind == "constant":
-            return MatrixSchedule.constant(doc["matrix"])
+            return MatrixSchedule.constant(num("matrix"))
         if kind == "pwc":
-            return MatrixSchedule.piecewise_constant(doc["breakpoints"], doc["matrices"])
+            return MatrixSchedule.piecewise_constant(num("breakpoints"), num("matrices"))
         if kind == "samples":
-            return MatrixSchedule.sampled_linear(doc["times"], doc["matrices"])
+            return MatrixSchedule.sampled_linear(num("times"), num("matrices"))
         if kind == "poly":
-            return MatrixSchedule.polynomial(doc["coefficients"],
-                                             origin=doc.get("origin", t0))
+            origin = num("origin") if "origin" in doc else t0
+            return MatrixSchedule.polynomial(num("coefficients"), origin=origin)
     except KeyError as exc:
         raise ProblemFileError(f"key '{key}': missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -59,10 +76,9 @@ def _parse_schedule(doc, key: str, t0: float) -> MatrixSchedule:
 
 
 def _dimension(doc: dict, key: str) -> int:
-    """doc[key] as a dimension: a JSON number with an integral value, not a boolean."""
-    raw = doc[key]
-    if isinstance(raw, bool) or not (
-            isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())):
+    """doc[key] as a dimension: a JSON number with an integral value."""
+    raw = _json_numbers(doc[key], f"key '{key}'")
+    if isinstance(raw, list) or (isinstance(raw, float) and not raw.is_integer()):
         raise ProblemFileError(f"key '{key}': expected an integer, got {raw!r}")
     return int(raw)
 
@@ -75,15 +91,18 @@ def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
     for field in ("state_dim", "input_dim", "t0", "T", *_SCHEDULE_KEYS, "J_T"):
         if field not in doc:
             raise ProblemFileError(f"key '{field}': missing")
+
+    def num(key, default=None):
+        return _json_numbers(doc.get(key, default), f"key '{key}'")
+
     try:
-        t0 = float(doc["t0"])
+        t0 = float(num("t0"))
         scheds = {k: _parse_schedule(doc[k], k, t0) for k in _SCHEDULE_KEYS}
         problem = LQProblem(
             state_dim=_dimension(doc, "state_dim"), input_dim=_dimension(doc, "input_dim"),
-            t0=t0, T=float(doc["T"]),
+            t0=t0, T=float(num("T")),
             A=scheds["A"], B=scheds["B"], Q=scheds["Q"], R=scheds["R"],
-            J_T=np.asarray(doc["J_T"], dtype=float),
-            r_min=float(doc.get("r_min", R_MIN_DEFAULT)),
+            J_T=np.asarray(num("J_T"), dtype=float), r_min=float(num("r_min", R_MIN_DEFAULT)),
         )
     except ProblemFileError:
         raise
@@ -91,7 +110,7 @@ def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
         raise ProblemFileError(str(exc)) from exc
     extras = {}
     if "x0" in doc:
-        extras["x0"] = _state_vector(doc["x0"], problem.state_dim, "key 'x0'")
+        extras["x0"] = _state_vector(num("x0"), problem.state_dim, "key 'x0'")
     settings = doc.get("settings", {})
     if not isinstance(settings, dict):
         raise ProblemFileError("key 'settings': expected an object")
@@ -208,8 +227,10 @@ def _x0_from(args, extras: dict, n: int):
 
 def _constraints_from(text: str, problem: LQProblem) -> list:
     """Multipoint pins [(t, target), ...] from the --constraints JSON."""
+    what = "key 'constraints'"
     try:
-        pins = [(float(t), c) for t, c in json.loads(text)]
+        pins = [(float(_json_numbers(t, what)), _json_numbers(c, what))
+                for t, c in json.loads(text)]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"key 'constraints': {exc}") from exc
     try:

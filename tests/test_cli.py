@@ -392,6 +392,17 @@ def _multipoint(constraints):
     (_riccati, None, {"J_T": [[math.inf, 0], [0, 1]]}),
     (_riccati, None, {"J_T": [[1, 1], [0, 1]]}),
     (_riccati, None, {"Q": {"kind": "constant", "matrix": [[1, 1], [0, 1]]}}),
+    (_riccati, None, {"T": "1"}),
+    (_riccati, None, {"T": True}),
+    (_riccati, None, {"r_min": True}),
+    (_riccati, None, {"A": {"kind": "poly", "coefficients": [[[0, 1], [0, 0]]], "origin": True}}),
+    (_riccati, None, {"A": {"kind": "constant", "matrix": [["0", 1], [0, 0]]}}),
+    (_riccati, None, {"J_T": [[True, 0], [0, 1]]}),
+    (["solve", "{doc}", "--out", "{out}"], None, {"x0": ["1", 0]}),
+    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": ["0.5"],
+                            "matrices": [[[0, 1], [0, 0]]] * 2}}),
+    (_multipoint('[["0", [1, 0]], [1, [0, 0]]]'), None, {}),
+    (_multipoint("[[0, [true, 0]], [1, [0, 0]]]"), None, {}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
         "constraint-length", "env-steps-not-an-integer", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
@@ -407,7 +418,10 @@ def _multipoint(constraints):
         "tolerances-invalid-json", "schedule-stack-shape", "schedule-non-finite",
         "knots-not-one-dimensional", "pwc-piece-count", "samples-too-few",
         "samples-mismatched", "state-dim-zero", "J_T-shape", "J_T-non-finite",
-        "J_T-asymmetric", "Q-asymmetric"])
+        "J_T-asymmetric", "Q-asymmetric", "T-string", "T-boolean", "r-min-boolean",
+        "poly-origin-boolean", "matrix-entry-string", "J_T-entry-boolean",
+        "file-x0-entry-string", "breakpoint-string", "constraint-time-string",
+        "constraint-target-boolean"])
 def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
                                           monkeypatch):
     # doc_extra: keys to set (None drops the key), or the file's whole text
