@@ -82,6 +82,25 @@ def test_route_agreement_random(random_problems, operator_cache):
         assert gap <= 1e-5 * (1.0 + np.linalg.norm(x0))
 
 
+def test_routes_start_from_x0_under_ill_conditioned_riccati_value():
+    # an uncontrolled, fast-decaying mode, rotated into both coordinates, makes
+    # J(t0) nearly singular; both solves roll the closed loop from t0, so the
+    # feedback start is x0 itself and the kernel route stays close to it.
+    # Reading either off the section K(., t0) would invert J(t0) and lose both.
+    c = MatrixSchedule.constant
+    rot = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+    p = LQProblem(2, 1, 0.0, 1.0, c(rot @ np.diag([0.3, -9.3]) @ rot.T),
+                  c(rot @ [[1.0], [0.0]]), c(rot @ np.diag([1.0, 0.0]) @ rot.T),
+                  c([[1.0]]), np.eye(2))
+    op = KernelOperator(p, 800)
+    assert np.linalg.cond(op.riccati.J.eval(0.0)) > 1e8
+    x0 = np.array([1.0, -0.5])
+    xk = solve_kernel(p, x0, operator=op).trajectory.x
+    xf = solve_feedback(p, x0, operator=op).trajectory.x
+    assert np.linalg.norm(xf.eval(0.0) - x0) <= 1e-15 * np.linalg.norm(x0)
+    assert np.max(np.abs(xk.values - xf.values)) <= 1e-7
+
+
 def test_cost_of_solution_equals_value(p2, dint, operator_cache):
     for p in (p2, dint):
         res = solve_kernel(p, np.ones(p.state_dim), operator=operator_cache(p, 1200))
