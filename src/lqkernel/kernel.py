@@ -292,6 +292,8 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
     Each term takes its own control off the costate (`KernelOperator.control`),
     which jumps at s = t_i, where it is stored two-sidedly."""
     xs = [operator.section(t).right_multiply(np.asarray(p, dtype=float)) for t, p in covectors]
+    if len({x.times.tobytes() for x in xs}) > 1:
+        raise ValueError("kernel_trajectory: the sections lie on different grids")
     us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]
     fields = ("v_start", "v_end", "d_start", "d_end")
     x, u = (DenseSolution(xs[0].times, *(sum(getattr(s, f) for s in parts) for f in fields))

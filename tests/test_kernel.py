@@ -427,6 +427,14 @@ def test_reproducing_random_trajectories(random_problems, operator_cache):
         assert r <= 1e-4 * (1.0 + xnorm * np.linalg.norm(pv))
 
 
+def test_kernel_trajectory_rejects_terms_on_different_grids(dint, operator_cache):
+    # each off-grid column time inserts its own node, so the two sections have
+    # as many nodes as each other but not the same ones
+    op = operator_cache(dint, 900)
+    with pytest.raises(ValueError, match="different grids"):
+        kernel_trajectory(op, [(0.35001, np.ones(2)), (0.65001, np.ones(2))])
+
+
 def test_section_trajectory_control_is_minimal(dint, operator_cache):
     op = operator_cache(dint, 900)
     sec = kernel_trajectory(op, [(0.35, np.array([0.7, -0.2]))])
