@@ -232,12 +232,12 @@ def _constraints_from(text: str, problem: LQProblem) -> list:
         pins = [(float(_json_numbers(t, what)), _json_numbers(c, what))
                 for t, c in json.loads(text)]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"key 'constraints': {exc}") from exc
+        raise ProblemFileError(f"{what}: {exc}") from exc
     try:
         check_constraint_times(problem, np.asarray([t for t, _ in pins]))
     except ValueError as exc:
-        raise ProblemFileError(f"key 'constraints': {exc}") from None
-    return [(t, _state_vector(c, problem.state_dim, f"key 'constraints': target at t={t}"))
+        raise ProblemFileError(f"{what}: {exc}") from None
+    return [(t, _state_vector(c, problem.state_dim, f"{what}: target at t={t}"))
             for t, c in pins]
 
 
