@@ -118,14 +118,24 @@ def parse_problem_dict(doc: dict) -> tuple[LQProblem, dict]:
     return problem, extras
 
 
+def _parse_json(text: str, what: str):
+    """`text` as a JSON value.  Malformed text, or text nested deeper than
+    the parser's recursion limit, raises ProblemFileError naming `what`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(f"{what}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProblemFileError(f"{what}: JSON nested too deeply") from None
+
+
 def load_problem_file(path: str) -> tuple[LQProblem, dict]:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"invalid JSON: {exc}") from exc
+    doc = _parse_json(text, "problem file")
     if not isinstance(doc, dict):
         raise ProblemFileError("problem file must hold a JSON object")
     return parse_problem_dict(doc)
@@ -163,16 +173,22 @@ def problem_to_dict(problem: LQProblem, extras: dict | None = None) -> dict:
 
 # -- output helpers ----------------------------------------------------------
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+_CSV_ROWS = 256  # rows per formatting pass: bounds the strings and floats alive at once
+
+
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """`header`, then one line per row of the 2-D `table`, every value at
+    full precision (%.17g), one format operation per `_CSV_ROWS` rows."""
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise ProblemFileError(f"cannot write output: {exc}") from exc
-    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(fmt % tuple(row.tolist()))
+        for k in range(0, len(table), _CSV_ROWS):
+            rows = table[k:k + _CSV_ROWS]
+            fh.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _print_json(doc: dict) -> None:
@@ -228,9 +244,9 @@ def _x0_from(args, extras: dict, n: int):
 def _constraints_from(text: str, problem: LQProblem) -> list:
     """Multipoint pins [(t, target), ...] from the --constraints JSON."""
     what = "key 'constraints'"
+    doc = _parse_json(text, what)
     try:
-        pins = [(float(_json_numbers(t, what)), _json_numbers(c, what))
-                for t, c in json.loads(text)]
+        pins = [(float(_json_numbers(t, what)), _json_numbers(c, what)) for t, c in doc]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"{what}: {exc}") from exc
     try:
@@ -267,13 +283,10 @@ def cmd_solve(args) -> int:
             summary["value_feedback"] = fb.value
 
     traj = result.trajectory
-    ts = traj.x.times
-    xs = traj.x.values
-    us = traj.u.values
     n, m = problem.state_dim, problem.input_dim
     header = (["t"] + [f"x_{i+1}" for i in range(n)] + [f"u_{j+1}" for j in range(m)])
     _write_csv(args.out, header,
-               (np.concatenate([[t], x, u]) for t, x, u in zip(ts, xs, us)))
+               np.column_stack([traj.x.times, traj.x.values, traj.u.values]))
 
     summary["value"] = result.value
     summary["covectors"] = [
@@ -295,14 +308,13 @@ def cmd_riccati(args) -> int:
               + [f"M_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + ["duality_defect"])
     defects = rs.duality_defects()
-    rows = (
-        np.concatenate([[t], J.ravel(), M.ravel(), [d]])
-        for t, J, M, d in zip(rs.J.times, rs.J.values, rs.M.values, defects)
-    )
-    _write_csv(args.out, header, rows)
+    nodes = rs.J.times.size
+    _write_csv(args.out, header,
+               np.column_stack([rs.J.times, rs.J.values.reshape(nodes, -1),
+                                rs.M.values.reshape(nodes, -1), defects]))
     _print_json({
         "steps": steps,
-        "rows": int(rs.J.times.size),
+        "rows": nodes,
         "max_duality_defect": float(np.max(defects)),
         "max_asymmetry": max(rs.max_asymmetry_J, rs.max_asymmetry_M),
         "csv": args.out,
@@ -319,12 +331,9 @@ def cmd_kernel(args) -> int:
     n = problem.state_dim
     header = ["s", "t"] + [f"K_{i+1}{j+1}" for i in range(n) for j in range(n)]
 
-    def rows():
-        for s in grid:
-            for t in grid:
-                yield np.concatenate([[s, t], op.entry(float(s), float(t)).ravel()])
-
-    _write_csv(args.out, header, rows())
+    _write_csv(args.out, header,
+               np.array([[s, t, *op.entry(float(s), float(t)).ravel()]
+                         for s in grid for t in grid]))
     _print_json({"steps": steps, "grid_count": args.grid_count, "csv": args.out})
     return EXIT_OK
 
@@ -476,10 +485,7 @@ def cmd_verify(args) -> int:
     tolerances = _tolerances_from(settings.get("tolerances", {}),
                                   "key 'settings.tolerances'")
     if args.tolerances:
-        try:
-            flag = json.loads(args.tolerances)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"--tolerances: invalid JSON: {exc}") from exc
+        flag = _parse_json(args.tolerances, "--tolerances")
         tolerances = {**tolerances, **_tolerances_from(flag, "--tolerances")}
     seed, what = ((args.seed, "--seed") if args.seed is not None
                   else (settings.get("seed", 0), "key 'settings.seed'"))

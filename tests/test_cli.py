@@ -339,6 +339,16 @@ def _multipoint(constraints):
             "--constraints", constraints, "--out", "{out}"]
 
 
+def _deep(text):
+    """`text` inside 100000 extra brackets, past the JSON parser's recursion limit."""
+    return "[" * 100000 + text + "]" * 100000
+
+
+# the double integrator document with J_T wrapped in extra brackets
+_DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "@"}).replace(
+    '"@"', _deep("[[1, 0], [0, 1]]"))
+
+
 @pytest.mark.parametrize("argv, env, doc_extra", [
     (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], None, {}),
     (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], None, {}),
@@ -403,6 +413,9 @@ def _multipoint(constraints):
                             "matrices": [[[0, 1], [0, 0]]] * 2}}),
     (_multipoint('[["0", [1, 0]], [1, [0, 0]]]'), None, {}),
     (_multipoint("[[0, [true, 0]], [1, [0, 0]]]"), None, {}),
+    (_riccati, None, _DEEP_DOC),
+    (_multipoint(_deep("[0, [1, 0]], [1, [0, 0]]")), None, {}),
+    (["verify", "{doc}", "--tolerances", _deep("")], None, {}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
         "constraint-length", "env-steps-not-an-integer", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
@@ -421,7 +434,8 @@ def _multipoint(constraints):
         "J_T-asymmetric", "Q-asymmetric", "T-string", "T-boolean", "r-min-boolean",
         "poly-origin-boolean", "matrix-entry-string", "J_T-entry-boolean",
         "file-x0-entry-string", "breakpoint-string", "constraint-time-string",
-        "constraint-target-boolean"])
+        "constraint-target-boolean", "file-nested-too-deeply",
+        "constraints-nested-too-deeply", "tolerances-nested-too-deeply"])
 def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
                                           monkeypatch):
     # doc_extra: keys to set (None drops the key), or the file's whole text
