@@ -25,9 +25,13 @@ Design notes:
   K2 = Hm (I + h/2 K1), K3 = Hm (I + h/2 K2), K4 = H3 (I + h K3), and
   D_k = h/6 (K1 + 2 K2 + 2 K3 + K4), with c_k built the same way from F.
   The maps are built with batched matmuls in fixed-size blocks of
-  intervals (bounding the temporaries), the recurrence costs one small
-  matmul per step, and node derivatives H Y + F come out batched.  The
-  increment map D_k is kept apart from the identity so that a constant
+  intervals (bounding the temporaries), and node derivatives H Y + F come
+  out batched.  Within a block a two-level scan replaces the step-by-step
+  recurrence: the maps are composed over chunks of 16 steps, batched across
+  the chunks, one small product per chunk carries the chunk starts, and one
+  batched product forms every node, so a block of 256 steps costs about 32
+  interpreter steps instead of 256.  The increment map D_k, and every
+  composed map E, is kept apart from the identity so that a constant
   coefficient does not round the same P_k = I + D_k at every step.
   Blow-up rule: the first node, in integration order, whose value or
   one-sided node stage H Y + F is non-finite raises IntegrationBlowupError;
@@ -241,6 +245,7 @@ def schedule_stage_table(schedule, grid: np.ndarray):
 
 
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
+_AFFINE_CHUNK = 16  # steps per chunk of the scan in a block: sqrt(_AFFINE_BLOCK)
 
 
 def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
@@ -248,8 +253,8 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
     rk4_affine_values.
 
     Step k maps Y_k to Y_k + (D_k Y_k + c_k) in integration order.  The maps
-    of each block of `_AFFINE_BLOCK` intervals are built batched, the
-    recurrence runs over the block, and `_check_block` checks it.
+    of each block of `_AFFINE_BLOCK` intervals are built batched, a
+    two-level scan runs over the block, and `_check_block` checks it.
     """
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
@@ -281,14 +286,59 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
                 f3 = (0.5 * h) * (hm @ f2) + fm
                 f4 = h * (h3 @ f3) + F3[sl]
                 c = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            for i in (range(D.shape[0] - 1, -1, -1) if backward else range(D.shape[0])):
-                src, dst = (k0 + i + 1, k0 + i) if backward else (k0 + i, k0 + i + 1)
-                inc = D[i] @ values[src]
-                if c is not None:
-                    inc += c[i]
-                np.add(values[src], inc, out=values[dst])
+            nodes = _scan_block(D, c, values[sl.stop if backward else sl.start], backward)
+            if backward:
+                values[sl.start:sl.stop] = nodes[::-1]
+            else:
+                values[sl.start + 1:sl.stop + 1] = nodes
             _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi)
     return values
+
+
+def _scan_block(D, c, Y, backward):
+    """The nodes that the steps Y -> Y + (D_i Y + c_i) reach from Y, in
+    integration order (D, c in increasing time; `c` None for no forcing).
+
+    Two-level scan: the steps are cut into chunks of `_AFFINE_CHUNK`.  The
+    maps from each chunk start to every node in it are composed batched
+    across the chunks, again as increments E Y + g apart from the identity:
+    E_j = E_{j-1} + D_j + D_j E_{j-1} and g_j = g_{j-1} + D_j g_{j-1} + c_j.
+    One product per chunk carries the chunk starts, and one batched product
+    forms every node.  A zero pad after the last step maps a node to itself.
+    """
+    m = D.shape[0]
+    chunks = -(-m // _AFFINE_CHUNK)
+
+    def chunked(X):  # steps in integration order, zero-padded to whole chunks
+        X = X[::-1] if backward else X
+        if m < chunks * _AFFINE_CHUNK:
+            X = np.concatenate([X, np.zeros((chunks * _AFFINE_CHUNK - m,) + X.shape[1:])])
+        return X.reshape(chunks, _AFFINE_CHUNK, *X.shape[1:])
+
+    D = chunked(D)
+    E = np.empty_like(D)
+    E[:, 0] = D[:, 0]
+    if c is not None:
+        c = chunked(c)
+        g = np.empty_like(c)
+        g[:, 0] = c[:, 0]
+    for j in range(1, _AFFINE_CHUNK):
+        Dj, E_prev = D[:, j], E[:, j - 1]
+        np.add(E_prev + Dj, Dj @ E_prev, out=E[:, j])
+        if c is not None:
+            g_prev = g[:, j - 1]
+            np.add(g_prev + Dj @ g_prev, c[:, j], out=g[:, j])
+    start = np.empty((chunks,) + Y.shape)
+    start[0] = Y
+    for i in range(1, chunks):
+        inc = E[i - 1, -1] @ start[i - 1]
+        if c is not None:
+            inc += g[i - 1, -1]
+        np.add(start[i - 1], inc, out=start[i])
+    inc = (E.reshape(chunks, -1, E.shape[-1]) @ start).reshape(E.shape[:2] + Y.shape)
+    if c is not None:
+        inc += g
+    return (start[:, None] + inc).reshape((-1,) + Y.shape)[:m]
 
 
 def _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi) -> None:

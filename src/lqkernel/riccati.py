@@ -23,9 +23,12 @@ sections off the X blocks of both flows, and every control off the costate
 J x or -P x through W.  M, the one nonlinear flow, runs its own classical
 RK4 loop (`_dual_riccati_on`) straight on the dual equation, with a negative
 step on the same grid (no time reversal substitution), so J M = I compares
-two routes that share no discretization.  All are re-symmetrized at every
-node; the worst asymmetry absorbed by that projection is reported as a
-diagnostic.
+two routes that share no discretization.  Its stages are written as
+L M + (L M)' - S with L = A + M Q/2, one product fewer than the textbook
+form and symmetric by construction; one stage function serves the loop and
+the batched node derivatives.  All are re-symmetrized at every node (M
+after its loop, from the stored unsymmetrized node values); the worst
+asymmetry absorbed by that projection is reported as a diagnostic.
 
 The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
 on the operator's grid and with the J flow it shares with the kernel
@@ -215,36 +218,39 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
     return _Flows(J_sol, drift, J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
 
 
+def _dual_stage(A, S, Q_half, M):
+    """The dual right-hand side A M + M A' - S + M Q M, written as
+    L M + (L M)' - S with L = A + M Q/2, of a matrix or a stack."""
+    LM = (A + M @ Q_half) @ M
+    return LM + LM.swapaxes(-1, -2) - S
+
+
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:
     """M on `grid` by classical RK4 on the dual equation, backward from
-    M(T) = J_T^{-1} and symmetrized at every node.  Returns (M, drift), the
+    M(T) = J_T^{-1}, symmetrized at the nodes.  Returns (M, drift), the
     worst asymmetry absorbed.  Raises IntegrationBlowupError at the first
     node met where M is non-finite, PositivityLostError where M is not
     positive definite."""
-    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)[:3]
-
-    def rhs(slot, k, M):  # k an interval, or a slice of them with M a stack
-        A = A_tab[slot][k]
-        return A @ M + M @ np.swapaxes(A, -1, -2) - S_tab[slot][k] + M @ (Q_tab[slot][k] @ M)
-
+    (A0, A1, A2), (S0, S1, S2), Q_tab = _coefficient_tables(problem, grid)[:3]
+    Qh0, Qh1, Qh2 = (0.5 * Q for Q in Q_tab)
     n = grid.size - 1
     y = spd_inverse(problem.J_T)
-    vals = np.empty((n + 1,) + y.shape)
-    vals[n] = y
-    drift = 0.0
-    for k in range(n - 1, -1, -1):  # from the hi slot of interval k to its lo slot
-        h = grid[k] - grid[k + 1]
-        k1 = rhs(2, k, y)
-        k2 = rhs(1, k, y + (0.5 * h) * k1)
-        k3 = rhs(1, k, y + (0.5 * h) * k2)
-        k4 = rhs(0, k, y + h * k3)
-        y, d = _symmetrized(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        drift = max(drift, d)
-        if not np.all(np.isfinite(y)):
-            raise _blowup(grid[k])
-        vals[k] = y
-    sol = DenseSolution(grid, vals[:-1], vals[1:], rhs(0, slice(None), vals[:-1]),
-                        rhs(2, slice(None), vals[1:]))
+    raw = np.empty((n + 1,) + y.shape)
+    raw[n] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in zip(range(n - 1, -1, -1), (-np.diff(grid)[::-1]).tolist()):
+            # from the hi slot of interval k to its lo slot
+            k1 = _dual_stage(A2[k], S2[k], Qh2[k], y)
+            k2 = _dual_stage(A1[k], S1[k], Qh1[k], y + (0.5 * h) * k1)
+            k3 = _dual_stage(A1[k], S1[k], Qh1[k], y + (0.5 * h) * k2)
+            k4 = _dual_stage(A0[k], S0[k], Qh0[k], y + h * k3)
+            y = raw[k] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    bad = np.flatnonzero(~np.isfinite(raw).reshape(n + 1, -1).all(axis=1))
+    if bad.size:
+        raise _blowup(grid[bad[-1]])
+    vals, drift = _symmetrized(raw)
+    sol = DenseSolution(grid, vals[:-1], vals[1:], _dual_stage(A0, S0, Qh0, vals[:-1]),
+                        _dual_stage(A2, S2, Qh2, vals[1:]))
     _check_positive(sol, "M")
     return sol, drift
 

@@ -275,14 +275,39 @@ def test_affine_matches_stagewise_rk4(backward):
                           sol.values)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 255, 256, 257, 513])
+def test_affine_scan_matches_stagewise_rk4_at_chunk_edges(steps):
+    # step counts on either side of a scan chunk (16 steps) and of a block
+    # of step maps (256 intervals)
+    rng = np.random.default_rng(steps)
+    H = MatrixSchedule.sampled_linear(
+        [0.0, 0.4, 1.0], [rng.normal(size=(3, 3)) for _ in range(3)])
+    F = MatrixSchedule.polynomial([rng.normal(size=(3, 2)) for _ in range(3)])
+    grid = build_grid(0.0, 1.0, steps)
+    H_tab, F_tab = schedule_stage_table(H, grid), schedule_stage_table(F, grid)
+    y0 = rng.normal(size=(3, 2))
+    for forcing in (None, F_tab):
+        def stagefn(k, slot, Y):
+            return H_tab[slot][k] @ Y + (0.0 if forcing is None else forcing[slot][k])
+
+        for backward in (False, True):
+            ref = stagewise_rk4(stagefn, grid, y0, backward=backward)
+            sol = rk4_affine(grid, H_tab, y0, forcing, backward=backward)
+            scale = np.max(np.abs(ref.values))
+            for name in ("v_start", "v_end", "d_start", "d_end"):
+                assert (np.max(np.abs(getattr(sol, name) - getattr(ref, name)))
+                        <= 1e-12 * scale), (forcing is None, backward, name)
+
+
 def test_affine_blowup_reports_time():
     # h * lambda = 4 at 200 steps: the values stay finite up to 1.4e307, but
-    # the node stage 800 x overflows
+    # the node stage 800 x overflows one node before the end
     stiff = MatrixSchedule.constant([[800.0]])
-    grid = build_grid(0.0, 1.0, 200)
-    with pytest.raises(IntegrationBlowupError) as exc:
-        rk4_affine(grid, schedule_stage_table(stiff, grid), np.array([1.0]))
-    assert exc.value.time is not None and 0.9 < exc.value.time <= 1.0
+    for steps, node in ((200, 199), (210, 207)):
+        grid = build_grid(0.0, 1.0, steps)
+        with pytest.raises(IntegrationBlowupError) as exc:
+            rk4_affine(grid, schedule_stage_table(stiff, grid), np.array([1.0]))
+        assert exc.value.time == grid[node] == pytest.approx(node / steps, abs=1e-15)
 
 
 # -- state-transition matrices: Phi_A(., s) is rk4_affine from the identity --
