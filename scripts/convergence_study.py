@@ -1,4 +1,5 @@
-"""Step-halving study: RK4 order on the integrator, O(h) bias of the oracle.
+"""Step-halving study: RK4 order on the integrator, the fourth order of the
+dual Riccati flow M (Magnus-Pade steps), O(h) bias of the oracle.
 
 Usage: python scripts/convergence_study.py
 """
@@ -7,10 +8,11 @@ import math
 
 import numpy as np
 
+from lqkernel.kernel import KernelOperator
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
 from lqkernel.oracle import discrete_value
-from lqkernel.problems import double_integrator_problem, unit_scalar_problem
+from lqkernel.problems import double_integrator_problem, random_problem, unit_scalar_problem
 from lqkernel.solver import solve_feedback
 
 
@@ -23,6 +25,19 @@ def rk4_table():
         grid = build_grid(0.0, 1.0, steps)
         sol = rk4_affine(grid, schedule_stage_table(one, grid), np.array([[1.0]]))
         err = abs(sol.eval(1.0)[0, 0] - math.e)
+        ratio = f"{prev / err:8.2f}" if prev else " " * 8
+        print(f"{steps:>8} {err:14.3e} {ratio}")
+        prev = err
+
+
+def dual_table(problem, name):
+    fine = KernelOperator(problem, 6400).riccati.M
+    print(f"\ndual Riccati flow M on {name} (error against 6400 steps):")
+    print(f"{'steps':>8} {'error':>14} {'ratio':>8}")
+    prev = None
+    for steps in (50, 100, 200, 400, 800):
+        M = KernelOperator(problem, steps).riccati.M
+        err = np.max(np.abs(M.values - fine.eval_many(M.times)))
         ratio = f"{prev / err:8.2f}" if prev else " " * 8
         print(f"{steps:>8} {err:14.3e} {ratio}")
         prev = err
@@ -48,5 +63,6 @@ def oracle_table(problem, name):
 
 if __name__ == "__main__":
     rk4_table()
+    dual_table(random_problem(np.random.default_rng(3), state_dim=3), "a random N = 3 problem")
     oracle_table(unit_scalar_problem(state_cost=1.0), "scalar unit-cost problem")
     oracle_table(double_integrator_problem(), "double integrator")

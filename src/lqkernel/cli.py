@@ -131,10 +131,12 @@ def _parse_json(text: str, what: str):
 
 def load_problem_file(path: str) -> tuple[LQProblem, dict]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"problem file is not UTF-8 text: {exc}") from None
     doc = _parse_json(text, "problem file")
     if not isinstance(doc, dict):
         raise ProblemFileError("problem file must hold a JSON object")

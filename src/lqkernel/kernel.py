@@ -35,8 +35,8 @@ import numpy as np
 from .errors import BvpDegenerateError, HorizonMismatchError
 from .linalg import spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _time_tol, build_grid,
-                  rk4_affine_values, schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
+                  schedule_stage_table)
 from .riccati import (RiccatiSolution, _coefficient_tables, _dual_riccati_on,
                       _Flows, _hamiltonian_table, _solve_flows)
 
@@ -223,9 +223,8 @@ def shooting_diagonal(problem: LQProblem, t: float,
     H_tab = _hamiltonian_table(*_coefficient_tables(p, grid)[:3])
     j = int(np.argmin(np.abs(grid - t)))
     W = np.eye(2 * n)
-    W[:, :n] = rk4_affine_values(grid[:j + 1], tuple(H[:j] for H in H_tab),
-                                 np.eye(2 * n, n))[-1]
-    WT = rk4_affine_values(grid[j:], tuple(H[j:] for H in H_tab), W)[-1]
+    W[:, :n] = _affine_sweep(grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))[-1]
+    WT = _affine_sweep(grid[j:], tuple(H[j:] for H in H_tab), W)[-1]
     J_T = np.asarray(p.J_T)
     E = J_T @ WT[:n, :n] - WT[n:, :n]
     rhs = WT[n:, n:] - J_T @ WT[:n, n:]

@@ -1,10 +1,10 @@
-"""Fixed-step RK4 integration of matrix/vector ODEs with dense output.
+"""Fixed-step integration of linear matrix/vector ODEs with dense output.
 
 Design notes:
 
 * Grids are uniform except that caller-supplied breakpoints (schedule jumps,
-  kernel column times) are inserted as nodes, so every RK4 step sees
-  a smooth right-hand side.  Stage evaluations at interval endpoints carry a
+  kernel column times) are inserted as nodes, so every step sees a smooth
+  right-hand side.  Stage evaluations at interval endpoints carry a
   one-sided limit flag: the stage at the *left* end of an interval uses the
   right limit of any discontinuous coefficient, the stage at the *right* end
   uses the left limit.  This keeps the classical 4th-order accuracy across
@@ -19,24 +19,25 @@ Design notes:
 * Backward integration (a > b) runs directly with a negative step; the stored
   solution is always re-oriented so `times` is increasing.
 
-* Linear flows Y' = H(t) Y + F(t) on precomputed stage tables go through
-  `rk4_affine`.  On such a flow one classical RK4 step is exactly an affine
-  map Y_{k+1} = Y_k + (D_k Y_k + c_k): the stages compose as K1 = H1,
-  K2 = Hm (I + h/2 K1), K3 = Hm (I + h/2 K2), K4 = H3 (I + h K3), and
-  D_k = h/6 (K1 + 2 K2 + 2 K3 + K4), with c_k built the same way from F.
-  The maps are built with batched matmuls in fixed-size blocks of
-  intervals (bounding the temporaries), and node derivatives H Y + F come
-  out batched.  Within a block a two-level scan replaces the step-by-step
-  recurrence: the maps are composed over chunks of 16 steps, batched across
-  the chunks, one small product per chunk carries the chunk starts, and one
-  batched product forms every node, so a block of 256 steps costs about 32
-  interpreter steps instead of 256.  The increment map D_k, and every
-  composed map E, is kept apart from the identity so that a constant
-  coefficient does not round the same P_k = I + D_k at every step.
+* Linear flows Y' = H(t) Y + F(t) on precomputed stage tables go through one
+  blocked sweep, `_affine_sweep`.  A step of such a flow is an affine map
+  Y_{k+1} = Y_k + (D_k Y_k + c_k), and a builder makes the increments from
+  the (lo, mid, hi) stage slots: `_rk4_maps` (classical RK4; `rk4_affine`
+  and the J and P flows) or `_pade_maps` (an A-stable Magnus-Pade step; the
+  dual Riccati flow M).
+  The maps are built batched in fixed-size blocks of intervals (bounding
+  the temporaries), and node derivatives H Y + F come out batched.  Within
+  a block a two-level scan replaces the step-by-step recurrence: the maps
+  are composed over chunks of 16 steps, batched across the chunks, one
+  small product per chunk carries the chunk starts, and one batched product
+  forms every node, so a block of 256 steps costs about 32 interpreter
+  steps instead of 256.  The increment map D_k, and every composed map E,
+  is kept apart from the identity so that a constant coefficient does not
+  round the same P_k = I + D_k at every step.
   Blow-up rule: the first node, in integration order, whose value or
   one-sided node stage H Y + F is non-finite raises IntegrationBlowupError;
   the stage check matters when values stay just below overflow
-  (h * lambda = 4 on x' = 800 x).
+  (h * lambda = 4 on x' = 800 x under RK4).
 """
 
 from __future__ import annotations
@@ -248,14 +249,42 @@ _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
 _AFFINE_CHUNK = 16  # steps per chunk of the scan in a block: sqrt(_AFFINE_BLOCK)
 
 
-def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
-    """Node values of RK4 on Y' = H Y + F by its affine step maps; see
-    rk4_affine_values.
+def _rk4_maps(h, H1, Hm, H3, F1, Fm, F3):
+    """The increments (D, c) of classical RK4 on Y' = H Y + F, one step per
+    entry of `h`: step i maps Y to Y + (D_i Y + c_i).  H1/F1 sit at the
+    start of the step in integration order, Hm/Fm at its midpoint, H3/F3 at
+    its end; `c` is None when F1 is."""
+    K1 = H1
+    K2 = Hm + (0.5 * h) * (Hm @ K1)
+    K3 = Hm + (0.5 * h) * (Hm @ K2)
+    K4 = H3 + h * (H3 @ K3)
+    D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    c = None
+    if F1 is not None:
+        f2 = (0.5 * h) * (Hm @ F1) + Fm
+        f3 = (0.5 * h) * (Hm @ f2) + Fm
+        f4 = h * (H3 @ f3) + F3
+        c = (h / 6.0) * (F1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return D, c
 
-    Step k maps Y_k to Y_k + (D_k Y_k + c_k) in integration order.  The maps
-    of each block of `_AFFINE_BLOCK` intervals are built batched, a
-    two-level scan runs over the block, and `_check_block` checks it.
-    """
+
+def _pade_maps(h, H1, Hm, H3, F1, Fm, F3):
+    """The increments (D, None) of the (2,2) Pade map of a fourth-order Magnus
+    step on an unforced flow Y' = H Y (F1, Fm, F3 are None), slots as in
+    `_rk4_maps`: Omega = h/6 (H1 + 4 Hm + H3) + h^2/12 [H3, H1] and
+    D = (I - Omega/2 + Omega^2/12)^{-1} Omega, the map R(Omega) - I with
+    R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12).  A-stable, and symplectic
+    on a Hamiltonian H (Blanes, Casas, Oteo & Ros, Phys. Rep. 2009)."""
+    Om = (h / 6.0) * (H1 + 4.0 * Hm + H3) + (h * h / 12.0) * (H3 @ H1 - H1 @ H3)
+    return np.linalg.solve(np.eye(Om.shape[-1]) - 0.5 * Om + (Om @ Om) / 12.0, Om), None
+
+
+def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_maps):
+    """Node values of Y' = H Y + F under the step maps that `step` builds
+    (`_rk4_maps`, or `_pade_maps` when F is None), in increasing time order;
+    conventions and blow-up rule as in `rk4_affine`.  The maps of each block
+    of `_AFFINE_BLOCK` intervals are built batched, a two-level scan runs
+    over the block, and `_check_block` checks it."""
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
     F_lo, F_mid, F_hi = (None,) * 3 if F_table is None else (
@@ -269,23 +298,8 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False):
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in (reversed(starts) if backward else starts):
             sl = slice(k0, min(k0 + _AFFINE_BLOCK, n))
-            h = steps[sl, None, None]
-            hm, h3 = H_mid[sl], H3[sl]
-            # one RK4 step is affine: stage k_i = K_i Y + f_i, and
-            # Y_next = Y + (D Y + c) with P = I + D; keeping the increment map
-            # D apart from I avoids rounding the same P every step
-            K1 = H1[sl]
-            K2 = hm + (0.5 * h) * (hm @ K1)
-            K3 = hm + (0.5 * h) * (hm @ K2)
-            K4 = h3 + h * (h3 @ K3)
-            D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            c = None
-            if F_table is not None:
-                f1, fm = F1[sl], F_mid[sl]
-                f2 = (0.5 * h) * (hm @ f1) + fm
-                f3 = (0.5 * h) * (hm @ f2) + fm
-                f4 = h * (h3 @ f3) + F3[sl]
-                c = (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            D, c = step(steps[sl, None, None], H1[sl], H_mid[sl], H3[sl],
+                        *((None,) * 3 if F_table is None else (F1[sl], F_mid[sl], F3[sl])))
             nodes = _scan_block(D, c, values[sl.stop if backward else sl.start], backward)
             if backward:
                 values[sl.start:sl.stop] = nodes[::-1]
@@ -367,31 +381,17 @@ def _column_form(y0, F_table, n):
     return y0[:, None], F_table
 
 
-def rk4_affine_values(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
-                      backward: bool = False) -> np.ndarray:
-    """Node values of classical RK4 on the linear flow Y' = H(t) Y + F(t).
-
-    `H_table` and `F_table` are (lo, mid, hi) stage tables as returned by
-    `schedule_stage_table`, whose docstring gives the one-sided slot
-    convention; F has the shape of Y per interval.  `y0` is a vector or a
-    matrix and sits at grid[-1] if backward.  Returns the values at every
-    grid node in increasing time order.  Raises IntegrationBlowupError at the
-    first node, in integration order, where a value or a one-sided stage
-    H Y + F is non-finite.
-    """
-    grid = np.asarray(grid, dtype=float)
-    Y0, F_table = _column_form(y0, F_table, grid.size - 1)
-    values = _affine_sweep(grid, H_table, Y0, F_table, backward)
-    return values[:, :, 0] if np.ndim(y0) == 1 else values
-
-
 def rk4_affine(grid: np.ndarray, H_table, y0: np.ndarray, F_table=None,
                backward: bool = False) -> DenseSolution:
     """Classical RK4 on Y' = H(t) Y + F(t) from stage tables, as a dense solution.
 
-    Same grid, slot and orientation conventions and the same blow-up rule as
-    `rk4_affine_values`; the stored one-sided node derivatives are H Y + F,
-    evaluated batched after the sweep.
+    `H_table` and `F_table` are (lo, mid, hi) stage tables as returned by
+    `schedule_stage_table`, whose docstring gives the one-sided slot
+    convention; F has the shape of Y per interval.  `y0` is a vector or a
+    matrix and sits at grid[-1] if backward.  The stored one-sided node
+    derivatives are H Y + F, evaluated batched after the sweep.  Raises
+    IntegrationBlowupError at the first node, in integration order, where a
+    value or a one-sided stage H Y + F is non-finite.
     """
     grid = np.asarray(grid, dtype=float)
     Y0, F_cols = _column_form(y0, F_table, grid.size - 1)

@@ -10,9 +10,9 @@ and its inverse M(., T) solves the dual equation, backward from J_T^{-1},
 
 J is read off the linear Hamiltonian flow (Davison & Maki, IEEE TAC 1973):
 with S = B R^{-1} B', the pair [X; Y]' = [[A, -S], [-Q, -A']] [X; Y] runs
-backward through `rk4_affine_values` and J = Y X^{-1} at every node.  The
-flow restarts from [I; J_k] after every block of intervals over which it
-can grow by at most e^4, before the fastest modes swamp the columns of
+backward by RK4 steps (`ode._affine_sweep`) and J = Y X^{-1} at every node.
+The flow restarts from [I; J_k] after every block of intervals over which
+it can grow by at most e^4, before the fastest modes swamp the columns of
 [X; Y].  The same routine, run forward on the same table from [I; 0], gives
 the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
@@ -20,15 +20,17 @@ from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 grid and returns them as one `_Flows` value, with the closed loops A - S J
 and A + S P and the stage table of W = R^{-1} B'.  The kernel reads its
 sections off the X blocks of both flows, and every control off the costate
-J x or -P x through W.  M, the one nonlinear flow, runs its own classical
-RK4 loop (`_dual_riccati_on`) straight on the dual equation, with a negative
-step on the same grid (no time reversal substitution), so J M = I compares
-two routes that share no discretization.  Its stages are written as
-L M + (L M)' - S with L = A + M Q/2, one product fewer than the textbook
-form and symmetric by construction; one stage function serves the loop and
-the batched node derivatives.  All are re-symmetrized at every node (M
-after its loop, from the stored unsymmetrized node values); the worst
-asymmetry absorbed by that projection is reported as a diagnostic.
+J x or -P x through W.  M is the same ratio on the swapped table
+[[-A', -Q], [-S, A]], whose Y X^{-1} solves the dual equation, run backward
+from [I; J_T^{-1}] by the same restarted routine (`_dual_riccati_on`), but
+with the (2,2) Pade map of a fourth-order Magnus step in place of RK4
+(`ode._pade_maps`; A-stable, so a stiff step that overflows RK4 stays
+bounded).  The swapped table is H conjugated by the block swap, so RK4 on
+it would give M = J^{-1} up to restart roundoff; with the Pade step,
+J M = I compares two routes that share the stage tables but no step map.  The node derivatives of M are the dual right-hand
+side, written as L M + (L M)' - S with L = A + M Q/2.  J, P and M are
+re-symmetrized at every node; the worst asymmetry absorbed by that
+projection is reported as a diagnostic.
 
 The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
 on the operator's grid and with the J flow it shares with the kernel
@@ -45,8 +47,8 @@ import numpy as np
 from .errors import PositivityLostError
 from .linalg import spd_inverse
 from .model import LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _blowup, build_grid, rk4_affine,
-                  rk4_affine_values, schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup, _pade_maps,
+                  _rk4_maps, build_grid, rk4_affine, schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
 # a block the columns of [X; Y] drift toward its fastest-growing modes, and X
@@ -122,17 +124,19 @@ def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
     return R
 
 
-def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = False):
+def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = False,
+                     step=_rk4_maps):
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
-    Z' = H Z runs from [I; R0] at grid[0] (grid[-1] if backward) and
-    restarts from [I; R_k] after every `block` intervals, the most that keep
-    sum h |H|_inf under `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block,
-    drift): R and X at every node, and the worst asymmetry that symmetrizing
-    R absorbed.  Block i spans nodes i*block to (i+1)*block and is anchored
-    at its end if backward, at its start if not; X at a node is the
-    propagator of A - S R from the anchor of the block that holds the node
-    past its anchor (X = I at the first anchor).
+    Z' = H Z runs by the step maps of `step` (see `ode._affine_sweep`) from
+    [I; R0] at grid[0] (grid[-1] if backward) and restarts from [I; R_k]
+    after every `block` intervals, the most that keep sum h |H|_inf under
+    `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block, drift): R and X at every
+    node, and the worst asymmetry that symmetrizing R absorbed.  Block i
+    spans nodes i*block to (i+1)*block and is anchored at its end if
+    backward, at its start if not; X at a node is the propagator of A - S R
+    from the anchor of the block that holds the node past its anchor (X = I
+    at the first anchor).
     """
     n = R0.shape[0]
     eye = np.eye(n)
@@ -148,9 +152,9 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = F
     drift = 0.0
     for k0 in (reversed(starts) if backward else starts):
         k1 = min(k0 + block, n_int)
-        Z = rk4_affine_values(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
-                              np.vstack([eye, R[k1 if backward else k0]]),
-                              backward=backward)
+        Z = _affine_sweep(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
+                          np.vstack([eye, R[k1 if backward else k0]]),
+                          backward=backward, step=step)
         inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
         R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z, n, backward))
         drift = max(drift, d)
@@ -218,39 +222,27 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
     return _Flows(J_sol, drift, J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
 
 
-def _dual_stage(A, S, Q_half, M):
+def _dual_stage(A, S, Q, M):
     """The dual right-hand side A M + M A' - S + M Q M, written as
     L M + (L M)' - S with L = A + M Q/2, of a matrix or a stack."""
-    LM = (A + M @ Q_half) @ M
+    LM = (A + 0.5 * (M @ Q)) @ M
     return LM + LM.swapaxes(-1, -2) - S
 
 
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:
-    """M on `grid` by classical RK4 on the dual equation, backward from
-    M(T) = J_T^{-1}, symmetrized at the nodes.  Returns (M, drift), the
-    worst asymmetry absorbed.  Raises IntegrationBlowupError at the first
-    node met where M is non-finite, PositivityLostError where M is not
-    positive definite."""
-    (A0, A1, A2), (S0, S1, S2), Q_tab = _coefficient_tables(problem, grid)[:3]
-    Qh0, Qh1, Qh2 = (0.5 * Q for Q in Q_tab)
-    n = grid.size - 1
-    y = spd_inverse(problem.J_T)
-    raw = np.empty((n + 1,) + y.shape)
-    raw[n] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in zip(range(n - 1, -1, -1), (-np.diff(grid)[::-1]).tolist()):
-            # from the hi slot of interval k to its lo slot
-            k1 = _dual_stage(A2[k], S2[k], Qh2[k], y)
-            k2 = _dual_stage(A1[k], S1[k], Qh1[k], y + (0.5 * h) * k1)
-            k3 = _dual_stage(A1[k], S1[k], Qh1[k], y + (0.5 * h) * k2)
-            k4 = _dual_stage(A0[k], S0[k], Qh0[k], y + h * k3)
-            y = raw[k] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    bad = np.flatnonzero(~np.isfinite(raw).reshape(n + 1, -1).all(axis=1))
-    if bad.size:
-        raise _blowup(grid[bad[-1]])
-    vals, drift = _symmetrized(raw)
-    sol = DenseSolution(grid, vals[:-1], vals[1:], _dual_stage(A0, S0, Qh0, vals[:-1]),
-                        _dual_stage(A2, S2, Qh2, vals[1:]))
+    """M on `grid`, backward from M(T) = J_T^{-1}, as Y X^{-1} of the
+    restarted flow of [[-A', -Q], [-S, A]] under Magnus-Pade steps,
+    symmetrized at the nodes.  Returns (M, drift), the worst asymmetry
+    absorbed.  Raises IntegrationBlowupError at the first node met where X
+    is singular or M non-finite, PositivityLostError where M is not positive
+    definite."""
+    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)[:3]
+    H_tab = _hamiltonian_table(tuple(-np.swapaxes(A, 1, 2) for A in A_tab), Q_tab, S_tab)
+    M, _, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
+                                      backward=True, step=_pade_maps)
+    sol = DenseSolution(grid, M[:-1], M[1:],
+                        _dual_stage(A_tab[0], S_tab[0], Q_tab[0], M[:-1]),
+                        _dual_stage(A_tab[2], S_tab[2], Q_tab[2], M[1:]))
     _check_positive(sol, "M")
     return sol, drift
 

@@ -1,5 +1,6 @@
 """Classical RK4 one stage call at a time: the reference that the batched
-affine sweep, the Hamiltonian J and the dual Riccati loop are checked against."""
+affine sweep and the Hamiltonian J are checked against, and, run on the dual
+equation at finer steps, the truth for the Magnus-Pade dual flow M."""
 
 import numpy as np
 

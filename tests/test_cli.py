@@ -235,17 +235,31 @@ def test_compare_zero_state(tmp_path, capsys):
 
 
 def test_numerical_blowup_maps_to_exit_3(tmp_path, capsys):
-    # h * a = 4: the dual Riccati flow M overflows (the J and P flows restart
-    # every step and stay finite, see test_stiff_scalar_sections)
+    # h * a = 5e197: one step of the J flow overflows, at the first node met
     doc = _scalar_doc()
-    doc["A"] = {"kind": "constant", "matrix": [[800.0]]}
+    doc["A"] = {"kind": "constant", "matrix": [[1e200]]}
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["riccati", str(path), "--steps", "200",
                    "--out", str(tmp_path / "r.csv")])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("numerical failure: integration blew up")
+    assert capsys.readouterr().err.startswith("numerical failure: integration blew up at t=0.995")
+
+
+def test_stiff_kernel_solve_matches_feedback(tmp_path, capsys):
+    # h * a = 4 at 200 steps, where RK4 on the dual equation overflowed; the
+    # kernel start reads K(t0, t0) = M(t0)
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(_scalar_doc(q=1.0, A={"kind": "constant",
+                                                       "matrix": [[800.0]]})))
+    values = {}
+    for method in ("kernel", "feedback"):
+        rc = main(["solve", str(path), "--method", method, "--steps", "200",
+                   "--out", str(tmp_path / f"{method}.csv")])
+        assert rc == 0
+        values[method] = json.loads(capsys.readouterr().out)["value"]
+    assert values["kernel"] == pytest.approx(values["feedback"], rel=1e-9)
 
 
 def test_numpy_linalg_failure_maps_to_exit_3(tmp_path, capsys):
@@ -383,6 +397,7 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
     (["riccati", "{missing}", "--out", "{out}"], None, {}),
     (_riccati, None, "{"),
     (_riccati, None, "[1, 2]"),
+    (_riccati, None, b"\xff\xfe{"),
     (["solve", "{doc}", "--x0", "nan,0", "--out", "{out}"], None, {}),
     (_multipoint("[["), None, {}),
     (["solve", "{doc}", "--method", "multipoint", "--out", "{out}"], None, {}),
@@ -426,7 +441,7 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
         "r-min-zero", "horizon-infinite", "schedule-without-pieces", "Q-overflows",
         "R-singular-between-grid-points", "horizon-length-overflows",
         "state-dim-not-integral", "input-dim-boolean", "file-unreadable",
-        "file-invalid-json", "file-not-an-object", "x0-non-finite",
+        "file-invalid-json", "file-not-an-object", "file-not-utf8", "x0-non-finite",
         "constraints-invalid-json", "multipoint-without-constraints", "compare-without-x0",
         "tolerances-invalid-json", "schedule-stack-shape", "schedule-non-finite",
         "knots-not-one-dimensional", "pwc-piece-count", "samples-too-few",
@@ -438,10 +453,12 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
         "constraints-nested-too-deeply", "tolerances-nested-too-deeply"])
 def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
                                           monkeypatch):
-    # doc_extra: keys to set (None drops the key), or the file's whole text
+    # doc_extra: keys to set (None drops the key), or the file's whole text or bytes
     path = tmp_path / "dint.json"
     doc = problem_to_dict(double_integrator_problem(), {"x0": [1.0, 0.0]})
-    if isinstance(doc_extra, str):
+    if isinstance(doc_extra, bytes):
+        path.write_bytes(doc_extra)
+    elif isinstance(doc_extra, str):
         path.write_text(doc_extra)
     else:
         doc.update(doc_extra)

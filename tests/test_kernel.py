@@ -296,16 +296,27 @@ def test_operator_accuracy_on_unstable_horizon(a):
     assert defect / np.max(np.abs(gram)) <= 1e-5
 
 
-def test_stiff_scalar_sections():
-    # x' = 800 x + u, Q = 0, R = 1, J_T = 1 at 200 steps (h * a = 4): J is
+def _stiff_scalar():
+    # x' = 800 x + u, Q = 0, R = 1, J_T = 1; at 200 steps h * a = 4.  J is
     # 1600 up to e^(-800) away from T, so K(t, t) = 1/1600 there and 1 at T,
     # and K(s, t) decays like e^(-800 |s - t|)
     c = MatrixSchedule.constant
-    p = LQProblem(1, 1, 0.0, 1.0, c([[800.0]]), c([[1.0]]), c([[0.0]]), c([[1.0]]),
-                  np.eye(1))
+    return LQProblem(1, 1, 0.0, 1.0, c([[800.0]]), c([[1.0]]), c([[0.0]]), c([[1.0]]),
+                     np.eye(1))
+
+
+def test_stiff_scalar_sections():
     times = [0.0, 0.5, 1.0]
-    gram, _ = KernelOperator(p, 200, extra_nodes=times).gram(times)
+    gram, _ = KernelOperator(_stiff_scalar(), 200, extra_nodes=times).gram(times)
     assert np.allclose(gram, np.diag([1 / 1600, 1 / 1600, 1.0]), rtol=1e-12, atol=1e-100)
+
+
+def test_stiff_scalar_diagonal():
+    # the dual flow M under A-stable Magnus-Pade steps, where RK4 on the dual
+    # equation overflowed
+    op = KernelOperator(_stiff_scalar(), 200)
+    for t in (0.0, 0.5):
+        assert op.diagonal(t)[0, 0] == pytest.approx(1 / 1600, rel=1e-12)
 
 
 def test_single_shooting_degeneracy_is_reported():

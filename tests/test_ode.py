@@ -10,8 +10,8 @@ from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowu
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
-from lqkernel.ode import (DenseSolution, build_grid, rk4_affine,
-                          rk4_affine_values, schedule_stage_table)
+from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, build_grid,
+                          rk4_affine, schedule_stage_table)
 from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 from dense_nodes import dense_from_nodes
@@ -271,8 +271,6 @@ def test_affine_matches_stagewise_rk4(backward):
     scale = np.max(np.abs(ref.values))
     for name in ("v_start", "v_end", "d_start", "d_end"):
         assert np.max(np.abs(getattr(sol, name) - getattr(ref, name))) <= 1e-12 * scale
-    assert np.array_equal(rk4_affine_values(grid, H_tab, y0, F_tab, backward=backward),
-                          sol.values)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 255, 256, 257, 513])
@@ -297,6 +295,37 @@ def test_affine_scan_matches_stagewise_rk4_at_chunk_edges(steps):
             for name in ("v_start", "v_end", "d_start", "d_end"):
                 assert (np.max(np.abs(getattr(sol, name) - getattr(ref, name)))
                         <= 1e-12 * scale), (forcing is None, backward, name)
+
+
+def test_pade_step_is_a_stable_contraction_on_a_stiff_decay():
+    # h * lambda = -4 at 200 steps: the Pade map is R(-4) = 1/13 per step,
+    # where the RK4 factor is 1 - 4 + 8 - 32/3 + 32/3 = 5
+    stiff = MatrixSchedule.constant([[-800.0]])
+    grid = build_grid(0.0, 1.0, 200)
+    y = _affine_sweep(grid, schedule_stage_table(stiff, grid), np.eye(1),
+                      step=_pade_maps)[:, 0, 0]
+    assert np.all(np.isfinite(y))
+    assert np.max(np.abs(y - 13.0 ** -np.arange(201))) <= 1e-12
+    rk4 = rk4_affine(grid[:2], schedule_stage_table(stiff, grid[:2]), np.array([1.0]))
+    assert rk4.values[1, 0] == pytest.approx(5.0, rel=1e-14)
+
+
+def test_pade_step_is_fourth_order_on_a_constant_hamiltonian():
+    from scipy.linalg import expm
+
+    H = np.array([[0.5, -1.0], [-2.0, -0.5]])
+    y0 = np.array([[1.0, 0.3], [0.2, 1.0]])
+    errs = []
+    for steps in (10, 20, 40, 80):
+        grid = build_grid(0.0, 1.0, steps)
+        for backward in (False, True):
+            y = _affine_sweep(grid, schedule_stage_table(MatrixSchedule.constant(H), grid),
+                              y0, backward=backward, step=_pade_maps)
+            start = grid[-1] if backward else grid[0]
+            exact = np.stack([expm(H * (t - start)) @ y0 for t in grid])
+            errs.append(np.max(np.abs(y - exact)))
+    ratios = np.asarray(errs[:-2]) / np.asarray(errs[2:])
+    assert np.all((15.0 < ratios) & (ratios < 17.0)), ratios
 
 
 def test_affine_blowup_reports_time():

@@ -20,4 +20,5 @@ def test_verify_bundled_passes_on_every_bundled_problem(capsys):
 def test_convergence_study_runs(capsys):
     runpy.run_path(str(SCRIPTS / "convergence_study.py"), run_name="__main__")
     out = capsys.readouterr().out
+    assert "dual Riccati flow M on a random N = 3 problem" in out
     assert "Richardson extrapolation" in out
