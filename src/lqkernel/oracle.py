@@ -1,44 +1,77 @@
 """Independent discrete-time check: forward-Euler LQ + discrete Riccati.
 
-This module deliberately shares no code with the ODE/Riccati machinery: the
-dynamics are discretized as x_{k+1} = (I + h A(t_k)) x_k + h B(t_k) u_k with
-stage costs h Q(t_k), h R(t_k), and solved by the textbook backward discrete
-Riccati recursion.  Its value converges to the continuous one at O(h), which
-acceptance tests sharpen by Richardson extrapolation.
+This module deliberately shares no code with the ODE/Riccati machinery: on
+cells [t_k, t_k + h_k] the dynamics are discretized as
+x_{k+1} = (I + h_k A(t_k)) x_k + h_k B(t_k) u_k with stage costs h_k Q(t_k),
+h_k R(t_k).  The backward discrete Riccati recursion is associative in the
+element form (A, C, J)_k = (I + h_k A, h_k B R^-1 B', h_k Q)(t_k), closed by
+the terminal element (0, 0, J_T) (Sarkka & Garcia-Fernandez, "Temporal
+parallelization of dynamic programming and linear quadratic control", IEEE
+TAC 2023).  The elements are reduced in pairs, one batched solve per level,
+and the J of the whole product is P_0.  Its value converges to the
+continuous one at O(h), which acceptance tests sharpen by Richardson
+extrapolation.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import IntegrationBlowupError, SingularMatrixError
 from .model import LQProblem
 
 MIN_ORACLE_STEPS = 10
 
 
+def _reduce(A, C, J):
+    """J of the ordered product of the elements (A, C, J), earliest first.
+
+    Each level combines elements 2i (earlier) and 2i + 1 (later):
+    X = (I + C_i J_j)^-1 A_i, A = A_j X, C = A_j (I + C_i J_j)^-1 C_i A_j' + C_j,
+    J = A_i' J_j X + J_i.  An odd last element is carried to the next level.
+    """
+    n = A.shape[-1]
+    while A.shape[0] > 1:
+        m = A.shape[0] - A.shape[0] % 2
+        Ai, Ci, Ji = A[0:m:2], C[0:m:2], J[0:m:2]
+        Aj, Cj, Jj = A[1:m:2], C[1:m:2], J[1:m:2]
+        rhs = np.concatenate([Ai, Ci @ np.swapaxes(Aj, 1, 2)], axis=2)
+        try:
+            Z = np.linalg.solve(np.eye(n) + Ci @ Jj, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("discrete oracle: I + C J singular") from exc
+        X = Z[..., :n]
+        Cn = Aj @ Z[..., n:] + Cj
+        Jn = np.swapaxes(Ai, 1, 2) @ (Jj @ X) + Ji
+        A = np.concatenate([Aj @ X, A[m:]])
+        C = np.concatenate([0.5 * (Cn + np.swapaxes(Cn, 1, 2)), C[m:]])
+        J = np.concatenate([0.5 * (Jn + np.swapaxes(Jn, 1, 2)), J[m:]])
+    return J[0]
+
+
 def discrete_value(problem: LQProblem, x0, steps: int) -> float:
-    """x0' P_0 x0, with P_0 from the backward discrete Riccati recursion on
-    `steps` uniform intervals of the forward-Euler discretization."""
+    """x0' P_0 x0, with P_0 of the discrete Riccati recursion on `steps`
+    uniform cells of the forward-Euler discretization."""
     x0 = np.asarray(x0, dtype=float)
     if steps < MIN_ORACLE_STEPS:
         raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
+    n = problem.state_dim
     h = (problem.T - problem.t0) / steps
-    tk = problem.t0 + h * np.arange(steps)  # left endpoints t_k
-    Ad = np.eye(problem.state_dim) + h * problem.A.eval_many(tk)
-    Bd, Qd, Rd = (h * s.eval_many(tk) for s in (problem.B, problem.Q, problem.R))
-    P = np.asarray(problem.J_T, dtype=float)
-    for k in range(tk.size - 1, -1, -1):
-        A, B = Ad[k], Bd[k]
-        BtP = B.T @ P
-        try:
-            gain = np.linalg.solve(Rd[k] + BtP @ B, BtP @ A)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"discrete Riccati inner solve singular at step {k}") from exc
-        P = Qd[k] + A.T @ P @ A - (BtP @ A).T @ gain
-        P = 0.5 * (P + P.T)
-    return float(x0 @ P @ x0)
+    left, width = problem.t0 + h * np.arange(steps), np.full((steps, 1, 1), h)
+    B = problem.B.eval_many(left)
+    try:
+        RinvBt = np.linalg.solve(problem.R.eval_many(left), np.swapaxes(B, 1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("discrete oracle: R(t_k) singular") from exc
+    # one element per cell [left_k, left_k + width_k], then (0, 0, J_T)
+    zero = np.zeros((1, n, n))
+    A = np.concatenate([np.eye(n) + width * problem.A.eval_many(left), zero])
+    C = np.concatenate([width * (B @ RinvBt), zero])
+    J = np.concatenate([width * problem.Q.eval_many(left),
+                        np.asarray(problem.J_T, dtype=float)[None]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        P0 = _reduce(A, C, J)
+    if not np.all(np.isfinite(P0)):
+        raise IntegrationBlowupError("discrete oracle: P_0 is not finite")
+    return float(x0 @ P0 @ x0)
 
 
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:

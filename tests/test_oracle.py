@@ -1,8 +1,21 @@
+import ast
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 
+import lqkernel.oracle
+from lqkernel.cli import load_problem_file
+from lqkernel.errors import IntegrationBlowupError, NumericalError, SingularMatrixError
+from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.oracle import discrete_value, richardson_value
+from lqkernel.problems import random_problem
 from lqkernel.solver import solve_feedback
+from oracle_reference import sequential_discrete_value
+
+BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
+                  / "scripts" / "problems").glob("*.json"))
 
 
 def test_value_scalar_energy(p1):
@@ -38,3 +51,53 @@ def test_extrapolated_value_matches_continuous(p2, dint, random_problems):
         rich = richardson_value(p, x0, 1500)
         v_cont = solve_feedback(p, x0, 1500).value
         assert abs(rich["extrapolated"] - v_cont) <= 1e-4 * (1.0 + abs(v_cont))
+
+
+def _reference_problems():
+    named = [(path.stem, lambda path=path: load_problem_file(str(path))[0])
+             for path in BUNDLED]
+    named += [(f"random-N{n}", lambda n=n: random_problem(np.random.default_rng([n, 4]), n))
+              for n in range(1, 9)]
+    return named
+
+
+@pytest.mark.parametrize("make", [pytest.param(m, id=name) for name, m in _reference_problems()])
+def test_reduction_matches_sequential_reference(make):
+    # 10, 37, 2000 and 4001 steps carry an odd element at one or more levels
+    p = make()
+    x0 = np.random.default_rng(p.state_dim).normal(size=p.state_dim)
+    for steps in (10, 15, 37, 2000, 4001):
+        ref = sequential_discrete_value(p, x0, steps)
+        assert discrete_value(p, x0, steps) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_nonfinite_value_raises_blowup():
+    # x' = 400x cannot be steered: P_0 grows like 1.2^4000 and overflows
+    c = MatrixSchedule.constant
+    p = LQProblem(1, 1, 0.0, 1.0, c([[400.0]]), c([[0.0]]), c([[1.0]]), c([[1.0]]), [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError) as info:
+            discrete_value(p, [1.0], 2000)
+    assert isinstance(info.value, NumericalError)
+
+
+def test_singular_control_weight_raises_singular_matrix_error():
+    c = MatrixSchedule.constant
+    p = LQProblem(2, 1, 0.0, 1.0, c(np.eye(2)), c(np.zeros((2, 1))),
+                  c(np.eye(2)), c([[0.0]]), np.eye(2))
+    with pytest.raises(SingularMatrixError):
+        discrete_value(p, [1.0, 1.0], 100)
+
+
+def test_oracle_imports_only_numpy_errors_and_model():
+    # the oracle is the second route of verify: it must share no
+    # discretization with ode, riccati, linalg or kernel
+    tree = ast.parse(pathlib.Path(lqkernel.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"numpy", ".errors", ".model"}
