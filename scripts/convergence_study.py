@@ -31,12 +31,12 @@ def rk4_table():
 
 
 def dual_table(problem, name):
-    fine = KernelOperator(problem, 6400).riccati.M
+    fine = KernelOperator(problem, 6400).M
     print(f"\ndual Riccati flow M on {name} (error against 6400 steps):")
     print(f"{'steps':>8} {'error':>14} {'ratio':>8}")
     prev = None
     for steps in (50, 100, 200, 400, 800):
-        M = KernelOperator(problem, steps).riccati.M
+        M = KernelOperator(problem, steps).M
         err = np.max(np.abs(M.values - fine.eval_many(M.times)))
         ratio = f"{prev / err:8.2f}" if prev else " " * 8
         print(f"{steps:>8} {err:14.3e} {ratio}")

@@ -19,7 +19,7 @@ from .ode import DEFAULT_STEPS, DenseSolution, build_grid
 from .oracle import discrete_value, richardson_value
 from .problems import (double_integrator_problem, random_problem,
                        random_trajectory, rollout, unit_scalar_problem)
-from .riccati import RiccatiSolution, solve_adjoint
+from .riccati import solve_adjoint
 from .solver import (LQSolveResult, evaluate_cost, solve_feedback,
                      solve_kernel, solve_multipoint)
 
@@ -37,7 +37,7 @@ __all__ = [
     "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory",
     "rollout", "unit_scalar_problem",
-    "RiccatiSolution", "solve_adjoint",
+    "solve_adjoint",
     "LQSolveResult", "evaluate_cost", "solve_feedback", "solve_kernel",
     "solve_multipoint",
 ]

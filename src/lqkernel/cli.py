@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -205,22 +204,9 @@ def _open_problem(args) -> tuple[LQProblem, dict, int]:
     report = validate_problem(problem)
     if not report.valid:
         raise ProblemFileError(f"problem violates standing assumptions: {report.summary()}")
-    return problem, extras, _default_steps(args.steps)
-
-
-def _default_steps(args_steps) -> int:
-    if args_steps is not None:
-        steps, what = args_steps, "--steps"
-    else:
-        raw = os.environ.get("LQK_DEFAULT_STEPS", str(DEFAULT_STEPS))
-        what = "LQK_DEFAULT_STEPS"
-        try:
-            steps = int(raw)
-        except ValueError:
-            raise ProblemFileError(f"{what}: not an integer: {raw!r}") from None
-    if steps < 1:
-        raise ProblemFileError(f"{what}: must be at least 1, got {steps}")
-    return steps
+    if args.steps < 1:
+        raise ProblemFileError(f"--steps: must be at least 1, got {args.steps}")
+    return problem, extras, args.steps
 
 
 def _state_vector(raw, n: int, what: str) -> np.ndarray:
@@ -303,22 +289,21 @@ def cmd_solve(args) -> int:
 def cmd_riccati(args) -> int:
     problem, _, steps = _open_problem(args)
     op = KernelOperator(problem, steps)
-    rs = op.riccati
     n = problem.state_dim
     header = (["t"]
               + [f"J_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + [f"M_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + ["duality_defect"])
-    defects = rs.duality_defects()
-    nodes = rs.J.times.size
+    defects = op.duality_defects()
+    nodes = op.J.times.size
     _write_csv(args.out, header,
-               np.column_stack([rs.J.times, rs.J.values.reshape(nodes, -1),
-                                rs.M.values.reshape(nodes, -1), defects]))
+               np.column_stack([op.J.times, op.J.values.reshape(nodes, -1),
+                                op.M.values.reshape(nodes, -1), defects]))
     _print_json({
         "steps": steps,
         "rows": nodes,
         "max_duality_defect": float(np.max(defects)),
-        "max_asymmetry": max(rs.max_asymmetry_J, rs.max_asymmetry_M),
+        "max_asymmetry": max(op.max_asymmetry_J, op.max_asymmetry_M),
         "csv": args.out,
     })
     return EXIT_OK
@@ -400,7 +385,6 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     p = problem
     n = p.state_dim
     op = KernelOperator(p, steps)
-    rs = op.riccati
     checks = []
 
     def add(name, defect):
@@ -411,16 +395,16 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
             "passed": bool(defect <= tol[name]),
         })
 
-    add("duality", np.max(rs.duality_defects()))
+    add("duality", np.max(op.duality_defects()))
 
     eye = np.eye(n)
     queries = np.concatenate([[p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
     add("kernel_diagonal_identity", max(
-        np.linalg.norm(rs.J.eval(tq) @ op.diagonal(float(tq)) - eye) for tq in queries))
+        np.linalg.norm(op.J.eval(tq) @ op.diagonal(float(tq)) - eye) for tq in queries))
     bvp = 0.0
     for tq in map(float, queries[:-1]):
         K_tt = shooting_diagonal(p.restricted(tq), tq, steps)
-        bvp = max(bvp, np.linalg.norm(rs.J.eval(tq) @ K_tt - eye))
+        bvp = max(bvp, np.linalg.norm(op.J.eval(tq) @ K_tt - eye))
     add("kernel_diagonal_bvp", bvp)
 
     pool = np.sort(rng.uniform(p.t0, p.T, size=5))
@@ -451,7 +435,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
 
     padj = solve_adjoint(p, rk.trajectory.x, steps)
-    resid = padj.values + np.einsum("kij,kj->ki", rs.J.eval_many(padj.times),
+    resid = padj.values + np.einsum("kij,kj->ki", op.J.eval_many(padj.times),
                                     rk.trajectory.x.eval_many(padj.times))
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 
@@ -508,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem_file", help="problem JSON file")
-        p.add_argument("--steps", type=int, default=None,
-                       help="RK4 steps over the horizon (default 4000 or $LQK_DEFAULT_STEPS)")
+        p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                       help="RK4 steps over the horizon (default %(default)s)")
 
     p = sub.add_parser("solve", help="solve for an optimal trajectory")
     common(p)

@@ -19,7 +19,7 @@ matched to its use:
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
   once per operator; the first column K(., t0) is the closed loop from t0
-  applied to K(t0, t0).
+  applied to K(t0, t0); it and every on-grid section share one builder.
 
 K keeps both one-sided derivatives at the column time, where they differ
 by S(t).  The control of K(., t) p, read off the costate (J x right of t,
@@ -33,12 +33,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BvpDegenerateError, HorizonMismatchError
-from .linalg import spd_inverse
+from .linalg import _symmetrized, spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
                   schedule_stage_table)
-from .riccati import (RiccatiSolution, _coefficient_tables, _dual_riccati_on,
-                      _Flows, _hamiltonian_table, _solve_flows)
+from .riccati import (_coefficient_tables, _dual_riccati_on, _Flows,
+                      _hamiltonian_table, _solve_flows)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -46,12 +46,13 @@ _SHOOTING_RCOND = 1e-12
 
 
 class KernelOperator:
-    """Kernel evaluator for one problem: diagonal, columns, entries, Grams.
+    """The Riccati pair and kernel of one problem: J, M, diagonal, columns,
+    entries, Grams.
 
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
-    the J and P flows on the grid (once, by `_solve_flows`; J is the Riccati
-    pair's, and M is solved on the same grid when read) and the sections.
+    the J and P flows on the grid (once, by `_solve_flows`), M on the same
+    grid when first read (never on the feedback route), and the sections.
     A section is two carries of K(t, t) over the X blocks of the flows.  A
     column time off the grid is inserted as a node: the same builder, run
     on that time and its two neighbouring nodes, gives J, P and the
@@ -68,7 +69,7 @@ class KernelOperator:
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
         self._sections: dict[float, DenseSolution] = {}
 
-    # -- cached building blocks -------------------------------------------
+    # -- the Riccati pair and its flows -------------------------------------
 
     @cached_property
     def _flows(self) -> _Flows:
@@ -76,16 +77,35 @@ class KernelOperator:
         return _solve_flows(self.problem, self.grid, J_T, np.zeros_like(J_T))
 
     @cached_property
-    def riccati(self) -> RiccatiSolution:
-        f = self._flows
-        return RiccatiSolution(self.problem, f.J_solution, f.drift_J)
+    def _dual(self) -> tuple[DenseSolution, float]:
+        return _dual_riccati_on(self.problem, self.grid)
+
+    @property
+    def J(self) -> DenseSolution:
+        """The value Hessian J(., T) on the grid."""
+        return self._flows.J_solution
+
+    @property
+    def M(self) -> DenseSolution:
+        """The dual Riccati solution M(., T) on the grid, solved on first read."""
+        return self._dual[0]
+
+    @property
+    def max_asymmetry_J(self) -> float:
+        return self._flows.drift_J
+
+    @property
+    def max_asymmetry_M(self) -> float:
+        return self._dual[1]
+
+    def duality_defects(self) -> np.ndarray:
+        """Frobenius norm of J(t)M(t) - I at every grid node."""
+        eye = np.eye(self.problem.state_dim)
+        return np.linalg.norm(self.J.values @ self.M.values - eye, axis=(1, 2))
 
     def closed_loop_solution(self) -> DenseSolution:
         """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0."""
-        f = self._flows
-        Phi = f.carry(0, np.eye(self.problem.state_dim), right=True)
-        return DenseSolution(self.grid, Phi[:-1], Phi[1:],
-                             f.F[0] @ Phi[:-1], f.F[1] @ Phi[1:])
+        return self._carried(0, np.eye(self.problem.state_dim))
 
     # -- kernel values ------------------------------------------------------
 
@@ -105,7 +125,7 @@ class KernelOperator:
         if abs(t - p.T) <= tol:
             return spd_inverse(p.J_T)
         if t >= p.t0 - tol:
-            return self.riccati.M.eval(t)
+            return self.M.eval(t)
         sub = p.restricted(t)
         grid = build_grid(t, p.T, self.steps, sub.breakpoints())
         return _dual_riccati_on(sub, grid)[0].eval(t)
@@ -135,8 +155,7 @@ class KernelOperator:
         for j, tj in enumerate(times):
             sec = self.section(float(tj))
             raw[:, j * n:(j + 1) * n] = sec.eval_many(times).reshape(k * n, n)
-        defect = float(np.max(np.abs(raw - raw.T)))
-        return 0.5 * (raw + raw.T), defect
+        return _symmetrized(raw)
 
     def control(self, t: float, x: DenseSolution) -> DenseSolution:
         """Control of a vector trajectory x on the section grid of t (the
@@ -181,28 +200,30 @@ class KernelOperator:
         k = int(np.searchsorted(grid, t)) - 1
         return k + 1, _solve_flows(p, np.array([grid[k], t, grid[k + 1]]), f.J[k + 1], -f.P[k])
 
+    def _carried(self, j: int, V: np.ndarray) -> DenseSolution:
+        """V carried from grid node j along G to the left and along F to the
+        right, on the grid."""
+        f = self._flows
+        K = np.concatenate([f.carry(j, V, right=False)[:-1], f.carry(j, V, right=True)])
+        lo = np.concatenate([f.G[0][:j], f.F[0][j:]])
+        hi = np.concatenate([f.G[1][:j], f.F[1][j:]])
+        return DenseSolution(self.grid, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
+
     def _solve_section(self, t: float) -> DenseSolution:
         j, node = self._node(t)
         f = self._flows
-        (F_lo, F_hi), (G_lo, G_hi) = f.F, f.G
-        # right of t the section follows F, left of it G
         if node is None:
-            V = np.linalg.inv(f.J[j] + f.P[j])
-            times = self.grid
-            K = np.concatenate([f.carry(j, V, right=False)[:-1], V[None],
-                                f.carry(j, V, right=True)[1:]])
-            lo = np.concatenate([G_lo[:j], F_lo[j:]])
-            hi = np.concatenate([G_hi[:j], F_hi[j:]])
-        else:
-            k = j - 1
-            V = np.linalg.inv(node.J[1] + node.P[1])
-            times = np.insert(self.grid, j, t)
-            K = np.concatenate([
-                f.carry(k, np.linalg.solve(node.X_P[1], V), right=False), V[None],
-                f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
-            lo = np.concatenate([G_lo[:j], node.F[0][1:], F_lo[j:]])
-            hi = np.concatenate([G_hi[:k], node.G[1][:1], F_hi[k:]])
-        return DenseSolution(times, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
+            return self._carried(j, np.linalg.inv(f.J[j] + f.P[j]))
+        # t sits inside interval k; right of it the section follows F, left of it G
+        k = j - 1
+        V = np.linalg.inv(node.J[1] + node.P[1])
+        K = np.concatenate([
+            f.carry(k, np.linalg.solve(node.X_P[1], V), right=False), V[None],
+            f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
+        lo = np.concatenate([f.G[0][:j], node.F[0][1:], f.F[0][j:]])
+        hi = np.concatenate([f.G[1][:k], node.G[1][:1], f.F[1][k:]])
+        return DenseSolution(np.insert(self.grid, j, t), K[:-1], K[1:],
+                             lo @ K[:-1], hi @ K[1:])
 
 
 def shooting_diagonal(problem: LQProblem, t: float,

@@ -32,20 +32,20 @@ side, written as L M + (L M)' - S with L = A + M Q/2.  J, P and M are
 re-symmetrized at every node; the worst asymmetry absorbed by that
 projection is reported as a diagnostic.
 
-The pair is solved by `KernelOperator(problem, steps).riccati` (kernel.py),
-on the operator's grid and with the J flow it shares with the kernel
-sections; this module holds the flows and the `RiccatiSolution` they fill.
+The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its `J`
+is the J flow it shares with the kernel sections, and its `M`, the kernel
+diagonal, is solved on the operator's grid when first read; this module
+holds the flows they are read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PositivityLostError
-from .linalg import spd_inverse
+from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup, _pade_maps,
                   _rk4_maps, build_grid, rk4_affine, schedule_stage_table)
@@ -85,18 +85,13 @@ def _hamiltonian_table(A_tab, S_tab, Q_tab):
     return H_tab
 
 
-def _symmetrized(Y):
-    """(Y + Y')/2 of a matrix or a stack, and the drift max |Y - Y'| it absorbs."""
-    YT = np.swapaxes(Y, -1, -2)
-    return 0.5 * (Y + YT), float(np.max(np.abs(Y - YT)))
-
-
-def _check_positive(sol: DenseSolution, what: str) -> None:
-    eigs = np.linalg.eigvalsh(0.5 * (sol.values + np.swapaxes(sol.values, 1, 2)))
+def _check_positive(times: np.ndarray, R: np.ndarray, what: str) -> None:
+    """Raise PositivityLostError unless every (symmetric) node R[k] is positive definite."""
+    eigs = np.linalg.eigvalsh(R)
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
     if bad.size:
         # backward integration meets the largest offending time first
-        t_bad = float(sol.times[bad[-1]])
+        t_bad = float(times[bad[-1]])
         raise PositivityLostError(
             f"{what} lost positive definiteness at t={t_bad} "
             f"(min eigenvalue {eigs[bad[-1], 0]:.3e})", time=t_bad)
@@ -212,8 +207,8 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
         return (Jv @ S_tab[slot] @ Jv - np.swapaxes(A_tab[slot], 1, 2) @ Jv
                 - Jv @ A_tab[slot] - Q_tab[slot])
 
+    _check_positive(grid, J, "J")
     J_sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
-    _check_positive(J_sol, "J")
     del Q_tab  # H holds Q now; freeing the table before the P flow lowers peak memory
     minus_P, X_P, _, _ = _reanchored_flow(grid, H_tab, minus_P_start)
     P = -minus_P
@@ -240,43 +235,11 @@ def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolutio
     H_tab = _hamiltonian_table(tuple(-np.swapaxes(A, 1, 2) for A in A_tab), Q_tab, S_tab)
     M, _, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
                                       backward=True, step=_pade_maps)
+    _check_positive(grid, M, "M")
     sol = DenseSolution(grid, M[:-1], M[1:],
                         _dual_stage(A_tab[0], S_tab[0], Q_tab[0], M[:-1]),
                         _dual_stage(A_tab[2], S_tab[2], Q_tab[2], M[1:]))
-    _check_positive(sol, "M")
     return sol, drift
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """J(., T) and M(., T) on a shared grid, with symmetrization diagnostics.
-
-    Built by `KernelOperator(problem, steps).riccati`.  M is solved on its
-    first read, on the grid of J, so a caller that needs only J (the
-    feedback route) never integrates the dual equation.
-    """
-
-    problem: LQProblem
-    J: DenseSolution
-    max_asymmetry_J: float
-
-    @cached_property
-    def _dual(self) -> tuple[DenseSolution, float]:
-        return _dual_riccati_on(self.problem, self.J.times)
-
-    @property
-    def M(self) -> DenseSolution:
-        return self._dual[0]
-
-    @property
-    def max_asymmetry_M(self) -> float:
-        return self._dual[1]
-
-    def duality_defects(self) -> np.ndarray:
-        """Frobenius norm of J(t)M(t) - I at every grid node."""
-        eye = np.eye(self.problem.state_dim)
-        prod = self.J.values @ self.M.values
-        return np.linalg.norm(prod - eye, axis=(1, 2))
 
 
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution,

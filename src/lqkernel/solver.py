@@ -38,11 +38,21 @@ def evaluate_cost(problem: LQProblem, traj: ControlledTrajectory,
     return lq_inner_product(problem, traj, traj, quad_intervals)
 
 
+def _operator_for(problem: LQProblem, steps: int, operator) -> KernelOperator:
+    """`operator`, refused unless built on `problem` itself, or a new one."""
+    if operator is None:
+        return KernelOperator(problem, steps)
+    if operator.problem is not problem:
+        raise ValueError("operator was built for a different problem")
+    return operator
+
+
 def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
                  operator: KernelOperator | None = None) -> LQSolveResult:
-    """Optimal trajectory via the kernel representer: xbar = K(., t0) p0."""
+    """Optimal trajectory via the kernel representer: xbar = K(., t0) p0.
+    `steps` is ignored when `operator` (built on `problem`) is given."""
     x0 = np.asarray(x0, dtype=float)
-    op = operator if operator is not None else KernelOperator(problem, steps)
+    op = _operator_for(problem, steps, operator)
     K00 = op.diagonal(problem.t0)
     p0 = sym_eig_pinv(K00) @ x0
     x = op.closed_loop_solution().right_multiply(K00).right_multiply(p0)
@@ -59,10 +69,11 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
 
 def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
                    operator: KernelOperator | None = None) -> LQSolveResult:
-    """Optimal trajectory by rolling out the closed loop x' = (A - S J) x."""
+    """Optimal trajectory by rolling out the closed loop x' = (A - S J) x.
+    `steps` is ignored when `operator` (built on `problem`) is given."""
     x0 = np.asarray(x0, dtype=float)
-    op = operator if operator is not None else KernelOperator(problem, steps)
-    J = op.riccati.J
+    op = _operator_for(problem, steps, operator)
+    J = op.J
     x = op.closed_loop_solution().right_multiply(x0)
     u = op.control(problem.t0, x)
     value = float(x0 @ J.eval(problem.t0) @ x0)

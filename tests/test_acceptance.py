@@ -57,7 +57,7 @@ def test_c01_kernel_diagonal_inverts_value_hessian(problem_set, operator_cache):
         queries = np.concatenate([
             [p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
         for tq in queries:
-            defect = np.linalg.norm(op.riccati.J.eval(float(tq))
+            defect = np.linalg.norm(op.J.eval(float(tq))
                                     @ op.diagonal(float(tq)) - eye)
             worst = max(worst, defect)
     assert _report(1, "kernel diagonal vs inverse Riccati, 5 query times", worst, 1e-5)
@@ -70,7 +70,7 @@ def test_c01b_restarted_bvp_diagonal_inverts_value_hessian(section_problems,
     # that solves no Riccati equation
     worst = 0.0
     for name, p in section_problems:
-        J = operator_cache(p, SECTION_STEPS).riccati.J
+        J = operator_cache(p, SECTION_STEPS).J
         eye = np.eye(p.state_dim)
         for frac in (0.0, 0.25, 0.5, 0.75):
             tq = p.t0 + frac * (p.T - p.t0)
@@ -103,7 +103,7 @@ def test_c01c_full_space_bvp_diagonal_inverts_j_plus_p(section_problems,
 def test_c02_riccati_duality_along_grid(problem_set, operator_cache):
     worst = 0.0
     for name, p in problem_set:
-        worst = max(worst, float(operator_cache(p, STEPS).riccati.duality_defects().max()))
+        worst = max(worst, float(operator_cache(p, STEPS).duality_defects().max()))
     assert _report(2, "J(t) M(t) = I at every grid node", worst, 1e-6)
     assert worst <= 1e-6
 
@@ -113,15 +113,15 @@ def test_c03_closed_forms(p1, p2, operator_cache):
     op2 = operator_cache(p2, STEPS)
     defects = []
 
-    defects.append(abs(op1.riccati.J.eval(0.0)[0, 0] - 0.5))
+    defects.append(abs(op1.J.eval(0.0)[0, 0] - 0.5))
     for t in (0.0, 0.25, 0.6, 1.0):
-        defects.append(abs(op1.riccati.M.eval(t)[0, 0] - (2.0 - t)))
+        defects.append(abs(op1.M.eval(t)[0, 0] - (2.0 - t)))
     defects.append(abs(solve_kernel(p1, [1.0], operator=op1).value - 0.5))
     for s, t in ((0.5, 0.25), (0.3, 0.9), (1.0, 1.0), (0.0, 0.5)):
         want = (2.0 - s) * (2.0 - t) / (2.0 - min(s, t))
         defects.append(abs(op1.entry(s, t)[0, 0] - want))
 
-    defects.append(float(np.max(np.abs(op2.riccati.J.values - 1.0))))
+    defects.append(float(np.max(np.abs(op2.J.values - 1.0))))
     for s, t in ((0.5, 1.0), (0.25, 0.7), (0.0, 0.0), (0.8, 0.2)):
         want = math.exp(-max(s, t)) * math.cosh(min(s, t))
         defects.append(abs(op2.entry(s, t)[0, 0] - want))
@@ -195,7 +195,7 @@ def test_c07_adjoint_identity(problem_set, operator_cache):
         x0 = _x0(p)
         xbar = solve_kernel(p, x0, operator=op).trajectory.x
         costate = solve_adjoint(p, xbar, STEPS)
-        J_vals = op.riccati.J.eval_many(costate.times)
+        J_vals = op.J.eval_many(costate.times)
         resid = costate.values + np.einsum("kij,kj->ki", J_vals,
                                            xbar.eval_many(costate.times))
         sup = float(np.max(np.linalg.norm(resid, axis=1)))

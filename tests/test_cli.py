@@ -318,14 +318,6 @@ def test_round_trip_problem_document(tmp_path):
     assert extras1["settings"] == extras2["settings"]
 
 
-def test_env_var_overrides_default_steps(p1_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LQK_DEFAULT_STEPS", "321")
-    out = str(tmp_path / "r.csv")
-    assert main(["riccati", p1_file, "--out", out]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["steps"] == 321
-
-
 def test_csv_floats_are_full_precision(p1_file, tmp_path, capsys):
     out = str(tmp_path / "traj.csv")
     main(["solve", p1_file, "--method", "kernel", "--steps", "3", "--out", out])
@@ -363,76 +355,75 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
     '"@"', _deep("[[1, 0], [0, 1]]"))
 
 
-@pytest.mark.parametrize("argv, env, doc_extra", [
-    (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], None, {}),
-    (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], None, {}),
-    (["solve", "{doc}", "--steps", "0", "--out", "{out}"], None, {}),
-    (["compare", "{doc}", "--oracle-steps", "5"], None, {}),
-    (_multipoint("[[0, [1, 0]], [1, [1]]]"), None, {}),
-    (["riccati", "{doc}", "--out", "{out}"], "abc", {}),
-    (_multipoint("[]"), None, {}),
-    (_multipoint("[[1, [1, 0]], [0, [0, 0]]]"), None, {}),
-    (_multipoint("[[0.5, [1, 0]], [0.5, [0, 0]]]"), None, {}),
-    (_multipoint("[[5, [1, 0]]]"), None, {}),
-    (["kernel", "{doc}", "--grid-count", "-1", "--out", "{out}"], None, {}),
-    (["kernel", "{doc}", "--grid-count", "0", "--out", "{out}"], None, {}),
-    (["verify", "{doc}", "--tolerances", "[1]"], None, {}),
-    (["verify", "{doc}", "--tolerances", '{"duality": "x"}'], None, {}),
-    (["verify", "{doc}", "--tolerances", '{"dualty": 1e-6}'], None, {}),
-    (["verify", "{doc}", "--seed", "-1"], None, {}),
-    (["verify", "{doc}"], None, {"settings": "fast"}),
-    (["verify", "{doc}"], None, {"settings": {"seed": 1.5}}),
-    (["verify", "{doc}"], None, {"settings": {"tolerances": {"duality": "x"}}}),
-    (["solve", "{doc}", "--out", "{out}"], None, {"x0": "abc"}),
-    (["riccati", "{doc}", "--steps", "10", "--out", "{missing}"], None, {}),
-    (_riccati, None, {"r_min": 0.0}),
-    (_riccati, None, {"T": math.inf}),
-    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [], "matrices": []}}),
-    (_riccati, None, {"Q": {"kind": "poly", "coefficients": [[[1e308, 0], [0, 1e308]]] * 2}}),
-    (_riccati, None,
+@pytest.mark.parametrize("argv, doc_extra", [
+    (["solve", "{doc}", "--x0", "1,2,3", "--out", "{out}"], {}),
+    (["solve", "{doc}", "--x0", "1,x", "--out", "{out}"], {}),
+    (["solve", "{doc}", "--steps", "0", "--out", "{out}"], {}),
+    (["compare", "{doc}", "--oracle-steps", "5"], {}),
+    (_multipoint("[[0, [1, 0]], [1, [1]]]"), {}),
+    (_multipoint("[]"), {}),
+    (_multipoint("[[1, [1, 0]], [0, [0, 0]]]"), {}),
+    (_multipoint("[[0.5, [1, 0]], [0.5, [0, 0]]]"), {}),
+    (_multipoint("[[5, [1, 0]]]"), {}),
+    (["kernel", "{doc}", "--grid-count", "-1", "--out", "{out}"], {}),
+    (["kernel", "{doc}", "--grid-count", "0", "--out", "{out}"], {}),
+    (["verify", "{doc}", "--tolerances", "[1]"], {}),
+    (["verify", "{doc}", "--tolerances", '{"duality": "x"}'], {}),
+    (["verify", "{doc}", "--tolerances", '{"dualty": 1e-6}'], {}),
+    (["verify", "{doc}", "--seed", "-1"], {}),
+    (["verify", "{doc}"], {"settings": "fast"}),
+    (["verify", "{doc}"], {"settings": {"seed": 1.5}}),
+    (["verify", "{doc}"], {"settings": {"tolerances": {"duality": "x"}}}),
+    (["solve", "{doc}", "--out", "{out}"], {"x0": "abc"}),
+    (["riccati", "{doc}", "--steps", "10", "--out", "{missing}"], {}),
+    (_riccati, {"r_min": 0.0}),
+    (_riccati, {"T": math.inf}),
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": [], "matrices": []}}),
+    (_riccati, {"Q": {"kind": "poly", "coefficients": [[[1e308, 0], [0, 1e308]]] * 2}}),
+    (_riccati,
      {"R": {"kind": "pwc", "breakpoints": [0.5001, 0.5002], "matrices": [[[1]], [[0]], [[1]]]}}),
-    (_riccati, None, {"t0": -1e308, "T": 1e308}),
-    (_riccati, None, {"state_dim": 2.5}),
-    (_riccati, None, {"input_dim": True}),
-    (["riccati", "{missing}", "--out", "{out}"], None, {}),
-    (_riccati, None, "{"),
-    (_riccati, None, "[1, 2]"),
-    (_riccati, None, b"\xff\xfe{"),
-    (["solve", "{doc}", "--x0", "nan,0", "--out", "{out}"], None, {}),
-    (_multipoint("[["), None, {}),
-    (["solve", "{doc}", "--method", "multipoint", "--out", "{out}"], None, {}),
-    (["compare", "{doc}"], None, {"x0": None}),
-    (["verify", "{doc}", "--tolerances", "{"], None, {}),
-    (_riccati, None, {"A": {"kind": "constant", "matrix": [[[0, 1], [0, 0]]]}}),
-    (_riccati, None, {"Q": {"kind": "constant", "matrix": [[math.nan, 0], [0, 1]]}}),
-    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [[0.5]],
+    (_riccati, {"t0": -1e308, "T": 1e308}),
+    (_riccati, {"state_dim": 2.5}),
+    (_riccati, {"input_dim": True}),
+    (["riccati", "{missing}", "--out", "{out}"], {}),
+    (_riccati, "{"),
+    (_riccati, "[1, 2]"),
+    (_riccati, b"\xff\xfe{"),
+    (["solve", "{doc}", "--x0", "nan,0", "--out", "{out}"], {}),
+    (_multipoint("[["), {}),
+    (["solve", "{doc}", "--method", "multipoint", "--out", "{out}"], {}),
+    (["compare", "{doc}"], {"x0": None}),
+    (["verify", "{doc}", "--tolerances", "{"], {}),
+    (_riccati, {"A": {"kind": "constant", "matrix": [[[0, 1], [0, 0]]]}}),
+    (_riccati, {"Q": {"kind": "constant", "matrix": [[math.nan, 0], [0, 1]]}}),
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": [[0.5]],
                             "matrices": [[[0, 1], [0, 0]]] * 2}}),
-    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": [0.5],
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": [0.5],
                             "matrices": [[[0, 1], [0, 0]]]}}),
-    (_riccati, None, {"B": {"kind": "samples", "times": [0.0], "matrices": [[[0], [1]]]}}),
-    (_riccati, None, {"B": {"kind": "samples", "times": [0.0, 1.0],
+    (_riccati, {"B": {"kind": "samples", "times": [0.0], "matrices": [[[0], [1]]]}}),
+    (_riccati, {"B": {"kind": "samples", "times": [0.0, 1.0],
                             "matrices": [[[0], [1]]] * 3}}),
-    (_riccati, None, {"state_dim": 0}),
-    (_riccati, None, {"J_T": [[1.0]]}),
-    (_riccati, None, {"J_T": [[math.inf, 0], [0, 1]]}),
-    (_riccati, None, {"J_T": [[1, 1], [0, 1]]}),
-    (_riccati, None, {"Q": {"kind": "constant", "matrix": [[1, 1], [0, 1]]}}),
-    (_riccati, None, {"T": "1"}),
-    (_riccati, None, {"T": True}),
-    (_riccati, None, {"r_min": True}),
-    (_riccati, None, {"A": {"kind": "poly", "coefficients": [[[0, 1], [0, 0]]], "origin": True}}),
-    (_riccati, None, {"A": {"kind": "constant", "matrix": [["0", 1], [0, 0]]}}),
-    (_riccati, None, {"J_T": [[True, 0], [0, 1]]}),
-    (["solve", "{doc}", "--out", "{out}"], None, {"x0": ["1", 0]}),
-    (_riccati, None, {"A": {"kind": "pwc", "breakpoints": ["0.5"],
+    (_riccati, {"state_dim": 0}),
+    (_riccati, {"J_T": [[1.0]]}),
+    (_riccati, {"J_T": [[math.inf, 0], [0, 1]]}),
+    (_riccati, {"J_T": [[1, 1], [0, 1]]}),
+    (_riccati, {"Q": {"kind": "constant", "matrix": [[1, 1], [0, 1]]}}),
+    (_riccati, {"T": "1"}),
+    (_riccati, {"T": True}),
+    (_riccati, {"r_min": True}),
+    (_riccati, {"A": {"kind": "poly", "coefficients": [[[0, 1], [0, 0]]], "origin": True}}),
+    (_riccati, {"A": {"kind": "constant", "matrix": [["0", 1], [0, 0]]}}),
+    (_riccati, {"J_T": [[True, 0], [0, 1]]}),
+    (["solve", "{doc}", "--out", "{out}"], {"x0": ["1", 0]}),
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": ["0.5"],
                             "matrices": [[[0, 1], [0, 0]]] * 2}}),
-    (_multipoint('[["0", [1, 0]], [1, [0, 0]]]'), None, {}),
-    (_multipoint("[[0, [true, 0]], [1, [0, 0]]]"), None, {}),
-    (_riccati, None, _DEEP_DOC),
-    (_multipoint(_deep("[0, [1, 0]], [1, [0, 0]]")), None, {}),
-    (["verify", "{doc}", "--tolerances", _deep("")], None, {}),
+    (_multipoint('[["0", [1, 0]], [1, [0, 0]]]'), {}),
+    (_multipoint("[[0, [true, 0]], [1, [0, 0]]]"), {}),
+    (_riccati, _DEEP_DOC),
+    (_multipoint(_deep("[0, [1, 0]], [1, [0, 0]]")), {}),
+    (["verify", "{doc}", "--tolerances", _deep("")], {}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
-        "constraint-length", "env-steps-not-an-integer", "constraints-empty",
+        "constraint-length", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
         "grid-count-negative", "grid-count-zero", "tolerances-not-an-object",
         "tolerance-not-a-number", "tolerance-unknown-check", "seed-negative",
@@ -451,8 +442,7 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
         "file-x0-entry-string", "breakpoint-string", "constraint-time-string",
         "constraint-target-boolean", "file-nested-too-deeply",
         "constraints-nested-too-deeply", "tolerances-nested-too-deeply"])
-def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys,
-                                          monkeypatch):
+def test_malformed_flags_are_input_errors(argv, doc_extra, tmp_path, capsys):
     # doc_extra: keys to set (None drops the key), or the file's whole text or bytes
     path = tmp_path / "dint.json"
     doc = problem_to_dict(double_integrator_problem(), {"x0": [1.0, 0.0]})
@@ -463,8 +453,6 @@ def test_malformed_flags_are_input_errors(argv, env, doc_extra, tmp_path, capsys
     else:
         doc.update(doc_extra)
         path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
-    if env is not None:
-        monkeypatch.setenv("LQK_DEFAULT_STEPS", env)
     with np.errstate(over="ignore"):
         assert main(_fill(argv, path, tmp_path)) == 2
     err = capsys.readouterr().err

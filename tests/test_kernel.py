@@ -178,7 +178,7 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     for t in times:
         op.section(t)
     op.closed_loop_solution()
-    assert np.array_equal(op.riccati.J.times, op.grid)
+    assert np.array_equal(op.J.times, op.grid)
     assert built == [op.grid.size - 1]
 
 
@@ -290,7 +290,7 @@ def _unstable_problem(a):
 def test_operator_accuracy_on_unstable_horizon(a):
     times = [2.5, 5.0, 7.5]
     op = KernelOperator(_unstable_problem(a), 4000, extra_nodes=times)
-    diag = np.linalg.norm(op.riccati.J.eval(0.0) @ op.entry(0.0, 0.0) - np.eye(2))
+    diag = np.linalg.norm(op.J.eval(0.0) @ op.entry(0.0, 0.0) - np.eye(2))
     gram, defect = op.gram(times)
     assert diag <= 1e-5
     assert defect / np.max(np.abs(gram)) <= 1e-5

@@ -170,7 +170,7 @@ def test_rollout_keeps_the_control_jump_at_a_merged_node(jump):
 def test_pwc_jump_one_ulp_from_a_sample_knot_acts_at_the_merged_node(jump):
     # B and R jumping one ulp off the Q knot give what they give jumping at it
     near, exact = _knot_at_half(jump, jump), _knot_at_half(0.5, 0.5)
-    rn, re = KernelOperator(near, 200).riccati, KernelOperator(exact, 200).riccati
+    rn, re = KernelOperator(near, 200), KernelOperator(exact, 200)
     for name in ("J", "M"):
         a, b = getattr(rn, name).values, getattr(re, name).values
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name

@@ -19,7 +19,7 @@ SURFACE = {
     "discrete_value", "richardson_value",
     "double_integrator_problem", "random_problem", "random_trajectory", "rollout",
     "unit_scalar_problem",
-    "RiccatiSolution", "solve_adjoint",
+    "solve_adjoint",
     "LQSolveResult", "evaluate_cost", "solve_feedback", "solve_kernel",
     "solve_multipoint",
 }

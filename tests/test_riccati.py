@@ -24,57 +24,57 @@ BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
 
 def test_riccati_scalar_closed_form(p1):
     # -J' = -J^2 with J(1) = 1 gives J(t) = 1/(2-t)
-    J = KernelOperator(p1, 1000).riccati.J
+    J = KernelOperator(p1, 1000).J
     assert J.eval(0.0)[0, 0] == pytest.approx(0.5, abs=1e-8)
     assert J.eval(0.5)[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
 def test_riccati_fixed_point(p2):
-    J = KernelOperator(p2, 500).riccati.J
+    J = KernelOperator(p2, 500).J
     assert np.max(np.abs(J.values - 1.0)) < 1e-10
 
 
 def test_riccati_zero_rhs_constant(zero_drive):
-    J = KernelOperator(zero_drive, 200).riccati.J
+    J = KernelOperator(zero_drive, 200).J
     assert np.max(np.abs(J.values - zero_drive.J_T)) < 1e-13
 
 
 def test_dual_riccati_scalar_closed_form(p1):
-    M = KernelOperator(p1, 1000).riccati.M
+    M = KernelOperator(p1, 1000).M
     assert M.eval(0.0)[0, 0] == pytest.approx(2.0, abs=1e-8)
     assert M.eval(0.25)[0, 0] == pytest.approx(1.75, abs=1e-8)
 
 
 def test_dual_riccati_fixed_point(p2):
-    M = KernelOperator(p2, 500).riccati.M
+    M = KernelOperator(p2, 500).M
     assert np.max(np.abs(M.values - 1.0)) < 1e-10
 
 
 def test_dual_riccati_zero_rhs(zero_drive):
-    M = KernelOperator(zero_drive, 200).riccati.M
+    M = KernelOperator(zero_drive, 200).M
     assert np.max(np.abs(M.values - spd_inverse(zero_drive.J_T))) < 1e-13
 
 
 def test_terminal_conditions_exact(p1):
-    rs = KernelOperator(p1, 300).riccati
-    assert np.array_equal(rs.J.values[-1], p1.J_T)
-    assert np.array_equal(rs.M.values[-1], spd_inverse(p1.J_T))
+    op = KernelOperator(p1, 300)
+    assert np.array_equal(op.J.values[-1], p1.J_T)
+    assert np.array_equal(op.M.values[-1], spd_inverse(p1.J_T))
 
 
 def test_solutions_symmetric_and_positive(random_problems):
     for p in random_problems[:3]:
-        rs = KernelOperator(p, 800).riccati
-        for sol in (rs.J, rs.M):
+        op = KernelOperator(p, 800)
+        for sol in (op.J, op.M):
             vals = sol.values
             assert np.max(np.abs(vals - np.swapaxes(vals, 1, 2))) < 1e-9
             assert np.min(np.linalg.eigvalsh(vals)[:, 0]) > 0
-        assert rs.max_asymmetry_J >= 0.0
+        assert op.max_asymmetry_J >= 0.0
 
 
 def test_duality_along_grid(p1, p2, dint, random_problems):
     for p in [p1, p2, dint] + list(random_problems[:2]):
-        rs = KernelOperator(p, 1500).riccati
-        assert rs.duality_defects().max() < 1e-6
+        op = KernelOperator(p, 1500)
+        assert op.duality_defects().max() < 1e-6
 
 
 def test_feedback_gain_values(p1, p2, zero_drive):
@@ -121,7 +121,7 @@ def test_costate_is_negative_hessian_times_state(dint, random_problems):
     # p(t) = -J(t) xbar(t) along the optimal trajectory
     for p in [dint, random_problems[0]]:
         res = solve_kernel(p, np.ones(p.state_dim), 1200)
-        J = KernelOperator(p, 1200).riccati.J
+        J = KernelOperator(p, 1200).J
         pa = solve_adjoint(p, res.trajectory.x, 1200)
         resid = pa.values + np.einsum(
             "kij,kj->ki", J.eval_many(pa.times), res.trajectory.x.eval_many(pa.times))
@@ -153,7 +153,7 @@ def test_positivity_loss_detected():
     bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
                     c([[-1.2]]), c([[1.0]]), [[1.0]])
     with pytest.raises(PositivityLostError) as exc:
-        KernelOperator(bad, 400).riccati.J
+        KernelOperator(bad, 400).J
     assert exc.value.time == pytest.approx(0.3247, abs=0.02)
 
 
@@ -216,7 +216,7 @@ def _parity_problems():
 
 @pytest.mark.parametrize("problem", _parity_problems())
 def test_hamiltonian_route_matches_direct_riccati(problem):
-    J = KernelOperator(problem, 4000).riccati.J
+    J = KernelOperator(problem, 4000).J
     ref = _direct_riccati(problem, 4000)
     assert np.max(_relative_gaps(J, ref)) <= 1e-10
     for got, want in ((J.d_start, ref.d_start), (J.d_end, ref.d_end)):
@@ -230,7 +230,7 @@ def test_dual_riccati_loop_matches_stagewise_rk4(problem):
     # steps; that loop at 4x the steps is the truth.  At 1000 steps the errors
     # are truncation errors, except on the scalar problems that both methods
     # solve exactly, where the floor covers roundoff
-    M = KernelOperator(problem, 1000).riccati.M
+    M = KernelOperator(problem, 1000).M
     rk4 = _direct_dual_riccati(problem, 1000)
     truth = _direct_dual_riccati(problem, 4000).eval_many(M.times)
     err_M, err_rk4 = (np.max(np.linalg.norm(s.values - truth, axis=(1, 2))) for s in (M, rk4))
@@ -249,7 +249,7 @@ def test_duality_defect_is_a_discretization_gap(problem):
     # J (RK4) and M (Magnus-Pade) share stage tables but no step map, so
     # J M - I shows their truncation errors at a coarse grid; an M read off
     # J's own discrete flow would leave only roundoff
-    assert np.max(KernelOperator(problem, 250).riccati.duality_defects()) > 1e-11
+    assert np.max(KernelOperator(problem, 250).duality_defects()) > 1e-11
 
 
 def _stress_problem(a, d):
@@ -263,7 +263,7 @@ def _steady_gap(problem):
     """Worst relative gap to the direct flow on [0, 5], off the terminal layer
     where the two discretizations differ by their own truncation errors."""
     ref = _direct_riccati(problem, 4000)
-    J = KernelOperator(problem, 4000).riccati.J
+    J = KernelOperator(problem, 4000).J
     return np.max(_relative_gaps(J, ref)[ref.times <= 5.0])
 
 
@@ -291,7 +291,7 @@ def test_escape_through_zero_is_positivity_loss():
     bad = LQProblem(1, 1, 0.0, 1.0, c([[0.0]]), c([[1.0]]),
                     c([[-10.0]]), c([[1.0]]), [[1.0]])
     with pytest.raises(PositivityLostError) as exc:
-        KernelOperator(bad, 400).riccati.J
+        KernelOperator(bad, 400).J
     assert exc.value.time == pytest.approx(0.903, abs=0.01)
 
 
@@ -302,7 +302,7 @@ def test_singular_hamiltonian_state_is_blowup():
     bad = LQProblem(1, 1, 0.0, 2.0, c([[0.0]]), c([[1.0]]),
                     c([[0.0]]), c([[1.0]]), [[-1.0]])
     with pytest.raises(IntegrationBlowupError) as exc:
-        KernelOperator(bad, 4).riccati.J
+        KernelOperator(bad, 4).J
     assert exc.value.time == 1.0
 
 

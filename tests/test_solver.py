@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lqkernel import riccati
+from lqkernel import kernel
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import KernelOperator, kernel_trajectory
 from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
-from lqkernel.problems import random_problem, random_trajectory, rollout
+from lqkernel.problems import (random_problem, random_trajectory, rollout,
+                               unit_scalar_problem)
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
                              solve_multipoint)
 from dense_nodes import dense_from_nodes
@@ -57,16 +58,28 @@ def test_feedback_zero_state(p2):
 
 def test_feedback_solves_no_dual_riccati(dint, monkeypatch):
     calls = []
-    original = riccati._dual_riccati_on
+    original = kernel._dual_riccati_on
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(riccati, "_dual_riccati_on", counted)
-    res = solve_feedback(dint, [1.0, 0.0], 300)
+    monkeypatch.setattr(kernel, "_dual_riccati_on", counted)
+    op = KernelOperator(dint, 300)
+    res = solve_feedback(dint, [1.0, 0.0], operator=op)
     assert calls == []
     assert res.value > 0.0
+    assert op.M is op.M
+    assert len(calls) == 1
+
+
+def test_solves_refuse_an_operator_of_another_problem():
+    # the operator's problem has value 0.5 at x0 = 1, the solved one 1.0
+    op = KernelOperator(unit_scalar_problem(0.0), 200)
+    problem = unit_scalar_problem(1.0)
+    for solve in (solve_kernel, solve_feedback):
+        with pytest.raises(ValueError, match="different problem"):
+            solve(problem, [1.0], operator=op)
 
 
 def test_route_agreement_random(random_problems, operator_cache):
@@ -93,7 +106,7 @@ def test_routes_start_from_x0_under_ill_conditioned_riccati_value():
                   c(rot @ [[1.0], [0.0]]), c(rot @ np.diag([1.0, 0.0]) @ rot.T),
                   c([[1.0]]), np.eye(2))
     op = KernelOperator(p, 800)
-    assert np.linalg.cond(op.riccati.J.eval(0.0)) > 1e8
+    assert np.linalg.cond(op.J.eval(0.0)) > 1e8
     x0 = np.array([1.0, -0.5])
     xk = solve_kernel(p, x0, operator=op).trajectory.x
     xf = solve_feedback(p, x0, operator=op).trajectory.x
