@@ -18,8 +18,11 @@ matched to its use:
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
-  once per operator; the first column K(., t0) is the closed loop from t0
-  applied to K(t0, t0); it and every on-grid section share one builder.
+  once per operator.  One builder carries the value at t: K(t, t) for a
+  section, the N-vector K(t, t) p for a term of `kernel_trajectory`, the
+  identity for the closed loop; a time off the grid goes through it too.
+  Only `section` caches; the Gram matrix builds its columns uncached, so a
+  multipoint solve holds no N x N section.
 
 K keeps both one-sided derivatives at the column time, where they differ
 by S(t).  The control of K(., t) p, read off the costate (J x right of t,
@@ -52,12 +55,12 @@ class KernelOperator:
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
     the J and P flows on the grid (once, by `_solve_flows`), M on the same
-    grid when first read (never on the feedback route), and the sections.
-    A section is two carries of K(t, t) over the X blocks of the flows.  A
-    column time off the grid is inserted as a node: the same builder, run
-    on that time and its two neighbouring nodes, gives J, P and the
-    carriers at it.  The operator is logically immutable and evaluations
-    are pure.
+    grid when first read (never on the feedback route), the flows at column
+    times off the grid, and the sections read by `section` and `entry`.  A section is two carries of K(t, t) over
+    the X blocks of the flows.  A column time off the grid is inserted as a
+    node: the same builder, run on that time and its two neighbouring nodes,
+    gives J, P and the carriers at it.  The operator is logically immutable
+    and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -68,6 +71,7 @@ class KernelOperator:
                                np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
         self._sections: dict[float, DenseSolution] = {}
+        self._nodes: dict[float, _Flows] = {}
 
     # -- the Riccati pair and its flows -------------------------------------
 
@@ -105,7 +109,8 @@ class KernelOperator:
 
     def closed_loop_solution(self) -> DenseSolution:
         """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0."""
-        return self._carried(0, np.eye(self.problem.state_dim))
+        eye = np.eye(self.problem.state_dim)
+        return self._carried(self.problem.t0, lambda J, P: eye)
 
     # -- kernel values ------------------------------------------------------
 
@@ -144,17 +149,18 @@ class KernelOperator:
     def gram(self, times) -> tuple[np.ndarray, float]:
         """Block Gram matrix at `times`, symmetrized; returns (matrix, defect).
 
-        Block (i, j) is K(t_i, t_j); one section is computed per column time
-        and all rows are read off it.  The reported defect is the worst
-        entry moved by the final (G + G')/2 projection.
+        Block (i, j) is K(t_i, t_j); one section is built per column time,
+        all rows are read off it, and it is dropped (the section cache is
+        not filled).  The reported defect is the worst entry moved by the
+        final (G + G')/2 projection.
         """
         times = np.asarray(times, dtype=float)
         n = self.problem.state_dim
         k = times.size
         raw = np.zeros((k * n, k * n))
         for j, tj in enumerate(times):
-            sec = self.section(float(tj))
-            raw[:, j * n:(j + 1) * n] = sec.eval_many(times).reshape(k * n, n)
+            column = self._solve_section(float(tj)).eval_many(times)
+            raw[:, j * n:(j + 1) * n] = column.reshape(k * n, n)
         return _symmetrized(raw)
 
     def control(self, t: float, x: DenseSolution) -> DenseSolution:
@@ -188,7 +194,8 @@ class KernelOperator:
         """(j, node): t is node j of its section grid.  On the grid node is
         None; inside interval j - 1, t is inserted, and node holds the J and
         P flows on [grid[j - 1], t, grid[j]], from the operator's J at
-        grid[j] and P at grid[j - 1]: its node 1 is t."""
+        grid[j] and P at grid[j - 1]: its node 1 is t.  Nodes are cached,
+        as a term's section and its control both read them."""
         p, grid = self.problem, self.grid
         tol = _time_tol(p.t0, p.T)
         if not (p.t0 - tol <= t <= p.T + tol):
@@ -196,34 +203,44 @@ class KernelOperator:
         j = int(np.argmin(np.abs(grid - t)))
         if abs(grid[j] - t) <= tol:
             return j, None
-        f = self._flows
         k = int(np.searchsorted(grid, t)) - 1
-        return k + 1, _solve_flows(p, np.array([grid[k], t, grid[k + 1]]), f.J[k + 1], -f.P[k])
+        if t not in self._nodes:
+            f = self._flows
+            self._nodes[t] = _solve_flows(p, np.array([grid[k], t, grid[k + 1]]),
+                                          f.J[k + 1], -f.P[k])
+        return k + 1, self._nodes[t]
 
-    def _carried(self, j: int, V: np.ndarray) -> DenseSolution:
-        """V carried from grid node j along G to the left and along F to the
-        right, on the grid."""
+    def _carried(self, t: float, value) -> DenseSolution:
+        """V = value(J(t), P(t)) carried from t along G to the left and along
+        F to the right, on t's section grid (`_node`).  On the grid the walk
+        starts at t; off it, the node flows carry V to the grid nodes on
+        either side of t, and the walk starts there."""
         f = self._flows
-        K = np.concatenate([f.carry(j, V, right=False)[:-1], f.carry(j, V, right=True)])
-        lo = np.concatenate([f.G[0][:j], f.F[0][j:]])
-        hi = np.concatenate([f.G[1][:j], f.F[1][j:]])
-        return DenseSolution(self.grid, K[:-1], K[1:], lo @ K[:-1], hi @ K[1:])
-
-    def _solve_section(self, t: float) -> DenseSolution:
         j, node = self._node(t)
-        f = self._flows
         if node is None:
-            return self._carried(j, np.linalg.inv(f.J[j] + f.P[j]))
-        # t sits inside interval k; right of it the section follows F, left of it G
-        k = j - 1
-        V = np.linalg.inv(node.J[1] + node.P[1])
-        K = np.concatenate([
-            f.carry(k, np.linalg.solve(node.X_P[1], V), right=False), V[None],
-            f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
-        lo = np.concatenate([f.G[0][:j], node.F[0][1:], f.F[0][j:]])
-        hi = np.concatenate([f.G[1][:k], node.G[1][:1], f.F[1][k:]])
-        return DenseSolution(np.insert(self.grid, j, t), K[:-1], K[1:],
-                             lo @ K[:-1], hi @ K[1:])
+            V = value(f.J[j], f.P[j])
+            K = np.concatenate([f.carry(j, V, right=False)[:-1], V[None],
+                                f.carry(j, V, right=True)[1:]])
+            times, c, lo_t, hi_t = self.grid, j, [], []
+        else:  # t sits inside interval j - 1 of the grid
+            V = value(node.J[1], node.P[1])
+            K = np.concatenate([f.carry(j - 1, np.linalg.solve(node.X_P[1], V), right=False),
+                                V[None], f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
+            times, c = np.insert(self.grid, j, t), j - 1
+            lo_t, hi_t = [node.F[0][1:]], [node.G[1][:1]]
+        # the concatenated carriers live only for their product: a lower peak per column
+        d_lo = np.concatenate([f.G[0][:j], *lo_t, f.F[0][j:]]) @ K[:-1]
+        d_hi = np.concatenate([f.G[1][:c], *hi_t, f.F[1][c:]]) @ K[1:]
+        return DenseSolution(times, K[:-1], K[1:], d_lo, d_hi)
+
+    def _solve_section(self, t: float, p: np.ndarray | None = None) -> DenseSolution:
+        """K(., t) on t's section grid, or, for a covector p, the vector
+        K(., t) p, carried as a column of width one: K(t, t) = (J(t) + P(t))^{-1}."""
+        if p is None:
+            return self._carried(t, lambda J, P: np.linalg.inv(J + P))
+        col = self._carried(t, lambda J, P: np.linalg.solve(J + P, p[:, None]))
+        return DenseSolution(col.times, col.v_start[..., 0], col.v_end[..., 0],
+                             col.d_start[..., 0], col.d_end[..., 0])
 
 
 def shooting_diagonal(problem: LQProblem, t: float,
@@ -241,7 +258,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
     p = problem
     n = p.state_dim
     grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
-    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid)[:3])
+    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid))
     j = int(np.argmin(np.abs(grid - t)))
     W = np.eye(2 * n)
     W[:, :n] = _affine_sweep(grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))[-1]
@@ -309,9 +326,11 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
     """sum_i K(., t_i) p_i over (t_i, p_i) pairs sharing one grid (every t_i a
     node of the operator's grid, or a single term), as a controlled trajectory.
-    Each term takes its own control off the costate (`KernelOperator.control`),
-    which jumps at s = t_i, where it is stored two-sidedly."""
-    xs = [operator.section(t).right_multiply(np.asarray(p, dtype=float)) for t, p in covectors]
+    Each term is carried by the section builder as the N-vector
+    K(t_i, t_i) p_i (no N x N section is built or cached) and takes its own
+    control off the costate (`KernelOperator.control`), which jumps at
+    s = t_i, where it is stored two-sidedly."""
+    xs = [operator._solve_section(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
     if len({x.times.tobytes() for x in xs}) > 1:
         raise ValueError("kernel_trajectory: the sections lie on different grids")
     us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]

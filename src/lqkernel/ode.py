@@ -237,12 +237,17 @@ def schedule_stage_table(schedule, grid: np.ndarray):
     breakpoints are nodes up to `_time_tol`, so that piece holds on the
     whole interval, even past a merged node.
     """
-    lo_t, hi_t = grid[:-1], grid[1:]
-    mid_t = 0.5 * (lo_t + hi_t)
-    mid = schedule.eval_many(mid_t, 1)
+    mid = _stage_slot(schedule, grid, 1)
     if getattr(schedule, "kind", None) == "pwc":
         return mid, mid.copy(), mid.copy()
-    return schedule.eval_many(lo_t, 1), mid, schedule.eval_many(hi_t, -1)
+    return _stage_slot(schedule, grid, 0), mid, _stage_slot(schedule, grid, 2)
+
+
+def _stage_slot(schedule, grid: np.ndarray, slot: int) -> np.ndarray:
+    """Slot `slot` (0 lo, 1 mid, 2 hi) of `schedule_stage_table` alone."""
+    if slot == 1 or getattr(schedule, "kind", None) == "pwc":
+        return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
+    return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)
 
 
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
@@ -253,12 +258,24 @@ def _rk4_maps(h, H1, Hm, H3, F1, Fm, F3):
     """The increments (D, c) of classical RK4 on Y' = H Y + F, one step per
     entry of `h`: step i maps Y to Y + (D_i Y + c_i).  H1/F1 sit at the
     start of the step in integration order, Hm/Fm at its midpoint, H3/F3 at
-    its end; `c` is None when F1 is."""
-    K1 = H1
-    K2 = Hm + (0.5 * h) * (Hm @ K1)
-    K3 = Hm + (0.5 * h) * (Hm @ K2)
-    K4 = H3 + h * (H3 @ K3)
-    D = (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    its end; `c` is None when F1 is.  K2, K3, K4 and their sum live in three
+    reused buffers, each sum taken in the order of the textbook formula."""
+    half = 0.5 * h
+    K = np.matmul(Hm, H1)  # K2 = Hm + h/2 Hm K1, with K1 = H1
+    K *= half
+    K += Hm
+    D = 2.0 * K
+    D += H1  # K1 + 2 K2
+    K_next = np.matmul(Hm, K)  # K3 = Hm + h/2 Hm K2
+    K_next *= half
+    K_next += Hm
+    np.multiply(K_next, 2.0, out=K)
+    D += K  # + 2 K3
+    np.matmul(H3, K_next, out=K)  # K4 = H3 + h H3 K3
+    K *= h
+    K += H3
+    D += K
+    D *= h / 6.0
     c = None
     if F1 is not None:
         f2 = (0.5 * h) * (Hm @ F1) + Fm

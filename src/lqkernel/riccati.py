@@ -18,10 +18,12 @@ the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
 grid and returns them as one `_Flows` value, with the closed loops A - S J
-and A + S P and the stage table of W = R^{-1} B'.  The kernel reads its
-sections off the X blocks of both flows, and every control off the costate
-J x or -P x through W.  M is the same ratio on the swapped table
-[[-A', -Q], [-S, A]], whose Y X^{-1} solves the dual equation, run backward
+and A + S P and W = R^{-1} B' at the interval ends.  H, filled one stage
+slot at a time from the schedules, is its only table of A, S and Q: J's
+node derivatives and the closed loops read A, -S and -Q as views of H.
+The kernel reads its sections off the X blocks of both flows, and every
+control off the costate J x or -P x through W.  M is the same ratio on the
+swapped table [[-A', -Q], [-S, A]], whose Y X^{-1} solves the dual equation, run backward
 from [I; J_T^{-1}] by the same restarted routine (`_dual_riccati_on`), but
 with the (2,2) Pade map of a fourth-order Magnus step in place of RK4
 (`ode._pade_maps`; A-stable, so a stiff step that overflows RK4 stays
@@ -47,8 +49,9 @@ import numpy as np
 from .errors import PositivityLostError
 from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup, _pade_maps,
-                  _rk4_maps, build_grid, rk4_affine, schedule_stage_table)
+from .ode import (_AFFINE_BLOCK, DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup,
+                  _pade_maps, _rk4_maps, _stage_slot, build_grid, rk4_affine,
+                  schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
 # a block the columns of [X; Y] drift toward its fastest-growing modes, and X
@@ -61,40 +64,96 @@ from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup, _pade_ma
 _REANCHOR_LOG_GROWTH = 4.0
 
 
-def _coefficient_tables(problem: LQProblem, grid: np.ndarray):
-    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)', Q(t) and the
-    control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) over `grid`."""
-    B_tab = schedule_stage_table(problem.B, grid)
-    R_inv = [np.linalg.inv(Rs) for Rs in schedule_stage_table(problem.R, grid)]
-    S_tab = tuple(Bs @ Ri @ np.swapaxes(Bs, 1, 2) for Bs, Ri in zip(B_tab, R_inv))
-    W_tab = tuple(Ri @ np.swapaxes(Bs, 1, 2) for Bs, Ri in zip(B_tab, R_inv))
-    return (schedule_stage_table(problem.A, grid), S_tab,
-            schedule_stage_table(problem.Q, grid), W_tab)
+class _Slots:
+    """A (lo, mid, hi) stage table whose slots are computed by `slot(i)`
+    each time they are read, and not kept: a reader that goes slot by slot
+    (`_hamiltonian_table`) holds one slot at a time."""
+
+    def __init__(self, slot):
+        self._slot = slot
+
+    def __len__(self) -> int:
+        return 3
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._slot(range(3)[i])
+
+
+def _coefficient_tables(problem: LQProblem, grid: np.ndarray, W: dict | None = None):
+    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t) over
+    `grid`, as `_Slots`.  Reading the lo or hi slot of S also stores that
+    slot of the control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) in the
+    dict `W`, when one is given."""
+    def S_slot(slot):
+        B = _stage_slot(problem.B, grid, slot)
+        R_inv = np.linalg.inv(_stage_slot(problem.R, grid, slot))
+        BT = np.swapaxes(B, 1, 2)
+        if W is not None and slot != 1:
+            W[slot] = R_inv @ BT
+        return B @ R_inv @ BT
+
+    return (_Slots(lambda slot: _stage_slot(problem.A, grid, slot)), _Slots(S_slot),
+            _Slots(lambda slot: _stage_slot(problem.Q, grid, slot)))
 
 
 def _hamiltonian_table(A_tab, S_tab, Q_tab):
-    """Stage tables of [[A, -S], [-Q, -A']], filled block by block: np.block
-    also holds negated copies and row blocks, raising a section's peak memory."""
-    n = A_tab[0].shape[1]
-    H_tab = tuple(np.empty((A.shape[0], 2 * n, 2 * n)) for A in A_tab)
-    for H, A, S, Q in zip(H_tab, A_tab, S_tab, Q_tab):
+    """Stage tables of [[A, -S], [-Q, -A']], filled block by block and one
+    stage slot at a time, so that with `_Slots` tables only one slot of A,
+    S and Q is alive beside H (np.block would also hold negated copies and
+    row blocks)."""
+    H_tab = []
+    for A, S, Q in zip(A_tab, S_tab, Q_tab):
+        n = A.shape[1]
+        H = np.empty((A.shape[0], 2 * n, 2 * n))
         H[:, :n, :n] = A
         np.negative(S, out=H[:, :n, n:])
         np.negative(Q, out=H[:, n:, :n])
         np.negative(np.swapaxes(A, 1, 2), out=H[:, n:, n:])
-    return H_tab
+        H_tab.append(H)
+        del A, S, Q
+    return tuple(H_tab)
+
+
+def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:
+    """Intervals per block of `_reanchored_flow`: the most that keep
+    sum h |H|_inf, H at the interval midpoints, under
+    `_REANCHOR_LOG_GROWTH`.  |H| is summed a chunk of intervals at a time,
+    so no temporary of H's size is built."""
+    n_int = grid.size - 1
+    h = np.diff(grid)
+    rate = float(np.max([
+        np.max(h[k:k + _AFFINE_BLOCK]
+               * np.abs(H_mid[k:k + _AFFINE_BLOCK]).sum(axis=2).max(axis=1))
+        for k in range(0, n_int, _AFFINE_BLOCK)]))
+    return n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
+        1, int(_REANCHOR_LOG_GROWTH / rate))
 
 
 def _check_positive(times: np.ndarray, R: np.ndarray, what: str) -> None:
-    """Raise PositivityLostError unless every (symmetric) node R[k] is positive definite."""
-    eigs = np.linalg.eigvalsh(R)
-    bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
+    """Raise PositivityLostError unless every (symmetric) node R[k] is
+    positive definite, IntegrationBlowupError at a non-finite node.  One
+    batched Cholesky factorization clears the nodes; only when it fails are
+    the eigenvalues computed, to name the node.  Cholesky does not flag NaN,
+    so non-finite nodes are looked for first."""
+    finite = np.isfinite(R).reshape(R.shape[0], -1).all(axis=1)
+    if finite.all():
+        try:
+            np.linalg.cholesky(R)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = np.full(R.shape[0], np.nan)
+    min_eig[finite] = np.linalg.eigvalsh(R[finite])[:, 0]
+    bad = np.flatnonzero(~(min_eig > 0.0))
     if bad.size:
         # backward integration meets the largest offending time first
-        t_bad = float(times[bad[-1]])
+        k = bad[-1]
+        if not finite[k]:
+            raise _blowup(times[k])
+        t_bad = float(times[k])
         raise PositivityLostError(
             f"{what} lost positive definiteness at t={t_bad} "
-            f"(min eigenvalue {eigs[bad[-1], 0]:.3e})", time=t_bad)
+            f"(min eigenvalue {min_eig[k]:.3e})", time=t_bad)
 
 
 def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
@@ -119,15 +178,15 @@ def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
     return R
 
 
-def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = False,
-                     step=_rk4_maps):
+def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
+                     backward: bool = False, step=_rk4_maps):
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
     Z' = H Z runs by the step maps of `step` (see `ode._affine_sweep`) from
     [I; R0] at grid[0] (grid[-1] if backward) and restarts from [I; R_k]
-    after every `block` intervals, the most that keep sum h |H|_inf under
-    `_REANCHOR_LOG_GROWTH`.  Returns (R, X, block, drift): R and X at every
-    node, and the worst asymmetry that symmetrizing R absorbed.  Block i
+    after every `block` intervals (`_reanchor_block`).  Returns (R, X,
+    drift): R and X at every node, and the worst asymmetry that
+    symmetrizing R absorbed.  Block i
     spans nodes i*block to (i+1)*block and is anchored at its end if
     backward, at its start if not; X at a node is the propagator of A - S R
     from the anchor of the block that holds the node past its anchor (X = I
@@ -140,9 +199,6 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = F
     X = np.empty((grid.size, n, n))
     R[-1 if backward else 0] = R0
     X[-1 if backward else 0] = eye
-    rate = float(np.max(np.diff(grid) * np.abs(H_tab[1]).sum(axis=2).max(axis=1)))
-    block = n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
-        1, int(_REANCHOR_LOG_GROWTH / rate))
     starts = range(0, n_int, block)
     drift = 0.0
     for k0 in (reversed(starts) if backward else starts):
@@ -154,7 +210,7 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, backward: bool = F
         R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z, n, backward))
         drift = max(drift, d)
         X[inner] = Z[:, :n]
-    return R, X, block, drift
+    return R, X, drift
 
 
 @dataclass(frozen=True)
@@ -195,26 +251,34 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
                  minus_P_start: np.ndarray) -> _Flows:
     """The J and P flows on `grid` through one Hamiltonian table: J backward
     from J_end, with the Riccati right-hand side as node derivatives, then P
-    forward from -P = minus_P_start (the flow runs on -P).  Raises
-    IntegrationBlowupError at the first node met where X is singular or a
-    ratio non-finite, PositivityLostError (before P runs) where J is not
-    positive definite."""
-    A_tab, S_tab, Q_tab, W_tab = _coefficient_tables(problem, grid)
-    H_tab = _hamiltonian_table(A_tab, S_tab, Q_tab)
-    J, X_J, block, drift = _reanchored_flow(grid, H_tab, J_end, backward=True)
-
-    def rhs(slot, Jv):
-        return (Jv @ S_tab[slot] @ Jv - np.swapaxes(A_tab[slot], 1, 2) @ Jv
-                - Jv @ A_tab[slot] - Q_tab[slot])
-
+    forward from -P = minus_P_start (the flow runs on -P).  H is the only
+    table of A, S and Q: the node derivatives and the closed loops read A,
+    -S and -Q at the lo and hi slots as views of H, and only W is kept
+    beside it.  Raises IntegrationBlowupError at the first node met where X
+    is singular or a ratio non-finite, PositivityLostError (before P runs)
+    where J is not positive definite."""
+    n = problem.state_dim
+    W: dict = {}
+    H_tab = list(_hamiltonian_table(*_coefficient_tables(problem, grid, W)))
+    block = _reanchor_block(grid, H_tab[1])
+    J, X_J, drift = _reanchored_flow(grid, H_tab, J_end, block, backward=True)
     _check_positive(grid, J, "J")
-    J_sol = DenseSolution(grid, J[:-1], J[1:], rhs(0, J[:-1]), rhs(2, J[1:]))
-    del Q_tab  # H holds Q now; freeing the table before the P flow lowers peak memory
-    minus_P, X_P, _, _ = _reanchored_flow(grid, H_tab, minus_P_start)
-    P = -minus_P
-    F = (A_tab[0] - S_tab[0] @ J[:-1], A_tab[2] - S_tab[2] @ J[1:])
-    G = (A_tab[0] + S_tab[0] @ P[:-1], A_tab[2] + S_tab[2] @ P[1:])
-    return _Flows(J_sol, drift, J, P, X_J, X_P, block, F, G, (W_tab[0], W_tab[2]))
+    minus_P, X_P, _ = _reanchored_flow(grid, H_tab, minus_P_start, block)
+    P = np.negative(minus_P, out=minus_P)
+
+    def at_slot(H, k):
+        """J S J - A'J - J A - Q, A - S J and A + S P at the nodes k, with A,
+        -S and -Q read off H's lo or hi slot."""
+        A, minus_S, Jk = H[:, :n, :n], H[:, :n, n:], J[k]
+        dJ = -(Jk @ minus_S @ Jk) - np.swapaxes(A, 1, 2) @ Jk - Jk @ A + H[:, n:, :n]
+        return dJ, A + minus_S @ Jk, A - minus_S @ P[k]
+
+    # each slot of H is dropped as soon as it has been read
+    del H_tab[1]
+    dJ_lo, F_lo, G_lo = at_slot(H_tab.pop(0), slice(None, -1))
+    dJ_hi, F_hi, G_hi = at_slot(H_tab.pop(0), slice(1, None))
+    J_sol = DenseSolution(grid, J[:-1], J[1:], dJ_lo, dJ_hi)
+    return _Flows(J_sol, drift, J, P, X_J, X_P, block, (F_lo, F_hi), (G_lo, G_hi), (W[0], W[2]))
 
 
 def _dual_stage(A, S, Q, M):
@@ -231,10 +295,11 @@ def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolutio
     absorbed.  Raises IntegrationBlowupError at the first node met where X
     is singular or M non-finite, PositivityLostError where M is not positive
     definite."""
-    A_tab, S_tab, Q_tab = _coefficient_tables(problem, grid)[:3]
+    A_tab, S_tab, Q_tab = (tuple(tab) for tab in _coefficient_tables(problem, grid))
     H_tab = _hamiltonian_table(tuple(-np.swapaxes(A, 1, 2) for A in A_tab), Q_tab, S_tab)
-    M, _, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
-                                      backward=True, step=_pade_maps)
+    M, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
+                                   _reanchor_block(grid, H_tab[1]), backward=True,
+                                   step=_pade_maps)
     _check_positive(grid, M, "M")
     sol = DenseSolution(grid, M[:-1], M[1:],
                         _dual_stage(A_tab[0], S_tab[0], Q_tab[0], M[:-1]),

@@ -28,3 +28,14 @@ def stagewise_rk4(stage, grid, y0, backward=False) -> DenseSolution:
     return DenseSolution(grid, np.stack(vals[:-1]), np.stack(vals[1:]),
                          np.stack([stage(k, 0, vals[k]) for k in range(n)]),
                          np.stack([stage(k, 2, vals[k + 1]) for k in range(n)]))
+
+
+def rk4_increment(h, H1, Hm, H3):
+    """The increment D of one classical RK4 step Y -> Y + D Y on Y' = H Y,
+    H1, Hm and H3 at the step's start, midpoint and end: the textbook
+    formula, which `ode._rk4_maps` reproduces bit for bit."""
+    K1 = H1
+    K2 = Hm + (0.5 * h) * (Hm @ K1)
+    K3 = Hm + (0.5 * h) * (Hm @ K2)
+    K4 = H3 + h * (H3 @ K3)
+    return (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)

@@ -182,6 +182,28 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     assert built == [op.grid.size - 1]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gram_and_kernel_trajectory_match_the_cached_sections(n):
+    rng = np.random.default_rng([n, 19])
+    p = random_problem(rng, state_dim=n)
+    pins = np.sort(rng.uniform(p.t0, p.T, 3))
+    op = KernelOperator(p, 300, extra_nodes=pins)
+    gram, _ = op.gram(pins)
+    assert not op._sections  # the Gram builds its columns uncached
+    raw = np.hstack([op.section(t).eval_many(pins).reshape(-1, n) for t in pins])
+    want = 0.5 * (raw + raw.T)
+    assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
+    on_grid = [(float(t), rng.normal(size=n)) for t in pins]
+    off_grid = [(0.5 * float(op.grid[7] + op.grid[8]), rng.normal(size=n))]
+    for terms in (on_grid, off_grid):
+        x = kernel_trajectory(op, terms).x
+        parts = [op.section(t).right_multiply(q) for t, q in terms]
+        assert np.array_equal(x.times, parts[0].times)
+        for field in ("v_start", "v_end", "d_start", "d_end"):
+            ref = sum(getattr(s, field) for s in parts)
+            assert np.max(np.abs(getattr(x, field) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _switched_problem():
     """Two states with a piecewise-constant A (jump at 0.4), a time-varying
     B and R, and a state cost: every stage table varies along the grid."""

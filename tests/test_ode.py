@@ -10,12 +10,12 @@ from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowu
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
-from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, build_grid,
+from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, build_grid,
                           rk4_affine, schedule_stage_table)
 from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 from dense_nodes import dense_from_nodes
-from rk4_reference import stagewise_rk4
+from rk4_reference import rk4_increment, stagewise_rk4
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -187,6 +187,17 @@ def _constant_flow(H, y0, steps, backward=False):
     grid = build_grid(0.0, 1.0, steps)
     table = schedule_stage_table(MatrixSchedule.constant(H), grid)
     return rk4_affine(grid, table, np.asarray(y0, dtype=float), backward=backward)
+
+
+@pytest.mark.parametrize("width", [8, 10, 12, 14, 16])
+def test_rk4_maps_are_the_textbook_formula_bit_for_bit(width):
+    # the increments are built in reused buffers; each sum keeps its order
+    rng = np.random.default_rng(width)
+    h = rng.uniform(-0.02, 0.02, size=(300, 1, 1))
+    H1, Hm, H3 = (rng.normal(size=(300, width, width)) for _ in range(3))
+    D, c = _rk4_maps(h, H1, Hm, H3, None, None, None)
+    assert c is None
+    assert np.array_equal(D, rk4_increment(h, H1, Hm, H3))
 
 
 def test_exponential_growth_forward():

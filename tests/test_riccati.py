@@ -11,12 +11,12 @@ from lqkernel.errors import IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
-from lqkernel.ode import build_grid, schedule_stage_table
+from lqkernel.ode import _rk4_maps, build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
 from lqkernel.riccati import _dual_riccati_on, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
 from dense_nodes import dense_from_nodes
-from rk4_reference import stagewise_rk4
+from rk4_reference import rk4_increment, stagewise_rk4
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "scripts" / "problems").glob("*.json"))
@@ -281,6 +281,46 @@ def test_unbroken_flow_fails_under_mixed_growth_rates(a, monkeypatch):
     except (IntegrationBlowupError, PositivityLostError):
         gap = math.inf
     assert gap > 1e-10
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_rk4_maps_bit_for_bit_on_bundled_hamiltonians(path):
+    p = load_problem_file(str(path))[0]
+    grid = build_grid(p.t0, p.T, 600, p.breakpoints())
+    H_lo, H_mid, H_hi = riccati._hamiltonian_table(*riccati._coefficient_tables(p, grid))
+    h = np.diff(grid)[:, None, None]
+    for step, H1, H3 in ((h, H_lo, H_hi), (-h, H_hi, H_lo)):  # forward, backward
+        D = _rk4_maps(step, H1, H_mid, H3, None, None, None)[0]
+        assert np.array_equal(D, rk4_increment(step, H1, H_mid, H3))
+
+
+def test_positivity_check_names_the_node_met_first():
+    times = np.linspace(0.0, 1.0, 6)
+    R = np.tile(np.eye(2), (6, 1, 1))
+    riccati._check_positive(times, R, "J")  # every node positive definite
+    R[1] = np.diag([1.0, -0.5])
+    R[3] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues -1 and 3
+    with pytest.raises(PositivityLostError) as exc:
+        riccati._check_positive(times, R, "J")
+    # backward integration meets t = 0.6 first
+    assert exc.value.time == times[3]
+    assert str(exc.value) == f"J lost positive definiteness at t={times[3]} (min eigenvalue -1.000e+00)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_positivity_check_rejects_non_finite_nodes(bad):
+    # Cholesky passes NaN silently; a non-finite node is a blow-up, named
+    # at the largest offending time like a loss of positivity
+    times = np.linspace(0.0, 1.0, 6)
+    R = np.tile(np.eye(2), (6, 1, 1))
+    R[4, 1, 1] = bad
+    with pytest.raises(IntegrationBlowupError) as exc:
+        riccati._check_positive(times, R, "M")
+    assert exc.value.time == times[4]
+    R[5] = -np.eye(2)
+    with pytest.raises(PositivityLostError) as lost:
+        riccati._check_positive(times, R, "M")
+    assert lost.value.time == times[5]
 
 
 def test_escape_through_zero_is_positivity_loss():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,60 @@ def test_multipoint_with_already_optimal_terminal_pin(p1):
     assert res.value == pytest.approx(0.5, abs=1e-6)
     for s in (0.3, 0.7):
         assert res.trajectory.x.eval(s)[0] == pytest.approx((2 - s) / 2, abs=1e-6)
+
+
+def _rendezvous(n, m, k):
+    rng = np.random.default_rng(101)
+    p = random_problem(rng, n, m)
+    traj = random_trajectory(p, rng)
+    times = np.linspace(p.t0, p.T, k)
+    return p, list(zip(times, traj.x.eval_many(times)))
+
+
+def test_multipoint_caches_no_section_and_builds_one_table(monkeypatch):
+    import lqkernel.kernel as kernel_module
+    import lqkernel.riccati as riccati_module
+    import lqkernel.solver as solver_module
+
+    built, operators = [], []
+    original = riccati_module._hamiltonian_table
+
+    def counting(*tables):
+        built.append(tables[0][0].shape[0])
+        return original(*tables)
+
+    class Recorded(KernelOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+
+    for module in (kernel_module, riccati_module):
+        monkeypatch.setattr(module, "_hamiltonian_table", counting)
+    monkeypatch.setattr(solver_module, "KernelOperator", Recorded)
+    solve_multipoint(*_rendezvous(4, 2, 3), 400)
+    (op,) = operators
+    assert op._sections == {}
+    assert built == [op.grid.size - 1]
+
+
+def test_multipoint_peak_memory():
+    # tracemalloc peak of one solve at (N, m, k) = (8, 4, 5), 2000 steps:
+    # 18.5 MB with one Hamiltonian table and no cached sections, 31.3 MB
+    # with separate A, S, Q and W tables beside H and five cached N x N
+    # sections
+    problem, constraints = _rendezvous(8, 4, 5)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        solve_multipoint(problem, constraints, 2000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_multipoint_requires_sorted_distinct_times(p1):
