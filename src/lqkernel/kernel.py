@@ -55,12 +55,13 @@ class KernelOperator:
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
     the J and P flows on the grid (once, by `_solve_flows`), M on the same
-    grid when first read (never on the feedback route), the flows at column
-    times off the grid, and the sections read by `section` and `entry`.  A section is two carries of K(t, t) over
-    the X blocks of the flows.  A column time off the grid is inserted as a
-    node: the same builder, run on that time and its two neighbouring nodes,
-    gives J, P and the carriers at it.  The operator is logically immutable
-    and evaluations are pure.
+    grid when first read (never on the feedback route), the closed loop
+    that both solves read, the flows at column times off the grid, and the
+    sections read by `section` and `entry`.  A section is two carries of
+    K(t, t) over the X blocks of the flows.  A column time off the grid is
+    inserted as a node: the same builder, run on that time and its two
+    neighbouring nodes, gives J, P and the carriers at it.  The operator is
+    logically immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -107,10 +108,15 @@ class KernelOperator:
         eye = np.eye(self.problem.state_dim)
         return np.linalg.norm(self.J.values @ self.M.values - eye, axis=(1, 2))
 
-    def closed_loop_solution(self) -> DenseSolution:
-        """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0."""
+    @cached_property
+    def _closed_loop(self) -> DenseSolution:
         eye = np.eye(self.problem.state_dim)
         return self._carried(self.problem.t0, lambda J, P: eye)
+
+    def closed_loop_solution(self) -> DenseSolution:
+        """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0,
+        built once per operator."""
+        return self._closed_loop
 
     # -- kernel values ------------------------------------------------------
 
@@ -301,26 +307,35 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
 
     Control jump times of either trajectory and schedule breakpoints are
     inserted as quadrature breakpoints, so the integrand is smooth on every
-    Simpson subinterval.
+    Simpson subinterval.  The Simpson points are located once per
+    trajectory grid (x and u of a trajectory share theirs) and a trajectory
+    passed twice is evaluated once; the terminal state is the last point,
+    T from the left.  Q and R are read off their stage tables, one
+    evaluation per node (`schedule_stage_table`).
     """
     tol = _time_tol(problem.t0, problem.T)
-    for tr in (traj1, traj2):
+    trajs = (traj1,) if traj2 is traj1 else (traj1, traj2)
+    for tr in trajs:
         if abs(tr.x.a - problem.t0) > tol or abs(tr.x.b - problem.T) > tol:
             raise HorizonMismatchError(
                 f"trajectory on [{tr.x.a}, {tr.x.b}] does not match horizon "
                 f"[{problem.t0}, {problem.T}]")
-    breaks = np.concatenate([traj1.u.jump_nodes(), traj2.u.jump_nodes()])
+    breaks = np.concatenate([tr.u.jump_nodes() for tr in trajs])
     edges, ts, sides, w = _simpson_points(problem, breaks, quad_intervals)
-    x1 = traj1.x.eval_many(ts, sides)
-    x2 = traj2.x.eval_many(ts, sides)
-    u1 = traj1.u.eval_many(ts, sides)
-    u2 = traj2.u.eval_many(ts, sides)
+    located = {}  # the Simpson points located on each trajectory grid
+
+    def at_points(sol: DenseSolution) -> np.ndarray:
+        grid = sol.times.tobytes()
+        if grid not in located:
+            located[grid] = sol._locate(ts, sides, want_deriv=False)
+        return sol._combine(located[grid])
+
+    values = [(at_points(tr.x), at_points(tr.u)) for tr in trajs]
+    (x1, u1), (x2, u2) = values[0], values[-1]
     Q, R = (np.concatenate(schedule_stage_table(s, edges)) for s in (problem.Q, problem.R))
     stage = np.einsum("ki,kij,kj->k", x1, Q, x2) + np.einsum("ki,kij,kj->k", u1, R, u2)
     integral = float(w @ stage)
-    xT1 = traj1.x.eval(problem.T, side=-1)
-    xT2 = traj2.x.eval(problem.T, side=-1)
-    return float(xT1 @ np.asarray(problem.J_T) @ xT2) + integral
+    return float(x1[-1] @ np.asarray(problem.J_T) @ x2[-1]) + integral
 
 
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:

@@ -158,12 +158,18 @@ class MatrixSchedule:
             idx = np.clip(np.searchsorted(knots, tc, side="right") - 1, 0, knots.size - 2)
             t0, t1 = knots[idx], knots[idx + 1]
             w = ((tc - t0) / (t1 - t0))[:, None, None]
-            return (1.0 - w) * self.matrices[idx] + w * self.matrices[idx + 1]
+            out = self.matrices[idx]  # (1 - w) M[idx] + w M[idx + 1], in place
+            out *= 1.0 - w
+            upper = self.matrices[idx + 1]
+            upper *= w
+            out += upper
+            return out
         # poly
-        x = ts - self.origin
+        x = (ts - self.origin)[:, None, None]
         out = np.zeros((ts.size, self.rows, self.cols))
-        for coeff in self.matrices[::-1]:  # Horner in (t - origin)
-            out = out * x[:, None, None] + coeff
+        for coeff in self.matrices[::-1]:  # Horner in (t - origin), in place
+            out *= x
+            out += coeff
         return out
 
 

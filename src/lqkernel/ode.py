@@ -8,13 +8,17 @@ Design notes:
   one-sided limit flag: the stage at the *left* end of an interval uses the
   right limit of any discontinuous coefficient, the stage at the *right* end
   uses the left limit.  This keeps the classical 4th-order accuracy across
-  breakpoints instead of degrading to O(h).
+  breakpoints instead of degrading to O(h).  A schedule without sides
+  (constant, poly, samples) is evaluated once per node, and both end slots
+  read that one array.
 
 * Dense output is cubic Hermite per interval, built from the stored value and
   right-hand side at both interval ends.  Values and derivatives are stored
   per interval (not per node) so a genuine jump at a node keeps both one-sided
   values.  Evaluation at a node returns the stored one-sided data, and the
-  optional `side` argument picks which.
+  optional `side` argument picks which.  Evaluation is a locate step (the
+  interval and Hermite weights of each time, which depend on the grid only)
+  and a combine step, so solutions on one grid share the located points.
 
 * Backward integration (a > b) runs directly with a negative step; the stored
   solution is always re-oriented so `times` is increasing.
@@ -166,12 +170,15 @@ class DenseSolution:
 
     # -- evaluation --------------------------------------------------------
 
-    def _interp(self, ts, sides, want_deriv: bool) -> np.ndarray:
-        """Hermite value or derivative at `ts`.  A time within `_time_tol` of
-        a node is that node, and `sides` picks the interval: the one ending
-        there for side < 0, else the one starting there (clipped at the two
-        ends).  At a node the basis is exactly 0 or 1, so the stored
-        one-sided data comes out bit-exactly."""
+    def _locate(self, ts, sides, want_deriv: bool):
+        """Where `ts` fall on the grid: (k, weights), the interval of each
+        time and the Hermite weights of v_start, d_start, v_end and d_end
+        there, for the value or the derivative.  A time within `_time_tol`
+        of a node is that node, and `sides` picks the interval: the one
+        ending there for side < 0, else the one starting there (clipped at
+        the two ends).  At a node the basis is exactly 0 or 1, so the
+        stored one-sided data comes out bit-exactly.  The location reads
+        `times` only: solutions on equal grids share it (`_combine`)."""
         times = self.times
         a, b = times[0], times[-1]
         ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
@@ -183,35 +190,45 @@ class DenseSolution:
         at_hi = ~at_lo & (times[i + 1] - ts <= tol)
         ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
         k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
-        h = times[k + 1] - times[k]
-        th = (ts - times[k]) / h
-        ex = (1,) * self.v_start.ndim  # broadcast scalars over value dims
-        th = th.reshape(th.shape + ex[1:])
-        hh = h.reshape(th.shape)
+        hh = times[k + 1] - times[k]
+        th = (ts - times[k]) / hh
         if not want_deriv:
             h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
             h10 = th * (1.0 - th) ** 2
             h01 = th * th * (3.0 - 2.0 * th)
             h11 = th * th * (th - 1.0)
-            return (h00 * self.v_start[k] + (h10 * hh) * self.d_start[k]
-                    + h01 * self.v_end[k] + (h11 * hh) * self.d_end[k])
+            return k, (h00, h10 * hh, h01, h11 * hh)
         g00 = 6.0 * th * (th - 1.0) / hh
         g10 = (3.0 * th - 1.0) * (th - 1.0)
         g01 = -6.0 * th * (th - 1.0) / hh
         g11 = th * (3.0 * th - 2.0)
-        return (g00 * self.v_start[k] + g10 * self.d_start[k]
-                + g01 * self.v_end[k] + g11 * self.d_end[k])
+        return k, (g00, g10, g01, g11)
+
+    def _combine(self, location) -> np.ndarray:
+        """The weighted sum of the stored data at a `_locate` result, the
+        four terms gathered and added in place in a fixed order."""
+        k, weights = location
+        ex = (slice(None),) + (None,) * (self.v_start.ndim - 1)  # over value dims
+        data = (self.v_start, self.d_start, self.v_end, self.d_end)
+        out = np.take(data[0], k, axis=0)
+        out *= weights[0][ex]
+        for w, stored in zip(weights[1:], data[1:]):
+            term = np.take(stored, k, axis=0)
+            term *= w[ex]
+            out += term
+        return out
 
     def eval_many(self, ts, sides=1) -> np.ndarray:
         """Vectorized evaluation; `sides` scalar or per-time (+1 right, -1 left)."""
-        return self._interp(ts, sides, want_deriv=False)
+        return self._combine(self._locate(ts, sides, want_deriv=False))
 
     def eval(self, t: float, side: int = 1) -> np.ndarray:
         """Value at time t; exact at grid nodes."""
-        return self._interp(np.asarray([t], dtype=float), side, want_deriv=False)[0]
+        location = self._locate(np.asarray([t], dtype=float), side, want_deriv=False)
+        return self._combine(location)[0]
 
     def deriv_many(self, ts, sides=1) -> np.ndarray:
-        return self._interp(ts, sides, want_deriv=True)
+        return self._combine(self._locate(ts, sides, want_deriv=True))
 
     # -- algebra -----------------------------------------------------------
 
@@ -229,18 +246,18 @@ class DenseSolution:
 def schedule_stage_table(schedule, grid: np.ndarray):
     """Evaluate a MatrixSchedule or a DenseSolution at all RK4 stage points.
 
-    Returns (lo, mid, hi) arrays with one entry per interval of `grid`.
-    These are the stage slots of every RK4 loop: slot 0 (lo) is the
+    Returns read-only (lo, mid, hi) arrays with one entry per interval of
+    `grid`.  These are the stage slots of every RK4 loop: slot 0 (lo) is the
     interval's left end, taking the right limit there; slot 1 (mid) its
     midpoint; slot 2 (hi) its right end, taking the left limit.  A
-    piecewise-constant schedule takes all three at the midpoint: its
-    breakpoints are nodes up to `_time_tol`, so that piece holds on the
-    whole interval, even past a merged node.
+    constant, poly or samples schedule has no sides, so it is evaluated
+    once per node and lo and hi are the views [:-1] and [1:] of that one
+    array.  A piecewise-constant schedule takes all three at the midpoint:
+    its breakpoints are nodes up to `_time_tol`, so that piece holds on the
+    whole interval, even past a merged node.  A DenseSolution is evaluated
+    slot by slot, as its one-sided values differ at jumps.
     """
-    mid = _stage_slot(schedule, grid, 1)
-    if getattr(schedule, "kind", None) == "pwc":
-        return mid, mid.copy(), mid.copy()
-    return _stage_slot(schedule, grid, 0), mid, _stage_slot(schedule, grid, 2)
+    return tuple(_StageTable(schedule, grid))
 
 
 def _stage_slot(schedule, grid: np.ndarray, slot: int) -> np.ndarray:
@@ -248,6 +265,46 @@ def _stage_slot(schedule, grid: np.ndarray, slot: int) -> np.ndarray:
     if slot == 1 or getattr(schedule, "kind", None) == "pwc":
         return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
     return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _StageTable:
+    """The slots of `schedule_stage_table`, each computed when read,
+    read-only, with `f` (such as a matrix inverse) applied to each
+    evaluation.  The slots that share an evaluation (lo and hi, views of
+    the node array; all three of a pwc schedule, its midpoint array) keep
+    it from the first such read to the read of the hi slot, which drops it:
+    a reader that goes slot by slot (`riccati._hamiltonian_table`) holds one
+    evaluation of the schedule at a time besides the mid slot."""
+
+    def __init__(self, schedule, grid: np.ndarray, f=None):
+        self._schedule, self._grid, self._f = schedule, grid, f
+        kind = getattr(schedule, "kind", None)
+        self._pwc = kind == "pwc"
+        # a DenseSolution (no kind) shares nothing: its one-sided values differ at jumps
+        self._shared = (0, 1, 2) if self._pwc else () if kind is None else (0, 2)
+        self._held = None
+
+    def __len__(self) -> int:
+        return 3
+
+    def _ready(self, values: np.ndarray) -> np.ndarray:
+        return _read_only(values if self._f is None else self._f(values))
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        slot = range(3)[i]
+        if slot not in self._shared:
+            return self._ready(_stage_slot(self._schedule, self._grid, slot))
+        held = self._held
+        if held is None:
+            held = self._ready(_stage_slot(self._schedule, self._grid, 1) if self._pwc
+                               else self._schedule.eval_many(self._grid))
+        self._held = None if slot == 2 else held
+        return held if self._pwc else held[:-1] if slot == 0 else held[1:]
 
 
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries

@@ -19,8 +19,9 @@ from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
 grid and returns them as one `_Flows` value, with the closed loops A - S J
 and A + S P and W = R^{-1} B' at the interval ends.  H, filled one stage
-slot at a time from the schedules, is its only table of A, S and Q: J's
-node derivatives and the closed loops read A, -S and -Q as views of H.
+slot at a time from the schedules (each evaluated, and R inverted, once per
+node), is its only table of A, S and Q: J's node derivatives and the closed
+loops read A, -S and -Q as views of H.
 The kernel reads its sections off the X blocks of both flows, and every
 control off the costate J x or -P x through W.  M is the same ratio on the
 swapped table [[-A', -Q], [-S, A]], whose Y X^{-1} solves the dual equation, run backward
@@ -50,7 +51,7 @@ from .errors import PositivityLostError
 from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
 from .ode import (_AFFINE_BLOCK, DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup,
-                  _pade_maps, _rk4_maps, _stage_slot, build_grid, rk4_affine,
+                  _pade_maps, _read_only, _rk4_maps, _StageTable, build_grid, rk4_affine,
                   schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
@@ -80,27 +81,30 @@ class _Slots:
 
 
 def _coefficient_tables(problem: LQProblem, grid: np.ndarray, W: dict | None = None):
-    """Stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t) over
-    `grid`, as `_Slots`.  Reading the lo or hi slot of S also stores that
-    slot of the control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) in the
-    dict `W`, when one is given."""
+    """Read-only stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t)
+    over `grid`, each computed slot by slot when read (`ode._StageTable`,
+    `_Slots`).  Every schedule is evaluated once per node (a pwc one once
+    per midpoint) and R inverted once per evaluation, so S at lo and hi
+    reads one array of R^{-1}.  Reading the lo or hi slot of S also stores
+    that slot of the control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) in
+    the dict `W`, when one is given."""
+    B_tab, R_inv_tab = _StageTable(problem.B, grid), _StageTable(problem.R, grid, np.linalg.inv)
+
     def S_slot(slot):
-        B = _stage_slot(problem.B, grid, slot)
-        R_inv = np.linalg.inv(_stage_slot(problem.R, grid, slot))
+        B, R_inv = B_tab[slot], R_inv_tab[slot]
         BT = np.swapaxes(B, 1, 2)
         if W is not None and slot != 1:
-            W[slot] = R_inv @ BT
-        return B @ R_inv @ BT
+            W[slot] = _read_only(R_inv @ BT)
+        return _read_only(B @ R_inv @ BT)
 
-    return (_Slots(lambda slot: _stage_slot(problem.A, grid, slot)), _Slots(S_slot),
-            _Slots(lambda slot: _stage_slot(problem.Q, grid, slot)))
+    return _StageTable(problem.A, grid), _Slots(S_slot), _StageTable(problem.Q, grid)
 
 
 def _hamiltonian_table(A_tab, S_tab, Q_tab):
     """Stage tables of [[A, -S], [-Q, -A']], filled block by block and one
-    stage slot at a time, so that with `_Slots` tables only one slot of A,
-    S and Q is alive beside H (np.block would also hold negated copies and
-    row blocks)."""
+    stage slot at a time, so that with the lazy tables of
+    `_coefficient_tables` only one evaluation of A, S and Q is alive beside
+    H (np.block would also hold negated copies and row blocks)."""
     H_tab = []
     for A, S, Q in zip(A_tab, S_tab, Q_tab):
         n = A.shape[1]

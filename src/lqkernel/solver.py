@@ -73,12 +73,12 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     `steps` is ignored when `operator` (built on `problem`) is given."""
     x0 = np.asarray(x0, dtype=float)
     op = _operator_for(problem, steps, operator)
-    J = op.J
+    J0 = op.J.eval(problem.t0)
     x = op.closed_loop_solution().right_multiply(x0)
     u = op.control(problem.t0, x)
-    value = float(x0 @ J.eval(problem.t0) @ x0)
-    return LQSolveResult(((problem.t0, J.eval(problem.t0) @ x0),),
-                         ControlledTrajectory(x, u), value, "feedback")
+    value = float(x0 @ J0 @ x0)
+    return LQSolveResult(((problem.t0, J0 @ x0),), ControlledTrajectory(x, u),
+                         value, "feedback")
 
 
 def check_constraint_times(problem: LQProblem, times: np.ndarray) -> None:

@@ -9,6 +9,7 @@ from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              shooting_diagonal)
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
+from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_problem, random_trajectory
 from dense_nodes import dense_from_nodes
 
@@ -418,6 +419,46 @@ def test_inner_product_rejects_horizon_mismatch(p1):
                                 lambda t: 1 + 0 * t, lambda t: 0 * t)
     with pytest.raises(HorizonMismatchError):
         lq_inner_product(p1, short, short, 100)
+
+
+def _copy(traj):
+    return ControlledTrajectory(*(
+        DenseSolution(*(np.array(getattr(sol, f)) for f in
+                        ("times", "v_start", "v_end", "d_start", "d_end")))
+        for sol in (traj.x, traj.u)))
+
+
+def test_inner_product_of_a_trajectory_with_itself_matches_its_copy():
+    for s in range(4):
+        rng = np.random.default_rng([s, 46])
+        p = random_problem(rng)
+        traj = random_trajectory(p, rng, steps=300)
+        assert lq_inner_product(p, traj, traj, 500) == lq_inner_product(p, traj, _copy(traj), 500)
+
+
+def test_inner_product_locates_the_points_once_per_trajectory_grid(monkeypatch):
+    # one locate per grid (x and u share theirs); a trajectory passed twice
+    # is evaluated once
+    rng = np.random.default_rng(47)
+    p = random_problem(rng, state_dim=2)
+    traj = random_trajectory(p, rng, steps=300)
+    section = kernel_trajectory(KernelOperator(p, 400), [(0.3, np.array([1.0, -0.5]))])
+    located, combined = [], []
+
+    def counting(original, calls):
+        def counted(sol, *args, **kwargs):
+            calls.append(sol.times.size)
+            return original(sol, *args, **kwargs)
+        return counted
+
+    for name, calls in (("_locate", located), ("_combine", combined)):
+        monkeypatch.setattr(DenseSolution, name, counting(getattr(DenseSolution, name), calls))
+    lq_inner_product(p, traj, traj, 200)
+    assert located == [traj.x.times.size]
+    assert len(combined) == 2  # x and u, once each
+    located.clear()
+    lq_inner_product(p, traj, section, 200)
+    assert located == [traj.x.times.size, section.x.times.size]
 
 
 def test_reproducing_on_optimal_trajectory(p2, operator_cache):

@@ -62,6 +62,24 @@ def test_eval_many_matches_scalar_eval():
         assert np.array_equal(s.eval_many([t])[0], m)
 
 
+def test_eval_many_matches_the_out_of_place_formulas_bit_for_bit():
+    rng = np.random.default_rng(21)
+    ts = np.concatenate([np.sort(rng.uniform(0.0, 2.0, 500)), [0.0, 0.6, 1.1, 2.0]])
+    coeffs = rng.normal(size=(5, 4, 3))
+    x = ts - 0.4
+    want = np.zeros((ts.size, 4, 3))
+    for coeff in coeffs[::-1]:
+        want = want * x[:, None, None] + coeff
+    got = MatrixSchedule.polynomial(coeffs, origin=0.4).eval_many(ts)
+    assert got.tobytes() == want.tobytes()
+    knots, mats = np.array([0.0, 0.6, 1.1, 2.0]), rng.normal(size=(4, 4, 3))
+    idx = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
+    w = ((ts - knots[idx]) / (knots[idx + 1] - knots[idx]))[:, None, None]
+    want = (1.0 - w) * mats[idx] + w * mats[idx + 1]
+    got = MatrixSchedule.sampled_linear(knots, mats).eval_many(ts)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_samples_outside_domain_raises():
     s = MatrixSchedule.sampled_linear([0.0, 1.0], [[[0.0]], [[2.0]]])
     with pytest.raises(ScheduleDomainError):

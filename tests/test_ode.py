@@ -10,8 +10,8 @@ from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowu
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
-from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, build_grid,
-                          rk4_affine, schedule_stage_table)
+from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, _stage_slot,
+                          build_grid, rk4_affine, schedule_stage_table)
 from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 from dense_nodes import dense_from_nodes
@@ -466,3 +466,50 @@ def test_integrate_values_immutable():
     sol = _constant_flow(np.eye(2), np.eye(2), 10)
     with pytest.raises(ValueError):
         sol.times[0] = -1.0
+
+
+# -- stage tables: one evaluation per node ------------------------------------
+
+def _schedules_of_every_kind(rng):
+    """A grid on [0, 2] with a node at 0.5, and one schedule of every kind on
+    it: a pwc schedule whose first breakpoint lies within the time tolerance
+    after that node (merged into it), and a DenseSolution that jumps at
+    every interior node of its own grid, several of which are grid nodes."""
+    tol = _time_tol(0.0, 2.0)
+    grid = build_grid(0.0, 2.0, 40, snap=[0.5, 0.5 + 0.5 * tol])
+    shape = (2, 3)
+    coarse = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 5)), grid[[7, 20, 33]], [2.0]])
+    coarse = np.unique(coarse)
+    n = coarse.size - 1
+    jumpy = DenseSolution(coarse, *(rng.normal(size=(n,) + shape) for _ in range(4)))
+    assert jumpy.jump_nodes().size == n - 1
+    return grid, {
+        "constant": MatrixSchedule.constant(rng.normal(size=shape)),
+        "poly": MatrixSchedule.polynomial(rng.normal(size=(3,) + shape), origin=0.3),
+        "samples": MatrixSchedule.sampled_linear([0.0, 0.77, 1.3, 2.0],
+                                                 rng.normal(size=(4,) + shape)),
+        "pwc": MatrixSchedule.piecewise_constant([0.5 + 0.5 * tol, 1.3],
+                                                 rng.normal(size=(3,) + shape)),
+        "dense": jumpy,
+    }
+
+
+def test_stage_table_matches_the_per_slot_evaluation_bit_for_bit():
+    grid, schedules = _schedules_of_every_kind(np.random.default_rng(31))
+    for kind, schedule in schedules.items():
+        table = schedule_stage_table(schedule, grid)
+        for slot in range(3):
+            want = _stage_slot(schedule, grid, slot)
+            assert table[slot].shape == want.shape, (kind, slot)
+            assert table[slot].tobytes() == want.tobytes(), (kind, slot)
+    # lo and hi of a node-evaluated schedule share one node array
+    lo, _, hi = schedule_stage_table(schedules["poly"], grid)
+    assert np.shares_memory(lo, hi)
+
+
+def test_stage_tables_are_read_only():
+    grid, schedules = _schedules_of_every_kind(np.random.default_rng(32))
+    for kind, schedule in schedules.items():
+        for slot, values in enumerate(schedule_stage_table(schedule, grid)):
+            with pytest.raises(ValueError):
+                values[0] = 0.0

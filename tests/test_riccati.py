@@ -11,7 +11,7 @@ from lqkernel.errors import IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
-from lqkernel.ode import _rk4_maps, build_grid, schedule_stage_table
+from lqkernel.ode import _rk4_maps, _stage_slot, build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
 from lqkernel.riccati import _dual_riccati_on, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
@@ -364,3 +364,39 @@ def test_dual_riccati_blowup_reports_time():
         with pytest.raises(IntegrationBlowupError) as restart:
             KernelOperator(_dual_pole(1.5), 40).diagonal(0.0)
     assert direct.value.time == restart.value.time == 1.0
+
+
+def _mixed_kind_problems():
+    """Bundled and random problems, and one of poly A, pwc B, samples Q and
+    a pwc R whose breakpoint lies within the time tolerance after B's, so
+    that the grid merges it into B's node."""
+    rng = np.random.default_rng(44)
+    mixed = LQProblem(
+        2, 1, 0.0, 1.5,
+        MatrixSchedule.polynomial(rng.normal(size=(3, 2, 2)) * 0.5, origin=0.2),
+        MatrixSchedule.piecewise_constant([0.7], [[[1.0], [0.5]], [[0.2], [1.0]]]),
+        MatrixSchedule.sampled_linear([0.0, 0.9, 1.5], [np.eye(2), 2.0 * np.eye(2), np.eye(2)]),
+        MatrixSchedule.piecewise_constant([0.7 + 1e-13], [[[1.0]], [[3.0]]]),
+        np.eye(2))
+    return ([load_problem_file(str(path))[0] for path in BUNDLED] + [mixed]
+            + [random_problem(np.random.default_rng([s, 45])) for s in range(8)])
+
+
+def test_coefficient_tables_match_the_per_slot_evaluation_bit_for_bit():
+    for p in _mixed_kind_problems():
+        grid = build_grid(p.t0, p.T, 60, p.breakpoints())
+        W = {}
+        A_tab, S_tab, Q_tab = (tuple(tab) for tab in riccati._coefficient_tables(p, grid, W))
+        for slot in range(3):
+            B = _stage_slot(p.B, grid, slot)
+            R_inv = np.linalg.inv(_stage_slot(p.R, grid, slot))
+            BT = np.swapaxes(B, 1, 2)
+            want = {"A": _stage_slot(p.A, grid, slot), "S": B @ R_inv @ BT,
+                    "Q": _stage_slot(p.Q, grid, slot)}
+            got = {"A": A_tab[slot], "S": S_tab[slot], "Q": Q_tab[slot]}
+            if slot != 1:
+                want["W"], got["W"] = R_inv @ BT, W[slot]
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (name, slot)
+                with pytest.raises(ValueError):
+                    got[name][0] = 0.0

@@ -17,6 +17,24 @@ def test_verify_bundled_passes_on_every_bundled_problem(capsys):
     assert out.count(": pass") == len(list((SCRIPTS / "problems").glob("*.json")))
 
 
+def test_parity_digest_is_deterministic(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "parity_digest", SCRIPTS / "parity_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = []
+    for _ in range(2):
+        assert module.main(["--steps", "30"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    labels = [line.split("  ")[1] for line in lines]
+    assert len(set(labels)) == len(lines) > 100
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert {"flows/switched_tracking", "verify/switched_tracking",
+            "cli_multipoint/n8_m4_k5"} <= set(labels)
+
+
 def test_convergence_study_runs(capsys):
     runpy.run_path(str(SCRIPTS / "convergence_study.py"), run_name="__main__")
     out = capsys.readouterr().out

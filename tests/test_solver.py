@@ -47,6 +47,28 @@ def test_feedback_matches_kernel_route(p1, operator_cache):
     assert rf.value == pytest.approx(rk.value, abs=1e-8)
 
 
+def test_both_solves_carry_one_closed_loop(dint, monkeypatch):
+    carried = []
+    original = KernelOperator._carried
+
+    def counting(op, *args):
+        carried.append(args[0])
+        return original(op, *args)
+
+    x0 = [1.0, -0.4]
+    fresh = [solve(dint, x0, 300) for solve in (solve_kernel, solve_feedback)]
+    monkeypatch.setattr(KernelOperator, "_carried", counting)
+    op = KernelOperator(dint, 300)
+    shared = [solve(dint, x0, operator=op) for solve in (solve_kernel, solve_feedback)]
+    assert carried == [dint.t0]
+    for a, b in zip(fresh, shared):
+        assert a.value == b.value
+        for sol in ("x", "u"):
+            for f in ("v_start", "v_end", "d_start", "d_end"):
+                assert np.array_equal(getattr(getattr(a.trajectory, sol), f),
+                                      getattr(getattr(b.trajectory, sol), f))
+
+
 def test_feedback_value_unit_cost(p2):
     assert solve_feedback(p2, [1.0], 600).value == pytest.approx(1.0, abs=1e-9)
 
