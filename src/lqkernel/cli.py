@@ -434,9 +434,9 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     gap = np.max(np.abs(rk.trajectory.x.values - rf.trajectory.x.values))
     add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
 
+    # the adjoint, J and x all lie on op.grid
     padj = solve_adjoint(p, rk.trajectory.x, steps)
-    resid = padj.values + np.einsum("kij,kj->ki", op.J.eval_many(padj.times),
-                                    rk.trajectory.x.eval_many(padj.times))
+    resid = padj.values + np.einsum("kij,kj->ki", op.J.values, rk.trajectory.x.values)
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 
     rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)

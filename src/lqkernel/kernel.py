@@ -40,8 +40,7 @@ from .linalg import _symmetrized, spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
                   schedule_stage_table)
-from .riccati import (_coefficient_tables, _dual_riccati_on, _Flows,
-                      _hamiltonian_table, _solve_flows)
+from .riccati import _dual_riccati_on, _Flows, _hamiltonian_table, _solve_flows
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -264,7 +263,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
     p = problem
     n = p.state_dim
     grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
-    H_tab = _hamiltonian_table(*_coefficient_tables(p, grid))
+    H_tab, _ = _hamiltonian_table(p, grid)
     j = int(np.argmin(np.abs(grid - t)))
     W = np.eye(2 * n)
     W[:, :n] = _affine_sweep(grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))[-1]

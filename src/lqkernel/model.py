@@ -75,6 +75,8 @@ class MatrixSchedule:
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 1:
             raise ValueError("knots must be one-dimensional")
+        if not (np.all(np.isfinite(knots)) and np.isfinite(self.origin)):
+            raise ValueError("knots and origin must be finite")
         if knots.size > 1 and not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
         if self.kind == "constant" and len(mats) != 1:

@@ -18,22 +18,23 @@ the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
 grid and returns them as one `_Flows` value, with the closed loops A - S J
-and A + S P and W = R^{-1} B' at the interval ends.  H, filled one stage
-slot at a time from the schedules (each evaluated, and R inverted, once per
-node), is its only table of A, S and Q: J's node derivatives and the closed
-loops read A, -S and -Q as views of H.
+and A + S P and W = R^{-1} B' at the interval ends.  One builder,
+`_hamiltonian_table`, fills H one stage slot at a time from the schedules
+(each evaluated, and R inverted, once per node), and H is the only table of
+A, S and Q behind J, P, M and the shooting reference of kernel.py: J's node
+derivatives and the closed loops read A, -S and -Q as views of H.
 The kernel reads its sections off the X blocks of both flows, and every
-control off the costate J x or -P x through W.  M is the same ratio on the
-swapped table [[-A', -Q], [-S, A]], whose Y X^{-1} solves the dual equation, run backward
-from [I; J_T^{-1}] by the same restarted routine (`_dual_riccati_on`), but
-with the (2,2) Pade map of a fourth-order Magnus step in place of RK4
-(`ode._pade_maps`; A-stable, so a stiff step that overflows RK4 stays
-bounded).  The swapped table is H conjugated by the block swap, so RK4 on
-it would give M = J^{-1} up to restart roundoff; with the Pade step,
-J M = I compares two routes that share the stage tables but no step map.  The node derivatives of M are the dual right-hand
-side, written as L M + (L M)' - S with L = A + M Q/2.  J, P and M are
-re-symmetrized at every node; the worst asymmetry absorbed by that
-projection is reported as a diagnostic.
+control off the costate J x or -P x through W.  M is the same ratio on H
+with its blocks swapped, [[-A', -Q], [-S, A]], whose Y X^{-1} solves the
+dual equation, run backward from [I; J_T^{-1}] by the same restarted
+routine (`_dual_riccati_on`), but with the (2,2) Pade map of a fourth-order
+Magnus step in place of RK4 (`ode._pade_maps`; A-stable, so a stiff step
+that overflows RK4 stays bounded).  The swapped table is H conjugated by
+the block swap, so RK4 on it would give M = J^{-1} up to restart roundoff;
+with the Pade step, J M = I compares two routes that share the stage table
+but no step map.  M's node derivatives read A, -S and -Q as views of the
+swapped table.  J, P and M are re-symmetrized at every node; the worst
+asymmetry absorbed by that projection is reported as a diagnostic.
 
 The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its `J`
 is the J flow it shares with the kernel sections, and its `M`, the kernel
@@ -65,57 +66,30 @@ from .ode import (_AFFINE_BLOCK, DEFAULT_STEPS, DenseSolution, _affine_sweep, _b
 _REANCHOR_LOG_GROWTH = 4.0
 
 
-class _Slots:
-    """A (lo, mid, hi) stage table whose slots are computed by `slot(i)`
-    each time they are read, and not kept: a reader that goes slot by slot
-    (`_hamiltonian_table`) holds one slot at a time."""
-
-    def __init__(self, slot):
-        self._slot = slot
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._slot(range(3)[i])
-
-
-def _coefficient_tables(problem: LQProblem, grid: np.ndarray, W: dict | None = None):
-    """Read-only stage tables of A(t), S(t) = B(t) R(t)^{-1} B(t)' and Q(t)
-    over `grid`, each computed slot by slot when read (`ode._StageTable`,
-    `_Slots`).  Every schedule is evaluated once per node (a pwc one once
-    per midpoint) and R inverted once per evaluation, so S at lo and hi
-    reads one array of R^{-1}.  Reading the lo or hi slot of S also stores
-    that slot of the control map W(t) = R(t)^{-1} B(t)' (u = -W lambda) in
-    the dict `W`, when one is given."""
-    B_tab, R_inv_tab = _StageTable(problem.B, grid), _StageTable(problem.R, grid, np.linalg.inv)
-
-    def S_slot(slot):
-        B, R_inv = B_tab[slot], R_inv_tab[slot]
+def _hamiltonian_table(problem: LQProblem, grid: np.ndarray):
+    """(H_tab, W): the stage tables of H = [[A, -S], [-Q, -A']] over `grid`,
+    S = B R^{-1} B', and the control map W = R^{-1} B' (u = -W lambda) at
+    the (lo, hi) slots, read-only.  A, B, R^{-1} and Q are read through
+    `ode._StageTable` one slot at a time: every schedule is evaluated once
+    per node (a pwc one once per midpoint), R inverted once per evaluation,
+    and H filled block by block, so only one evaluation of each is alive
+    beside H."""
+    n = problem.state_dim
+    A_tab, B_tab, Q_tab = (_StageTable(s, grid) for s in (problem.A, problem.B, problem.Q))
+    R_inv_tab = _StageTable(problem.R, grid, np.linalg.inv)
+    H_tab, W = [], []
+    for slot in range(3):
+        A, B, R_inv = A_tab[slot], B_tab[slot], R_inv_tab[slot]
         BT = np.swapaxes(B, 1, 2)
-        if W is not None and slot != 1:
-            W[slot] = _read_only(R_inv @ BT)
-        return _read_only(B @ R_inv @ BT)
-
-    return _StageTable(problem.A, grid), _Slots(S_slot), _StageTable(problem.Q, grid)
-
-
-def _hamiltonian_table(A_tab, S_tab, Q_tab):
-    """Stage tables of [[A, -S], [-Q, -A']], filled block by block and one
-    stage slot at a time, so that with the lazy tables of
-    `_coefficient_tables` only one evaluation of A, S and Q is alive beside
-    H (np.block would also hold negated copies and row blocks)."""
-    H_tab = []
-    for A, S, Q in zip(A_tab, S_tab, Q_tab):
-        n = A.shape[1]
         H = np.empty((A.shape[0], 2 * n, 2 * n))
         H[:, :n, :n] = A
-        np.negative(S, out=H[:, :n, n:])
-        np.negative(Q, out=H[:, n:, :n])
+        np.negative(B @ R_inv @ BT, out=H[:, :n, n:])
+        np.negative(Q_tab[slot], out=H[:, n:, :n])
         np.negative(np.swapaxes(A, 1, 2), out=H[:, n:, n:])
+        if slot != 1:
+            W.append(_read_only(R_inv @ BT))
         H_tab.append(H)
-        del A, S, Q
-    return tuple(H_tab)
+    return tuple(H_tab), tuple(W)
 
 
 def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:
@@ -262,8 +236,8 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
     is singular or a ratio non-finite, PositivityLostError (before P runs)
     where J is not positive definite."""
     n = problem.state_dim
-    W: dict = {}
-    H_tab = list(_hamiltonian_table(*_coefficient_tables(problem, grid, W)))
+    H_tab, W = _hamiltonian_table(problem, grid)
+    H_tab = list(H_tab)
     block = _reanchor_block(grid, H_tab[1])
     J, X_J, drift = _reanchored_flow(grid, H_tab, J_end, block, backward=True)
     _check_positive(grid, J, "J")
@@ -282,14 +256,7 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
     dJ_lo, F_lo, G_lo = at_slot(H_tab.pop(0), slice(None, -1))
     dJ_hi, F_hi, G_hi = at_slot(H_tab.pop(0), slice(1, None))
     J_sol = DenseSolution(grid, J[:-1], J[1:], dJ_lo, dJ_hi)
-    return _Flows(J_sol, drift, J, P, X_J, X_P, block, (F_lo, F_hi), (G_lo, G_hi), (W[0], W[2]))
-
-
-def _dual_stage(A, S, Q, M):
-    """The dual right-hand side A M + M A' - S + M Q M, written as
-    L M + (L M)' - S with L = A + M Q/2, of a matrix or a stack."""
-    LM = (A + 0.5 * (M @ Q)) @ M
-    return LM + LM.swapaxes(-1, -2) - S
+    return _Flows(J_sol, drift, J, P, X_J, X_P, block, (F_lo, F_hi), (G_lo, G_hi), W)
 
 
 def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:
@@ -299,15 +266,25 @@ def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolutio
     absorbed.  Raises IntegrationBlowupError at the first node met where X
     is singular or M non-finite, PositivityLostError where M is not positive
     definite."""
-    A_tab, S_tab, Q_tab = (tuple(tab) for tab in _coefficient_tables(problem, grid))
-    H_tab = _hamiltonian_table(tuple(-np.swapaxes(A, 1, 2) for A in A_tab), Q_tab, S_tab)
+    n = problem.state_dim
+    H_tab = list(_hamiltonian_table(problem, grid)[0])
+    # H with its blocks swapped, each original dropped once swapped; a
+    # fancy-index swap gives non-contiguous slots, which slow the Pade maps
+    H_tab = [np.roll(H_tab.pop(0), n, axis=(1, 2)) for _ in range(3)]
     M, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
                                    _reanchor_block(grid, H_tab[1]), backward=True,
                                    step=_pade_maps)
     _check_positive(grid, M, "M")
-    sol = DenseSolution(grid, M[:-1], M[1:],
-                        _dual_stage(A_tab[0], S_tab[0], Q_tab[0], M[:-1]),
-                        _dual_stage(A_tab[2], S_tab[2], Q_tab[2], M[1:]))
+
+    def dual_stage(H, Mk):
+        """The dual right-hand side A M + M A' - S + M Q M, written as
+        L M + (L M)' - S with L = A + M Q/2, off a slot of the swapped H."""
+        LM = (H[:, n:, n:] - 0.5 * (Mk @ H[:, :n, n:])) @ Mk
+        return LM + LM.swapaxes(-1, -2) + H[:, n:, :n]
+
+    del H_tab[1]
+    sol = DenseSolution(grid, M[:-1], M[1:], dual_stage(H_tab[0], M[:-1]),
+                        dual_stage(H_tab[1], M[1:]))
     return sol, drift
 
 

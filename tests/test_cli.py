@@ -422,6 +422,17 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
     (_riccati, _DEEP_DOC),
     (_multipoint(_deep("[0, [1, 0]], [1, [0, 0]]")), {}),
     (["verify", "{doc}", "--tolerances", _deep("")], {}),
+    (_riccati, {"A": {"kind": "poly", "coefficients": [[[0, 1], [0, 0]]], "origin": math.nan}}),
+    (["solve", "{doc}", "--out", "{out}"],
+     {"A": {"kind": "poly", "coefficients": [[[0, 1], [0, 0]]], "origin": math.inf}}),
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": [math.nan],
+                            "matrices": [[[0, 1], [0, 0]]] * 2}}),
+    (_riccati, {"A": {"kind": "pwc", "breakpoints": [math.inf],
+                            "matrices": [[[0, 1], [0, 0]]] * 2}}),
+    (_riccati, {"B": {"kind": "samples", "times": [0.0, 1.0, math.inf],
+                            "matrices": [[[0], [1]]] * 3}}),
+    (_riccati, {"B": {"kind": "samples", "times": [-math.inf, 0.0, 1.0],
+                            "matrices": [[[0], [1]]] * 3}}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
         "constraint-length", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
@@ -441,7 +452,9 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
         "poly-origin-boolean", "matrix-entry-string", "J_T-entry-boolean",
         "file-x0-entry-string", "breakpoint-string", "constraint-time-string",
         "constraint-target-boolean", "file-nested-too-deeply",
-        "constraints-nested-too-deeply", "tolerances-nested-too-deeply"])
+        "constraints-nested-too-deeply", "tolerances-nested-too-deeply",
+        "poly-origin-nan", "poly-origin-infinite", "breakpoint-nan", "breakpoint-infinite",
+        "sample-time-infinite", "sample-time-minus-infinite"])
 def test_malformed_flags_are_input_errors(argv, doc_extra, tmp_path, capsys):
     # doc_extra: keys to set (None drops the key), or the file's whole text or bytes
     path = tmp_path / "dint.json"

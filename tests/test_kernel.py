@@ -168,9 +168,9 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     built = []
     original = riccati_module._hamiltonian_table
 
-    def counting(*tables):
-        built.append(tables[0][0].shape[0])
-        return original(*tables)
+    def counting(problem, grid):
+        built.append(grid.size - 1)
+        return original(problem, grid)
 
     for module in (kernel_module, riccati_module):
         monkeypatch.setattr(module, "_hamiltonian_table", counting)

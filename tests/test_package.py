@@ -1,4 +1,7 @@
+import ast
+import sys
 import types
+from pathlib import Path
 
 import lqkernel
 
@@ -42,3 +45,20 @@ def test_star_import_exports_exactly_the_surface():
     namespace = {}
     exec("from lqkernel import *", namespace)
     assert set(namespace) - {"__builtins__"} == SURFACE
+
+
+def test_library_imports_only_the_standard_library_numpy_and_itself():
+    # scipy and other test extras are for tests only; the library runs on numpy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "lqkernel"}
+    files = sorted(Path(lqkernel.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)

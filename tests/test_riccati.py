@@ -287,7 +287,7 @@ def test_unbroken_flow_fails_under_mixed_growth_rates(a, monkeypatch):
 def test_rk4_maps_bit_for_bit_on_bundled_hamiltonians(path):
     p = load_problem_file(str(path))[0]
     grid = build_grid(p.t0, p.T, 600, p.breakpoints())
-    H_lo, H_mid, H_hi = riccati._hamiltonian_table(*riccati._coefficient_tables(p, grid))
+    (H_lo, H_mid, H_hi), _ = riccati._hamiltonian_table(p, grid)
     h = np.diff(grid)[:, None, None]
     for step, H1, H3 in ((h, H_lo, H_hi), (-h, H_hi, H_lo)):  # forward, backward
         D = _rk4_maps(step, H1, H_mid, H3, None, None, None)[0]
@@ -384,19 +384,21 @@ def _mixed_kind_problems():
 
 def test_coefficient_tables_match_the_per_slot_evaluation_bit_for_bit():
     for p in _mixed_kind_problems():
+        n = p.state_dim
         grid = build_grid(p.t0, p.T, 60, p.breakpoints())
-        W = {}
-        A_tab, S_tab, Q_tab = (tuple(tab) for tab in riccati._coefficient_tables(p, grid, W))
-        for slot in range(3):
+        H_tab, W = riccati._hamiltonian_table(p, grid)
+        for slot, H in enumerate(H_tab):
+            A = _stage_slot(p.A, grid, slot)
             B = _stage_slot(p.B, grid, slot)
             R_inv = np.linalg.inv(_stage_slot(p.R, grid, slot))
             BT = np.swapaxes(B, 1, 2)
-            want = {"A": _stage_slot(p.A, grid, slot), "S": B @ R_inv @ BT,
-                    "Q": _stage_slot(p.Q, grid, slot)}
-            got = {"A": A_tab[slot], "S": S_tab[slot], "Q": Q_tab[slot]}
+            want = {"A": A, "-S": -(B @ R_inv @ BT), "-Q": -_stage_slot(p.Q, grid, slot),
+                    "-A'": -np.swapaxes(A, 1, 2)}
+            got = {"A": H[:, :n, :n], "-S": H[:, :n, n:], "-Q": H[:, n:, :n],
+                   "-A'": H[:, n:, n:]}
             if slot != 1:
-                want["W"], got["W"] = R_inv @ BT, W[slot]
+                want["W"], got["W"] = R_inv @ BT, W[slot // 2]
+                with pytest.raises(ValueError):
+                    got["W"][0] = 0.0
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (name, slot)
-                with pytest.raises(ValueError):
-                    got[name][0] = 0.0

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqkernel import kernel
+from lqkernel import kernel, riccati
 from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import KernelOperator, kernel_trajectory
 from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
+from lqkernel.ode import build_grid
 from lqkernel.problems import (random_problem, random_trajectory, rollout,
                                unit_scalar_problem)
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
@@ -183,9 +184,9 @@ def test_multipoint_caches_no_section_and_builds_one_table(monkeypatch):
     built, operators = [], []
     original = riccati_module._hamiltonian_table
 
-    def counting(*tables):
-        built.append(tables[0][0].shape[0])
-        return original(*tables)
+    def counting(problem, grid):
+        built.append(grid.size - 1)
+        return original(problem, grid)
 
     class Recorded(KernelOperator):
         def __init__(self, *args, **kwargs):
@@ -201,24 +202,39 @@ def test_multipoint_caches_no_section_and_builds_one_table(monkeypatch):
     assert built == [op.grid.size - 1]
 
 
-def test_multipoint_peak_memory():
-    # tracemalloc peak of one solve at (N, m, k) = (8, 4, 5), 2000 steps:
-    # 18.5 MB with one Hamiltonian table and no cached sections, 31.3 MB
-    # with separate A, S, Q and W tables beside H and five cached N x N
-    # sections
-    problem, constraints = _rendezvous(8, 4, 5)
+def _traced_peak(run) -> float:
+    """The tracemalloc peak of `run()`, in bytes above what was traced before."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        solve_multipoint(problem, constraints, 2000)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
+
+
+def test_multipoint_peak_memory():
+    # tracemalloc peak of one solve at (N, m, k) = (8, 4, 5), 2000 steps:
+    # 18.5 MB with one Hamiltonian table and no cached sections, 31.3 MB
+    # with separate A, S, Q and W tables beside H and five cached N x N
+    # sections
+    problem, constraints = _rendezvous(8, 4, 5)
+    peak = _traced_peak(lambda: solve_multipoint(problem, constraints, 2000))
     assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_dual_riccati_peak_memory():
+    # tracemalloc peak of M at (N, m) = (8, 4), 2000 steps: 17.2 MB when its
+    # table is H with the blocks swapped, 24.7 MB with A, S and Q tables kept
+    # beside a dual table built from them
+    problem = random_problem(np.random.default_rng(101), 8, 4)
+    grid = build_grid(problem.t0, problem.T, 2000, problem.breakpoints())
+    peak = _traced_peak(lambda: riccati._dual_riccati_on(problem, grid))
+    assert peak < 21e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_multipoint_requires_sorted_distinct_times(p1):
