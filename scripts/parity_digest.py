@@ -4,7 +4,8 @@ Prints one `<digest>  <label>` line per item: the J and P flows (node values
 and derivatives, X blocks, closed loops F and G, control map W), M, kernel
 sections and a kernel trajectory, a rollout with its inner products and
 dynamics defects, the kernel and feedback solves with their adjoints, the
-`verify` report, the `solve`, `riccati` and `kernel` command outputs (CSV
+`verify` report whole and check by check (so a roundoff move in one check
+shows as one line), the `solve`, `riccati` and `kernel` command outputs (CSV
 bytes and JSON) on the bundled problems, and multipoint CSVs on three
 seeded random problems of the benchmark's rendezvous shapes.  The code
 under test is the `src/` beside this script, so running it in two checkouts
@@ -16,6 +17,7 @@ Usage: python scripts/parity_digest.py [--steps N]
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -114,8 +116,11 @@ def _operator_lines(name, problem, steps):
                            res.value, *(v for _, v in res.covectors),
                            *_dense(solve_adjoint(p, res.trajectory.x, steps)))
         yield f"{solve.__name__}/{name}", run
-    yield f"verify/{name}", lambda: _digest(
-        json.dumps(cli.run_verification(p, VERIFY_SEED, steps)))
+    report = functools.cache(lambda: cli.run_verification(p, VERIFY_SEED, steps))
+    yield f"verify/{name}", lambda: _digest(json.dumps(report()))
+    for check in cli._VERIFY_TOLERANCES:
+        yield f"verify/{name}/{check}", lambda check=check: _digest(
+            json.dumps([c for c in report()["checks"] if c["name"] == check]))
 
 
 def _command(argv, out_csv, tmp):

@@ -20,7 +20,7 @@ from .kernel import (KernelOperator, lq_inner_product, reproducing_residual,
 from .model import R_MIN_DEFAULT, LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
 from .oracle import MIN_ORACLE_STEPS, richardson_value
-from .problems import random_trajectory
+from .problems import _random_control, rollout
 from .riccati import solve_adjoint
 from .solver import (check_constraint_times, solve_feedback, solve_kernel,
                      solve_multipoint)
@@ -318,9 +318,10 @@ def cmd_kernel(args) -> int:
     n = problem.state_dim
     header = ["s", "t"] + [f"K_{i+1}{j+1}" for i in range(n) for j in range(n)]
 
-    _write_csv(args.out, header,
-               np.array([[s, t, *op.entry(float(s), float(t)).ravel()]
-                         for s in grid for t in grid]))
+    g = grid.size
+    s, t = np.meshgrid(grid, grid, indexing="ij")
+    _write_csv(args.out, header, np.column_stack(
+        [s.ravel(), t.ravel(), op.entries(grid).reshape(g * g, n * n)]))
     _print_json({"steps": steps, "grid_count": args.grid_count, "csv": args.out})
     return EXIT_OK
 
@@ -408,22 +409,32 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     add("kernel_diagonal_bvp", bvp)
 
     pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+    table = op.entries(pool)  # K(pool_i, pool_j), bit for bit as `entry` reads it
     sym = 0.0
     for _ in range(20):
         i, j = rng.integers(0, pool.size, size=2)
-        Kst = op.entry(float(pool[i]), float(pool[j]))
-        Kts = op.entry(float(pool[j]), float(pool[i]))
+        Kst, Kts = table[i, j], table[j, i]
         sym = max(sym, np.linalg.norm(Kst - Kts.T) / (1.0 + np.linalg.norm(Kst)))
     add("hermitian_symmetry", sym)
 
-    worst = 0.0
+    # ten random trajectories run as one family; the columns that share a
+    # pool time share one section family and one quadrature
+    x0s, vals, ts, pvs = [], [], [], []
     for _ in range(10):
-        traj = random_trajectory(p, rng, steps=min(steps, 1000))
-        t = float(pool[rng.integers(0, pool.size)])
-        pv = rng.normal(size=n)
-        r = reproducing_residual(op, traj, t, pv, _VERIFY_QUAD_INTERVALS)
-        xnorm = np.sqrt(max(lq_inner_product(p, traj, traj, _VERIFY_QUAD_INTERVALS), 0.0))
-        worst = max(worst, r / (1.0 + xnorm * np.linalg.norm(pv)))
+        x0, edges, v = _random_control(p, rng)
+        x0s.append(x0)
+        vals.append(v)
+        ts.append(float(pool[rng.integers(0, pool.size)]))
+        pvs.append(rng.normal(size=n))
+    trajs = rollout(p, np.stack(x0s, axis=1), edges, np.stack(vals, axis=2), min(steps, 1000))
+    xnorm = np.sqrt(np.maximum(lq_inner_product(p, trajs, trajs, _VERIFY_QUAD_INTERVALS), 0.0))
+    ts, pv, pnorm = np.array(ts), np.stack(pvs, axis=1), np.array(list(map(np.linalg.norm, pvs)))
+    worst = 0.0
+    for t in np.unique(ts):
+        cols = np.flatnonzero(ts == t)
+        r = reproducing_residual(op, trajs.columns(cols), float(t), pv[:, cols],
+                                 _VERIFY_QUAD_INTERVALS)
+        worst = max(worst, float(np.max(r / (1.0 + xnorm[cols] * pnorm[cols]))))
     add("reproducing", worst)
 
     x0 = np.ones(n) / np.sqrt(n)

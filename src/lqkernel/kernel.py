@@ -19,10 +19,16 @@ matched to its use:
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
   once per operator.  One builder carries the value at t: K(t, t) for a
-  section, the N-vector K(t, t) p for a term of `kernel_trajectory`, the
-  identity for the closed loop; a time off the grid goes through it too.
-  Only `section` caches; the Gram matrix builds its columns uncached, so a
-  multipoint solve holds no N x N section.
+  section, the N-vector K(t, t) p (or an N x b family of them) for a term
+  of `kernel_trajectory`, the identity for the closed loop; a time off the
+  grid goes through it too.  Read at a few times only (`entries`, and the
+  Gram matrix through it), the builder carries the value to the nodes those
+  times fall on and no further, with one product per node.  Only `section`
+  caches, so a multipoint solve holds no N x N section.
+
+The inner product, the reproducing residual and `problems.rollout` take
+families of trajectories with a trailing column axis, so `verify` runs its
+random trajectories as one rollout and one quadrature per column time.
 
 K keeps both one-sided derivatives at the column time, where they differ
 by S(t).  The control of K(., t) p, read off the costate (J x right of t,
@@ -38,8 +44,8 @@ import numpy as np
 from .errors import BvpDegenerateError, HorizonMismatchError
 from .linalg import _symmetrized, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
-                  schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _hermite_combine,
+                  _hermite_locate, _time_tol, build_grid, schedule_stage_table)
 from .riccati import _dual_riccati_on, _Flows, _hamiltonian_table, _solve_flows
 
 DEFAULT_QUAD_INTERVALS = 2000
@@ -151,26 +157,28 @@ class KernelOperator:
         """K(s, t) for arbitrary s, t in the horizon."""
         return self.section(t).eval(s)
 
+    def entries(self, times) -> np.ndarray:
+        """K(t_i, t_j) for every pair of `times`, as a (k, k, N, N) array,
+        bit for bit `entry(t_i, t_j)`.  Column j carries K(t_j, t_j) only to
+        the nodes, and takes the closed-loop products only on the intervals,
+        that the times read; no section is built or cached."""
+        times = np.asarray(times, dtype=float)
+        return np.stack([self._carried(float(t), _kernel_diagonal, at=times)
+                         for t in times], axis=1)
+
     def gram(self, times) -> tuple[np.ndarray, float]:
         """Block Gram matrix at `times`, symmetrized; returns (matrix, defect).
 
-        Block (i, j) is K(t_i, t_j); one section is built per column time,
-        all rows are read off it, and it is dropped (the section cache is
-        not filled).  The reported defect is the worst entry moved by the
-        final (G + G')/2 projection.
+        Block (i, j) is K(t_i, t_j), read by `entries`.  The reported
+        defect is the worst entry moved by the final (G + G')/2 projection.
         """
-        times = np.asarray(times, dtype=float)
-        n = self.problem.state_dim
-        k = times.size
-        raw = np.zeros((k * n, k * n))
-        for j, tj in enumerate(times):
-            column = self._solve_section(float(tj)).eval_many(times)
-            raw[:, j * n:(j + 1) * n] = column.reshape(k * n, n)
-        return _symmetrized(raw)
+        k, n = np.size(times), self.problem.state_dim
+        return _symmetrized(self.entries(times).transpose(0, 2, 1, 3).reshape(k * n, k * n))
 
     def control(self, t: float, x: DenseSolution) -> DenseSolution:
-        """Control of a vector trajectory x on the section grid of t (the
-        grid, with t inserted when off it), such as K(., t) p: at both ends
+        """Control of a vector trajectory x, or of a family of them (a
+        trailing column axis), on the section grid of t (the grid, with t
+        inserted when off it), such as K(., t) p: at both ends
         of every interval u = -W lambda, W = R^{-1} B', with the costate
         lambda = J x right of t and -P x left of it; the chord in between.
         As B u = -S lambda = x' - A x and u is in the range of W, u is the
@@ -183,14 +191,14 @@ class KernelOperator:
             W_lo = np.insert(W_lo, j, node.W[0][1], axis=0)
             W_hi = np.insert(W_hi, j - 1, node.W[1][0], axis=0)
 
-        def u(W, M, v, sign):  # sign W (M v), interval by interval
-            return sign * np.einsum("kij,kj->ki", W, np.einsum("kij,kj->ki", M, v))
+        def u(W, M, v, sign):  # sign W (M v), interval by interval and column by column
+            return sign * np.einsum("kij,kj...->ki...", W, np.einsum("kij,kj...->ki...", M, v))
 
         u_start = np.concatenate([u(W_lo[:j], P[:j], x.v_start[:j], 1.0),
                                   u(W_lo[j:], J[j:-1], x.v_start[j:], -1.0)])
         u_end = np.concatenate([u(W_hi[:j], P[1:j + 1], x.v_end[:j], 1.0),
                                 u(W_hi[j:], J[j + 1:], x.v_end[j:], -1.0)])
-        slope = (u_end - u_start) / np.diff(x.times)[:, None]
+        slope = (u_end - u_start) / np.diff(x.times).reshape((-1,) + (1,) * (u_end.ndim - 1))
         return DenseSolution(x.times, u_start, u_end, slope, slope)
 
     # -- sections -----------------------------------------------------------
@@ -215,37 +223,74 @@ class KernelOperator:
                                           f.J[k + 1], -f.P[k])
         return k + 1, self._nodes[t]
 
-    def _carried(self, t: float, value) -> DenseSolution:
+    def _carried(self, t: float, value, at=None):
         """V = value(J(t), P(t)) carried from t along G to the left and along
-        F to the right, on t's section grid (`_node`).  On the grid the walk
-        starts at t; off it, the node flows carry V to the grid nodes on
-        either side of t, and the walk starts there."""
+        F to the right, on t's section grid (`_node`), as a DenseSolution;
+        or, given times `at`, its values there (bit for bit its
+        `eval_many(at)`), from the nodes and interval carriers those times
+        read alone.  On the grid the walk starts at t; off it, the node
+        flows carry V to the grid nodes on either side of t, and the walk
+        starts there."""
         f = self._flows
         j, node = self._node(t)
         if node is None:
             V = value(f.J[j], f.P[j])
-            K = np.concatenate([f.carry(j, V, right=False)[:-1], V[None],
-                                f.carry(j, V, right=True)[1:]])
-            times, c, lo_t, hi_t = self.grid, j, [], []
+            times, s, starts, lo_t, hi_t = self.grid, 0, (V, V), [], []
         else:  # t sits inside interval j - 1 of the grid
             V = value(node.J[1], node.P[1])
-            K = np.concatenate([f.carry(j - 1, np.linalg.solve(node.X_P[1], V), right=False),
-                                V[None], f.carry(j, np.linalg.solve(node.X_J[1], V), right=True)])
-            times, c = np.insert(self.grid, j, t), j - 1
-            lo_t, hi_t = [node.F[0][1:]], [node.G[1][:1]]
-        # the concatenated carriers live only for their product: a lower peak per column
-        d_lo = np.concatenate([f.G[0][:j], *lo_t, f.F[0][j:]]) @ K[:-1]
-        d_hi = np.concatenate([f.G[1][:c], *hi_t, f.F[1][c:]]) @ K[1:]
-        return DenseSolution(times, K[:-1], K[1:], d_lo, d_hi)
+            times, s, lo_t, hi_t = np.insert(self.grid, j, t), 1, [node.F[0][1:]], [node.G[1][:1]]
+            starts = (np.linalg.solve(node.X_P[1], V), np.linalg.solve(node.X_J[1], V))
+        size = times.size
+
+        # section node (and interval) i is grid node i left of t and i - s
+        # right of it; `part` gives the grid indices of the section indices
+        # lo <= i < hi in a selection, or of all of them (None) as a slice
+        def part(sel, lo, hi, shift=0):
+            return slice(lo - shift, hi - shift) if sel is None else (
+                sel[(sel >= lo) & (sel < hi)] - shift)
+
+        def nodes(sel):
+            mid = [V[None]] if sel is None or j in sel else []
+            return np.concatenate([f.carry(j - s, starts[0], False, part(sel, 0, j)), *mid,
+                                   f.carry(j, starts[1], True, part(sel, j + 1, size, s))])
+
+        def carrier(sel, lo):  # G left of t, F right of it, at the lo or hi slots
+            C, cut, at_t = (f.G[0], j, lo_t) if lo else (f.G[1], j - s, hi_t)
+            return np.concatenate([C[part(sel, 0, cut)],
+                                   *(at_t if sel is None or cut in sel else []),
+                                   (f.F[0] if lo else f.F[1])[part(sel, cut + s, size - 1, s)]])
+
+        if at is None:
+            ivals, K = None, nodes(None)
+            v_lo, v_hi = K[:-1], K[1:]
+        else:
+            k, weights = _hermite_locate(times, at, 1, want_deriv=False)
+            ivals, k = np.unique(k, return_inverse=True)
+            sel = np.union1d(ivals, ivals + 1)
+            K, pos = nodes(sel), np.searchsorted(sel, ivals)
+            v_lo, v_hi = K[pos], K[pos + 1]
+        # each carrier lives only for its product: a lower peak per column
+        d_lo = carrier(ivals, True) @ v_lo
+        d_hi = carrier(ivals, False) @ v_hi
+        if at is None:
+            return DenseSolution(times, v_lo, v_hi, d_lo, d_hi)
+        return _hermite_combine((v_lo, d_lo, v_hi, d_hi), (k, weights))
 
     def _solve_section(self, t: float, p: np.ndarray | None = None) -> DenseSolution:
-        """K(., t) on t's section grid, or, for a covector p, the vector
-        K(., t) p, carried as a column of width one: K(t, t) = (J(t) + P(t))^{-1}."""
+        """K(., t) on t's section grid, or, for a covector p (N) or a family
+        of b covectors (N x b), K(., t) p carried with one or b columns."""
         if p is None:
-            return self._carried(t, lambda J, P: np.linalg.inv(J + P))
-        col = self._carried(t, lambda J, P: np.linalg.solve(J + P, p[:, None]))
+            return self._carried(t, _kernel_diagonal)
+        col = self._carried(t, lambda J, P: np.linalg.solve(J + P, p if p.ndim == 2 else p[:, None]))
+        if p.ndim == 2:
+            return col
         return DenseSolution(col.times, col.v_start[..., 0], col.v_end[..., 0],
                              col.d_start[..., 0], col.d_end[..., 0])
+
+
+def _kernel_diagonal(J: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """K(t, t) = (J(t) + P(t))^{-1}, from the two filters at t."""
+    return np.linalg.inv(J + P)
 
 
 def shooting_diagonal(problem: LQProblem, t: float,
@@ -299,9 +344,24 @@ def _simpson_points(problem: LQProblem, extra_breaks, quad_intervals: int):
     return edges, ts, sides, weights
 
 
+def _column_products(a: np.ndarray, b: np.ndarray, M: np.ndarray | None = None):
+    """a' M b (a' b without M), contracting the first axis: a number for
+    vectors, one per column for families with a trailing column axis.  Each
+    column is its own product chain on contiguous data, so it gives the
+    bits of its vector."""
+    a, b = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (a, b))
+    row = a[..., None, :] if M is None else a[..., None, :] @ M
+    return (row @ b[..., :, None])[..., 0, 0]
+
+
+def _per_column(values: np.ndarray) -> float | np.ndarray:
+    """A float for a vector's 0-d result, the array for a family."""
+    return float(values) if values.ndim == 0 else values
+
+
 def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
                      traj2: ControlledTrajectory,
-                     quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float:
+                     quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float | np.ndarray:
     """Cost inner product <x1, x2> by composite Simpson quadrature.
 
     Control jump times of either trajectory and schedule breakpoints are
@@ -310,7 +370,12 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     trajectory grid (x and u of a trajectory share theirs) and a trajectory
     passed twice is evaluated once; the terminal state is the last point,
     T from the left.  Q and R are read off their stage tables, one
-    evaluation per node (`schedule_stage_table`).
+    evaluation per node (`schedule_stage_table`).  Two families of b
+    trajectories (a trailing column axis, as `problems.rollout` makes) give
+    the b inner products of matching columns as an array: the breakpoints
+    are the union of all columns' jump nodes, so where the columns jump at
+    the same nodes each column is its vector call bit for bit.  Vectors
+    give a float.
     """
     tol = _time_tol(problem.t0, problem.T)
     trajs = (traj1,) if traj2 is traj1 else (traj1, traj2)
@@ -332,9 +397,10 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     values = [(at_points(tr.x), at_points(tr.u)) for tr in trajs]
     (x1, u1), (x2, u2) = values[0], values[-1]
     Q, R = (np.concatenate(schedule_stage_table(s, edges)) for s in (problem.Q, problem.R))
-    stage = np.einsum("ki,kij,kj->k", x1, Q, x2) + np.einsum("ki,kij,kj->k", u1, R, u2)
-    integral = float(w @ stage)
-    return float(x1[-1] @ np.asarray(problem.J_T) @ x2[-1]) + integral
+    stage = (np.einsum("ki...,kij,kj...->k...", x1, Q, x2)
+             + np.einsum("ki...,kij,kj...->k...", u1, R, u2))
+    terminal = _column_products(x1[-1], x2[-1], np.asarray(problem.J_T))
+    return _per_column(terminal + _column_products(w, stage))
 
 
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
@@ -343,7 +409,8 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
     Each term is carried by the section builder as the N-vector
     K(t_i, t_i) p_i (no N x N section is built or cached) and takes its own
     control off the costate (`KernelOperator.control`), which jumps at
-    s = t_i, where it is stored two-sidedly."""
+    s = t_i, where it is stored two-sidedly.  A family of b covectors
+    (N x b) is carried once, as N x b, and gives a family of b trajectories."""
     xs = [operator._solve_section(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
     if len({x.times.tobytes() for x in xs}) > 1:
         raise ValueError("kernel_trajectory: the sections lie on different grids")
@@ -356,10 +423,12 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
 
 def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,
                          t: float, pvec: np.ndarray,
-                         quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float:
-    """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property."""
+                         quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float | np.ndarray:
+    """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property.
+    For a family of b trajectories and b covectors (N x b), one defect per
+    column, from one section family and one quadrature."""
     pvec = np.asarray(pvec, dtype=float)
     section = kernel_trajectory(operator, [(t, pvec)])
-    lhs = float(pvec @ traj.x.eval(t))
+    lhs = _column_products(pvec, traj.x.eval(t))
     rhs = lq_inner_product(operator.problem, traj, section, quad_intervals)
-    return abs(lhs - rhs)
+    return _per_column(np.abs(lhs - rhs))

@@ -257,6 +257,14 @@ class ControlledTrajectory:
         if abs(self.x.a - self.u.a) > tol or abs(self.x.b - self.u.b) > tol:
             raise HorizonMismatchError("state and control cover different horizons")
 
+    def columns(self, cols) -> "ControlledTrajectory":
+        """The members `cols` of a family of trajectories (the trailing
+        column axis of x and u)."""
+        def pick(sol):
+            return DenseSolution(sol.times, *(getattr(sol, f)[..., cols] for f in
+                                              ("v_start", "v_end", "d_start", "d_end")))
+        return ControlledTrajectory(pick(self.x), pick(self.u))
+
 
 def dynamics_defect(problem: LQProblem, traj: ControlledTrajectory) -> float:
     """max_t ||x'(t) - A(t)x(t) - B(t)u(t)|| / (1 + ||x(t)||) over grid times.

@@ -105,6 +105,55 @@ def build_grid(lo: float, hi: float, steps: int, snap: Sequence[float] = ()) -> 
     return out
 
 
+def _hermite_locate(times: np.ndarray, ts, sides, want_deriv: bool):
+    """Where `ts` fall on the grid `times`: (k, weights), the interval of
+    each time and the Hermite weights of v_start, d_start, v_end and d_end
+    there, for the value or the derivative.  A time within `_time_tol` of a
+    node is that node, and `sides` picks the interval: the one ending there
+    for side < 0, else the one starting there (clipped at the two ends).  At
+    a node the basis is exactly 0 or 1, so the stored one-sided data comes
+    out bit-exactly.  The location reads the grid only: solutions on equal
+    grids share it (`_hermite_combine`)."""
+    a, b = times[0], times[-1]
+    ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
+    sides = np.broadcast_to(np.asarray(sides), ts.shape)
+    n = times.size - 1
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
+    tol = _time_tol(a, b)
+    at_lo = ts - times[i] <= tol
+    at_hi = ~at_lo & (times[i + 1] - ts <= tol)
+    ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
+    k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
+    hh = times[k + 1] - times[k]
+    th = (ts - times[k]) / hh
+    if not want_deriv:
+        h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
+        h10 = th * (1.0 - th) ** 2
+        h01 = th * th * (3.0 - 2.0 * th)
+        h11 = th * th * (th - 1.0)
+        return k, (h00, h10 * hh, h01, h11 * hh)
+    g00 = 6.0 * th * (th - 1.0) / hh
+    g10 = (3.0 * th - 1.0) * (th - 1.0)
+    g01 = -6.0 * th * (th - 1.0) / hh
+    g11 = th * (3.0 * th - 2.0)
+    return k, (g00, g10, g01, g11)
+
+
+def _hermite_combine(data, location) -> np.ndarray:
+    """The weighted sum of per-interval data (v_start, d_start, v_end,
+    d_end) at a `_hermite_locate` result, the four terms gathered and added
+    in place in a fixed order."""
+    k, weights = location
+    ex = (slice(None),) + (None,) * (data[0].ndim - 1)  # over value dims
+    out = np.take(data[0], k, axis=0)
+    out *= weights[0][ex]
+    for w, stored in zip(weights[1:], data[1:]):
+        term = np.take(stored, k, axis=0)
+        term *= w[ex]
+        out += term
+    return out
+
+
 @dataclass(frozen=True)
 class DenseSolution:
     """A sampled function of time with cubic-Hermite interpolation.
@@ -159,64 +208,28 @@ class DenseSolution:
         return np.concatenate([self.v_start, self.v_end[-1:]], axis=0)
 
     def jump_nodes(self) -> np.ndarray:
-        """Interior node times where the stored one-sided values disagree by
-        more than 1e-9 (1 + max |value|)."""
+        """Interior node times where the stored one-sided values of some
+        column disagree by more than 1e-9 (1 + max |value| of that column):
+        the union of the columns' jump nodes.  A vector value is one column;
+        a matrix or a family of b vectors has a column per last index."""
         if self.times.size < 3:
             return np.zeros(0)
-        gap = self.v_end[:-1] - self.v_start[1:]
-        scale = 1.0 + np.max(np.abs(self.v_start))
-        mask = np.max(np.abs(gap), axis=tuple(range(1, gap.ndim))) > 1e-9 * scale
-        return self.times[1:-1][mask]
+        v, gap = self.v_start, self.v_end[:-1] - self.v_start[1:]
+        if v.ndim < 3:
+            v, gap = v[..., None], gap[..., None]
+        scale = 1.0 + np.max(np.abs(v), axis=tuple(range(v.ndim - 1)))
+        over = np.max(np.abs(gap), axis=tuple(range(1, gap.ndim - 1))) > 1e-9 * scale
+        return self.times[1:-1][over.any(axis=-1)]
 
     # -- evaluation --------------------------------------------------------
 
     def _locate(self, ts, sides, want_deriv: bool):
-        """Where `ts` fall on the grid: (k, weights), the interval of each
-        time and the Hermite weights of v_start, d_start, v_end and d_end
-        there, for the value or the derivative.  A time within `_time_tol`
-        of a node is that node, and `sides` picks the interval: the one
-        ending there for side < 0, else the one starting there (clipped at
-        the two ends).  At a node the basis is exactly 0 or 1, so the
-        stored one-sided data comes out bit-exactly.  The location reads
-        `times` only: solutions on equal grids share it (`_combine`)."""
-        times = self.times
-        a, b = times[0], times[-1]
-        ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
-        sides = np.broadcast_to(np.asarray(sides), ts.shape)
-        n = times.size - 1
-        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
-        tol = _time_tol(a, b)
-        at_lo = ts - times[i] <= tol
-        at_hi = ~at_lo & (times[i + 1] - ts <= tol)
-        ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
-        k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
-        hh = times[k + 1] - times[k]
-        th = (ts - times[k]) / hh
-        if not want_deriv:
-            h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-            h10 = th * (1.0 - th) ** 2
-            h01 = th * th * (3.0 - 2.0 * th)
-            h11 = th * th * (th - 1.0)
-            return k, (h00, h10 * hh, h01, h11 * hh)
-        g00 = 6.0 * th * (th - 1.0) / hh
-        g10 = (3.0 * th - 1.0) * (th - 1.0)
-        g01 = -6.0 * th * (th - 1.0) / hh
-        g11 = th * (3.0 * th - 2.0)
-        return k, (g00, g10, g01, g11)
+        """`_hermite_locate` on this solution's grid."""
+        return _hermite_locate(self.times, ts, sides, want_deriv)
 
     def _combine(self, location) -> np.ndarray:
-        """The weighted sum of the stored data at a `_locate` result, the
-        four terms gathered and added in place in a fixed order."""
-        k, weights = location
-        ex = (slice(None),) + (None,) * (self.v_start.ndim - 1)  # over value dims
-        data = (self.v_start, self.d_start, self.v_end, self.d_end)
-        out = np.take(data[0], k, axis=0)
-        out *= weights[0][ex]
-        for w, stored in zip(weights[1:], data[1:]):
-            term = np.take(stored, k, axis=0)
-            term *= w[ex]
-            out += term
-        return out
+        """`_hermite_combine` of the stored data."""
+        return _hermite_combine((self.v_start, self.d_start, self.v_end, self.d_end), location)
 
     def eval_many(self, ts, sides=1) -> np.ndarray:
         """Vectorized evaluation; `sides` scalar or per-time (+1 right, -1 left)."""

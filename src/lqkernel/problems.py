@@ -97,22 +97,38 @@ def rollout(problem: LQProblem, x0, control_edges, control_values,
     """Drive x' = A x + B u from x0 with a piecewise-constant control.
 
     `control_edges` has len(control_values) + 1 entries spanning the horizon;
-    the control's dense solution stores the genuine jumps at the edges.
+    the control's dense solution stores the genuine jumps at the edges.  A
+    family of b trajectories runs as one: x0 of shape (N, b) and control
+    values of shape (pieces, m, b) give a state and a control with a
+    trailing column axis, from one grid, one A and B stage table and one
+    sweep on the N x b state.  A one-column family gives the numbers of the
+    vector call.
     """
     edges = np.asarray(control_edges, dtype=float)
     vals = np.asarray(control_values, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     snap = np.concatenate([edges[1:-1], problem.breakpoints()])
     grid = build_grid(problem.t0, problem.T, steps, snap)
-    control = MatrixSchedule.piecewise_constant(edges[1:-1], vals[:, :, None])
+    family = vals.ndim == 3
+    control = MatrixSchedule.piecewise_constant(edges[1:-1], vals if family else vals[:, :, None])
     A_tab = schedule_stage_table(problem.A, grid)
     B_tab = schedule_stage_table(problem.B, grid)
-    u_tab = tuple(u[:, :, 0] for u in schedule_stage_table(control, grid))
-    F_tab = tuple(np.einsum("kij,kj->ki", B, u) for B, u in zip(B_tab, u_tab))
+    u_tab = tuple(u if family else u[:, :, 0] for u in schedule_stage_table(control, grid))
+    F_tab = tuple(np.einsum("kij,kj...->ki...", B, u) for B, u in zip(B_tab, u_tab))
     x = rk4_affine(grid, A_tab, x0, F_tab)
     zeros = np.zeros_like(u_tab[0])
     u = DenseSolution(grid, u_tab[0], u_tab[2], zeros, zeros)
     return ControlledTrajectory(x, u)
+
+
+def _random_control(problem: LQProblem, rng: np.random.Generator, pieces: int = 6,
+                    zero_start: bool = False):
+    """(x0, control edges, control values) of a random trajectory, drawn from
+    `rng` in this order: x0 (unless zero_start), then the values."""
+    n, m = problem.state_dim, problem.input_dim
+    x0 = np.zeros(n) if zero_start else rng.normal(size=n)
+    edges = np.linspace(problem.t0, problem.T, pieces + 1)
+    return x0, edges, rng.normal(size=(pieces, m))
 
 
 def random_trajectory(problem: LQProblem, rng: np.random.Generator,
@@ -123,8 +139,4 @@ def random_trajectory(problem: LQProblem, rng: np.random.Generator,
     Piecewise-constant random control through the dynamics from a random
     initial state (or from zero when building feasible perturbations).
     """
-    n, m = problem.state_dim, problem.input_dim
-    x0 = np.zeros(n) if zero_start else rng.normal(size=n)
-    edges = np.linspace(problem.t0, problem.T, pieces + 1)
-    vals = rng.normal(size=(pieces, m))
-    return rollout(problem, x0, edges, vals, steps)
+    return rollout(problem, *_random_control(problem, rng, pieces, zero_start), steps)

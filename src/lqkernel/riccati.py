@@ -210,19 +210,24 @@ class _Flows:
     G: tuple
     W: tuple
 
-    def carry(self, k: int, value: np.ndarray, right: bool) -> np.ndarray:
-        """K at nodes k..end along F (right) or 0..k along G, from its value
-        at node k: one solve where the walk enters a block, one product."""
+    def carry(self, k: int, value: np.ndarray, right: bool, nodes) -> np.ndarray:
+        """K at `nodes` (a slice or increasing node indices, on the walk from
+        node k: k..end along F if right, 0..k along G if not), from its
+        value at node k: one solve where the walk enters a block, up to the
+        farthest node asked for, and one product per node."""
         X = self.X_J if right else self.X_P
         end = X.shape[0] - 1 if right else 0
-        nodes = np.arange(k, end + 1) if right else np.arange(k, -1, -1)
-        enter = (nodes % self.block == 0) & (nodes != k) & (nodes != end)
+        at = np.arange(X.shape[0])[nodes]
+        if at.size == 0:
+            return np.empty((0,) + value.shape)
+        walk = np.arange(k, at[-1] + 1) if right else np.arange(k, at[0] - 1, -1)
+        enter = (walk % self.block == 0) & (walk != k) & (walk != end)
         carries = [np.linalg.solve(X[k], value)]  # K at the block anchors
-        for c in nodes[enter]:
+        for c in walk[enter]:
             carries.append(np.linalg.solve(X[c], carries[-1]))
-        out = (X[k:] if right else X[k::-1]) @ np.stack(carries)[np.cumsum(enter)]
-        out[0] = value
-        return out if right else out[::-1]
+        out = X[nodes] @ np.stack(carries)[np.cumsum(enter)[np.abs(at - k)]]
+        out[at == k] = value
+        return out
 
 
 def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,

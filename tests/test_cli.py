@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
                           problem_to_dict, run_verification)
 from lqkernel.errors import ProblemFileError
-from lqkernel.problems import double_integrator_problem, random_problem
+from lqkernel.problems import (double_integrator_problem, random_problem,
+                               random_trajectory)
+
+
+_BUNDLED = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
 
 def _scalar_doc(q=0.0, **over):
@@ -156,6 +161,20 @@ def test_kernel_grid_csv(p2_file, p1_file, tmp_path, capsys):
     assert pair[(0.5, 0.25)] == pytest.approx(1.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("name", ["switched_tracking", "double_integrator"])
+def test_kernel_csv_is_the_entries_bit_for_bit(name, tmp_path, capsys):
+    from lqkernel.kernel import KernelOperator
+    path = str(_BUNDLED / f"{name}.json")
+    out = str(tmp_path / "k.csv")
+    assert main(["kernel", path, "--grid-count", "7", "--steps", "37", "--out", out]) == 0
+    _, rows = _read_csv(out)
+    problem, _ = load_problem_file(path)
+    grid = np.linspace(problem.t0, problem.T, 7)
+    op = KernelOperator(problem, 37, extra_nodes=grid)
+    want = [[s, t, *op.entry(float(s), float(t)).ravel()] for s in grid for t in grid]
+    assert np.array_equal(rows, np.array(want))
+
+
 def test_verify_passes_on_valid_problem(p1_file, capsys):
     rc = main(["verify", p1_file, "--seed", "42", "--steps", "1200"])
     doc = json.loads(capsys.readouterr().out)
@@ -177,6 +196,61 @@ def test_verify_reproducing_across_snaps_one_ulp_apart():
     defects = {c["name"]: c["defect"] for c in report["checks"]}
     assert defects["reproducing"] <= 1e-9
     assert report["passed"] is True
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to `calls`."""
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_verify_draws_replay_random_trajectory(monkeypatch):
+    # each of the ten rounds draws x0, the control values, t and p in the
+    # order of a random_trajectory call followed by t and p
+    from lqkernel import cli, problems
+    p = random_problem(np.random.default_rng([4, 3]))
+    rollouts, residuals = [], []
+    _recording(monkeypatch, cli, "rollout", rollouts)
+    _recording(monkeypatch, cli, "reproducing_residual", residuals)
+    run_verification(p, 11, 300)
+    [(_, x0s, edges, vals, steps)] = rollouts
+    assert x0s.shape == (p.state_dim, 10) and vals.shape == (6, p.input_dim, 10)
+
+    singles = []
+    _recording(monkeypatch, problems, "rollout", singles)
+    rng = np.random.default_rng(11)
+    pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+    for _ in range(20):  # the Hermitian-symmetry pairs
+        rng.integers(0, pool.size, size=2)
+    want = []
+    for c in range(10):
+        random_trajectory(p, rng, steps=steps)
+        _, x0, single_edges, single_vals, _ = singles[c]
+        assert np.array_equal(x0, x0s[:, c]) and np.array_equal(single_vals, vals[..., c])
+        assert np.array_equal(single_edges, edges)
+        want.append((float(pool[rng.integers(0, pool.size)]), *rng.normal(size=p.state_dim)))
+    got = [(t, *pv[:, c]) for _, _, t, pv, _ in residuals for c in range(pv.shape[1])]
+    assert sorted(got) == sorted(want)
+    assert len(residuals) == len({t for t, *_ in want})
+
+
+def test_verify_runs_one_rollout_and_at_most_six_quadratures(monkeypatch):
+    from lqkernel import cli, kernel, problems, solver
+    problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))
+    rollouts, quadratures = [], []
+    for module in (cli, problems):
+        _recording(monkeypatch, module, "rollout", rollouts)
+    for module in (cli, kernel, solver):
+        _recording(monkeypatch, module, "lq_inner_product", quadratures)
+    report = run_verification(problem, 0, 400)
+    assert report["passed"] is True
+    assert len(rollouts) == 1
+    assert 2 <= len(quadratures) <= 6
 
 
 def test_verify_rejects_invalid_problem(tmp_path, capsys):

@@ -7,10 +7,10 @@ from lqkernel.errors import BvpDegenerateError, HorizonMismatchError
 from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              kernel_trajectory, reproducing_residual,
                              shooting_diagonal)
-from lqkernel.linalg import spd_inverse
+from lqkernel.linalg import _symmetrized, spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
-from lqkernel.problems import random_problem, random_trajectory
+from lqkernel.problems import random_problem, random_trajectory, rollout
 from dense_nodes import dense_from_nodes
 
 
@@ -499,6 +499,88 @@ def test_reproducing_random_trajectories(random_problems, operator_cache):
         r = reproducing_residual(op, tr, t, pv, quad_intervals=900)
         xnorm = math.sqrt(max(lq_inner_product(p, tr, tr, 900), 0.0))
         assert r <= 1e-4 * (1.0 + xnorm * np.linalg.norm(pv))
+
+
+def _family(p, rng, b, steps):
+    edges = np.linspace(p.t0, p.T, 5)
+    return rollout(p, rng.normal(size=(p.state_dim, b)), edges,
+                   rng.normal(size=(4, p.input_dim, b)), steps)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_family_inner_products_and_residuals_match_the_column_calls(seed):
+    rng = np.random.default_rng([seed, 53])
+    p = random_problem(rng)
+    op = KernelOperator(p, 600)
+    trajs = _family(p, rng, 4, 400)
+    t = float(p.t0 + 0.37 * (p.T - p.t0))  # off the operator's grid
+    P = rng.normal(size=(p.state_dim, 4))
+    norms = lq_inner_product(p, trajs, trajs, 300)
+    residuals = reproducing_residual(op, trajs, t, P, 300)
+    sections = kernel_trajectory(op, [(t, P)])
+    cross = lq_inner_product(p, trajs, sections, 300)
+    assert norms.shape == residuals.shape == cross.shape == (4,)
+    for c in range(4):
+        tr = trajs.columns(c)
+        # the same Simpson points and data: the quadrature is exact per column
+        assert norms[c] == lq_inner_product(p, tr, tr, 300)
+        # the section family is carried as N x 4, the column alone as N x 1
+        section = kernel_trajectory(op, [(t, P[:, c])])
+        assert abs(cross[c] - lq_inner_product(p, tr, section, 300)) <= 1e-14 * abs(cross[c])
+        assert abs(residuals[c] - reproducing_residual(op, tr, t, P[:, c], 300)) <= 1e-14
+        assert residuals[c] <= 1e-6 * (1.0 + math.sqrt(norms[c]) * np.linalg.norm(P[:, c]))
+
+
+def test_family_jump_nodes_are_the_union_of_its_columns(monkeypatch):
+    # column 0 jumps by 1e-3 at 0.2, column 1 by 1e7 at 0.6: against the
+    # family's largest value the first jump would pass for roundoff
+    times = np.linspace(0.0, 1.0, 6)
+    v = np.zeros((5, 1, 2))
+    v[:, 0, 0] = [1.0, 1.001, 1.001, 1.001, 1.001]
+    v[:, 0, 1] = [1e7, 1e7, 1e7, 2e7, 2e7]
+    family = DenseSolution(times, v, v, 0 * v, 0 * v)
+    columns = [DenseSolution(times, v[..., c], v[..., c], 0 * v[..., c], 0 * v[..., c])
+               for c in range(2)]
+    assert [list(col.jump_nodes()) for col in columns] == [[times[1]], [times[3]]]
+    assert list(family.jump_nodes()) == [times[1], times[3]]
+    # the Simpson breaks of two families are every column's jump nodes
+    import lqkernel.kernel as kernel_module
+    breaks = []
+    original = kernel_module._simpson_points
+
+    def recorded(problem, extra_breaks, quad_intervals):
+        breaks.append(np.asarray(extra_breaks))
+        return original(problem, extra_breaks, quad_intervals)
+
+    monkeypatch.setattr(kernel_module, "_simpson_points", recorded)
+    p = random_problem(np.random.default_rng([1, 53]))
+    op = KernelOperator(p, 300)
+    trajs = _family(p, np.random.default_rng(53), 3, 200)
+    P = np.random.default_rng(54).normal(size=(p.state_dim, 3))
+    sections = kernel_trajectory(op, [(p.t0 + 0.4 * (p.T - p.t0), P)])
+    lq_inner_product(p, trajs, sections, 100)
+    union = {float(t) for fam in (trajs, sections) for c in range(3)
+             for t in fam.columns(c).u.jump_nodes()}
+    assert set(breaks[0].tolist()) == union and len(union) == 4
+
+
+@pytest.mark.parametrize("case", ["random", "restarted"])
+def test_entries_and_gram_are_the_section_values_bit_for_bit(case):
+    if case == "random":
+        p = random_problem(np.random.default_rng([2, 29]))
+        steps, inner = 300, np.sort(np.random.default_rng(29).uniform(p.t0, p.T, 3))
+    else:  # many restart blocks, so the carries enter blocks on both sides
+        p, steps, inner = _unstable_problem(30.0), 4000, np.array([2.5, 3.3, 7.5])
+    times = np.concatenate([[p.t0], inner, [p.T]])
+    n, k = p.state_dim, times.size
+    for op in (KernelOperator(p, steps, extra_nodes=times), KernelOperator(p, steps)):
+        if case == "restarted":
+            assert op._flows.block < op.grid.size // 10
+        want = np.array([[op.entry(s, t) for t in times] for s in times])
+        assert np.array_equal(op.entries(times), want)
+        gram, defect = op.gram(times)
+        want_gram, want_defect = _symmetrized(want.transpose(0, 2, 1, 3).reshape(k * n, k * n))
+        assert np.array_equal(gram, want_gram) and defect == want_defect
 
 
 def test_kernel_trajectory_rejects_terms_on_different_grids(dint, operator_cache):

@@ -371,3 +371,28 @@ def test_rollout_helper_respects_control_pieces(p2):
     assert np.allclose(traj.u.jump_nodes(), [0.4])
     # x(t) = t on the first piece (x' = u = 1 from 0)
     assert traj.x.eval(0.3)[0] == pytest.approx(0.3, abs=1e-10)
+
+
+_FIELDS = ("v_start", "v_end", "d_start", "d_end")
+
+
+def test_rollout_runs_a_family_of_trajectories_as_one_sweep():
+    rng = np.random.default_rng([5, 3])
+    p = random_problem(rng)
+    n, m = p.state_dim, p.input_dim
+    edges = np.linspace(p.t0, p.T, 7)
+    x0, vals = rng.normal(size=(n, 10)), rng.normal(size=(6, m, 10))
+    family = rollout(p, x0, edges, vals, 500)
+    assert family.x.v_start.shape[1:] == (n, 10) and family.u.v_start.shape[1:] == (m, 10)
+    # one column is the vector call bit for bit; ten match it within roundoff
+    one = rollout(p, x0[:, :1], edges, vals[:, :, :1], 500)
+    for c in range(10):
+        single = rollout(p, x0[:, c], edges, vals[:, :, c], 500)
+        for fam, col, sol in ((family.x, one.x, single.x), (family.u, one.u, single.u)):
+            assert np.array_equal(fam.times, sol.times)
+            for f in _FIELDS:
+                want = getattr(sol, f)
+                if c == 0:
+                    assert np.array_equal(getattr(col, f)[..., 0], want)
+                got = getattr(fam, f)[..., c]
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
