@@ -18,13 +18,14 @@ matched to its use:
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
-  once per operator.  One builder carries the value at t: K(t, t) for a
-  section, the N-vector K(t, t) p (or an N x b family of them) for a term
-  of `kernel_trajectory`, the identity for the closed loop; a time off the
-  grid goes through it too.  Read at a few times only (`entries`, and the
-  Gram matrix through it), the builder carries the value to the nodes those
-  times fall on and no further, with one product per node.  Only `section`
-  caches, so a multipoint solve holds no N x N section.
+  once per operator.  One builder carries the value at t: the N-vector
+  K(t, t) p (or an N x b family of them) for a term of `kernel_trajectory`,
+  the identity for the closed loop; a time off the grid goes through it
+  too.  A whole section K(., t) is the identity family of
+  `kernel_trajectory`.  Read at a few times only (`entry`, `entries`, and
+  the Gram matrix through them), the builder carries K(t, t) to the nodes
+  those times fall on and no further, with one product per node.  No
+  section is cached.
 
 The inner product, the reproducing residual and `problems.rollout` take
 families of trajectories with a trailing column axis, so `verify` runs its
@@ -61,12 +62,12 @@ class KernelOperator:
     schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
     the J and P flows on the grid (once, by `_solve_flows`), M on the same
     grid when first read (never on the feedback route), the closed loop
-    that both solves read, the flows at column times off the grid, and the
-    sections read by `section` and `entry`.  A section is two carries of
-    K(t, t) over the X blocks of the flows.  A column time off the grid is
-    inserted as a node: the same builder, run on that time and its two
-    neighbouring nodes, gives J, P and the carriers at it.  The operator is
-    logically immutable and evaluations are pure.
+    that both solves read, and the flows at column times off the grid.
+    Every kernel value is read through `_carried`: two carries of K(t, t),
+    or of K(t, t) p, over the X blocks of the flows.  A column time off the
+    grid is inserted as a node: the same builder, run on that time and its
+    two neighbouring nodes, gives J, P and the carriers at it.  The operator
+    is logically immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -76,7 +77,6 @@ class KernelOperator:
         snap = np.concatenate([problem.breakpoints(),
                                np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
-        self._sections: dict[float, DenseSolution] = {}
         self._nodes: dict[float, _Flows] = {}
 
     # -- the Riccati pair and its flows -------------------------------------
@@ -114,14 +114,11 @@ class KernelOperator:
         return np.linalg.norm(self.J.values @ self.M.values - eye, axis=(1, 2))
 
     @cached_property
-    def _closed_loop(self) -> DenseSolution:
-        eye = np.eye(self.problem.state_dim)
-        return self._carried(self.problem.t0, lambda J, P: eye)
-
-    def closed_loop_solution(self) -> DenseSolution:
+    def closed_loop(self) -> DenseSolution:
         """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0,
         built once per operator."""
-        return self._closed_loop
+        eye = np.eye(self.problem.state_dim)
+        return self._carried(self.problem.t0, lambda J, P: eye)
 
     # -- kernel values ------------------------------------------------------
 
@@ -146,22 +143,16 @@ class KernelOperator:
         grid = build_grid(t, p.T, self.steps, sub.breakpoints())
         return _dual_riccati_on(sub, grid)[0].eval(t)
 
-    def section(self, t: float) -> DenseSolution:
-        """Dense K(., t) for a fixed second argument, from the J and P flows."""
-        key = float(t)
-        if key not in self._sections:
-            self._sections[key] = self._solve_section(key)
-        return self._sections[key]
-
     def entry(self, s: float, t: float) -> np.ndarray:
-        """K(s, t) for arbitrary s, t in the horizon."""
-        return self.section(t).eval(s)
+        """K(s, t) for arbitrary s, t in the horizon, carried from t to the
+        interval s falls on only."""
+        return self._carried(float(t), _kernel_diagonal, at=np.array([s], dtype=float))[0]
 
     def entries(self, times) -> np.ndarray:
         """K(t_i, t_j) for every pair of `times`, as a (k, k, N, N) array,
         bit for bit `entry(t_i, t_j)`.  Column j carries K(t_j, t_j) only to
         the nodes, and takes the closed-loop products only on the intervals,
-        that the times read; no section is built or cached."""
+        that the times read; no section is built."""
         times = np.asarray(times, dtype=float)
         return np.stack([self._carried(float(t), _kernel_diagonal, at=times)
                          for t in times], axis=1)
@@ -226,11 +217,12 @@ class KernelOperator:
     def _carried(self, t: float, value, at=None):
         """V = value(J(t), P(t)) carried from t along G to the left and along
         F to the right, on t's section grid (`_node`), as a DenseSolution;
-        or, given times `at`, its values there (bit for bit its
-        `eval_many(at)`), from the nodes and interval carriers those times
-        read alone.  On the grid the walk starts at t; off it, the node
-        flows carry V to the grid nodes on either side of t, and the walk
-        starts there."""
+        or, given times `at`, its values there, from the nodes and interval
+        carriers those times read alone.  For value = K(t, t) these are bit
+        for bit the identity family `kernel_trajectory(op, [(t, I)]).x`
+        read by `eval_many(at)`.  On the grid the walk starts at t; off it,
+        the node flows carry V to the grid nodes on either side of t, and the
+        walk starts there."""
         f = self._flows
         j, node = self._node(t)
         if node is None:
@@ -275,17 +267,6 @@ class KernelOperator:
         if at is None:
             return DenseSolution(times, v_lo, v_hi, d_lo, d_hi)
         return _hermite_combine((v_lo, d_lo, v_hi, d_hi), (k, weights))
-
-    def _solve_section(self, t: float, p: np.ndarray | None = None) -> DenseSolution:
-        """K(., t) on t's section grid, or, for a covector p (N) or a family
-        of b covectors (N x b), K(., t) p carried with one or b columns."""
-        if p is None:
-            return self._carried(t, _kernel_diagonal)
-        col = self._carried(t, lambda J, P: np.linalg.solve(J + P, p if p.ndim == 2 else p[:, None]))
-        if p.ndim == 2:
-            return col
-        return DenseSolution(col.times, col.v_start[..., 0], col.v_end[..., 0],
-                             col.d_start[..., 0], col.d_end[..., 0])
 
 
 def _kernel_diagonal(J: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -406,16 +387,25 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
     """sum_i K(., t_i) p_i over (t_i, p_i) pairs sharing one grid (every t_i a
     node of the operator's grid, or a single term), as a controlled trajectory.
-    Each term is carried by the section builder as the N-vector
-    K(t_i, t_i) p_i (no N x N section is built or cached) and takes its own
-    control off the costate (`KernelOperator.control`), which jumps at
-    s = t_i, where it is stored two-sidedly.  A family of b covectors
-    (N x b) is carried once, as N x b, and gives a family of b trajectories."""
-    xs = [operator._solve_section(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
+    Each term is carried by `KernelOperator._carried` as the N-vector
+    K(t_i, t_i) p_i (no N x N section is built) and takes its own control
+    off the costate (`KernelOperator.control`), which jumps at s = t_i,
+    where it is stored two-sidedly.  A family of b covectors (N x b) is
+    carried once, as N x b, and gives a family of b trajectories; the
+    identity family (p = I) is the whole section K(., t)."""
+    fields = ("v_start", "v_end", "d_start", "d_end")
+
+    def carried(t, p):  # K(., t) p with one column, or with b
+        p2d = p if p.ndim == 2 else p[:, None]
+        x = operator._carried(t, lambda J, P: np.linalg.solve(J + P, p2d))
+        if p.ndim == 2:
+            return x
+        return DenseSolution(x.times, *(getattr(x, f)[..., 0] for f in fields))
+
+    xs = [carried(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
     if len({x.times.tobytes() for x in xs}) > 1:
         raise ValueError("kernel_trajectory: the sections lie on different grids")
     us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]
-    fields = ("v_start", "v_end", "d_start", "d_end")
     x, u = (DenseSolution(xs[0].times, *(sum(getattr(s, f) for s in parts) for f in fields))
             for parts in (xs, us))
     return ControlledTrajectory(x, u)

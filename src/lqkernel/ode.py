@@ -237,8 +237,7 @@ class DenseSolution:
 
     def eval(self, t: float, side: int = 1) -> np.ndarray:
         """Value at time t; exact at grid nodes."""
-        location = self._locate(np.asarray([t], dtype=float), side, want_deriv=False)
-        return self._combine(location)[0]
+        return self.eval_many([t], side)[0]
 
     def deriv_many(self, ts, sides=1) -> np.ndarray:
         return self._combine(self._locate(ts, sides, want_deriv=True))

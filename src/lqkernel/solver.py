@@ -55,7 +55,7 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     op = _operator_for(problem, steps, operator)
     K00 = op.diagonal(problem.t0)
     p0 = sym_eig_pinv(K00) @ x0
-    x = op.closed_loop_solution().right_multiply(K00).right_multiply(p0)
+    x = op.closed_loop.right_multiply(K00).right_multiply(p0)
     start_err = np.linalg.norm(x.eval(problem.t0) - x0)
     if start_err > 1e-8 * (1.0 + np.linalg.norm(x0)):
         raise DegenerateProblemError(
@@ -74,7 +74,7 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     x0 = np.asarray(x0, dtype=float)
     op = _operator_for(problem, steps, operator)
     J0 = op.J.eval(problem.t0)
-    x = op.closed_loop_solution().right_multiply(x0)
+    x = op.closed_loop.right_multiply(x0)
     u = op.control(problem.t0, x)
     value = float(x0 @ J0 @ x0)
     return LQSolveResult(((problem.t0, J0 @ x0),), ControlledTrajectory(x, u),

