@@ -3,16 +3,16 @@
 Prints one `<digest>  <label>` line per item: the J and P flows (node values
 and derivatives, X blocks, closed loops F and G, control map W), M, kernel
 sections (identity families of `kernel_trajectory`), kernel entries at
-fixed on- and off-grid pairs, a kernel trajectory, a rollout with its
-inner products and dynamics defects, the kernel and feedback solves with
-their adjoints, the `verify` report whole and check by check (so a
-roundoff move in one check shows as one line), the `solve`, `riccati` and
-`kernel` command outputs (CSV bytes and JSON) on the bundled problems, and
-multipoint CSVs on three seeded random problems of the benchmark's
-rendezvous shapes.  The code
-under test is the `src/` beside this script, so running it in two checkouts
-(a `git worktree` or a `git archive` of another commit) and diffing the
-outputs shows whether a change keeps every byte.
+fixed pairs (column times on the grid, read times on and off it), a kernel
+trajectory, a rollout with its inner products and dynamics defects, the
+kernel and feedback solves with their adjoints, the `verify` report whole
+and check by check (so a roundoff move in one check shows as one line), the
+`solve`, `riccati` and `kernel` command outputs (CSV bytes and JSON) on the
+bundled problems, and multipoint CSVs on three seeded random problems of
+the benchmark's rendezvous shapes.  The code under test is the `src/`
+beside this script, so running it in two checkouts (a `git worktree` or a
+`git archive` of another commit) and diffing the outputs shows whether a
+change keeps every byte.
 
 Usage: python scripts/parity_digest.py [--steps N]
 """
@@ -91,7 +91,9 @@ def _operator_lines(name, problem, steps):
     yield f"flows/{name}", flows
     yield f"M/{name}", lambda: _digest(*_dense(op.M), op.max_asymmetry_M)
     p = problem
-    times = (p.t0, float(op.grid[op.grid.size // 3]), p.t0 + 0.6180339887 * (p.T - p.t0), p.T)
+    # column times are grid nodes
+    times = (p.t0, float(op.grid[op.grid.size // 3]),
+             float(op.grid[int(0.6180339887 * (op.grid.size - 1))]), p.T)
     eye = np.eye(p.state_dim)
     yield f"sections/{name}", lambda: _digest(
         *(a for t in times for a in _dense(kernel_trajectory(op, [(t, eye)]).x)))
@@ -121,7 +123,7 @@ def _operator_lines(name, problem, steps):
             res = solve(p, x0, steps, operator=op)
             return _digest(*_dense(res.trajectory.x), *_dense(res.trajectory.u),
                            res.value, *(v for _, v in res.covectors),
-                           *_dense(solve_adjoint(p, res.trajectory.x, steps)))
+                           *_dense(solve_adjoint(p, res.trajectory.x)))
         yield f"{solve.__name__}/{name}", run
     report = functools.cache(lambda: cli.run_verification(p, VERIFY_SEED, steps))
     yield f"verify/{name}", lambda: _digest(json.dumps(report()))

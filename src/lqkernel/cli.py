@@ -408,7 +408,9 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         bvp = max(bvp, np.linalg.norm(op.J.eval(tq) @ K_tt - eye))
     add("kernel_diagonal_bvp", bvp)
 
-    pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+    # five uniform draws, each snapped to its nearest grid node: column times are nodes
+    draws = rng.uniform(p.t0, p.T, size=5)
+    pool = np.sort(op.grid[np.argmin(np.abs(op.grid[:, None] - draws), axis=0)])
     table = op.entries(pool)  # K(pool_i, pool_j), bit for bit as `entry` reads it
     sym = 0.0
     for _ in range(20):
@@ -446,7 +448,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
 
     # the adjoint, J and x all lie on op.grid
-    padj = solve_adjoint(p, rk.trajectory.x, steps)
+    padj = solve_adjoint(p, rk.trajectory.x)
     resid = padj.values + np.einsum("kij,kj->ki", op.J.values, rk.trajectory.x.values)
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 

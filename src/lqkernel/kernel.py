@@ -18,10 +18,11 @@ matched to its use:
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
-  once per operator.  One builder carries the value at t: the N-vector
-  K(t, t) p (or an N x b family of them) for a term of `kernel_trajectory`,
-  the identity for the closed loop; a time off the grid goes through it
-  too.  A whole section K(., t) is the identity family of
+  once per operator.  A column time t is a node of the operator's grid
+  (`extra_nodes` puts it there); read times s are arbitrary.  One builder
+  carries the value at t: the N-vector K(t, t) p (or an N x b family of
+  them) for a term of `kernel_trajectory`, the identity for the closed
+  loop.  A whole section K(., t) is the identity family of
   `kernel_trajectory`.  Read at a few times only (`entry`, `entries`, and
   the Gram matrix through them), the builder carries K(t, t) to the nodes
   those times fall on and no further, with one product per node.  No
@@ -59,15 +60,15 @@ class KernelOperator:
     entries, Grams.
 
     Construction fixes the integration grid (`steps` uniform intervals plus
-    schedule breakpoints and any `extra_nodes`).  Computed lazily and cached:
-    the J and P flows on the grid (once, by `_solve_flows`), M on the same
-    grid when first read (never on the feedback route), the closed loop
-    that both solves read, and the flows at column times off the grid.
-    Every kernel value is read through `_carried`: two carries of K(t, t),
-    or of K(t, t) p, over the X blocks of the flows.  A column time off the
-    grid is inserted as a node: the same builder, run on that time and its
-    two neighbouring nodes, gives J, P and the carriers at it.  The operator
-    is logically immutable and evaluations are pure.
+    schedule breakpoints and any `extra_nodes`).  Every column time must be
+    a node of it, so a caller that reads K(., t) at chosen times passes them
+    in `extra_nodes`; an off-grid column time raises ValueError.  Computed
+    lazily and cached: the J and P flows on the grid (once, by
+    `_solve_flows`), M on the same grid when first read (never on the
+    feedback route), and the closed loop that both solves read.  Every
+    kernel value is read through `_carried`: two carries of K(t, t), or of
+    K(t, t) p, over the X blocks of the flows.  The operator is logically
+    immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -77,14 +78,12 @@ class KernelOperator:
         snap = np.concatenate([problem.breakpoints(),
                                np.asarray(extra_nodes, dtype=float)])
         self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
-        self._nodes: dict[float, _Flows] = {}
 
     # -- the Riccati pair and its flows -------------------------------------
 
     @cached_property
     def _flows(self) -> _Flows:
-        J_T = self.problem.J_T
-        return _solve_flows(self.problem, self.grid, J_T, np.zeros_like(J_T))
+        return _solve_flows(self.problem, self.grid)
 
     @cached_property
     def _dual(self) -> tuple[DenseSolution, float]:
@@ -144,15 +143,15 @@ class KernelOperator:
         return _dual_riccati_on(sub, grid)[0].eval(t)
 
     def entry(self, s: float, t: float) -> np.ndarray:
-        """K(s, t) for arbitrary s, t in the horizon, carried from t to the
-        interval s falls on only."""
+        """K(s, t) for any s in the horizon and a grid node t, carried from t
+        to the interval s falls on only."""
         return self._carried(float(t), _kernel_diagonal, at=np.array([s], dtype=float))[0]
 
     def entries(self, times) -> np.ndarray:
-        """K(t_i, t_j) for every pair of `times`, as a (k, k, N, N) array,
-        bit for bit `entry(t_i, t_j)`.  Column j carries K(t_j, t_j) only to
-        the nodes, and takes the closed-loop products only on the intervals,
-        that the times read; no section is built."""
+        """K(t_i, t_j) for every pair of `times`, all grid nodes, as a
+        (k, k, N, N) array, bit for bit `entry(t_i, t_j)`.  Column j carries
+        K(t_j, t_j) only to the nodes, and takes the closed-loop products
+        only on the intervals, that the times read; no section is built."""
         times = np.asarray(times, dtype=float)
         return np.stack([self._carried(float(t), _kernel_diagonal, at=times)
                          for t in times], axis=1)
@@ -167,20 +166,15 @@ class KernelOperator:
         return _symmetrized(self.entries(times).transpose(0, 2, 1, 3).reshape(k * n, k * n))
 
     def control(self, t: float, x: DenseSolution) -> DenseSolution:
-        """Control of a vector trajectory x, or of a family of them (a
-        trailing column axis), on the section grid of t (the grid, with t
-        inserted when off it), such as K(., t) p: at both ends
-        of every interval u = -W lambda, W = R^{-1} B', with the costate
-        lambda = J x right of t and -P x left of it; the chord in between.
-        As B u = -S lambda = x' - A x and u is in the range of W, u is the
-        minimal-R-norm control of x."""
+        """Control of a vector trajectory x on the grid, or of a family of
+        them (a trailing column axis), such as K(., t) p for a grid node t:
+        at both ends of every interval u = -W lambda, W = R^{-1} B', with
+        the costate lambda = J x right of t and -P x left of it; the chord in
+        between.  As B u = -S lambda = x' - A x and u is in the range of W, u
+        is the minimal-R-norm control of x."""
         f = self._flows
-        j, node = self._node(float(t))
+        j = self._node(float(t))
         J, P, (W_lo, W_hi) = f.J, f.P, f.W
-        if node is not None:
-            J, P = np.insert(J, j, node.J[1], axis=0), np.insert(P, j, node.P[1], axis=0)
-            W_lo = np.insert(W_lo, j, node.W[0][1], axis=0)
-            W_hi = np.insert(W_hi, j - 1, node.W[1][0], axis=0)
 
         def u(W, M, v, sign):  # sign W (M v), interval by interval and column by column
             return sign * np.einsum("kij,kj...->ki...", W, np.einsum("kij,kj...->ki...", M, v))
@@ -194,78 +188,58 @@ class KernelOperator:
 
     # -- sections -----------------------------------------------------------
 
-    def _node(self, t: float) -> tuple[int, _Flows | None]:
-        """(j, node): t is node j of its section grid.  On the grid node is
-        None; inside interval j - 1, t is inserted, and node holds the J and
-        P flows on [grid[j - 1], t, grid[j]], from the operator's J at
-        grid[j] and P at grid[j - 1]: its node 1 is t.  Nodes are cached,
-        as a term's section and its control both read them."""
+    def _node(self, t: float) -> int:
+        """The index of column time t on the grid.  A column time must be a
+        node: raises HorizonMismatchError outside the horizon and ValueError
+        at any other time that is not a node (construct the operator with t
+        in `extra_nodes`)."""
         p, grid = self.problem, self.grid
         tol = _time_tol(p.t0, p.T)
         if not (p.t0 - tol <= t <= p.T + tol):
             raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
         j = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[j] - t) <= tol:
-            return j, None
-        k = int(np.searchsorted(grid, t)) - 1
-        if t not in self._nodes:
-            f = self._flows
-            self._nodes[t] = _solve_flows(p, np.array([grid[k], t, grid[k + 1]]),
-                                          f.J[k + 1], -f.P[k])
-        return k + 1, self._nodes[t]
+        if abs(grid[j] - t) > tol:
+            raise ValueError(f"column time {t} is not a grid node; pass it in extra_nodes")
+        return j
 
     def _carried(self, t: float, value, at=None):
-        """V = value(J(t), P(t)) carried from t along G to the left and along
-        F to the right, on t's section grid (`_node`), as a DenseSolution;
-        or, given times `at`, its values there, from the nodes and interval
+        """V = value(J(t), P(t)) carried from the grid node t along G to the
+        left and along F to the right, as a DenseSolution on the grid; or,
+        given times `at`, its values there, from the nodes and interval
         carriers those times read alone.  For value = K(t, t) these are bit
-        for bit the identity family `kernel_trajectory(op, [(t, I)]).x`
-        read by `eval_many(at)`.  On the grid the walk starts at t; off it,
-        the node flows carry V to the grid nodes on either side of t, and the
-        walk starts there."""
+        for bit the identity family `kernel_trajectory(op, [(t, I)]).x` read
+        by `eval_many(at)`."""
         f = self._flows
-        j, node = self._node(t)
-        if node is None:
-            V = value(f.J[j], f.P[j])
-            times, s, starts, lo_t, hi_t = self.grid, 0, (V, V), [], []
-        else:  # t sits inside interval j - 1 of the grid
-            V = value(node.J[1], node.P[1])
-            times, s, lo_t, hi_t = np.insert(self.grid, j, t), 1, [node.F[0][1:]], [node.G[1][:1]]
-            starts = (np.linalg.solve(node.X_P[1], V), np.linalg.solve(node.X_J[1], V))
-        size = times.size
+        j = self._node(t)
+        V = value(f.J[j], f.P[j])
+        size = self.grid.size
 
-        # section node (and interval) i is grid node i left of t and i - s
-        # right of it; `part` gives the grid indices of the section indices
-        # lo <= i < hi in a selection, or of all of them (None) as a slice
-        def part(sel, lo, hi, shift=0):
-            return slice(lo - shift, hi - shift) if sel is None else (
-                sel[(sel >= lo) & (sel < hi)] - shift)
+        # the node (or interval) indices lo <= i < hi in a selection, or all of them (None)
+        def part(sel, lo, hi):
+            return slice(lo, hi) if sel is None else sel[(sel >= lo) & (sel < hi)]
 
         def nodes(sel):
             mid = [V[None]] if sel is None or j in sel else []
-            return np.concatenate([f.carry(j - s, starts[0], False, part(sel, 0, j)), *mid,
-                                   f.carry(j, starts[1], True, part(sel, j + 1, size, s))])
+            return np.concatenate([f.carry(j, V, False, part(sel, 0, j)), *mid,
+                                   f.carry(j, V, True, part(sel, j + 1, size))])
 
-        def carrier(sel, lo):  # G left of t, F right of it, at the lo or hi slots
-            C, cut, at_t = (f.G[0], j, lo_t) if lo else (f.G[1], j - s, hi_t)
-            return np.concatenate([C[part(sel, 0, cut)],
-                                   *(at_t if sel is None or cut in sel else []),
-                                   (f.F[0] if lo else f.F[1])[part(sel, cut + s, size - 1, s)]])
+        def carrier(sel, slot):  # G left of t, F right of it, at the lo (0) or hi (1) slots
+            return np.concatenate([f.G[slot][part(sel, 0, j)], f.F[slot][part(sel, j, size - 1)]])
 
         if at is None:
             ivals, K = None, nodes(None)
             v_lo, v_hi = K[:-1], K[1:]
         else:
-            k, weights = _hermite_locate(times, at, 1, want_deriv=False)
+            k, weights = _hermite_locate(self.grid, at, 1, want_deriv=False)
             ivals, k = np.unique(k, return_inverse=True)
             sel = np.union1d(ivals, ivals + 1)
             K, pos = nodes(sel), np.searchsorted(sel, ivals)
             v_lo, v_hi = K[pos], K[pos + 1]
         # each carrier lives only for its product: a lower peak per column
-        d_lo = carrier(ivals, True) @ v_lo
-        d_hi = carrier(ivals, False) @ v_hi
+        d_lo = carrier(ivals, 0) @ v_lo
+        d_hi = carrier(ivals, 1) @ v_hi
         if at is None:
-            return DenseSolution(times, v_lo, v_hi, d_lo, d_hi)
+            return DenseSolution(self.grid, v_lo, v_hi, d_lo, d_hi)
         return _hermite_combine((v_lo, d_lo, v_hi, d_hi), (k, weights))
 
 
@@ -358,13 +332,9 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
     the same nodes each column is its vector call bit for bit.  Vectors
     give a float.
     """
-    tol = _time_tol(problem.t0, problem.T)
     trajs = (traj1,) if traj2 is traj1 else (traj1, traj2)
     for tr in trajs:
-        if abs(tr.x.a - problem.t0) > tol or abs(tr.x.b - problem.T) > tol:
-            raise HorizonMismatchError(
-                f"trajectory on [{tr.x.a}, {tr.x.b}] does not match horizon "
-                f"[{problem.t0}, {problem.T}]")
+        problem._check_horizon(tr.x)
     breaks = np.concatenate([tr.u.jump_nodes() for tr in trajs])
     edges, ts, sides, w = _simpson_points(problem, breaks, quad_intervals)
     located = {}  # the Simpson points located on each trajectory grid
@@ -385,8 +355,8 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
 
 
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
-    """sum_i K(., t_i) p_i over (t_i, p_i) pairs sharing one grid (every t_i a
-    node of the operator's grid, or a single term), as a controlled trajectory.
+    """sum_i K(., t_i) p_i over (t_i, p_i) pairs, every t_i a node of the
+    operator's grid, as a controlled trajectory on that grid.
     Each term is carried by `KernelOperator._carried` as the N-vector
     K(t_i, t_i) p_i (no N x N section is built) and takes its own control
     off the costate (`KernelOperator.control`), which jumps at s = t_i,
@@ -403,8 +373,6 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
         return DenseSolution(x.times, *(getattr(x, f)[..., 0] for f in fields))
 
     xs = [carried(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
-    if len({x.times.tobytes() for x in xs}) > 1:
-        raise ValueError("kernel_trajectory: the sections lie on different grids")
     us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]
     x, u = (DenseSolution(xs[0].times, *(sum(getattr(s, f) for s in parts) for f in fields))
             for parts in (xs, us))

@@ -231,6 +231,13 @@ class LQProblem:
         pts = pts[(pts > self.t0) & (pts < self.T)]
         return np.unique(pts)
 
+    def _check_horizon(self, sol: DenseSolution) -> None:
+        """Raise HorizonMismatchError unless `sol` spans [t0, T] up to `_time_tol`."""
+        tol = _time_tol(self.t0, self.T)
+        if abs(sol.a - self.t0) > tol or abs(sol.b - self.T) > tol:
+            raise HorizonMismatchError(f"trajectory on [{sol.a}, {sol.b}] does not match "
+                                       f"horizon [{self.t0}, {self.T}]")
+
     def restricted(self, t0_new: float) -> "LQProblem":
         """The same problem started at t0_new < T, earlier or later than t0;
         every schedule's domain must reach back to t0_new."""

@@ -256,7 +256,7 @@ class DenseSolution:
 # -- linear systems with precomputed stage tables ---------------------------
 
 def schedule_stage_table(schedule, grid: np.ndarray):
-    """Evaluate a MatrixSchedule or a DenseSolution at all RK4 stage points.
+    """Evaluate a MatrixSchedule at all RK4 stage points.
 
     Returns read-only (lo, mid, hi) arrays with one entry per interval of
     `grid`.  These are the stage slots of every RK4 loop: slot 0 (lo) is the
@@ -266,15 +266,14 @@ def schedule_stage_table(schedule, grid: np.ndarray):
     once per node and lo and hi are the views [:-1] and [1:] of that one
     array.  A piecewise-constant schedule takes all three at the midpoint:
     its breakpoints are nodes up to `_time_tol`, so that piece holds on the
-    whole interval, even past a merged node.  A DenseSolution is evaluated
-    slot by slot, as its one-sided values differ at jumps.
+    whole interval, even past a merged node.
     """
     return tuple(_StageTable(schedule, grid))
 
 
 def _stage_slot(schedule, grid: np.ndarray, slot: int) -> np.ndarray:
     """Slot `slot` (0 lo, 1 mid, 2 hi) of `schedule_stage_table` alone."""
-    if slot == 1 or getattr(schedule, "kind", None) == "pwc":
+    if slot == 1 or schedule.kind == "pwc":
         return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
     return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)
 
@@ -295,10 +294,7 @@ class _StageTable:
 
     def __init__(self, schedule, grid: np.ndarray, f=None):
         self._schedule, self._grid, self._f = schedule, grid, f
-        kind = getattr(schedule, "kind", None)
-        self._pwc = kind == "pwc"
-        # a DenseSolution (no kind) shares nothing: its one-sided values differ at jumps
-        self._shared = (0, 1, 2) if self._pwc else () if kind is None else (0, 2)
+        self._pwc = schedule.kind == "pwc"
         self._held = None
 
     def __len__(self) -> int:
@@ -309,7 +305,7 @@ class _StageTable:
 
     def __getitem__(self, i: int) -> np.ndarray:
         slot = range(3)[i]
-        if slot not in self._shared:
+        if slot == 1 and not self._pwc:
             return self._ready(_stage_slot(self._schedule, self._grid, slot))
         held = self._held
         if held is None:

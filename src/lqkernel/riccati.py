@@ -51,8 +51,8 @@ import numpy as np
 from .errors import PositivityLostError
 from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
-from .ode import (_AFFINE_BLOCK, DEFAULT_STEPS, DenseSolution, _affine_sweep, _blowup,
-                  _pade_maps, _read_only, _rk4_maps, _StageTable, build_grid, rk4_affine,
+from .ode import (_AFFINE_BLOCK, DenseSolution, _affine_sweep, _blowup, _pade_maps,
+                  _read_only, _rk4_maps, _StageTable, rk4_affine,
                   schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
@@ -230,11 +230,10 @@ class _Flows:
         return out
 
 
-def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
-                 minus_P_start: np.ndarray) -> _Flows:
+def _solve_flows(problem: LQProblem, grid: np.ndarray) -> _Flows:
     """The J and P flows on `grid` through one Hamiltonian table: J backward
-    from J_end, with the Riccati right-hand side as node derivatives, then P
-    forward from -P = minus_P_start (the flow runs on -P).  H is the only
+    from J(T) = J_T, with the Riccati right-hand side as node derivatives,
+    then P forward from P(t0) = 0 (the flow runs on -P).  H is the only
     table of A, S and Q: the node derivatives and the closed loops read A,
     -S and -Q at the lo and hi slots as views of H, and only W is kept
     beside it.  Raises IntegrationBlowupError at the first node met where X
@@ -244,9 +243,9 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, J_end: np.ndarray,
     H_tab, W = _hamiltonian_table(problem, grid)
     H_tab = list(H_tab)
     block = _reanchor_block(grid, H_tab[1])
-    J, X_J, drift = _reanchored_flow(grid, H_tab, J_end, block, backward=True)
+    J, X_J, drift = _reanchored_flow(grid, H_tab, problem.J_T, block, backward=True)
     _check_positive(grid, J, "J")
-    minus_P, X_P, _ = _reanchored_flow(grid, H_tab, minus_P_start, block)
+    minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros((n, n)), block)
     P = np.negative(minus_P, out=minus_P)
 
     def at_slot(H, k):
@@ -293,13 +292,16 @@ def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolutio
     return sol, drift
 
 
-def solve_adjoint(problem: LQProblem, xbar: DenseSolution,
-                  steps: int = DEFAULT_STEPS) -> DenseSolution:
-    """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)."""
-    grid = build_grid(problem.t0, problem.T, steps, problem.breakpoints())
+def solve_adjoint(problem: LQProblem, xbar: DenseSolution) -> DenseSolution:
+    """Integrate the adjoint p' = -A' p + Q xbar backward from -J_T xbar(T)
+    on xbar's own grid, which must span the horizon: the lo and hi stage
+    slots of xbar are its stored node values, the mid slot its Hermite
+    interpolant."""
+    problem._check_horizon(xbar)
+    grid = xbar.times
     H_tab = tuple(-np.swapaxes(a, 1, 2) for a in schedule_stage_table(problem.A, grid))
     Q_tab = schedule_stage_table(problem.Q, grid)
-    x_tab = schedule_stage_table(xbar, grid)
+    x_tab = (xbar.v_start, xbar.eval_many(0.5 * (grid[:-1] + grid[1:])), xbar.v_end)
     F_tab = tuple(np.einsum("kij,kj->ki", Q, x) for Q, x in zip(Q_tab, x_tab))
-    p_T = -np.asarray(problem.J_T) @ xbar.eval(problem.T)
+    p_T = -np.asarray(problem.J_T) @ xbar.v_end[-1]
     return rk4_affine(grid, H_tab, p_T, F_tab, backward=True)

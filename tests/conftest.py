@@ -40,7 +40,7 @@ def random_problems() -> list[LQProblem]:
 
 @pytest.fixture(scope="session")
 def operator_cache():
-    """Shared kernel operators keyed by (id(problem), steps); sections cache too."""
+    """Shared kernel operators keyed by (id(problem), steps, extra_nodes)."""
     cache: dict = {}
 
     def get(problem: LQProblem, steps: int, extra_nodes=()) -> KernelOperator:

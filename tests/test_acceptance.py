@@ -154,8 +154,8 @@ def test_c05_reproducing_property(section_problems, operator_cache):
     rng = np.random.default_rng(50501)
     worst = 0.0
     for name, p in section_problems:
-        op = operator_cache(p, SECTION_STEPS)
         pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+        op = operator_cache(p, SECTION_STEPS, extra_nodes=pool)  # column times are nodes
         for _ in range(10):
             traj = random_trajectory(p, rng, steps=1000)
             xnorm = math.sqrt(max(lq_inner_product(p, traj, traj, 2000), 0.0))
@@ -172,8 +172,8 @@ def test_c06_hermitian_symmetry_and_gram_psd(section_problems, operator_cache):
     rng = np.random.default_rng(60606)
     worst_sym, worst_psd = 0.0, 0.0
     for name, p in section_problems:
-        op = operator_cache(p, SECTION_STEPS)
         pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+        op = operator_cache(p, SECTION_STEPS, extra_nodes=pool)  # column times are nodes
         for _ in range(20):
             i, j = rng.integers(0, pool.size, size=2)
             Kst = op.entry(float(pool[i]), float(pool[j]))
@@ -194,7 +194,7 @@ def test_c07_adjoint_identity(problem_set, operator_cache):
         op = operator_cache(p, STEPS)
         x0 = _x0(p)
         xbar = solve_kernel(p, x0, operator=op).trajectory.x
-        costate = solve_adjoint(p, xbar, STEPS)
+        costate = solve_adjoint(p, xbar)
         J_vals = op.J.eval_many(costate.times)
         resid = costate.values + np.einsum("kij,kj->ki", J_vals,
                                            xbar.eval_many(costate.times))

@@ -213,6 +213,7 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
     # each of the ten rounds draws x0, the control values, t and p in the
     # order of a random_trajectory call followed by t and p
     from lqkernel import cli, problems
+    from lqkernel.kernel import KernelOperator
     p = random_problem(np.random.default_rng([4, 3]))
     rollouts, residuals = [], []
     _recording(monkeypatch, cli, "rollout", rollouts)
@@ -224,7 +225,8 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
     singles = []
     _recording(monkeypatch, problems, "rollout", singles)
     rng = np.random.default_rng(11)
-    pool = np.sort(rng.uniform(p.t0, p.T, size=5))
+    grid, draws = KernelOperator(p, 300).grid, rng.uniform(p.t0, p.T, size=5)
+    pool = np.sort(grid[np.argmin(np.abs(grid[:, None] - draws), axis=0)])  # nearest nodes
     for _ in range(20):  # the Hermitian-symmetry pairs
         rng.integers(0, pool.size, size=2)
     want = []
@@ -237,6 +239,15 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
     got = [(t, *pv[:, c]) for _, _, t, pv, _ in residuals for c in range(pv.shape[1])]
     assert sorted(got) == sorted(want)
     assert len(residuals) == len({t for t, *_ in want})
+
+
+def test_verify_solves_the_flows_once(monkeypatch):
+    # the pool times are grid nodes, so no column time re-solves the J and P flows
+    from lqkernel import kernel
+    calls = []
+    _recording(monkeypatch, kernel, "_solve_flows", calls)
+    run_verification(random_problem(np.random.default_rng([4, 3])), 11, 300)
+    assert len(calls) == 1
 
 
 def test_verify_runs_one_rollout_and_at_most_six_quadratures(monkeypatch):

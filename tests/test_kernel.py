@@ -132,8 +132,8 @@ def test_full_agrees_with_column_route(dint, operator_cache):
 def test_full_hermitian_symmetry(random_problems, operator_cache):
     rng = np.random.default_rng(13)
     for p in random_problems[:2]:
-        op = operator_cache(p, 800)
         pool = np.sort(rng.uniform(p.t0, p.T, size=4))
+        op = operator_cache(p, 800, extra_nodes=pool)
         for _ in range(6):
             i, j = rng.integers(0, pool.size, size=2)
             Kst = op.entry(float(pool[i]), float(pool[j]))
@@ -198,52 +198,29 @@ def test_gram_and_kernel_trajectory_match_the_cached_sections(n):
     raw = np.hstack([_section(op, t).eval_many(pins).reshape(-1, n) for t in pins])
     want = 0.5 * (raw + raw.T)
     assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
-    on_grid = [(float(t), rng.normal(size=n)) for t in pins]
-    off_grid = [(0.5 * float(op.grid[7] + op.grid[8]), rng.normal(size=n))]
-    for terms in (on_grid, off_grid):
-        x = kernel_trajectory(op, terms).x
-        parts = [_section(op, t).right_multiply(q) for t, q in terms]
-        assert np.array_equal(x.times, parts[0].times)
-        for field in ("v_start", "v_end", "d_start", "d_end"):
-            ref = sum(getattr(s, field) for s in parts)
-            assert np.max(np.abs(getattr(x, field) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    terms = [(float(t), rng.normal(size=n)) for t in pins]
+    x = kernel_trajectory(op, terms).x
+    parts = [_section(op, t).right_multiply(q) for t, q in terms]
+    assert np.array_equal(x.times, parts[0].times)
+    for field in ("v_start", "v_end", "d_start", "d_end"):
+        ref = sum(getattr(s, field) for s in parts)
+        assert np.max(np.abs(getattr(x, field) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _switched_problem():
-    """Two states with a piecewise-constant A (jump at 0.4), a time-varying
-    B and R, and a state cost: every stage table varies along the grid."""
-    c = MatrixSchedule.constant
-    return LQProblem(
-        2, 1, 0.0, 1.0,
-        MatrixSchedule.piecewise_constant(
-            [0.4], [[[0.0, 1.0], [-1.0, 0.2]], [[0.3, 1.0], [0.0, -0.5]]]),
-        MatrixSchedule.polynomial([[[0.0], [1.0]], [[0.5], [0.2]]]),
-        c([[1.0, 0.2], [0.2, 0.5]]),
-        MatrixSchedule.sampled_linear([0.0, 1.0], [[[1.0]], [[2.0]]]),
-        np.eye(2))
-
-
-# column times off the 300-step grid: one between uniform nodes, one within a
-# quarter step of a uniform node (which the reference grid drops), one beside
-# the jump node
-@pytest.mark.parametrize("t", [0.6123, 0.5005, 0.4004])
-def test_off_grid_section_equals_section_on_its_own_grid(t):
-    p = _switched_problem()
-    op = KernelOperator(p, 300)
-    assert not np.any(op.grid == t)
-    got = _section(op, t)
-    assert np.array_equal(got.times, np.sort(np.append(op.grid, t)))
-    ref = _section(KernelOperator(p, 300, extra_nodes=[t]), t)
-    pts = np.concatenate([ref.times, np.linspace(p.t0, p.T, 50)])
-    for side in (-1, 1):
-        for read in ("eval_many", "deriv_many"):
-            want = getattr(ref, read)(pts, side)
-            diff = np.max(np.abs(getattr(got, read)(pts, side) - want))
-            assert diff <= 1e-11 * np.max(np.abs(want)), (read, side)
-    B, R = p.B.eval_many([t])[0], p.R.eval_many([t])[0]
-    left, right = got.deriv_many([t, t], [-1, 1])
-    jump = left - right
-    assert np.allclose(jump, B @ np.linalg.inv(R) @ B.T, rtol=1e-10, atol=1e-12)
+def test_column_times_must_be_grid_nodes(dint):
+    # every reader of a column time rejects one off the grid and names the
+    # way to put it there; read times stay arbitrary
+    op = KernelOperator(dint, 300)
+    off = 0.5 * float(op.grid[7] + op.grid[8])
+    x = kernel_trajectory(op, [(float(op.grid[7]), np.ones(2))]).x
+    for read in (lambda: op.entry(0.3, off), lambda: kernel_trajectory(op, [(off, np.ones(2))]),
+                 lambda: op.control(off, x)):
+        with pytest.raises(ValueError, match="extra_nodes"):
+            read()
+    with pytest.raises(HorizonMismatchError):
+        op.entry(0.3, dint.T + 1.0)
+    assert np.all(np.isfinite(op.entry(off, 0.3)))
+    assert np.all(np.isfinite(KernelOperator(dint, 300, extra_nodes=[off]).entry(0.3, off)))
 
 
 # -- independent collocation oracle for the t = t0 system ---------------------
@@ -377,8 +354,8 @@ def test_gram_single_time_is_diagonal(p1):
 def test_gram_positive_semidefinite(dint, random_problems, operator_cache):
     rng = np.random.default_rng(17)
     for p in [dint, random_problems[1]]:
-        op = operator_cache(p, 800)
         times = np.sort(rng.uniform(p.t0, p.T, size=3))
+        op = operator_cache(p, 800, extra_nodes=times)
         gram, defect = op.gram(times)
         assert defect < 1e-7 * (1.0 + np.trace(gram))
         eigs = np.linalg.eigvalsh(gram)
@@ -446,7 +423,8 @@ def test_inner_product_locates_the_points_once_per_trajectory_grid(monkeypatch):
     rng = np.random.default_rng(47)
     p = random_problem(rng, state_dim=2)
     traj = random_trajectory(p, rng, steps=300)
-    section = kernel_trajectory(KernelOperator(p, 400), [(0.3, np.array([1.0, -0.5]))])
+    op = KernelOperator(p, 400, extra_nodes=[0.3])
+    section = kernel_trajectory(op, [(0.3, np.array([1.0, -0.5]))])
     located, combined = [], []
 
     def counting(original, calls):
@@ -494,8 +472,8 @@ def test_reproducing_ramp_against_kinked_section(p1, operator_cache):
 def test_reproducing_random_trajectories(random_problems, operator_cache):
     p = random_problems[2]
     rng = np.random.default_rng(23)
-    op = operator_cache(p, 900)
     pool = np.sort(rng.uniform(p.t0, p.T, size=3))
+    op = operator_cache(p, 900, extra_nodes=pool)
     for _ in range(3):
         tr = random_trajectory(p, rng, steps=700)
         t = float(pool[rng.integers(0, pool.size)])
@@ -517,7 +495,7 @@ def test_family_inner_products_and_residuals_match_the_column_calls(seed):
     p = random_problem(rng)
     op = KernelOperator(p, 600)
     trajs = _family(p, rng, 4, 400)
-    t = float(p.t0 + 0.37 * (p.T - p.t0))  # off the operator's grid
+    t = float(p.t0 + 0.37 * (p.T - p.t0))  # a uniform node of the operator's 600-step grid
     P = rng.normal(size=(p.state_dim, 4))
     norms = lq_inner_product(p, trajs, trajs, 300)
     residuals = reproducing_residual(op, trajs, t, P, 300)
@@ -577,7 +555,10 @@ def test_entries_and_gram_are_the_section_values_bit_for_bit(case):
         p, steps, inner = _unstable_problem(30.0), 4000, np.array([2.5, 3.3, 7.5])
     times = np.concatenate([[p.t0], inner, [p.T]])
     n, k = p.state_dim, times.size
-    for op in (KernelOperator(p, steps, extra_nodes=times), KernelOperator(p, steps)):
+    ops = [KernelOperator(p, steps, extra_nodes=times)]
+    if case == "restarted":  # its times are nodes of the default grid too
+        ops.append(KernelOperator(p, steps))
+    for op in ops:
         if case == "restarted":
             assert op._flows.block < op.grid.size // 10
         # the reference is the whole carried section, read where asked
@@ -587,14 +568,6 @@ def test_entries_and_gram_are_the_section_values_bit_for_bit(case):
         gram, defect = op.gram(times)
         want_gram, want_defect = _symmetrized(want.transpose(0, 2, 1, 3).reshape(k * n, k * n))
         assert np.array_equal(gram, want_gram) and defect == want_defect
-
-
-def test_kernel_trajectory_rejects_terms_on_different_grids(dint, operator_cache):
-    # each off-grid column time inserts its own node, so the two sections have
-    # as many nodes as each other but not the same ones
-    op = operator_cache(dint, 900)
-    with pytest.raises(ValueError, match="different grids"):
-        kernel_trajectory(op, [(0.35001, np.ones(2)), (0.65001, np.ones(2))])
 
 
 def test_section_trajectory_control_is_minimal(dint, operator_cache):

@@ -472,17 +472,11 @@ def test_integrate_values_immutable():
 
 def _schedules_of_every_kind(rng):
     """A grid on [0, 2] with a node at 0.5, and one schedule of every kind on
-    it: a pwc schedule whose first breakpoint lies within the time tolerance
-    after that node (merged into it), and a DenseSolution that jumps at
-    every interior node of its own grid, several of which are grid nodes."""
+    it, with a pwc schedule whose first breakpoint lies within the time
+    tolerance after that node (merged into it)."""
     tol = _time_tol(0.0, 2.0)
     grid = build_grid(0.0, 2.0, 40, snap=[0.5, 0.5 + 0.5 * tol])
     shape = (2, 3)
-    coarse = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 5)), grid[[7, 20, 33]], [2.0]])
-    coarse = np.unique(coarse)
-    n = coarse.size - 1
-    jumpy = DenseSolution(coarse, *(rng.normal(size=(n,) + shape) for _ in range(4)))
-    assert jumpy.jump_nodes().size == n - 1
     return grid, {
         "constant": MatrixSchedule.constant(rng.normal(size=shape)),
         "poly": MatrixSchedule.polynomial(rng.normal(size=(3,) + shape), origin=0.3),
@@ -490,7 +484,6 @@ def _schedules_of_every_kind(rng):
                                                  rng.normal(size=(4,) + shape)),
         "pwc": MatrixSchedule.piecewise_constant([0.5 + 0.5 * tol, 1.3],
                                                  rng.normal(size=(3,) + shape)),
-        "dense": jumpy,
     }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from lqkernel import riccati
 from lqkernel.cli import load_problem_file
-from lqkernel.errors import IntegrationBlowupError, PositivityLostError
+from lqkernel.errors import HorizonMismatchError, IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
@@ -98,14 +98,14 @@ def test_adjoint_constant_costate(p1):
     # optimal trajectory from x0 = 1 is (2-s)/2; A = Q = 0 keeps p constant
     ts = np.linspace(0.0, 1.0, 201)
     xbar = dense_from_nodes(ts, ((2 - ts) / 2)[:, None], np.full((201, 1), -0.5))
-    p = solve_adjoint(p1, xbar, 400)
+    p = solve_adjoint(p1, xbar)
     assert np.max(np.abs(p.values + 0.5)) < 1e-12
 
 
 def test_adjoint_exponential_costate(p2):
     ts = np.linspace(0.0, 1.0, 301)
     xbar = dense_from_nodes(ts, np.exp(-ts)[:, None], -np.exp(-ts)[:, None])
-    p = solve_adjoint(p2, xbar, 600)
+    p = solve_adjoint(p2, xbar)
     expected = -np.exp(-p.times)[:, None]
     assert np.max(np.abs(p.values - expected)) < 1e-8
 
@@ -113,8 +113,17 @@ def test_adjoint_exponential_costate(p2):
 def test_adjoint_zero_state(p2):
     ts = np.linspace(0.0, 1.0, 51)
     xbar = dense_from_nodes(ts, np.zeros((51, 1)), np.zeros((51, 1)))
-    p = solve_adjoint(p2, xbar, 200)
+    p = solve_adjoint(p2, xbar)
     assert np.max(np.abs(p.values)) == 0.0
+
+
+def test_adjoint_rejects_a_trajectory_off_the_horizon(p2):
+    # the adjoint runs on xbar's own grid, so that grid must be the horizon
+    for hi in (0.5, 2.0):
+        ts = np.linspace(0.0, hi, 51)
+        xbar = dense_from_nodes(ts, np.ones((51, 1)), np.zeros((51, 1)))
+        with pytest.raises(HorizonMismatchError):
+            solve_adjoint(p2, xbar)
 
 
 def test_costate_is_negative_hessian_times_state(dint, random_problems):
@@ -122,7 +131,7 @@ def test_costate_is_negative_hessian_times_state(dint, random_problems):
     for p in [dint, random_problems[0]]:
         res = solve_kernel(p, np.ones(p.state_dim), 1200)
         J = KernelOperator(p, 1200).J
-        pa = solve_adjoint(p, res.trajectory.x, 1200)
+        pa = solve_adjoint(p, res.trajectory.x)
         resid = pa.values + np.einsum(
             "kij,kj->ki", J.eval_many(pa.times), res.trajectory.x.eval_many(pa.times))
         scale = 1.0 + np.linalg.norm(np.ones(p.state_dim))

@@ -308,7 +308,7 @@ def _reference_control(p, ts, side, x, xd):
 @pytest.mark.parametrize("kind", ["wide_B", "duplicate_columns", "zero_B"])
 def test_costate_controls_are_minimal_r_norm_controls(kind):
     p = _control_problem(kind)
-    op = KernelOperator(p, 600)  # 0.5 is a node, 0.61234 is not
+    op = KernelOperator(p, 600, extra_nodes=[0.61234])  # 0.5 is a uniform node
     pvec, x0 = np.array([0.7, -0.4]), np.array([1.0, -0.5])
     target = random_trajectory(p, np.random.default_rng(5))
     times = [0.25, 0.61234, 1.0]
