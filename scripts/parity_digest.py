@@ -3,13 +3,13 @@
 Prints one `<digest>  <label>` line per item: the J and P flows (node values
 and derivatives, X blocks, closed loops F and G, control map W), M, kernel
 sections (identity families of `kernel_trajectory`), kernel entries at
-fixed pairs (column times on the grid, read times on and off it), a kernel
-trajectory, a rollout with its inner products and dynamics defects, the
-kernel and feedback solves with their adjoints, the `verify` report whole
-and check by check (so a roundoff move in one check shows as one line), the
-`solve`, `riccati` and `kernel` command outputs (CSV bytes and JSON) on the
-bundled problems, and multipoint CSVs on three seeded random problems of
-the benchmark's rendezvous shapes.  The code under test is the `src/`
+fixed pairs of grid nodes, a kernel trajectory, a rollout with its inner
+products and dynamics defects, the kernel and feedback solves with their
+adjoints, the `verify` report whole and check by check (so a roundoff move
+in one check shows as one line), the `solve`, `riccati` and `kernel`
+command outputs (CSV bytes and JSON) on the bundled problems, and
+multipoint CSVs on three seeded random problems of the benchmark's
+rendezvous shapes.  The code under test is the `src/`
 beside this script, so running it in two checkouts (a `git worktree` or a
 `git archive` of another commit) and diffing the outputs shows whether a
 change keeps every byte.
@@ -97,8 +97,8 @@ def _operator_lines(name, problem, steps):
     eye = np.eye(p.state_dim)
     yield f"sections/{name}", lambda: _digest(
         *(a for t in times for a in _dense(kernel_trajectory(op, [(t, eye)]).x)))
-    # s also between two nodes near t0
-    pairs = [(s, t) for s in (*times, 0.5 * float(op.grid[1] + op.grid[2])) for t in times]
+    # s also at a node near t0
+    pairs = [(s, t) for s in (*times, float(op.grid[2])) for t in times]
     yield f"entry/{name}", lambda: _digest(*(op.entry(s, t) for s, t in pairs))
     rng = np.random.default_rng(0)
     covecs = [(times[2], rng.normal(size=p.state_dim))]

@@ -18,15 +18,15 @@ matched to its use:
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
-  once per operator.  A column time t is a node of the operator's grid
-  (`extra_nodes` puts it there); read times s are arbitrary.  One builder
-  carries the value at t: the N-vector K(t, t) p (or an N x b family of
-  them) for a term of `kernel_trajectory`, the identity for the closed
-  loop.  A whole section K(., t) is the identity family of
-  `kernel_trajectory`.  Read at a few times only (`entry`, `entries`, and
-  the Gram matrix through them), the builder carries K(t, t) to the nodes
-  those times fall on and no further, with one product per node.  No
-  section is cached.
+  once per operator.  Column times t and the read times s of `entry` and
+  `entries` are nodes of the operator's grid (`extra_nodes` puts them
+  there); a section read anywhere is the identity family of
+  `kernel_trajectory`, evaluated there.  One builder carries the value at
+  t: the N-vector K(t, t) p (or an N x b family of them) for a term of
+  `kernel_trajectory`, the identity for the closed loop.  Read at a few
+  nodes only (`entry`, `entries`, and the Gram matrix through them), the
+  builder carries K(t, t) to those nodes and no further, with one product
+  per node.  No section is cached.
 
 The inner product, the reproducing residual and `problems.rollout` take
 families of trajectories with a trailing column axis, so `verify` runs its
@@ -46,8 +46,8 @@ import numpy as np
 from .errors import BvpDegenerateError, HorizonMismatchError
 from .linalg import _symmetrized, spd_inverse
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _hermite_combine,
-                  _hermite_locate, _time_tol, build_grid, schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
+                  schedule_stage_table)
 from .riccati import _dual_riccati_on, _Flows, _hamiltonian_table, _solve_flows
 
 DEFAULT_QUAD_INTERVALS = 2000
@@ -60,15 +60,15 @@ class KernelOperator:
     entries, Grams.
 
     Construction fixes the integration grid (`steps` uniform intervals plus
-    schedule breakpoints and any `extra_nodes`).  Every column time must be
-    a node of it, so a caller that reads K(., t) at chosen times passes them
-    in `extra_nodes`; an off-grid column time raises ValueError.  Computed
-    lazily and cached: the J and P flows on the grid (once, by
-    `_solve_flows`), M on the same grid when first read (never on the
-    feedback route), and the closed loop that both solves read.  Every
-    kernel value is read through `_carried`: two carries of K(t, t), or of
-    K(t, t) p, over the X blocks of the flows.  The operator is logically
-    immutable and evaluations are pure.
+    schedule breakpoints and any `extra_nodes`).  Every column time, and
+    every read time of `entry` and `entries`, must be a node of it, so a
+    caller that reads K at chosen times passes them in `extra_nodes`; an
+    off-grid time raises ValueError.  Computed lazily and cached: the J and
+    P flows on the grid (once, by `_solve_flows`), M on the same grid when
+    first read (never on the feedback route), and the closed loop that both
+    solves read.  Every kernel value is read through `_carried`: two
+    carries of K(t, t), or of K(t, t) p, over the X blocks of the flows.
+    The operator is logically immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -143,18 +143,17 @@ class KernelOperator:
         return _dual_riccati_on(sub, grid)[0].eval(t)
 
     def entry(self, s: float, t: float) -> np.ndarray:
-        """K(s, t) for any s in the horizon and a grid node t, carried from t
-        to the interval s falls on only."""
-        return self._carried(float(t), _kernel_diagonal, at=np.array([s], dtype=float))[0]
+        """K(s, t) for grid nodes s and t, carried from t to s only."""
+        return self._carried(float(t), _kernel_diagonal, rows=self._nodes(s))[0]
 
     def entries(self, times) -> np.ndarray:
         """K(t_i, t_j) for every pair of `times`, all grid nodes, as a
-        (k, k, N, N) array, bit for bit `entry(t_i, t_j)`.  Column j carries
-        K(t_j, t_j) only to the nodes, and takes the closed-loop products
-        only on the intervals, that the times read; no section is built."""
-        times = np.asarray(times, dtype=float)
-        return np.stack([self._carried(float(t), _kernel_diagonal, at=times)
-                         for t in times], axis=1)
+        (k, k, N, N) array, bit for bit `entry(t_i, t_j)`.  The times are
+        mapped to nodes once, and column j carries K(t_j, t_j) only to the
+        nodes the times name; no section is built."""
+        rows, back = np.unique(self._nodes(times), return_inverse=True)
+        return np.stack([self._carried(float(t), _kernel_diagonal, rows=rows)[back]
+                         for t in np.atleast_1d(times)], axis=1)
 
     def gram(self, times) -> tuple[np.ndarray, float]:
         """Block Gram matrix at `times`, symmetrized; returns (matrix, defect).
@@ -173,7 +172,7 @@ class KernelOperator:
         between.  As B u = -S lambda = x' - A x and u is in the range of W, u
         is the minimal-R-norm control of x."""
         f = self._flows
-        j = self._node(float(t))
+        j = self._nodes(t)[0]
         J, P, (W_lo, W_hi) = f.J, f.P, f.W
 
         def u(W, M, v, sign):  # sign W (M v), interval by interval and column by column
@@ -188,33 +187,38 @@ class KernelOperator:
 
     # -- sections -----------------------------------------------------------
 
-    def _node(self, t: float) -> int:
-        """The index of column time t on the grid.  A column time must be a
-        node: raises HorizonMismatchError outside the horizon and ValueError
-        at any other time that is not a node (construct the operator with t
-        in `extra_nodes`)."""
+    def _nodes(self, times) -> np.ndarray:
+        """The grid indices of `times` (a time or an array of them), by one
+        nearest-node lookup.  Every time must be a node: raises
+        HorizonMismatchError outside the horizon and ValueError at any other
+        time that is not a node (construct the operator with it in
+        `extra_nodes`)."""
         p, grid = self.problem, self.grid
+        ts = np.atleast_1d(np.asarray(times, dtype=float))
         tol = _time_tol(p.t0, p.T)
-        if not (p.t0 - tol <= t <= p.T + tol):
-            raise HorizonMismatchError(f"column time {t} outside [{p.t0}, {p.T}]")
-        j = int(np.argmin(np.abs(grid - t)))
-        if abs(grid[j] - t) > tol:
-            raise ValueError(f"column time {t} is not a grid node; pass it in extra_nodes")
+        out = (ts < p.t0 - tol) | (ts > p.T + tol)
+        if out.any():
+            raise HorizonMismatchError(f"column time {float(ts[out][0])} outside [{p.t0}, {p.T}]")
+        j = np.clip(np.searchsorted(grid, ts), 1, grid.size - 1)
+        j -= ts - grid[j - 1] <= grid[j] - ts
+        off = np.abs(grid[j] - ts) > tol
+        if off.any():
+            raise ValueError(f"column time {float(ts[off][0])} is not a grid node; "
+                             "pass it in extra_nodes")
         return j
 
-    def _carried(self, t: float, value, at=None):
+    def _carried(self, t: float, value, rows=None):
         """V = value(J(t), P(t)) carried from the grid node t along G to the
         left and along F to the right, as a DenseSolution on the grid; or,
-        given times `at`, its values there, from the nodes and interval
-        carriers those times read alone.  For value = K(t, t) these are bit
-        for bit the identity family `kernel_trajectory(op, [(t, I)]).x` read
-        by `eval_many(at)`."""
+        given increasing node indices `rows`, its values at those nodes
+        alone.  For value = K(t, t) these are bit for bit the node values of
+        the identity family `kernel_trajectory(op, [(t, I)]).x`."""
         f = self._flows
-        j = self._node(t)
+        j = self._nodes(t)[0]
         V = value(f.J[j], f.P[j])
         size = self.grid.size
 
-        # the node (or interval) indices lo <= i < hi in a selection, or all of them (None)
+        # the node indices lo <= i < hi in a selection, or all of them (None)
         def part(sel, lo, hi):
             return slice(lo, hi) if sel is None else sel[(sel >= lo) & (sel < hi)]
 
@@ -223,24 +227,13 @@ class KernelOperator:
             return np.concatenate([f.carry(j, V, False, part(sel, 0, j)), *mid,
                                    f.carry(j, V, True, part(sel, j + 1, size))])
 
-        def carrier(sel, slot):  # G left of t, F right of it, at the lo (0) or hi (1) slots
-            return np.concatenate([f.G[slot][part(sel, 0, j)], f.F[slot][part(sel, j, size - 1)]])
-
-        if at is None:
-            ivals, K = None, nodes(None)
-            v_lo, v_hi = K[:-1], K[1:]
-        else:
-            k, weights = _hermite_locate(self.grid, at, 1, want_deriv=False)
-            ivals, k = np.unique(k, return_inverse=True)
-            sel = np.union1d(ivals, ivals + 1)
-            K, pos = nodes(sel), np.searchsorted(sel, ivals)
-            v_lo, v_hi = K[pos], K[pos + 1]
-        # each carrier lives only for its product: a lower peak per column
-        d_lo = carrier(ivals, 0) @ v_lo
-        d_hi = carrier(ivals, 1) @ v_hi
-        if at is None:
-            return DenseSolution(self.grid, v_lo, v_hi, d_lo, d_hi)
-        return _hermite_combine((v_lo, d_lo, v_hi, d_hi), (k, weights))
+        if rows is not None:
+            return nodes(rows)
+        K = nodes(None)
+        # G left of t, F right of it, each carrier alive only for its product
+        d_lo = np.concatenate([f.G[0][:j], f.F[0][j:]]) @ K[:-1]
+        d_hi = np.concatenate([f.G[1][:j], f.F[1][j:]]) @ K[1:]
+        return DenseSolution(self.grid, K[:-1], K[1:], d_lo, d_hi)
 
 
 def _kernel_diagonal(J: np.ndarray, P: np.ndarray) -> np.ndarray:

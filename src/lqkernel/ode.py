@@ -105,55 +105,6 @@ def build_grid(lo: float, hi: float, steps: int, snap: Sequence[float] = ()) -> 
     return out
 
 
-def _hermite_locate(times: np.ndarray, ts, sides, want_deriv: bool):
-    """Where `ts` fall on the grid `times`: (k, weights), the interval of
-    each time and the Hermite weights of v_start, d_start, v_end and d_end
-    there, for the value or the derivative.  A time within `_time_tol` of a
-    node is that node, and `sides` picks the interval: the one ending there
-    for side < 0, else the one starting there (clipped at the two ends).  At
-    a node the basis is exactly 0 or 1, so the stored one-sided data comes
-    out bit-exactly.  The location reads the grid only: solutions on equal
-    grids share it (`_hermite_combine`)."""
-    a, b = times[0], times[-1]
-    ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
-    sides = np.broadcast_to(np.asarray(sides), ts.shape)
-    n = times.size - 1
-    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
-    tol = _time_tol(a, b)
-    at_lo = ts - times[i] <= tol
-    at_hi = ~at_lo & (times[i + 1] - ts <= tol)
-    ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
-    k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
-    hh = times[k + 1] - times[k]
-    th = (ts - times[k]) / hh
-    if not want_deriv:
-        h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-        h10 = th * (1.0 - th) ** 2
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return k, (h00, h10 * hh, h01, h11 * hh)
-    g00 = 6.0 * th * (th - 1.0) / hh
-    g10 = (3.0 * th - 1.0) * (th - 1.0)
-    g01 = -6.0 * th * (th - 1.0) / hh
-    g11 = th * (3.0 * th - 2.0)
-    return k, (g00, g10, g01, g11)
-
-
-def _hermite_combine(data, location) -> np.ndarray:
-    """The weighted sum of per-interval data (v_start, d_start, v_end,
-    d_end) at a `_hermite_locate` result, the four terms gathered and added
-    in place in a fixed order."""
-    k, weights = location
-    ex = (slice(None),) + (None,) * (data[0].ndim - 1)  # over value dims
-    out = np.take(data[0], k, axis=0)
-    out *= weights[0][ex]
-    for w, stored in zip(weights[1:], data[1:]):
-        term = np.take(stored, k, axis=0)
-        term *= w[ex]
-        out += term
-    return out
-
-
 @dataclass(frozen=True)
 class DenseSolution:
     """A sampled function of time with cubic-Hermite interpolation.
@@ -224,12 +175,52 @@ class DenseSolution:
     # -- evaluation --------------------------------------------------------
 
     def _locate(self, ts, sides, want_deriv: bool):
-        """`_hermite_locate` on this solution's grid."""
-        return _hermite_locate(self.times, ts, sides, want_deriv)
+        """Where `ts` fall on the grid: (k, weights), the interval of each
+        time and the Hermite weights of v_start, d_start, v_end and d_end
+        there, for the value or the derivative.  A time within `_time_tol`
+        of a node is that node, and `sides` picks the interval: the one
+        ending there for side < 0, else the one starting there (clipped at
+        the two ends).  At a node the basis is exactly 0 or 1, so the stored
+        one-sided data comes out bit-exactly.  The location reads the grid
+        only: solutions on equal grids share it (`_combine`)."""
+        times = self.times
+        a, b = times[0], times[-1]
+        ts = _clip_to_span(np.atleast_1d(np.asarray(ts, dtype=float)), a, b, DomainError)
+        sides = np.broadcast_to(np.asarray(sides), ts.shape)
+        n = times.size - 1
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, n - 1)
+        tol = _time_tol(a, b)
+        at_lo = ts - times[i] <= tol
+        at_hi = ~at_lo & (times[i + 1] - ts <= tol)
+        ts = np.where(at_lo, times[i], np.where(at_hi, times[i + 1], ts))
+        k = np.clip(i - (at_lo & (sides < 0)) + (at_hi & (sides >= 0)), 0, n - 1)
+        hh = times[k + 1] - times[k]
+        th = (ts - times[k]) / hh
+        if not want_deriv:
+            h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
+            h10 = th * (1.0 - th) ** 2
+            h01 = th * th * (3.0 - 2.0 * th)
+            h11 = th * th * (th - 1.0)
+            return k, (h00, h10 * hh, h01, h11 * hh)
+        g00 = 6.0 * th * (th - 1.0) / hh
+        g10 = (3.0 * th - 1.0) * (th - 1.0)
+        g01 = -6.0 * th * (th - 1.0) / hh
+        g11 = th * (3.0 * th - 2.0)
+        return k, (g00, g10, g01, g11)
 
     def _combine(self, location) -> np.ndarray:
-        """`_hermite_combine` of the stored data."""
-        return _hermite_combine((self.v_start, self.d_start, self.v_end, self.d_end), location)
+        """The weighted sum of the stored data (v_start, d_start, v_end,
+        d_end) at a `_locate` result, the four terms gathered and added in
+        place in a fixed order."""
+        k, weights = location
+        ex = (slice(None),) + (None,) * (self.v_start.ndim - 1)  # over value dims
+        out = np.take(self.v_start, k, axis=0)
+        out *= weights[0][ex]
+        for w, stored in zip(weights[1:], (self.d_start, self.v_end, self.d_end)):
+            term = np.take(stored, k, axis=0)
+            term *= w[ex]
+            out += term
+        return out
 
     def eval_many(self, ts, sides=1) -> np.ndarray:
         """Vectorized evaluation; `sides` scalar or per-time (+1 right, -1 left)."""
@@ -255,11 +246,12 @@ class DenseSolution:
 
 # -- linear systems with precomputed stage tables ---------------------------
 
-def schedule_stage_table(schedule, grid: np.ndarray):
+def schedule_stage_table(schedule, grid: np.ndarray, f=None):
     """Evaluate a MatrixSchedule at all RK4 stage points.
 
     Returns read-only (lo, mid, hi) arrays with one entry per interval of
-    `grid`.  These are the stage slots of every RK4 loop: slot 0 (lo) is the
+    `grid`, with `f` (such as a matrix inverse) applied to each evaluation.
+    These are the stage slots of every RK4 loop: slot 0 (lo) is the
     interval's left end, taking the right limit there; slot 1 (mid) its
     midpoint; slot 2 (hi) its right end, taking the left limit.  A
     constant, poly or samples schedule has no sides, so it is evaluated
@@ -268,51 +260,19 @@ def schedule_stage_table(schedule, grid: np.ndarray):
     its breakpoints are nodes up to `_time_tol`, so that piece holds on the
     whole interval, even past a merged node.
     """
-    return tuple(_StageTable(schedule, grid))
+    def ready(values):
+        return _read_only(values if f is None else f(values))
 
-
-def _stage_slot(schedule, grid: np.ndarray, slot: int) -> np.ndarray:
-    """Slot `slot` (0 lo, 1 mid, 2 hi) of `schedule_stage_table` alone."""
-    if slot == 1 or schedule.kind == "pwc":
-        return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
-    return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)
+    mid = ready(schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1))
+    if schedule.kind == "pwc":
+        return mid, mid, mid
+    nodes = ready(schedule.eval_many(grid))
+    return nodes[:-1], mid, nodes[1:]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-class _StageTable:
-    """The slots of `schedule_stage_table`, each computed when read,
-    read-only, with `f` (such as a matrix inverse) applied to each
-    evaluation.  The slots that share an evaluation (lo and hi, views of
-    the node array; all three of a pwc schedule, its midpoint array) keep
-    it from the first such read to the read of the hi slot, which drops it:
-    a reader that goes slot by slot (`riccati._hamiltonian_table`) holds one
-    evaluation of the schedule at a time besides the mid slot."""
-
-    def __init__(self, schedule, grid: np.ndarray, f=None):
-        self._schedule, self._grid, self._f = schedule, grid, f
-        self._pwc = schedule.kind == "pwc"
-        self._held = None
-
-    def __len__(self) -> int:
-        return 3
-
-    def _ready(self, values: np.ndarray) -> np.ndarray:
-        return _read_only(values if self._f is None else self._f(values))
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        slot = range(3)[i]
-        if slot == 1 and not self._pwc:
-            return self._ready(_stage_slot(self._schedule, self._grid, slot))
-        held = self._held
-        if held is None:
-            held = self._ready(_stage_slot(self._schedule, self._grid, 1) if self._pwc
-                               else self._schedule.eval_many(self._grid))
-        self._held = None if slot == 2 else held
-        return held if self._pwc else held[:-1] if slot == 0 else held[1:]
 
 
 _AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries

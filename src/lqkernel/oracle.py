@@ -3,14 +3,16 @@
 This module deliberately shares no code with the ODE/Riccati machinery: on
 cells [t_k, t_k + h_k] the dynamics are discretized as
 x_{k+1} = (I + h_k A(t_k)) x_k + h_k B(t_k) u_k with stage costs h_k Q(t_k),
-h_k R(t_k).  The backward discrete Riccati recursion is associative in the
-element form (A, C, J)_k = (I + h_k A, h_k B R^-1 B', h_k Q)(t_k), closed by
-the terminal element (0, 0, J_T) (Sarkka & Garcia-Fernandez, "Temporal
-parallelization of dynamic programming and linear quadratic control", IEEE
-TAC 2023).  The elements are reduced in pairs, one batched solve per level,
-and the J of the whole product is P_0.  Its value converges to the
-continuous one at O(h), which acceptance tests sharpen by Richardson
-extrapolation.
+h_k R(t_k).  The cells split each piece between the problem's breakpoints
+evenly, so no coefficient jumps inside a cell.  The backward discrete
+Riccati recursion is associative in the element form
+(A, C, J)_k = (I + h_k A, h_k B R^-1 B', h_k Q)(t_k), closed by the terminal
+element (0, 0, J_T) (Sarkka & Garcia-Fernandez, "Temporal parallelization
+of dynamic programming and linear quadratic control", IEEE TAC 2023).  The
+elements are reduced in pairs, one batched solve per level, and the J of
+the whole product is P_0.  Its value converges to the continuous one at
+O(h), which acceptance tests sharpen by Richardson extrapolation on a mesh
+that bisects every cell, so that the O(h) term cancels.
 """
 
 import numpy as np
@@ -47,15 +49,20 @@ def _reduce(A, C, J):
     return J[0]
 
 
-def discrete_value(problem: LQProblem, x0, steps: int) -> float:
-    """x0' P_0 x0, with P_0 of the discrete Riccati recursion on `steps`
-    uniform cells of the forward-Euler discretization."""
-    x0 = np.asarray(x0, dtype=float)
+def _discrete_value(problem: LQProblem, x0, steps: int, split: int) -> float:
+    """x0' P_0 x0, with P_0 of the discrete Riccati recursion on forward-Euler
+    cells: the horizon cut at the problem's breakpoints, and each piece into
+    split * max(1, round(steps * length / horizon)) equal cells."""
     if steps < MIN_ORACLE_STEPS:
         raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
+    x0 = np.asarray(x0, dtype=float)
     n = problem.state_dim
-    h = (problem.T - problem.t0) / steps
-    left, width = problem.t0 + h * np.arange(steps), np.full((steps, 1, 1), h)
+    ends = np.concatenate([[problem.t0], problem.breakpoints(), [problem.T]])
+    counts = split * np.maximum(1, np.round(
+        steps * np.diff(ends) / (problem.T - problem.t0)).astype(int))
+    widths = np.diff(ends) / counts
+    left = np.concatenate([a + w * np.arange(c) for a, w, c in zip(ends[:-1], widths, counts)])
+    width = np.repeat(widths, counts)[:, None, None]
     B = problem.B.eval_many(left)
     try:
         RinvBt = np.linalg.solve(problem.R.eval_many(left), np.swapaxes(B, 1, 2))
@@ -74,10 +81,17 @@ def discrete_value(problem: LQProblem, x0, steps: int) -> float:
     return float(x0 @ P0 @ x0)
 
 
+def discrete_value(problem: LQProblem, x0, steps: int) -> float:
+    """x0' P_0 x0 on about `steps` forward-Euler cells, aligned with the
+    problem's breakpoints (uniform without them)."""
+    return _discrete_value(problem, x0, steps, 1)
+
+
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:
-    """Oracle value at h and h/2 plus the Richardson-extrapolated limit."""
-    v_h = discrete_value(problem, x0, steps)
-    v_h2 = discrete_value(problem, x0, 2 * steps)
+    """Oracle value at h and h/2 plus the Richardson-extrapolated limit; the
+    h/2 mesh bisects every cell of the h mesh."""
+    v_h = _discrete_value(problem, x0, steps, 1)
+    v_h2 = _discrete_value(problem, x0, steps, 2)
     return {
         "value_h": v_h,
         "value_h2": v_h2,

@@ -19,10 +19,11 @@ from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 [[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
 grid and returns them as one `_Flows` value, with the closed loops A - S J
 and A + S P and W = R^{-1} B' at the interval ends.  One builder,
-`_hamiltonian_table`, fills H one stage slot at a time from the schedules
-(each evaluated, and R inverted, once per node), and H is the only table of
-A, S and Q behind J, P, M and the shooting reference of kernel.py: J's node
-derivatives and the closed loops read A, -S and -Q as views of H.
+`_hamiltonian_table`, fills H one schedule at a time from their stage
+tables (each evaluated, and R inverted, once per node), and H is the only
+table of A, S and Q behind J, P, M and the shooting reference of
+kernel.py: J's node derivatives and the closed loops read A, -S and -Q as
+views of H.
 The kernel reads its sections off the X blocks of both flows, and every
 control off the costate J x or -P x through W.  M is the same ratio on H
 with its blocks swapped, [[-A', -Q], [-S, A]], whose Y X^{-1} solves the
@@ -52,8 +53,7 @@ from .errors import PositivityLostError
 from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
 from .ode import (_AFFINE_BLOCK, DenseSolution, _affine_sweep, _blowup, _pade_maps,
-                  _read_only, _rk4_maps, _StageTable, rk4_affine,
-                  schedule_stage_table)
+                  _read_only, _rk4_maps, rk4_affine, schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
 # a block the columns of [X; Y] drift toward its fastest-growing modes, and X
@@ -69,27 +69,29 @@ _REANCHOR_LOG_GROWTH = 4.0
 def _hamiltonian_table(problem: LQProblem, grid: np.ndarray):
     """(H_tab, W): the stage tables of H = [[A, -S], [-Q, -A']] over `grid`,
     S = B R^{-1} B', and the control map W = R^{-1} B' (u = -W lambda) at
-    the (lo, hi) slots, read-only.  A, B, R^{-1} and Q are read through
-    `ode._StageTable` one slot at a time: every schedule is evaluated once
-    per node (a pwc one once per midpoint), R inverted once per evaluation,
-    and H filled block by block, so only one evaluation of each is alive
-    beside H."""
+    the (lo, hi) slots, read-only.  The three slots of H are filled one
+    schedule at a time from `schedule_stage_table` (every schedule evaluated
+    once per node, a pwc one once per midpoint, and R inverted once per
+    evaluation): A and -A', then -Q, then -S and W from B and R^{-1}, so
+    beside H only the tables of one of these steps are alive."""
     n = problem.state_dim
-    A_tab, B_tab, Q_tab = (_StageTable(s, grid) for s in (problem.A, problem.B, problem.Q))
-    R_inv_tab = _StageTable(problem.R, grid, np.linalg.inv)
-    H_tab, W = [], []
-    for slot in range(3):
-        A, B, R_inv = A_tab[slot], B_tab[slot], R_inv_tab[slot]
-        BT = np.swapaxes(B, 1, 2)
-        H = np.empty((A.shape[0], 2 * n, 2 * n))
+    H_tab = tuple(np.empty((grid.size - 1, 2 * n, 2 * n)) for _ in range(3))
+    for H, A in zip(H_tab, schedule_stage_table(problem.A, grid)):
         H[:, :n, :n] = A
-        np.negative(B @ R_inv @ BT, out=H[:, :n, n:])
-        np.negative(Q_tab[slot], out=H[:, n:, :n])
         np.negative(np.swapaxes(A, 1, 2), out=H[:, n:, n:])
+    for H, Q in zip(H_tab, schedule_stage_table(problem.Q, grid)):
+        np.negative(Q, out=H[:, n:, :n])
+    del A, Q  # their node arrays, held by the hi views
+    B_tab = schedule_stage_table(problem.B, grid)
+    R_inv_tab = schedule_stage_table(problem.R, grid, np.linalg.inv)
+    W = []
+    for slot, H in enumerate(H_tab):
+        B, R_inv = B_tab[slot], R_inv_tab[slot]
+        BT = np.swapaxes(B, 1, 2)
+        np.negative(B @ R_inv @ BT, out=H[:, :n, n:])
         if slot != 1:
             W.append(_read_only(R_inv @ BT))
-        H_tab.append(H)
-    return tuple(H_tab), tuple(W)
+    return H_tab, tuple(W)
 
 
 def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """Classical RK4 one stage call at a time: the reference that the batched
 affine sweep and the Hamiltonian J are checked against, and, run on the dual
-equation at finer steps, the truth for the Magnus-Pade dual flow M."""
+equation at finer steps, the truth for the Magnus-Pade dual flow M.  Also
+one stage slot at a time: the reference for the stage tables."""
 
 import numpy as np
 
@@ -39,3 +40,12 @@ def rk4_increment(h, H1, Hm, H3):
     K3 = Hm + (0.5 * h) * (Hm @ K2)
     K4 = H3 + h * (H3 @ K3)
     return (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def stage_slot(schedule, grid, slot: int) -> np.ndarray:
+    """Slot `slot` (0 lo, 1 mid, 2 hi) of `schedule_stage_table` alone: the
+    left ends from the right, the midpoints, or the right ends from the
+    left; a pwc schedule at the midpoints for all three."""
+    if slot == 1 or schedule.kind == "pwc":
+        return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
+    return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)

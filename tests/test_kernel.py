@@ -208,8 +208,8 @@ def test_gram_and_kernel_trajectory_match_the_cached_sections(n):
 
 
 def test_column_times_must_be_grid_nodes(dint):
-    # every reader of a column time rejects one off the grid and names the
-    # way to put it there; read times stay arbitrary
+    # every reader of a column or read time rejects one off the grid and
+    # names the way to put it there
     op = KernelOperator(dint, 300)
     off = 0.5 * float(op.grid[7] + op.grid[8])
     x = kernel_trajectory(op, [(float(op.grid[7]), np.ones(2))]).x
@@ -219,7 +219,8 @@ def test_column_times_must_be_grid_nodes(dint):
             read()
     with pytest.raises(HorizonMismatchError):
         op.entry(0.3, dint.T + 1.0)
-    assert np.all(np.isfinite(op.entry(off, 0.3)))
+    with pytest.raises(ValueError, match="extra_nodes"):
+        op.entry(off, 0.3)
     assert np.all(np.isfinite(KernelOperator(dint, 300, extra_nodes=[off]).entry(0.3, off)))
 
 

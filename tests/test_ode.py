@@ -10,12 +10,12 @@ from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowu
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, kernel_trajectory, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
-from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, _stage_slot,
-                          build_grid, rk4_affine, schedule_stage_table)
+from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, build_grid,
+                          rk4_affine, schedule_stage_table)
 from lqkernel.problems import rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 from dense_nodes import dense_from_nodes
-from rk4_reference import rk4_increment, stagewise_rk4
+from rk4_reference import rk4_increment, stage_slot, stagewise_rk4
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -470,13 +470,12 @@ def test_integrate_values_immutable():
 
 # -- stage tables: one evaluation per node ------------------------------------
 
-def _schedules_of_every_kind(rng):
+def _schedules_of_every_kind(rng, shape=(2, 3)):
     """A grid on [0, 2] with a node at 0.5, and one schedule of every kind on
     it, with a pwc schedule whose first breakpoint lies within the time
     tolerance after that node (merged into it)."""
     tol = _time_tol(0.0, 2.0)
     grid = build_grid(0.0, 2.0, 40, snap=[0.5, 0.5 + 0.5 * tol])
-    shape = (2, 3)
     return grid, {
         "constant": MatrixSchedule.constant(rng.normal(size=shape)),
         "poly": MatrixSchedule.polynomial(rng.normal(size=(3,) + shape), origin=0.3),
@@ -488,13 +487,19 @@ def _schedules_of_every_kind(rng):
 
 
 def test_stage_table_matches_the_per_slot_evaluation_bit_for_bit():
-    grid, schedules = _schedules_of_every_kind(np.random.default_rng(31))
-    for kind, schedule in schedules.items():
-        table = schedule_stage_table(schedule, grid)
-        for slot in range(3):
-            want = _stage_slot(schedule, grid, slot)
-            assert table[slot].shape == want.shape, (kind, slot)
-            assert table[slot].tobytes() == want.tobytes(), (kind, slot)
+    # as read, and with a function (R inverted) applied to every evaluation
+    rng = np.random.default_rng(31)
+    for f, shape in ((None, (2, 3)), (np.linalg.inv, (3, 3))):
+        grid, schedules = _schedules_of_every_kind(rng, shape)
+        for kind, schedule in schedules.items():
+            table = schedule_stage_table(schedule, grid, f)
+            for slot in range(3):
+                want = stage_slot(schedule, grid, slot)
+                want = want if f is None else f(want)
+                assert table[slot].shape == want.shape, (kind, slot)
+                assert table[slot].tobytes() == want.tobytes(), (kind, slot)
+                with pytest.raises(ValueError):
+                    table[slot][0] = 0.0
     # lo and hi of a node-evaluated schedule share one node array
     lo, _, hi = schedule_stage_table(schedules["poly"], grid)
     assert np.shares_memory(lo, hi)

@@ -11,12 +11,12 @@ from lqkernel.errors import HorizonMismatchError, IntegrationBlowupError, Positi
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
-from lqkernel.ode import _rk4_maps, _stage_slot, build_grid, schedule_stage_table
+from lqkernel.ode import _rk4_maps, build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
 from lqkernel.riccati import _dual_riccati_on, solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
 from dense_nodes import dense_from_nodes
-from rk4_reference import rk4_increment, stagewise_rk4
+from rk4_reference import rk4_increment, stage_slot, stagewise_rk4
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "scripts" / "problems").glob("*.json"))
@@ -397,11 +397,11 @@ def test_coefficient_tables_match_the_per_slot_evaluation_bit_for_bit():
         grid = build_grid(p.t0, p.T, 60, p.breakpoints())
         H_tab, W = riccati._hamiltonian_table(p, grid)
         for slot, H in enumerate(H_tab):
-            A = _stage_slot(p.A, grid, slot)
-            B = _stage_slot(p.B, grid, slot)
-            R_inv = np.linalg.inv(_stage_slot(p.R, grid, slot))
+            A = stage_slot(p.A, grid, slot)
+            B = stage_slot(p.B, grid, slot)
+            R_inv = np.linalg.inv(stage_slot(p.R, grid, slot))
             BT = np.swapaxes(B, 1, 2)
-            want = {"A": A, "-S": -(B @ R_inv @ BT), "-Q": -_stage_slot(p.Q, grid, slot),
+            want = {"A": A, "-S": -(B @ R_inv @ BT), "-Q": -stage_slot(p.Q, grid, slot),
                     "-A'": -np.swapaxes(A, 1, 2)}
             got = {"A": H[:, :n, :n], "-S": H[:, :n, n:], "-Q": H[:, n:, :n],
                    "-A'": H[:, n:, n:]}
