@@ -3,7 +3,8 @@
 Prints one `<digest>  <label>` line per item: the J and P flows (node values
 and derivatives, X blocks, closed loops F and G, control map W), M, kernel
 sections (identity families of `kernel_trajectory`), kernel entries at
-fixed pairs of grid nodes, a kernel trajectory, a rollout with its inner
+fixed pairs of grid nodes, a one-term and a three-term kernel trajectory
+(terms at t0, an interior node and T), a rollout with its inner
 products and dynamics defects, the kernel and feedback solves with their
 adjoints, the `verify` report whole and check by check (so a roundoff move
 in one check shows as one line), the `solve`, `riccati` and `kernel`
@@ -102,12 +103,15 @@ def _operator_lines(name, problem, steps):
     yield f"entry/{name}", lambda: _digest(*(op.entry(s, t) for s, t in pairs))
     rng = np.random.default_rng(0)
     covecs = [(times[2], rng.normal(size=p.state_dim))]
+    # three terms: at t0, at an interior node and at T
+    multi = [(t, rng.normal(size=p.state_dim)) for t in (p.t0, times[1], p.T)]
 
-    def trajectory():
-        tr = kernel_trajectory(op, covecs)
+    def trajectory(terms):
+        tr = kernel_trajectory(op, terms)
         return _digest(*_dense(tr.x), *_dense(tr.u))
 
-    yield f"kernel_trajectory/{name}", trajectory
+    yield f"kernel_trajectory/{name}", lambda: trajectory(covecs)
+    yield f"kernel_trajectory_multi/{name}", lambda: trajectory(multi)
 
     def inner():
         tr = random_trajectory(p, np.random.default_rng(1), steps=steps // 2)

@@ -21,20 +21,23 @@ matched to its use:
   once per operator.  Column times t and the read times s of `entry` and
   `entries` are nodes of the operator's grid (`extra_nodes` puts them
   there); a section read anywhere is the identity family of
-  `kernel_trajectory`, evaluated there.  One builder carries the value at
-  t: the N-vector K(t, t) p (or an N x b family of them) for a term of
-  `kernel_trajectory`, the identity for the closed loop.  Read at a few
-  nodes only (`entry`, `entries`, and the Gram matrix through them), the
-  builder carries K(t, t) to those nodes and no further, with one product
-  per node.  No section is cached.
+  `kernel_trajectory`, evaluated there.  One builder,
+  `KernelOperator.trajectory`, makes every trajectory: a sum of terms
+  K(., t_i) K(t_i, t_i)^{-1} v_i, carried once forward along A - S J and
+  once backward along A + S P, whatever the number of terms; the kernel
+  and feedback solves are its one-term sums at t0.  Read at a few nodes
+  only (`entry`, `entries`, and the Gram matrix through them), K(t, t) is
+  carried to those nodes and no further, with one product per node
+  (`_carried`).  No section is cached.
 
 The inner product, the reproducing residual and `problems.rollout` take
 families of trajectories with a trailing column axis, so `verify` runs its
 random trajectories as one rollout and one quadrature per column time.
 
 K keeps both one-sided derivatives at the column time, where they differ
-by S(t).  The control of K(., t) p, read off the costate (J x right of t,
--P x left of it) by `KernelOperator.control`, jumps there too.
+by S(t).  The control of K(., t) p, read off the costate (J x for the part
+carried from the left, -P x for the part carried from the right) by
+`KernelOperator.trajectory`, jumps there too.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BvpDegenerateError, HorizonMismatchError
-from .linalg import _symmetrized, spd_inverse
+from .linalg import _symmetrized
 from .model import ControlledTrajectory, LQProblem
-from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _time_tol, build_grid,
-                  schedule_stage_table)
+from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _clip_to_span, _time_tol,
+                  build_grid, schedule_stage_table)
 from .riccati import _dual_riccati_on, _Flows, _hamiltonian_table, _solve_flows
 
 DEFAULT_QUAD_INTERVALS = 2000
@@ -56,28 +59,27 @@ _SHOOTING_RCOND = 1e-12
 
 
 class KernelOperator:
-    """The Riccati pair and kernel of one problem: J, M, diagonal, columns,
-    entries, Grams.
+    """The Riccati pair and kernel of one problem: J, M, diagonal,
+    trajectories, entries, Grams.
 
     Construction fixes the integration grid (`steps` uniform intervals plus
     schedule breakpoints and any `extra_nodes`).  Every column time, and
     every read time of `entry` and `entries`, must be a node of it, so a
     caller that reads K at chosen times passes them in `extra_nodes`; an
     off-grid time raises ValueError.  Computed lazily and cached: the J and
-    P flows on the grid (once, by `_solve_flows`), M on the same grid when
-    first read (never on the feedback route), and the closed loop that both
-    solves read.  Every kernel value is read through `_carried`: two
-    carries of K(t, t), or of K(t, t) p, over the X blocks of the flows.
-    The operator is logically immutable and evaluations are pure.
+    P flows on the grid (once, by `_solve_flows`) and M on the same grid
+    when first read (never on the feedback route).  Every trajectory is
+    built by `trajectory`, and every kernel entry read by `_carried`; both
+    carry values over the X blocks of the flows.  The operator is
+    logically immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
                  extra_nodes=()):
         self.problem = problem
-        self.steps = int(steps)
         snap = np.concatenate([problem.breakpoints(),
                                np.asarray(extra_nodes, dtype=float)])
-        self.grid = build_grid(problem.t0, problem.T, self.steps, snap)
+        self.grid = build_grid(problem.t0, problem.T, int(steps), snap)
 
     # -- the Riccati pair and its flows -------------------------------------
 
@@ -112,39 +114,20 @@ class KernelOperator:
         eye = np.eye(self.problem.state_dim)
         return np.linalg.norm(self.J.values @ self.M.values - eye, axis=(1, 2))
 
-    @cached_property
-    def closed_loop(self) -> DenseSolution:
-        """Propagator of x' = (A + B G) x = (A - S J) x anchored at t0,
-        built once per operator."""
-        eye = np.eye(self.problem.state_dim)
-        return self._carried(self.problem.t0, lambda J, P: eye)
-
     # -- kernel values ------------------------------------------------------
 
-    def diagonal(self, t_query: float) -> np.ndarray:
-        """K(t, t) of the space restarted at t: the dual Riccati value M(t).
-
-        Exactly J_T^{-1} at T.  Before the problem's start, where the
-        schedules extend that far, the dual Riccati equation is solved again
-        on [t, T]; after T, or before a schedule's domain, the query is
-        rejected.
-        """
+    def diagonal(self, t: float) -> np.ndarray:
+        """K(t, t) of the space restarted at t in [t0, T]: the dual Riccati
+        value M(t), exactly J_T^{-1} at T.  A time outside the horizon raises
+        HorizonMismatchError; for an earlier start, build the operator on
+        `problem.restricted(t)`."""
         p = self.problem
-        t = float(t_query)
-        tol = _time_tol(p.t0, p.T)
-        if t > p.T + tol:
-            raise HorizonMismatchError(f"query time {t} exceeds T={p.T}")
-        if abs(t - p.T) <= tol:
-            return spd_inverse(p.J_T)
-        if t >= p.t0 - tol:
-            return self.M.eval(t)
-        sub = p.restricted(t)
-        grid = build_grid(t, p.T, self.steps, sub.breakpoints())
-        return _dual_riccati_on(sub, grid)[0].eval(t)
+        return self.M.eval_many(_clip_to_span(np.atleast_1d(float(t)), p.t0, p.T,
+                                              HorizonMismatchError))[0]
 
     def entry(self, s: float, t: float) -> np.ndarray:
         """K(s, t) for grid nodes s and t, carried from t to s only."""
-        return self._carried(float(t), _kernel_diagonal, rows=self._nodes(s))[0]
+        return self._carried(float(t), self._nodes(s))[0]
 
     def entries(self, times) -> np.ndarray:
         """K(t_i, t_j) for every pair of `times`, all grid nodes, as a
@@ -152,7 +135,7 @@ class KernelOperator:
         mapped to nodes once, and column j carries K(t_j, t_j) only to the
         nodes the times name; no section is built."""
         rows, back = np.unique(self._nodes(times), return_inverse=True)
-        return np.stack([self._carried(float(t), _kernel_diagonal, rows=rows)[back]
+        return np.stack([self._carried(float(t), rows)[back]
                          for t in np.atleast_1d(times)], axis=1)
 
     def gram(self, times) -> tuple[np.ndarray, float]:
@@ -164,26 +147,58 @@ class KernelOperator:
         k, n = np.size(times), self.problem.state_dim
         return _symmetrized(self.entries(times).transpose(0, 2, 1, 3).reshape(k * n, k * n))
 
-    def control(self, t: float, x: DenseSolution) -> DenseSolution:
-        """Control of a vector trajectory x on the grid, or of a family of
-        them (a trailing column axis), such as K(., t) p for a grid node t:
-        at both ends of every interval u = -W lambda, W = R^{-1} B', with
-        the costate lambda = J x right of t and -P x left of it; the chord in
-        between.  As B u = -S lambda = x' - A x and u is in the range of W, u
-        is the minimal-R-norm control of x."""
-        f = self._flows
-        j = self._nodes(t)[0]
-        J, P, (W_lo, W_hi) = f.J, f.P, f.W
+    def trajectory(self, terms) -> ControlledTrajectory:
+        """sum_i K(., t_i) K(t_i, t_i)^{-1} v_i over (t_i, v_i) pairs, every t_i
+        a grid node and every v_i an N-vector or an N x b family (a family
+        of b trajectories), as a controlled trajectory on the grid.
 
-        def u(W, M, v, sign):  # sign W (M v), interval by interval and column by column
-            return sign * np.einsum("kij,kj...->ki...", W, np.einsum("kij,kj...->ki...", M, v))
+        A term is v_i carried along F = A - S J right of t_i and along
+        G = A + S P left of it.  With V the values summed at their nodes,
+        `fwd` walks right along F counting each v_i from t_i on, `bwd` walks
+        left along G counting it from t_i back, one carry per segment
+        between term nodes, and x = fwd + bwd - V.  On an interval the part
+        carried from the left is fwd at its start and fwd - V at its end,
+        the part carried from the right bwd - V and bwd: x' is F times the
+        one plus G times the other, the costate lambda = J (left part) -
+        P (right part), and u = -W lambda, W = R^{-1} B', at both ends, the
+        chord in between.  As B u = -S lambda = x' - A x and u is in the
+        range of W, u is the minimal-R-norm control of x.  It jumps by
+        -W (J + P) v_i at t_i, where it is stored two-sidedly."""
+        f, size, n = self._flows, self.grid.size, self.problem.state_dim
+        values = [np.asarray(v, dtype=float) for _, v in terms]
+        at = self._nodes([t for t, _ in terms])
+        V = np.zeros((size, n, max(v.size // n for v in values)))
+        for j, v in zip(at, values):
+            V[j] += v.reshape(n, -1)
+        stops = np.unique(at)
+        fwd, bwd = np.zeros_like(V), np.zeros_like(V)
+        for k, k_next in zip(stops, [*stops[1:], size - 1]):
+            fwd[k] += V[k]
+            fwd[k + 1:k_next + 1] = f.carry(k, fwd[k], True, slice(k + 1, k_next + 1))
+        for k, k_prev in zip(stops[::-1], [*stops[-2::-1], 0]):
+            bwd[k] += V[k]
+            bwd[k_prev:k] = f.carry(k, bwd[k], False, slice(k_prev, k))
+        x = fwd + bwd - V
+        lo, hi = stops[0], stops[-1]
 
-        u_start = np.concatenate([u(W_lo[:j], P[:j], x.v_start[:j], 1.0),
-                                  u(W_lo[j:], J[j:-1], x.v_start[j:], -1.0)])
-        u_end = np.concatenate([u(W_hi[:j], P[1:j + 1], x.v_end[:j], 1.0),
-                                u(W_hi[j:], J[j + 1:], x.v_end[j:], -1.0)])
-        slope = (u_end - u_start) / np.diff(x.times).reshape((-1,) + (1,) * (u_end.ndim - 1))
-        return DenseSolution(x.times, u_start, u_end, slope, slope)
+        def ends(Mf, Mg, left, right, sign):
+            """Mf left + sign Mg right at one end of every interval, each
+            product taken only where its part is carried: left from the
+            first term node on, right up to the last."""
+            out = np.zeros_like(left)
+            out[lo:] = Mf[lo:] @ left[lo:]
+            out[:hi] += sign * (Mg[:hi] @ right[:hi])
+            return out
+
+        parts = ((fwd[:-1], bwd[:-1] - V[:-1]), (fwd[1:] - V[1:], bwd[1:]))
+        d = [ends(F, G, *part, 1.0) for F, G, part in zip(f.F, f.G, parts)]
+        u = [-(W @ ends(J, P, *part, -1.0)) for W, J, P, part
+             in zip(f.W, (f.J[:-1], f.J[1:]), (f.P[:-1], f.P[1:]), parts)]
+        slope = (u[1] - u[0]) / np.diff(self.grid)[:, None, None]
+        fields = (x[:-1], x[1:], *d), (*u, slope, slope)
+        if all(v.ndim == 1 for v in values):
+            fields = tuple(tuple(a[..., 0] for a in arrays) for arrays in fields)
+        return ControlledTrajectory(*(DenseSolution(self.grid, *arrays) for arrays in fields))
 
     # -- sections -----------------------------------------------------------
 
@@ -194,51 +209,27 @@ class KernelOperator:
         time that is not a node (construct the operator with it in
         `extra_nodes`)."""
         p, grid = self.problem, self.grid
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        tol = _time_tol(p.t0, p.T)
-        out = (ts < p.t0 - tol) | (ts > p.T + tol)
-        if out.any():
-            raise HorizonMismatchError(f"column time {float(ts[out][0])} outside [{p.t0}, {p.T}]")
+        ts = _clip_to_span(np.atleast_1d(np.asarray(times, dtype=float)), p.t0, p.T,
+                           HorizonMismatchError)
         j = np.clip(np.searchsorted(grid, ts), 1, grid.size - 1)
         j -= ts - grid[j - 1] <= grid[j] - ts
-        off = np.abs(grid[j] - ts) > tol
+        off = np.abs(grid[j] - ts) > _time_tol(p.t0, p.T)
         if off.any():
-            raise ValueError(f"column time {float(ts[off][0])} is not a grid node; "
+            raise ValueError(f"time {float(ts[off][0])} is not a grid node; "
                              "pass it in extra_nodes")
         return j
 
-    def _carried(self, t: float, value, rows=None):
-        """V = value(J(t), P(t)) carried from the grid node t along G to the
-        left and along F to the right, as a DenseSolution on the grid; or,
-        given increasing node indices `rows`, its values at those nodes
-        alone.  For value = K(t, t) these are bit for bit the node values of
-        the identity family `kernel_trajectory(op, [(t, I)]).x`."""
+    def _carried(self, t: float, rows: np.ndarray) -> np.ndarray:
+        """K(s, t) at the increasing node indices `rows`: K(t, t) =
+        (J(t) + P(t))^{-1} carried from the grid node t along G to the left
+        and along F to the right, to those nodes alone; bit for bit the node
+        values of the identity family `kernel_trajectory(op, [(t, I)]).x`."""
         f = self._flows
         j = self._nodes(t)[0]
-        V = value(f.J[j], f.P[j])
-        size = self.grid.size
-
-        # the node indices lo <= i < hi in a selection, or all of them (None)
-        def part(sel, lo, hi):
-            return slice(lo, hi) if sel is None else sel[(sel >= lo) & (sel < hi)]
-
-        def nodes(sel):
-            mid = [V[None]] if sel is None or j in sel else []
-            return np.concatenate([f.carry(j, V, False, part(sel, 0, j)), *mid,
-                                   f.carry(j, V, True, part(sel, j + 1, size))])
-
-        if rows is not None:
-            return nodes(rows)
-        K = nodes(None)
-        # G left of t, F right of it, each carrier alive only for its product
-        d_lo = np.concatenate([f.G[0][:j], f.F[0][j:]]) @ K[:-1]
-        d_hi = np.concatenate([f.G[1][:j], f.F[1][j:]]) @ K[1:]
-        return DenseSolution(self.grid, K[:-1], K[1:], d_lo, d_hi)
-
-
-def _kernel_diagonal(J: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """K(t, t) = (J(t) + P(t))^{-1}, from the two filters at t."""
-    return np.linalg.inv(J + P)
+        V = np.linalg.inv(f.J[j] + f.P[j])
+        mid = [V[None]] if j in rows else []
+        return np.concatenate([f.carry(j, V, False, rows[rows < j]), *mid,
+                               f.carry(j, V, True, rows[rows > j])])
 
 
 def shooting_diagonal(problem: LQProblem, t: float,
@@ -349,27 +340,15 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
 
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
     """sum_i K(., t_i) p_i over (t_i, p_i) pairs, every t_i a node of the
-    operator's grid, as a controlled trajectory on that grid.
-    Each term is carried by `KernelOperator._carried` as the N-vector
-    K(t_i, t_i) p_i (no N x N section is built) and takes its own control
-    off the costate (`KernelOperator.control`), which jumps at s = t_i,
-    where it is stored two-sidedly.  A family of b covectors (N x b) is
-    carried once, as N x b, and gives a family of b trajectories; the
-    identity family (p = I) is the whole section K(., t)."""
-    fields = ("v_start", "v_end", "d_start", "d_end")
-
-    def carried(t, p):  # K(., t) p with one column, or with b
-        p2d = p if p.ndim == 2 else p[:, None]
-        x = operator._carried(t, lambda J, P: np.linalg.solve(J + P, p2d))
-        if p.ndim == 2:
-            return x
-        return DenseSolution(x.times, *(getattr(x, f)[..., 0] for f in fields))
-
-    xs = [carried(float(t), np.asarray(p, dtype=float)) for t, p in covectors]
-    us = [operator.control(t, x) for (t, _), x in zip(covectors, xs)]
-    x, u = (DenseSolution(xs[0].times, *(sum(getattr(s, f) for s in parts) for f in fields))
-            for parts in (xs, us))
-    return ControlledTrajectory(x, u)
+    operator's grid, as a controlled trajectory on that grid: the
+    `KernelOperator.trajectory` of the values K(t_i, t_i) p_i =
+    (J(t_i) + P(t_i))^{-1} p_i.  A family of b covectors (N x b) gives a
+    family of b trajectories; the identity family (p = I) is the whole
+    section K(., t)."""
+    f = operator._flows
+    at = operator._nodes([t for t, _ in covectors])
+    return operator.trajectory([(t, np.linalg.solve(f.J[j] + f.P[j], np.asarray(p, dtype=float)))
+                                for (t, p), j in zip(covectors, at)])
 
 
 def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,

@@ -233,16 +233,6 @@ class DenseSolution:
     def deriv_many(self, ts, sides=1) -> np.ndarray:
         return self._combine(self._locate(ts, sides, want_deriv=True))
 
-    # -- algebra -----------------------------------------------------------
-
-    def right_multiply(self, other: np.ndarray) -> "DenseSolution":
-        """Pointwise product value(t) @ other (matrix or vector)."""
-        return DenseSolution(
-            self.times,
-            self.v_start @ other, self.v_end @ other,
-            self.d_start @ other, self.d_end @ other,
-        )
-
 
 # -- linear systems with precomputed stage tables ---------------------------
 

@@ -4,8 +4,10 @@ The kernel route encodes the whole optimal trajectory in one covector:
 p0 = K(t0, t0)^(-) x0 and xbar(s) = K(s, t0) p0, with value p0' x0.  The
 feedback route rolls the closed loop forward from x0.  The multipoint solve
 pins the trajectory at several times and solves the block Gram system for
-one covector per pinned time.  Every route reads its control off the
-costate (`KernelOperator.control`), the multipoint solve section by section.
+one covector per pinned time.  Every route builds its trajectory, control
+read off the costate, by `KernelOperator.trajectory`: the kernel and
+feedback solves as one term at t0, the multipoint solve as one term per
+pinned time.
 """
 
 from __future__ import annotations
@@ -55,16 +57,14 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     op = _operator_for(problem, steps, operator)
     K00 = op.diagonal(problem.t0)
     p0 = sym_eig_pinv(K00) @ x0
-    x = op.closed_loop.right_multiply(K00).right_multiply(p0)
-    start_err = np.linalg.norm(x.eval(problem.t0) - x0)
+    traj = op.trajectory([(problem.t0, K00 @ p0)])
+    start_err = np.linalg.norm(traj.x.eval(problem.t0) - x0)
     if start_err > 1e-8 * (1.0 + np.linalg.norm(x0)):
         raise DegenerateProblemError(
             f"kernel diagonal numerically singular: reproduced initial state "
             f"off by {start_err:.3e}")
-    u = op.control(problem.t0, x)
     value = float(p0 @ x0)
-    return LQSolveResult(((problem.t0, p0),), ControlledTrajectory(x, u),
-                         value, "kernel")
+    return LQSolveResult(((problem.t0, p0),), traj, value, "kernel")
 
 
 def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
@@ -74,10 +74,8 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     x0 = np.asarray(x0, dtype=float)
     op = _operator_for(problem, steps, operator)
     J0 = op.J.eval(problem.t0)
-    x = op.closed_loop.right_multiply(x0)
-    u = op.control(problem.t0, x)
     value = float(x0 @ J0 @ x0)
-    return LQSolveResult(((problem.t0, J0 @ x0),), ControlledTrajectory(x, u),
+    return LQSolveResult(((problem.t0, J0 @ x0),), op.trajectory([(problem.t0, x0)]),
                          value, "feedback")
 
 

@@ -49,8 +49,9 @@ def test_diagonal_rejects_queries_after_terminal(p1):
 
 def test_diagonal_extends_before_problem_start(p1):
     # the diagonal map lives on ]-inf, T]; constant schedules extend freely,
-    # and a query before t0 restarts the dual Riccati solve on [t, T]
-    assert KernelOperator(p1, 600).diagonal(-0.5)[0, 0] == pytest.approx(2.5, abs=1e-8)
+    # so the problem restarted before t0 reads it there
+    assert KernelOperator(p1.restricted(-0.5), 600).diagonal(-0.5)[0, 0] == pytest.approx(
+        2.5, abs=1e-8)
 
 
 def test_diagonal_rejects_queries_before_schedule_domain():
@@ -58,7 +59,7 @@ def test_diagonal_rejects_queries_before_schedule_domain():
     # before t0 can evaluate them
     p = random_problem(np.random.default_rng(100), 2)
     with pytest.raises(HorizonMismatchError, match="B domain"):
-        KernelOperator(p, 200).diagonal(p.t0 - 0.1)
+        p.restricted(p.t0 - 0.1)
 
 
 def test_diagonal_symmetric_positive(dint, operator_cache):
@@ -70,8 +71,9 @@ def test_diagonal_symmetric_positive(dint, operator_cache):
 # -- first column -------------------------------------------------------------
 
 def _first_column(op):
-    """K(., t0) = Phi_cl(., t0) K(t0, t0), as `solve_kernel` reads it."""
-    return op.closed_loop.right_multiply(op.diagonal(op.problem.t0))
+    """K(., t0) = Phi_cl(., t0) K(t0, t0), from the value K(t0, t0) at t0."""
+    t0 = op.problem.t0
+    return op.trajectory([(t0, op.diagonal(t0))]).x
 
 
 def _section(op, t):
@@ -146,7 +148,7 @@ def test_kernel_section_stays_in_trajectory_space(dint, operator_cache):
     # dynamics residual of K(., t) p must lie in range(B) away from s = t
     op = operator_cache(dint, 900)
     t, pvec = 0.4, np.array([1.0, -0.5])
-    sec = _section(op, t).right_multiply(pvec)
+    sec = kernel_trajectory(op, [(t, pvec)]).x
     ts = sec.times[(np.abs(sec.times - t) > 1e-9)][::40]
     A = dint.A.eval_many(ts)
     B = dint.B.eval_many(ts)
@@ -183,7 +185,7 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     op = KernelOperator(dint, 300, extra_nodes=times)
     for t in times:
         _section(op, t)
-    op.closed_loop
+    op.trajectory([(dint.t0, np.ones(2))])
     assert np.array_equal(op.J.times, op.grid)
     assert built == [op.grid.size - 1]
 
@@ -198,13 +200,43 @@ def test_gram_and_kernel_trajectory_match_the_cached_sections(n):
     raw = np.hstack([_section(op, t).eval_many(pins).reshape(-1, n) for t in pins])
     want = 0.5 * (raw + raw.T)
     assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
-    terms = [(float(t), rng.normal(size=n)) for t in pins]
-    x = kernel_trajectory(op, terms).x
-    parts = [_section(op, t).right_multiply(q) for t, q in terms]
-    assert np.array_equal(x.times, parts[0].times)
-    for field in ("v_start", "v_end", "d_start", "d_end"):
-        ref = sum(getattr(s, field) for s in parts)
-        assert np.max(np.abs(getattr(x, field) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a sum of terms is the sum of its one-term trajectories: terms at the
+    # pins, at t0 and T, two on one node, and families of two covectors
+    t = [float(s) for s in pins]
+    for times, shape in ((t, (n,)), ([p.t0, t[1], p.T], (n,)),
+                         ([t[0], t[0], t[2]], (n,)), (t, (n, 2))):
+        terms = [(s, rng.normal(size=shape)) for s in times]
+        tr = kernel_trajectory(op, terms)
+        parts = [kernel_trajectory(op, [term]) for term in terms]
+        assert np.array_equal(tr.x.v_end[:-1], tr.x.v_start[1:])
+        # u's slopes are chords, (u_end - u_start) / h, so only its values
+        for sol, fields in (("x", ("v_start", "v_end", "d_start", "d_end")),
+                            ("u", ("v_start", "v_end"))):
+            for field in fields:
+                ref = sum(getattr(getattr(part, sol), field) for part in parts)
+                got = getattr(getattr(tr, sol), field)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (sol, field)
+
+
+def test_kernel_trajectory_walks_each_half_of_the_grid_once(monkeypatch):
+    # a 5-term sum at N = 8 carries along F and along G once each, not once
+    # per term
+    from lqkernel import riccati
+    p = random_problem(np.random.default_rng([8, 31]), state_dim=8)
+    pins = np.linspace(p.t0, p.T, 7)[1:-1]
+    op = KernelOperator(p, 400, extra_nodes=pins)
+    carried = []
+    original = riccati._Flows.carry
+
+    def counting(flows, k, value, right, nodes):
+        out = original(flows, k, value, right, nodes)
+        carried.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(riccati._Flows, "carry", counting)
+    kernel_trajectory(op, [(float(t), np.ones(8)) for t in pins])
+    assert 0 < sum(carried) <= 2 * (op.grid.size - 1)
 
 
 def test_column_times_must_be_grid_nodes(dint):
@@ -212,9 +244,8 @@ def test_column_times_must_be_grid_nodes(dint):
     # names the way to put it there
     op = KernelOperator(dint, 300)
     off = 0.5 * float(op.grid[7] + op.grid[8])
-    x = kernel_trajectory(op, [(float(op.grid[7]), np.ones(2))]).x
     for read in (lambda: op.entry(0.3, off), lambda: kernel_trajectory(op, [(off, np.ones(2))]),
-                 lambda: op.control(off, x)):
+                 lambda: op.trajectory([(float(op.grid[7]), np.ones(2)), (off, np.ones(2))])):
         with pytest.raises(ValueError, match="extra_nodes"):
             read()
     with pytest.raises(HorizonMismatchError):

@@ -113,9 +113,9 @@ _HORIZON_CHECKS = [  # (entry point, ends it checks, error, message)
     (_dense_eval, ("t0", "T"), DomainError, "outside"),
     (_samples_eval, ("t0", "T"), ScheduleDomainError, "outside schedule domain"),
     (_domain_cover, ("t0", "T"), ValueError, "does not cover"),
-    (_section, ("t0", "T"), HorizonMismatchError, "column time .* outside"),
+    (_section, ("t0", "T"), HorizonMismatchError, "time .* outside"),
     (_constraint_times, ("t0", "T"), ValueError, "must lie in the horizon"),
-    (_diagonal, ("T",), HorizonMismatchError, "exceeds T"),  # re-solves before t0
+    (_diagonal, ("t0", "T"), HorizonMismatchError, "time .* outside"),
     (_trajectory_pair, ("t0", "T"), HorizonMismatchError, "different horizons"),
     (_inner_product, ("t0", "T"), HorizonMismatchError, "does not match horizon"),
 ]

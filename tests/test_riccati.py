@@ -369,9 +369,9 @@ def test_dual_riccati_blowup_reports_time():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError) as direct:
             _dual_riccati_on(_dual_pole(0.0), grid)
-        # the restart of the diagonal before t0 solves M again on [0, 2]
+        # the diagonal of the problem restarted at 0 solves M on [0, 2]
         with pytest.raises(IntegrationBlowupError) as restart:
-            KernelOperator(_dual_pole(1.5), 40).diagonal(0.0)
+            KernelOperator(_dual_pole(1.5).restricted(0.0), 40).diagonal(0.0)
     assert direct.value.time == restart.value.time == 1.0
 
 

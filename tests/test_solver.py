@@ -48,20 +48,11 @@ def test_feedback_matches_kernel_route(p1, operator_cache):
     assert rf.value == pytest.approx(rk.value, abs=1e-8)
 
 
-def test_both_solves_carry_one_closed_loop(dint, monkeypatch):
-    carried = []
-    original = KernelOperator._carried
-
-    def counting(op, *args):
-        carried.append(args[0])
-        return original(op, *args)
-
+def test_solves_on_a_shared_operator_match_fresh_solves_bit_for_bit(dint):
     x0 = [1.0, -0.4]
     fresh = [solve(dint, x0, 300) for solve in (solve_kernel, solve_feedback)]
-    monkeypatch.setattr(KernelOperator, "_carried", counting)
     op = KernelOperator(dint, 300)
     shared = [solve(dint, x0, operator=op) for solve in (solve_kernel, solve_feedback)]
-    assert carried == [dint.t0]
     for a, b in zip(fresh, shared):
         assert a.value == b.value
         for sol in ("x", "u"):
@@ -304,7 +295,8 @@ def _reference_control(p, ts, side, x, xd):
 
 
 # the controls read off the costate are the minimal-R-norm controls of the
-# kernel's trajectories, and a section's control jumps by -R^{-1} B' p at t
+# kernel's trajectories, and a section's control jumps by -R^{-1} B' p at t,
+# also at each interior time of a sum of sections
 @pytest.mark.parametrize("kind", ["wide_B", "duplicate_columns", "zero_B"])
 def test_costate_controls_are_minimal_r_norm_controls(kind):
     p = _control_problem(kind)
@@ -313,6 +305,8 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
     target = random_trajectory(p, np.random.default_rng(5))
     times = [0.25, 0.61234, 1.0]
     trajs = {t: kernel_trajectory(op, [(t, pvec)]) for t in (0.0, 0.5, 0.61234, 1.0)}
+    multi = [(0.0, -pvec), (0.5, pvec[::-1]), (0.61234, 2.0 * pvec)]
+    trajs["sum"] = kernel_trajectory(op, multi)
     trajs["kernel"] = solve_kernel(p, x0, operator=op).trajectory
     trajs["feedback"] = solve_feedback(p, x0, operator=op).trajectory
     trajs["multipoint"] = solve_multipoint(
@@ -324,11 +318,11 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
                                      (x.times[1:], -1, x.v_end, x.d_end, u.v_end)):
             ref = _reference_control(p, ts, side, xv, xd)
             assert np.max(np.abs(uv - ref)) <= 1e-10 * np.max(np.abs(ref)), key
-    for t in (0.5, 0.61234):
+    for t, u, q in ((0.5, trajs[0.5].u, pvec), (0.61234, trajs[0.61234].u, pvec),
+                    *((t, trajs["sum"].u, q) for t, q in multi[1:])):
         W = np.linalg.solve(p.R.eval_many([t])[0], p.B.eval_many([t])[0].T)
-        u = trajs[t].u
         jump = u.eval(t, side=1) - u.eval(t, side=-1)
-        assert np.max(np.abs(jump + W @ pvec)) <= 1e-10 * (1.0 + np.max(np.abs(W @ pvec)))
+        assert np.max(np.abs(jump + W @ q)) <= 1e-10 * (1.0 + np.max(np.abs(W @ q)))
         assert t in u.jump_nodes() or kind == "zero_B"
 
 
