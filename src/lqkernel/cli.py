@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LQKernelError, NumericalError, ProblemFileError
 from .kernel import (KernelOperator, lq_inner_product, reproducing_residual,
-                     shooting_diagonal)
+                     restarted_diagonals)
 from .model import R_MIN_DEFAULT, LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
 from .oracle import MIN_ORACLE_STEPS, richardson_value
@@ -375,10 +375,11 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     five query times, with the diagonal read off the dual Riccati solution;
     the same identity at t0 and 25, 50 and 75% of the horizon with K_t(t, t)
     from the shooting BVP of the problem restarted at t, a route that solves
-    no Riccati equation; Hermitian symmetry of the kernel; the reproducing
-    property on random trajectories; kernel/feedback agreement in value and
-    trajectory; the adjoint identity; and Richardson-extrapolated agreement
-    with the discrete-time oracle.
+    no Riccati equation (`restarted_diagonals`: all four from one forward
+    sweep on the operator's grid); Hermitian symmetry of the kernel; the
+    reproducing property on random trajectories; kernel/feedback agreement
+    in value and trajectory; the adjoint identity; and
+    Richardson-extrapolated agreement with the discrete-time oracle.
     """
     tol = dict(_VERIFY_TOLERANCES)
     tol.update(tolerances or {})
@@ -400,13 +401,12 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
 
     eye = np.eye(n)
     queries = np.concatenate([[p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
+    J_q = op.J.eval_many(queries)
     add("kernel_diagonal_identity", max(
-        np.linalg.norm(op.J.eval(tq) @ op.diagonal(float(tq)) - eye) for tq in queries))
-    bvp = 0.0
-    for tq in map(float, queries[:-1]):
-        K_tt = shooting_diagonal(p.restricted(tq), tq, steps)
-        bvp = max(bvp, np.linalg.norm(op.J.eval(tq) @ K_tt - eye))
-    add("kernel_diagonal_bvp", bvp)
+        np.linalg.norm(J @ M - eye) for J, M in zip(J_q, op.M.eval_many(queries))))
+    add("kernel_diagonal_bvp", max(
+        np.linalg.norm(J @ K - eye)
+        for J, K in zip(J_q, restarted_diagonals(p, queries[:-1], steps))))
 
     # five uniform draws, each snapped to its nearest grid node: column times are nodes
     draws = rng.uniform(p.t0, p.T, size=5)

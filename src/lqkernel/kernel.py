@@ -9,9 +9,10 @@ is a vector-valued RKHS.  Its kernel K(s, t) is computed two ways, each
 matched to its use:
 
 * diagonal K(t, t) of the space restarted at t: the dual Riccati solution
-  M(t) (this equality is the headline identity; the test suite certifies it
-  against J(t)^{-1} and against `shooting_diagonal` of the restarted
-  problem, which solves no Riccati equation);
+  M(t) (this equality is the headline identity; `verify` and the test suite
+  certify it against J(t)^{-1} and against `restarted_diagonals`, single
+  shooting of the restarted spaces at all their times in one forward sweep
+  on the operator's grid, which solves no Riccati equation);
 * sections K(., t), two-filter style (Fraser & Potter, IEEE TAC 1969): with
   the backward value Hessian J and the forward arrival cost P (P(t0) = 0),
   K(t, t) = (J(t) + P(t))^{-1}; for s >= t, K(s, t) is K(t, t) carried
@@ -238,11 +239,12 @@ def shooting_diagonal(problem: LQProblem, t: float,
 
     [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] from
     [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
-    J_T K(T) + Pi(T) = 0; the carrier [I; 0] swept to t and widened by
-    [0; I] there gives the shooting system for K(t0, t).  The test suite
-    and `verify` compare it with the Riccati routes.  Loses accuracy on
-    long unstable horizons; raises BvpDegenerateError when the shooting
-    system is numerically singular.
+    J_T K(T) + Pi(T) = 0; the carrier [I; 0] swept forward to t and
+    widened by [0; I] there gives the shooting system for K(t0, t)
+    (`_shooting_solve`).  At t = t0 the carrier is the identity, and this is
+    `restarted_diagonals` at one time.  The test suite compares it with the
+    Riccati routes.  Loses accuracy on long unstable horizons; raises
+    BvpDegenerateError when the shooting system is numerically singular.
     """
     p = problem
     n = p.state_dim
@@ -252,7 +254,50 @@ def shooting_diagonal(problem: LQProblem, t: float,
     W = np.eye(2 * n)
     W[:, :n] = _affine_sweep(grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))[-1]
     WT = _affine_sweep(grid[j:], tuple(H[j:] for H in H_tab), W)[-1]
-    J_T = np.asarray(p.J_T)
+    return W[:n] @ np.vstack([_shooting_solve(p, WT, t), np.eye(n)])
+
+
+def restarted_diagonals(problem: LQProblem, times,
+                        steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """K_t(t, t) of the space restarted at each of `times` (in [t0, T]), by
+    single shooting, as a (k, N, N) array: a route that solves no Riccati
+    equation.
+
+    Restarted at t, the column time is the start, so the shooting system
+    of `shooting_diagonal` needs only the flow Phi(T, t) of H.  One forward
+    sweep on build_grid(t0, T, steps, breakpoints and `times`), the grid of
+    `KernelOperator(problem, steps)` when the times are its nodes, carries
+    them all: from the first time node on, segment by segment, a fresh 2N
+    identity carrier joins as 2N more columns at each time node, and the
+    carriers of earlier times ride along to T.  Keep it forward: a backward
+    sweep of the rows [J_T, -I] Phi(T, s) is J's own flow, so a check of
+    J K = I would pass by construction.  Raises BvpDegenerateError, naming
+    the column time, when a shooting system is numerically singular.
+    """
+    p = problem
+    n = p.state_dim
+    ts = _clip_to_span(np.atleast_1d(np.asarray(times, dtype=float)), p.t0, p.T,
+                       HorizonMismatchError)
+    grid = build_grid(p.t0, p.T, steps, np.concatenate([p.breakpoints(), ts]))
+    H_tab, _ = _hamiltonian_table(p, grid)
+    nodes, back = np.unique(np.argmin(np.abs(grid[:, None] - ts), axis=0),
+                            return_inverse=True)
+    carrier = np.zeros((2 * n, 0))
+    for k, k_next in zip(nodes, [*nodes[1:], grid.size - 1]):
+        carrier = np.hstack([carrier, np.eye(2 * n)])
+        carrier = _affine_sweep(grid[k:k_next + 1], tuple(H[k:k_next] for H in H_tab),
+                                carrier)[-1]
+    return np.stack([_shooting_solve(p, WT, float(grid[k]))
+                     for WT, k in zip(np.hsplit(carrier, nodes.size), nodes)])[back]
+
+
+def _shooting_solve(problem: LQProblem, WT: np.ndarray, t: float) -> np.ndarray:
+    """The shooting system for K(t0, t): with WT the carrier at T,
+    E = J_T WT11 - WT21 and rhs = WT22 - J_T WT12, solved for E^{-1} rhs.
+    Raises BvpDegenerateError, naming the column time t, when E is
+    numerically singular."""
+    n = problem.state_dim
+    J_T = np.asarray(problem.J_T)
     E = J_T @ WT[:n, :n] - WT[n:, :n]
     rhs = WT[n:, n:] - J_T @ WT[:n, n:]
     sv = np.linalg.svd(E, compute_uv=False)
@@ -260,7 +305,7 @@ def shooting_diagonal(problem: LQProblem, t: float,
         raise BvpDegenerateError(
             f"shooting system singular for column time {t} "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
-    return W[:n] @ np.vstack([np.linalg.solve(E, rhs), np.eye(n)])
+    return np.linalg.solve(E, rhs)
 
 
 # -- trajectories and the inner product ---------------------------------------

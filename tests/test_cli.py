@@ -250,6 +250,38 @@ def test_verify_solves_the_flows_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_one_shooting_table_and_sweeps_its_grid_once(monkeypatch):
+    # the four restarted shooting diagonals share one H table and one
+    # forward sweep of the operator's grid: 3 table builds in all (the J and
+    # P flows, M, the shooting route), where a shooting call per time made 6
+    from lqkernel import kernel, riccati
+    from lqkernel.kernel import KernelOperator
+    problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))
+    tables, sweeps = [], []
+    for module in (kernel, riccati):
+        _recording(monkeypatch, module, "_hamiltonian_table", tables)
+    _recording(monkeypatch, kernel, "_affine_sweep", sweeps)
+    run_verification(problem, 0, 4000)
+    assert len(tables) == 3
+    grid = KernelOperator(problem, 4000).grid
+    assert sum(args[0].size - 1 for args in sweeps) == grid.size - 1
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_verify_kernel_diagonal_bvp_is_a_discretization_gap(seed):
+    # forward RK4 of the shooting carriers against J's backward, restarted
+    # RK4 on the same grid: the gap falls about 32x per halving (7.9e-12,
+    # 2.5e-13, 7.5e-15 on switched_tracking; 1.0e-10, 3.3e-12, 1.0e-13 on
+    # [5, 3]).  A backward sweep of [J_T, -I] Phi(T, s) is J's own flow and
+    # would sit at roundoff at every step count
+    problem = (load_problem_file(str(_BUNDLED / "switched_tracking.json"))[0]
+               if seed is None else random_problem(np.random.default_rng([seed, 3])))
+    defects = [next(c["defect"] for c in run_verification(problem, 0, steps)["checks"]
+                    if c["name"] == "kernel_diagonal_bvp") for steps in (100, 200, 400)]
+    assert defects[0] > 1e-13
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(defects, defects[1:]))
+
+
 def test_verify_runs_one_rollout_and_at_most_six_quadratures(monkeypatch):
     from lqkernel import cli, kernel, problems, solver
     problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))

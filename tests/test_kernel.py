@@ -1,12 +1,14 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from lqkernel.cli import load_problem_file
 from lqkernel.errors import BvpDegenerateError, HorizonMismatchError
 from lqkernel.kernel import (KernelOperator, lq_inner_product,
                              kernel_trajectory, reproducing_residual,
-                             shooting_diagonal)
+                             restarted_diagonals, shooting_diagonal)
 from lqkernel.linalg import _symmetrized, spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
@@ -358,6 +360,45 @@ def test_stiff_scalar_diagonal():
 def test_single_shooting_degeneracy_is_reported():
     with pytest.raises(BvpDegenerateError):
         shooting_diagonal(_unstable_problem(4.0), 0.0, 4000)
+
+
+def test_restarted_diagonals_degeneracy_is_reported():
+    # the t0 carrier integrates e^(4 s) over the whole horizon, as
+    # `shooting_diagonal` at t0 does
+    with pytest.raises(BvpDegenerateError, match=r"column time 0\.0 "):
+        restarted_diagonals(_unstable_problem(4.0), [0.0, 2.5, 5.0, 7.5], 4000)
+
+
+# -- restarted shooting diagonals ---------------------------------------------
+
+_SWITCHED = (pathlib.Path(__file__).resolve().parents[1]
+             / "scripts" / "problems" / "switched_tracking.json")
+
+
+@pytest.mark.parametrize("seed", [None, 2, 5, 7])
+def test_restarted_diagonals_match_restarted_single_shooting(seed):
+    # one forward sweep of the operator's grid against one restarted
+    # single-shooting solve per time, each on its own grid: the gaps are
+    # 1.1e-15 (switched_tracking) to 3.9e-15 ([7, 3]) of max |K|
+    p = (load_problem_file(str(_SWITCHED))[0] if seed is None
+         else random_problem(np.random.default_rng([seed, 3])))
+    times = p.t0 + (p.T - p.t0) * np.array([0.0, 0.25, 0.5, 0.75])
+    got = restarted_diagonals(p, times, 4000)
+    want = np.stack([shooting_diagonal(p.restricted(t), t, 4000) for t in map(float, times)])
+    assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+    # at t0 the carrier of `shooting_diagonal` is the identity: the same solve
+    assert np.array_equal(restarted_diagonals(p, [p.t0], 4000)[0],
+                          shooting_diagonal(p, p.t0, 4000))
+
+
+def test_restarted_diagonals_take_times_in_any_order(p1):
+    # K_t(t, t) = M(t) = 2 - t on the scalar energy problem; T gives J_T^{-1}
+    got = restarted_diagonals(p1, [0.5, 0.0, 0.5, 1.0], 400)
+    assert got.shape == (4, 1, 1)
+    assert got[:, 0, 0] == pytest.approx([1.5, 2.0, 1.5, 1.0], abs=1e-10)
+    assert np.array_equal(got[0], got[2])
+    with pytest.raises(HorizonMismatchError, match="outside"):
+        restarted_diagonals(p1, [0.5, 1.5], 400)
 
 
 # -- Gram matrices ------------------------------------------------------------
