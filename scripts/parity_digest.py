@@ -1,7 +1,8 @@
 """SHA-256 digests of the library's numbers over a fixed problem set.
 
-Prints one `<digest>  <label>` line per item: the J and P flows (node values
-and derivatives, X blocks, closed loops F and G, control map W), M, kernel
+Prints one `<digest>  <label>` line per item: the Hamiltonian table H and
+the control map W, the J and P flows (node values, X blocks, restart block
+and J's asymmetry), the dense J (node values and derivatives), M, kernel
 sections (identity families of `kernel_trajectory`), kernel entries at
 fixed pairs of grid nodes, a one-term and a three-term kernel trajectory
 (terms at t0, an interior node and T), a rollout with its inner
@@ -38,7 +39,7 @@ from lqkernel.errors import LQKernelError  # noqa: E402
 from lqkernel.kernel import KernelOperator, kernel_trajectory, lq_inner_product  # noqa: E402
 from lqkernel.model import dynamics_defect  # noqa: E402
 from lqkernel.problems import random_problem, random_trajectory  # noqa: E402
-from lqkernel.riccati import solve_adjoint  # noqa: E402
+from lqkernel.riccati import _hamiltonian_table, solve_adjoint  # noqa: E402
 from lqkernel.solver import solve_feedback, solve_kernel  # noqa: E402
 
 VERIFY_SEED = 3
@@ -87,9 +88,13 @@ def _operator_lines(name, problem, steps):
 
     def flows():
         f = op._flows
-        return _digest(*_dense(f.J_solution), f.P, f.X_J, f.X_P, *f.F, *f.G, *f.W, f.drift_J)
+        return _digest(f.J, f.P, f.X_J, f.X_P, f.block, f.drift_J)
 
+    # the table built afresh, as every commit with `_hamiltonian_table` can
+    yield f"table/{name}", lambda: _digest(*(a for part in _hamiltonian_table(problem, op.grid)
+                                             for a in part))
     yield f"flows/{name}", flows
+    yield f"J/{name}", lambda: _digest(*_dense(op.J))
     yield f"M/{name}", lambda: _digest(*_dense(op.M), op.max_asymmetry_M)
     p = problem
     # column times are grid nodes

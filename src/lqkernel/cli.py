@@ -295,9 +295,9 @@ def cmd_riccati(args) -> int:
               + [f"M_{i+1}{j+1}" for i in range(n) for j in range(n)]
               + ["duality_defect"])
     defects = op.duality_defects()
-    nodes = op.J.times.size
+    nodes = op.grid.size
     _write_csv(args.out, header,
-               np.column_stack([op.J.times, op.J.values.reshape(nodes, -1),
+               np.column_stack([op.grid, op.J_nodes.reshape(nodes, -1),
                                 op.M.values.reshape(nodes, -1), defects]))
     _print_json({
         "steps": steps,
@@ -372,11 +372,12 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     """Run the full identity checklist; deterministic for a given seed.
 
     Checks: Riccati duality; the kernel-diagonal/Riccati-inverse identity at
-    five query times, with the diagonal read off the dual Riccati solution;
-    the same identity at t0 and 25, 50 and 75% of the horizon with K_t(t, t)
-    from the shooting BVP of the problem restarted at t, a route that solves
-    no Riccati equation (`restarted_diagonals`: all four from one forward
-    sweep on the operator's grid); Hermitian symmetry of the kernel; the
+    t0, 25, 50 and 75% of the horizon and T, with the diagonal read off the
+    dual Riccati solution; the same identity at the grid nodes nearest to
+    the first four with K_t(t, t) from the shooting BVP of the problem
+    restarted at t, a route that solves no Riccati equation
+    (`restarted_diagonals`: all four from one forward sweep on the
+    operator's grid and table); Hermitian symmetry of the kernel; the
     reproducing property on random trajectories; kernel/feedback agreement
     in value and trajectory; the adjoint identity; and
     Richardson-extrapolated agreement with the discrete-time oracle.
@@ -401,16 +402,17 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
 
     eye = np.eye(n)
     queries = np.concatenate([[p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
-    J_q = op.J.eval_many(queries)
     add("kernel_diagonal_identity", max(
-        np.linalg.norm(J @ M - eye) for J, M in zip(J_q, op.M.eval_many(queries))))
+        np.linalg.norm(J @ M - eye)
+        for J, M in zip(op.J.eval_many(queries), op.M.eval_many(queries))))
+    # the shooting sweep starts its carriers at grid nodes: the nearest ones
+    at = op.nearest_nodes(queries[:-1])
     add("kernel_diagonal_bvp", max(
         np.linalg.norm(J @ K - eye)
-        for J, K in zip(J_q, restarted_diagonals(p, queries[:-1], steps))))
+        for J, K in zip(op.J_nodes[at], restarted_diagonals(op, op.grid[at]))))
 
     # five uniform draws, each snapped to its nearest grid node: column times are nodes
-    draws = rng.uniform(p.t0, p.T, size=5)
-    pool = np.sort(op.grid[np.argmin(np.abs(op.grid[:, None] - draws), axis=0)])
+    pool = np.sort(op.grid[op.nearest_nodes(rng.uniform(p.t0, p.T, size=5))])
     table = op.entries(pool)  # K(pool_i, pool_j), bit for bit as `entry` reads it
     sym = 0.0
     for _ in range(20):
@@ -419,8 +421,8 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         sym = max(sym, np.linalg.norm(Kst - Kts.T) / (1.0 + np.linalg.norm(Kst)))
     add("hermitian_symmetry", sym)
 
-    # ten random trajectories run as one family; the columns that share a
-    # pool time share one section family and one quadrature
+    # ten random trajectories run as one family, checked against one
+    # section family (a term per distinct pool time) by one quadrature
     x0s, vals, ts, pvs = [], [], [], []
     for _ in range(10):
         x0, edges, v = _random_control(p, rng)
@@ -430,14 +432,10 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
         pvs.append(rng.normal(size=n))
     trajs = rollout(p, np.stack(x0s, axis=1), edges, np.stack(vals, axis=2), min(steps, 1000))
     xnorm = np.sqrt(np.maximum(lq_inner_product(p, trajs, trajs, _VERIFY_QUAD_INTERVALS), 0.0))
-    ts, pv, pnorm = np.array(ts), np.stack(pvs, axis=1), np.array(list(map(np.linalg.norm, pvs)))
-    worst = 0.0
-    for t in np.unique(ts):
-        cols = np.flatnonzero(ts == t)
-        r = reproducing_residual(op, trajs.columns(cols), float(t), pv[:, cols],
-                                 _VERIFY_QUAD_INTERVALS)
-        worst = max(worst, float(np.max(r / (1.0 + xnorm[cols] * pnorm[cols]))))
-    add("reproducing", worst)
+    pnorm = np.array(list(map(np.linalg.norm, pvs)))
+    r = reproducing_residual(op, trajs, np.array(ts), np.stack(pvs, axis=1),
+                             _VERIFY_QUAD_INTERVALS)
+    add("reproducing", np.max(r / (1.0 + xnorm * pnorm)))
 
     x0 = np.ones(n) / np.sqrt(n)
     rk = solve_kernel(p, x0, steps, operator=op)
@@ -449,7 +447,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
 
     # the adjoint, J and x all lie on op.grid
     padj = solve_adjoint(p, rk.trajectory.x)
-    resid = padj.values + np.einsum("kij,kj->ki", op.J.values, rk.trajectory.x.values)
+    resid = padj.values + np.einsum("kij,kj->ki", op.J_nodes, rk.trajectory.x.values)
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 
     rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)

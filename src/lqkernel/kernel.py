@@ -12,18 +12,18 @@ matched to its use:
   M(t) (this equality is the headline identity; `verify` and the test suite
   certify it against J(t)^{-1} and against `restarted_diagonals`, single
   shooting of the restarted spaces at all their times in one forward sweep
-  on the operator's grid, which solves no Riccati equation);
+  on the operator's grid and table, which solves no Riccati equation);
 * sections K(., t), two-filter style (Fraser & Potter, IEEE TAC 1969): with
   the backward value Hessian J and the forward arrival cost P (P(t0) = 0),
   K(t, t) = (J(t) + P(t))^{-1}; for s >= t, K(s, t) is K(t, t) carried
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
   re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
-  once per operator.  Column times t and the read times s of `entry` and
-  `entries` are nodes of the operator's grid (`extra_nodes` puts them
-  there); a section read anywhere is the identity family of
-  `kernel_trajectory`, evaluated there.  One builder,
-  `KernelOperator.trajectory`, makes every trajectory: a sum of terms
+  once per operator on the one Hamiltonian table it holds.  Column times t
+  and the read times s of `entry` and `entries` are nodes of the
+  operator's grid (`extra_nodes` puts them there); a section read anywhere
+  is the identity family of `kernel_trajectory`, evaluated there.  One
+  builder, `KernelOperator.trajectory`, makes every trajectory: a sum of terms
   K(., t_i) K(t_i, t_i)^{-1} v_i, carried once forward along A - S J and
   once backward along A + S P, whatever the number of terms; the kernel
   and feedback solves are its one-term sums at t0.  Read at a few nodes
@@ -33,12 +33,15 @@ matched to its use:
 
 The inner product, the reproducing residual and `problems.rollout` take
 families of trajectories with a trailing column axis, so `verify` runs its
-random trajectories as one rollout and one quadrature per column time.
+random trajectories as one rollout and checks them all, whatever their
+column times, against one section family by one quadrature.
 
-K keeps both one-sided derivatives at the column time, where they differ
-by S(t).  The control of K(., t) p, read off the costate (J x for the part
-carried from the left, -P x for the part carried from the right) by
-`KernelOperator.trajectory`, jumps there too.
+`KernelOperator.trajectory` reads the costate lambda (J x for the part
+carried from the left, -P x for the part carried from the right) once per
+interval end, and from it both the control u = -W lambda and the
+derivative x' = A x - S lambda.  K keeps both one-sided derivatives at the
+column time, where they differ by S(t), and the control of K(., t) p jumps
+there too.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .linalg import _symmetrized
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _clip_to_span, _time_tol,
                   build_grid, schedule_stage_table)
-from .riccati import _dual_riccati_on, _Flows, _hamiltonian_table, _solve_flows
+from .riccati import (_dual_riccati_on, _Flows, _hamiltonian_table, _riccati_solution,
+                      _solve_flows)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -67,9 +71,11 @@ class KernelOperator:
     schedule breakpoints and any `extra_nodes`).  Every column time, and
     every read time of `entry` and `entries`, must be a node of it, so a
     caller that reads K at chosen times passes them in `extra_nodes`; an
-    off-grid time raises ValueError.  Computed lazily and cached: the J and
-    P flows on the grid (once, by `_solve_flows`) and M on the same grid
-    when first read (never on the feedback route).  Every trajectory is
+    off-grid time raises ValueError.  Computed lazily and cached: the
+    Hamiltonian table of the grid (once, by `_hamiltonian_table`), the J
+    and P flows on it (once, by `_solve_flows`), and, when first read, J
+    with its node derivatives and M on the same grid and table (neither on
+    the solve routes).  Every trajectory is
     built by `trajectory`, and every kernel entry read by `_carried`; both
     carry values over the X blocks of the flows.  The operator is
     logically immutable and evaluations are pure.
@@ -85,17 +91,30 @@ class KernelOperator:
     # -- the Riccati pair and its flows -------------------------------------
 
     @cached_property
+    def _hamiltonian(self):
+        """(H_tab, W) of `_hamiltonian_table` on the grid: the one table of
+        A, S and Q behind the flows, M, every trajectory and the shooting
+        sweep, built once and held for the operator's life."""
+        return _hamiltonian_table(self.problem, self.grid)
+
+    @cached_property
     def _flows(self) -> _Flows:
-        return _solve_flows(self.problem, self.grid)
+        return _solve_flows(self.problem, self.grid, self._hamiltonian[0])
 
     @cached_property
     def _dual(self) -> tuple[DenseSolution, float]:
-        return _dual_riccati_on(self.problem, self.grid)
+        return _dual_riccati_on(self.problem, self.grid, self._hamiltonian[0])
+
+    @cached_property
+    def J(self) -> DenseSolution:
+        """The value Hessian J(., T) on the grid, with its node derivatives
+        (built on first read; `J_nodes` reads the nodes without them)."""
+        return _riccati_solution(self.grid, self._hamiltonian[0], self._flows.J)
 
     @property
-    def J(self) -> DenseSolution:
-        """The value Hessian J(., T) on the grid."""
-        return self._flows.J_solution
+    def J_nodes(self) -> np.ndarray:
+        """J at every grid node, bit for bit the node values of `J`."""
+        return self._flows.J
 
     @property
     def M(self) -> DenseSolution:
@@ -113,7 +132,7 @@ class KernelOperator:
     def duality_defects(self) -> np.ndarray:
         """Frobenius norm of J(t)M(t) - I at every grid node."""
         eye = np.eye(self.problem.state_dim)
-        return np.linalg.norm(self.J.values @ self.M.values - eye, axis=(1, 2))
+        return np.linalg.norm(self.J_nodes @ self.M.values - eye, axis=(1, 2))
 
     # -- kernel values ------------------------------------------------------
 
@@ -159,62 +178,87 @@ class KernelOperator:
         left along G counting it from t_i back, one carry per segment
         between term nodes, and x = fwd + bwd - V.  On an interval the part
         carried from the left is fwd at its start and fwd - V at its end,
-        the part carried from the right bwd - V and bwd: x' is F times the
-        one plus G times the other, the costate lambda = J (left part) -
-        P (right part), and u = -W lambda, W = R^{-1} B', at both ends, the
-        chord in between.  As B u = -S lambda = x' - A x and u is in the
-        range of W, u is the minimal-R-norm control of x.  It jumps by
-        -W (J + P) v_i at t_i, where it is stored two-sidedly."""
+        the part carried from the right bwd - V and bwd.  At both ends of
+        every interval the costate is lambda = J (left part) - P (right
+        part), the control u = -W lambda, W = R^{-1} B' (the chord in
+        between), and x' = A x - S lambda, with A and -S read off the lo
+        and hi slots of the operator's H.  As B u = -S lambda = x' - A x and
+        u is in the range of W, u is the minimal-R-norm control of x.  It
+        jumps by -W (J + P) v_i at t_i, where it is stored two-sidedly."""
         f, size, n = self._flows, self.grid.size, self.problem.state_dim
         values = [np.asarray(v, dtype=float) for _, v in terms]
         at = self._nodes([t for t, _ in terms])
-        V = np.zeros((size, n, max(v.size // n for v in values)))
-        for j, v in zip(at, values):
-            V[j] += v.reshape(n, -1)
-        stops = np.unique(at)
-        fwd, bwd = np.zeros_like(V), np.zeros_like(V)
-        for k, k_next in zip(stops, [*stops[1:], size - 1]):
-            fwd[k] += V[k]
+        stops, slot = np.unique(at, return_inverse=True)
+        # V at the term nodes alone: it is zero at every other node
+        V = np.zeros((stops.size, n, max(v.size // n for v in values)))
+        for i, v in zip(slot, values):
+            V[i] += v.reshape(n, -1)
+        fwd = np.zeros((size,) + V.shape[1:])
+        bwd = np.zeros_like(fwd)
+        for k, k_next, v in zip(stops, [*stops[1:], size - 1], V):
+            fwd[k] += v
             fwd[k + 1:k_next + 1] = f.carry(k, fwd[k], True, slice(k + 1, k_next + 1))
-        for k, k_prev in zip(stops[::-1], [*stops[-2::-1], 0]):
-            bwd[k] += V[k]
+        for k, k_prev, v in zip(stops[::-1], [*stops[-2::-1], 0], V[::-1]):
+            bwd[k] += v
             bwd[k_prev:k] = f.carry(k, bwd[k], False, slice(k_prev, k))
-        x = fwd + bwd - V
+        # lambda = J (left part) - P (right part), each product taken only
+        # where its part is carried: fwd from the first term node on, bwd up
+        # to the last.  Off the term nodes the parts are fwd and bwd, at both
+        # ends; at a term node the left part ends with fwd - V (the hi end of
+        # the interval before) and the right part starts with bwd - V (the
+        # lo end of the interval after), so those rows are formed apart.
         lo, hi = stops[0], stops[-1]
+        lam = np.zeros_like(fwd)
+        np.matmul(f.J[lo:], fwd[lo:], out=lam[lo:])
+        lam[:hi + 1] -= f.P[:hi + 1] @ bwd[:hi + 1]
+        J, P, ahead, behind = f.J[stops], f.P[stops], fwd[stops], bwd[stops]
+        lam_lo = lam[:-1].copy()
+        opens = stops < size - 1  # the term nodes that start an interval
+        lam_lo[stops[opens]] = (J @ ahead - P @ (behind - V))[opens]
+        lam[stops] = J @ (ahead - V) - P @ behind
+        x = np.add(fwd, bwd, out=fwd)
+        x[stops] -= V
+        del bwd
+        (H_lo, _, H_hi), W = self._hamiltonian
 
-        def ends(Mf, Mg, left, right, sign):
-            """Mf left + sign Mg right at one end of every interval, each
-            product taken only where its part is carried: left from the
-            first term node on, right up to the last."""
-            out = np.zeros_like(left)
-            out[lo:] = Mf[lo:] @ left[lo:]
-            out[:hi] += sign * (Mg[:hi] @ right[:hi])
-            return out
+        def end(H, xe, le, We):
+            """x' = A x - S lambda and u = -W lambda at one end of every
+            interval, A and -S read off that end's slot of H."""
+            d = H[:, :n, :n] @ xe
+            d += H[:, :n, n:] @ le
+            u = We @ le
+            return d, np.negative(u, out=u)
 
-        parts = ((fwd[:-1], bwd[:-1] - V[:-1]), (fwd[1:] - V[1:], bwd[1:]))
-        d = [ends(F, G, *part, 1.0) for F, G, part in zip(f.F, f.G, parts)]
-        u = [-(W @ ends(J, P, *part, -1.0)) for W, J, P, part
-             in zip(f.W, (f.J[:-1], f.J[1:]), (f.P[:-1], f.P[1:]), parts)]
-        slope = (u[1] - u[0]) / np.diff(self.grid)[:, None, None]
-        fields = (x[:-1], x[1:], *d), (*u, slope, slope)
+        d_lo, u_lo = end(H_lo, x[:-1], lam_lo, W[0])
+        del lam_lo
+        d_hi, u_hi = end(H_hi, x[1:], lam[1:], W[1])
+        del lam
+        slope = (u_hi - u_lo) / np.diff(self.grid)[:, None, None]
+        fields = (x[:-1], x[1:], d_lo, d_hi), (u_lo, u_hi, slope, slope)
         if all(v.ndim == 1 for v in values):
             fields = tuple(tuple(a[..., 0] for a in arrays) for arrays in fields)
         return ControlledTrajectory(*(DenseSolution(self.grid, *arrays) for arrays in fields))
 
     # -- sections -----------------------------------------------------------
 
-    def _nodes(self, times) -> np.ndarray:
-        """The grid indices of `times` (a time or an array of them), by one
-        nearest-node lookup.  Every time must be a node: raises
-        HorizonMismatchError outside the horizon and ValueError at any other
-        time that is not a node (construct the operator with it in
-        `extra_nodes`)."""
+    def nearest_nodes(self, times) -> np.ndarray:
+        """The grid indices of the nodes nearest to `times` (a time or an
+        array of them; the earlier node on a tie), by one sorted lookup.
+        Raises HorizonMismatchError for a time outside the horizon."""
         p, grid = self.problem, self.grid
         ts = _clip_to_span(np.atleast_1d(np.asarray(times, dtype=float)), p.t0, p.T,
                            HorizonMismatchError)
         j = np.clip(np.searchsorted(grid, ts), 1, grid.size - 1)
         j -= ts - grid[j - 1] <= grid[j] - ts
-        off = np.abs(grid[j] - ts) > _time_tol(p.t0, p.T)
+        return j
+
+    def _nodes(self, times) -> np.ndarray:
+        """The grid indices of `times`, every one a node: as `nearest_nodes`,
+        and raises ValueError at a time that is not a node (construct the
+        operator with it in `extra_nodes`)."""
+        j = self.nearest_nodes(times)
+        ts = np.atleast_1d(np.asarray(times, dtype=float))
+        off = np.abs(self.grid[j] - ts) > _time_tol(self.problem.t0, self.problem.T)
         if off.any():
             raise ValueError(f"time {float(ts[off][0])} is not a grid node; "
                              "pass it in extra_nodes")
@@ -257,31 +301,27 @@ def shooting_diagonal(problem: LQProblem, t: float,
     return W[:n] @ np.vstack([_shooting_solve(p, WT, t), np.eye(n)])
 
 
-def restarted_diagonals(problem: LQProblem, times,
-                        steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """K_t(t, t) of the space restarted at each of `times` (in [t0, T]), by
-    single shooting, as a (k, N, N) array: a route that solves no Riccati
-    equation.
+def restarted_diagonals(operator: KernelOperator, times) -> np.ndarray:
+    """K_t(t, t) of the space restarted at each of `times`, nodes of the
+    operator's grid, by single shooting, as a (k, N, N) array: a route that
+    solves no Riccati equation.
 
     Restarted at t, the column time is the start, so the shooting system
     of `shooting_diagonal` needs only the flow Phi(T, t) of H.  One forward
-    sweep on build_grid(t0, T, steps, breakpoints and `times`), the grid of
-    `KernelOperator(problem, steps)` when the times are its nodes, carries
-    them all: from the first time node on, segment by segment, a fresh 2N
-    identity carrier joins as 2N more columns at each time node, and the
-    carriers of earlier times ride along to T.  Keep it forward: a backward
-    sweep of the rows [J_T, -I] Phi(T, s) is J's own flow, so a check of
-    J K = I would pass by construction.  Raises BvpDegenerateError, naming
-    the column time, when a shooting system is numerically singular.
+    sweep of the operator's grid and Hamiltonian table carries them all:
+    from the first time node on, segment by segment, a fresh 2N identity
+    carrier joins as 2N more columns at each time node, and the carriers of
+    earlier times ride along to T.  Keep it forward: a backward sweep of the
+    rows [J_T, -I] Phi(T, s) is J's own flow, so a check of J K = I would
+    pass by construction.  Raises HorizonMismatchError or ValueError for a
+    time outside the horizon or off the grid (`KernelOperator._nodes`), and
+    BvpDegenerateError, naming the column time, when a shooting system is
+    numerically singular.
     """
-    p = problem
+    p, grid = operator.problem, operator.grid
     n = p.state_dim
-    ts = _clip_to_span(np.atleast_1d(np.asarray(times, dtype=float)), p.t0, p.T,
-                       HorizonMismatchError)
-    grid = build_grid(p.t0, p.T, steps, np.concatenate([p.breakpoints(), ts]))
-    H_tab, _ = _hamiltonian_table(p, grid)
-    nodes, back = np.unique(np.argmin(np.abs(grid[:, None] - ts), axis=0),
-                            return_inverse=True)
+    nodes, back = np.unique(operator._nodes(times), return_inverse=True)
+    H_tab = operator._hamiltonian[0]
     carrier = np.zeros((2 * n, 0))
     for k, k_next in zip(nodes, [*nodes[1:], grid.size - 1]):
         carrier = np.hstack([carrier, np.eye(2 * n)])
@@ -374,13 +414,19 @@ def lq_inner_product(problem: LQProblem, traj1: ControlledTrajectory,
             located[grid] = sol._locate(ts, sides, want_deriv=False)
         return sol._combine(located[grid])
 
-    values = [(at_points(tr.x), at_points(tr.u)) for tr in trajs]
-    (x1, u1), (x2, u2) = values[0], values[-1]
-    Q, R = (np.concatenate(schedule_stage_table(s, edges)) for s in (problem.Q, problem.R))
-    stage = (np.einsum("ki...,kij,kj...->k...", x1, Q, x2)
-             + np.einsum("ki...,kij,kj...->k...", u1, R, u2))
-    terminal = _column_products(x1[-1], x2[-1], np.asarray(problem.J_T))
-    return _per_column(terminal + _column_products(w, stage))
+    def stage(field: str, schedule):
+        """a' M b at every Simpson point for the `field` (x or u) a of traj1
+        and b of traj2, M the stage table of `schedule`, and a and b at the
+        last point; one field's values are alive at a time."""
+        a = at_points(getattr(traj1, field))
+        b = a if traj2 is traj1 else at_points(getattr(traj2, field))
+        M = np.concatenate(schedule_stage_table(schedule, edges))
+        return np.einsum("ki...,kij,kj...->k...", a, M, b), a[-1].copy(), b[-1].copy()
+
+    x_stage, x1_T, x2_T = stage("x", problem.Q)
+    u_stage = stage("u", problem.R)[0]
+    terminal = _column_products(x1_T, x2_T, np.asarray(problem.J_T))
+    return _per_column(terminal + _column_products(w, x_stage + u_stage))
 
 
 def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajectory:
@@ -397,13 +443,21 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
 
 
 def reproducing_residual(operator: KernelOperator, traj: ControlledTrajectory,
-                         t: float, pvec: np.ndarray,
+                         t, pvec: np.ndarray,
                          quad_intervals: int = DEFAULT_QUAD_INTERVALS) -> float | np.ndarray:
-    """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property.
-    For a family of b trajectories and b covectors (N x b), one defect per
-    column, from one section family and one quadrature."""
+    """| p' x(t) - <x, K(., t) p> |, the defect of the reproducing property,
+    at a grid node t.  For a family of b trajectories and b covectors
+    (N x b), one defect per column, and t one time or one per column: one
+    section family, with one term per distinct time that holds the columns
+    at that time and zeros elsewhere, one quadrature, and x read at the
+    column times by one evaluation."""
     pvec = np.asarray(pvec, dtype=float)
-    section = kernel_trajectory(operator, [(t, pvec)])
-    lhs = _column_products(pvec, traj.x.eval(t))
+    ts = np.broadcast_to(np.asarray(t, dtype=float), pvec.shape[1:])
+    section = kernel_trajectory(operator, [(s, np.where(ts == s, pvec, 0.0))
+                                           for s in np.unique(ts)])
+    x = traj.x.eval_many(ts.reshape(-1))
+    # column c of the family at its own time ts[c]; a vector at its one time
+    x = x[0] if pvec.ndim == 1 else x[np.arange(ts.size), :, np.arange(ts.size)].T
+    lhs = _column_products(pvec, x)
     rhs = lq_inner_product(operator.problem, traj, section, quad_intervals)
     return _per_column(np.abs(lhs - rhs))

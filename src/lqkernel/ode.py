@@ -216,8 +216,11 @@ class DenseSolution:
         ex = (slice(None),) + (None,) * (self.v_start.ndim - 1)  # over value dims
         out = np.take(self.v_start, k, axis=0)
         out *= weights[0][ex]
+        # one buffer for the three other terms; k is in range, and the
+        # default mode="raise" would buffer the output once more
+        term = np.empty_like(out)
         for w, stored in zip(weights[1:], (self.d_start, self.v_end, self.d_end)):
-            term = np.take(stored, k, axis=0)
+            np.take(stored, k, axis=0, out=term, mode="clip")
             term *= w[ex]
             out += term
         return out
@@ -311,18 +314,20 @@ def _pade_maps(h, H1, Hm, H3, F1, Fm, F3):
     return np.linalg.solve(np.eye(Om.shape[-1]) - 0.5 * Om + (Om @ Om) / 12.0, Om), None
 
 
-def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_maps):
+def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_maps,
+                  swap=False):
     """Node values of Y' = H Y + F under the step maps that `step` builds
     (`_rk4_maps`, or `_pade_maps` when F is None), in increasing time order;
     conventions and blow-up rule as in `rk4_affine`.  The maps of each block
     of `_AFFINE_BLOCK` intervals are built batched, a two-level scan runs
-    over the block, and `_check_block` checks it."""
+    over the block, and `_check_block` checks it.  With `swap`, the flow
+    runs on H with its two halves of rows and of columns swapped (H
+    conjugated by the block swap), each block's slots swapped as the block
+    is reached, so no swapped copy of the whole table is made."""
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
     F_lo, F_mid, F_hi = (None,) * 3 if F_table is None else (
         np.asarray(F, dtype=float) for F in F_table)
-    # integration runs from the lo slot to the hi slot, or back
-    H1, H3, F1, F3 = (H_hi, H_lo, F_hi, F_lo) if backward else (H_lo, H_hi, F_lo, F_hi)
     steps = -np.diff(grid) if backward else np.diff(grid)
     values = np.empty((n + 1,) + Y0.shape)
     values[n if backward else 0] = Y0
@@ -330,14 +335,19 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_map
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in (reversed(starts) if backward else starts):
             sl = slice(k0, min(k0 + _AFFINE_BLOCK, n))
-            D, c = step(steps[sl, None, None], H1[sl], H_mid[sl], H3[sl],
-                        *((None,) * 3 if F_table is None else (F1[sl], F_mid[sl], F3[sl])))
+            H = [slot[sl] for slot in (H_lo, H_mid, H_hi)]
+            if swap:  # rolled copies: a fancy-index swap slows the Pade maps
+                H = [np.roll(slot, Y0.shape[0] // 2, axis=(1, 2)) for slot in H]
+            F = [None] * 3 if F_table is None else [slot[sl] for slot in (F_lo, F_mid, F_hi)]
+            # integration runs from the lo slot to the hi slot, or back
+            order = slice(None, None, -1 if backward else 1)
+            D, c = step(steps[sl, None, None], *H[order], *F[order])
             nodes = _scan_block(D, c, values[sl.stop if backward else sl.start], backward)
             if backward:
                 values[sl.start:sl.stop] = nodes[::-1]
             else:
                 values[sl.start + 1:sl.stop + 1] = nodes
-            _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi)
+            _check_block(grid, sl, backward, values, (H[0], F[0]), (H[2], F[2]))
     return values
 
 
@@ -387,17 +397,18 @@ def _scan_block(D, c, Y, backward):
     return (start[:, None] + inc).reshape((-1,) + Y.shape)[:m]
 
 
-def _check_block(grid, sl, backward, values, H_lo, H_hi, F_lo, F_hi) -> None:
+def _check_block(grid, sl, backward, values, lo, hi) -> None:
     """Raise at the block's first node, in integration order, with a
-    non-finite value or one-sided stage H Y + F."""
+    non-finite value or one-sided stage H Y + F; `lo` and `hi` are the
+    block's (H, F) stage slots (F None for no forcing)."""
     def finite(Y, H, F):
-        K = H[sl] @ Y if F is None else H[sl] @ Y + F[sl]
+        K = H @ Y if F is None else H @ Y + F
         return (np.isfinite(Y).reshape(Y.shape[0], -1).all(axis=1)
                 & np.isfinite(K).reshape(K.shape[0], -1).all(axis=1))
 
     ok = np.ones(sl.stop - sl.start + 1, dtype=bool)
-    ok[:-1] &= finite(values[sl.start:sl.stop], H_lo, F_lo)
-    ok[1:] &= finite(values[sl.start + 1:sl.stop + 1], H_hi, F_hi)
+    ok[:-1] &= finite(values[sl.start:sl.stop], *lo)
+    ok[1:] &= finite(values[sl.start + 1:sl.stop + 1], *hi)
     if not ok.all():
         bad = np.flatnonzero(~ok)
         raise _blowup(grid[sl.start + (bad[-1] if backward else bad[0])])

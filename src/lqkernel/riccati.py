@@ -16,14 +16,15 @@ it can grow by at most e^4, before the fastest modes swamp the columns of
 [X; Y].  The same routine, run forward on the same table from [I; 0], gives
 the arrival cost P(., t0) = -Y X^{-1}, which solves P' = Q - A'P - PA - PSP
 from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
-[[A, S], [Q, -A']]).  One builder, `_solve_flows`, runs both flows on a
-grid and returns them as one `_Flows` value, with the closed loops A - S J
-and A + S P and W = R^{-1} B' at the interval ends.  One builder,
-`_hamiltonian_table`, fills H one schedule at a time from their stage
-tables (each evaluated, and R inverted, once per node), and H is the only
-table of A, S and Q behind J, P, M and the shooting reference of
-kernel.py: J's node derivatives and the closed loops read A, -S and -Q as
-views of H.
+[[A, S], [Q, -A']]).  One builder, `_hamiltonian_table`, fills H one
+schedule at a time from their stage tables (each evaluated, and R inverted,
+once per node).  `KernelOperator` (kernel.py) builds it once per grid and
+holds it: it is the only table of A, S and Q behind J, P, M, every kernel
+trajectory and the shooting sweep.  One builder, `_solve_flows`, runs both
+flows on it and returns J and P at the nodes and the X blocks of their
+flows as one `_Flows` value.  J's node derivatives are read only through
+its `DenseSolution` (`_riccati_solution`, built when first asked for), with
+A, -S and -Q as views of H.
 The kernel reads its sections off the X blocks of both flows, and every
 control off the costate J x or -P x through W.  M is the same ratio on H
 with its blocks swapped, [[-A', -Q], [-S, A]], whose Y X^{-1} solves the
@@ -33,13 +34,16 @@ Magnus step in place of RK4 (`ode._pade_maps`; A-stable, so a stiff step
 that overflows RK4 stays bounded).  The swapped table is H conjugated by
 the block swap, so RK4 on it would give M = J^{-1} up to restart roundoff;
 with the Pade step, J M = I compares two routes that share the stage table
-but no step map.  M's node derivatives read A, -S and -Q as views of the
-swapped table.  J, P and M are re-symmetrized at every node; the worst
-asymmetry absorbed by that projection is reported as a diagnostic.
+but no step map.  The sweep swaps H one block of intervals at a time, so
+no swapped copy of the whole table exists, and M's node derivatives read
+A, -S and -Q as views of H.  J, P and M are re-symmetrized at every node;
+the worst asymmetry absorbed by that projection is reported as a
+diagnostic.
 
-The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its `J`
-is the J flow it shares with the kernel sections, and its `M`, the kernel
-diagonal, is solved on the operator's grid when first read; this module
+The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its J
+and P nodes are the flows it shares with the kernel sections, its `J` the
+dense J built from them on first read, and its `M`, the kernel diagonal,
+is solved on the operator's grid and table when first read; this module
 holds the flows they are read from.
 """
 
@@ -159,10 +163,11 @@ def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
 
 
 def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
-                     backward: bool = False, step=_rk4_maps):
+                     backward: bool = False, step=_rk4_maps, swap: bool = False):
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
-    Z' = H Z runs by the step maps of `step` (see `ode._affine_sweep`) from
+    Z' = H Z runs by the step maps of `step`, on H block-swapped if `swap`
+    (see `ode._affine_sweep`), from
     [I; R0] at grid[0] (grid[-1] if backward) and restarts from [I; R_k]
     after every `block` intervals (`_reanchor_block`).  Returns (R, X,
     drift): R and X at every node, and the worst asymmetry that
@@ -185,7 +190,7 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
         k1 = min(k0 + block, n_int)
         Z = _affine_sweep(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
                           np.vstack([eye, R[k1 if backward else k0]]),
-                          backward=backward, step=step)
+                          backward=backward, step=step, swap=swap)
         inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
         R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z, n, backward))
         drift = max(drift, d)
@@ -195,22 +200,16 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
 
 @dataclass(frozen=True)
 class _Flows:
-    """The J and P flows on a grid: J as a `DenseSolution` and the asymmetry
-    its symmetrization absorbed, J and P at the nodes, the X blocks of their
-    flows (see `_reanchored_flow`), and the closed loops F = A - S J and
-    G = A + S P and the control map W = R^{-1} B' at the (lo, hi) stage
-    slots of every interval."""
+    """The J and P flows on a grid: J and P at the nodes, the asymmetry the
+    symmetrization of J absorbed, and the X blocks of both flows, restarted
+    every `block` intervals (see `_reanchored_flow`)."""
 
-    J_solution: DenseSolution
     drift_J: float
     J: np.ndarray
     P: np.ndarray
     X_J: np.ndarray
     X_P: np.ndarray
     block: int
-    F: tuple
-    G: tuple
-    W: tuple
 
     def carry(self, k: int, value: np.ndarray, right: bool, nodes) -> np.ndarray:
         """K at `nodes` (a slice or increasing node indices, on the walk from
@@ -232,65 +231,60 @@ class _Flows:
         return out
 
 
-def _solve_flows(problem: LQProblem, grid: np.ndarray) -> _Flows:
-    """The J and P flows on `grid` through one Hamiltonian table: J backward
-    from J(T) = J_T, with the Riccati right-hand side as node derivatives,
-    then P forward from P(t0) = 0 (the flow runs on -P).  H is the only
-    table of A, S and Q: the node derivatives and the closed loops read A,
-    -S and -Q at the lo and hi slots as views of H, and only W is kept
-    beside it.  Raises IntegrationBlowupError at the first node met where X
-    is singular or a ratio non-finite, PositivityLostError (before P runs)
-    where J is not positive definite."""
+def _solve_flows(problem: LQProblem, grid: np.ndarray, H_tab) -> _Flows:
+    """The J and P flows on `grid` through its Hamiltonian table `H_tab`
+    (`_hamiltonian_table`): J backward from J(T) = J_T, then P forward from
+    P(t0) = 0 (the flow runs on -P).  Raises IntegrationBlowupError at the
+    first node met where X is singular or a ratio non-finite,
+    PositivityLostError (before P runs) where J is not positive definite."""
     n = problem.state_dim
-    H_tab, W = _hamiltonian_table(problem, grid)
-    H_tab = list(H_tab)
     block = _reanchor_block(grid, H_tab[1])
     J, X_J, drift = _reanchored_flow(grid, H_tab, problem.J_T, block, backward=True)
     _check_positive(grid, J, "J")
     minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros((n, n)), block)
     P = np.negative(minus_P, out=minus_P)
-
-    def at_slot(H, k):
-        """J S J - A'J - J A - Q, A - S J and A + S P at the nodes k, with A,
-        -S and -Q read off H's lo or hi slot."""
-        A, minus_S, Jk = H[:, :n, :n], H[:, :n, n:], J[k]
-        dJ = -(Jk @ minus_S @ Jk) - np.swapaxes(A, 1, 2) @ Jk - Jk @ A + H[:, n:, :n]
-        return dJ, A + minus_S @ Jk, A - minus_S @ P[k]
-
-    # each slot of H is dropped as soon as it has been read
-    del H_tab[1]
-    dJ_lo, F_lo, G_lo = at_slot(H_tab.pop(0), slice(None, -1))
-    dJ_hi, F_hi, G_hi = at_slot(H_tab.pop(0), slice(1, None))
-    J_sol = DenseSolution(grid, J[:-1], J[1:], dJ_lo, dJ_hi)
-    return _Flows(J_sol, drift, J, P, X_J, X_P, block, (F_lo, F_hi), (G_lo, G_hi), W)
+    return _Flows(drift, J, P, X_J, X_P, block)
 
 
-def _dual_riccati_on(problem: LQProblem, grid: np.ndarray) -> tuple[DenseSolution, float]:
+def _riccati_solution(grid: np.ndarray, H_tab, J: np.ndarray) -> DenseSolution:
+    """J at the nodes of `grid` as a `DenseSolution`, with the Riccati
+    right-hand side J S J - A'J - J A - Q as its node derivatives, A, -S and
+    -Q read off the lo and hi slots of `H_tab`."""
+    n = J.shape[1]
+
+    def rhs(H, Jk):
+        A, minus_S = H[:, :n, :n], H[:, :n, n:]
+        return -(Jk @ minus_S @ Jk) - np.swapaxes(A, 1, 2) @ Jk - Jk @ A + H[:, n:, :n]
+
+    return DenseSolution(grid, J[:-1], J[1:], rhs(H_tab[0], J[:-1]), rhs(H_tab[2], J[1:]))
+
+
+def _dual_riccati_on(problem: LQProblem, grid: np.ndarray,
+                     H_tab) -> tuple[DenseSolution, float]:
     """M on `grid`, backward from M(T) = J_T^{-1}, as Y X^{-1} of the
     restarted flow of [[-A', -Q], [-S, A]] under Magnus-Pade steps,
-    symmetrized at the nodes.  Returns (M, drift), the worst asymmetry
-    absorbed.  Raises IntegrationBlowupError at the first node met where X
-    is singular or M non-finite, PositivityLostError where M is not positive
-    definite."""
+    symmetrized at the nodes.  `H_tab` is the grid's Hamiltonian table
+    (`_hamiltonian_table`); the sweep swaps its blocks one block of
+    intervals at a time, and the node derivatives read A, -S and -Q off
+    its lo and hi slots.  Returns (M,
+    drift), the worst asymmetry absorbed.  Raises IntegrationBlowupError at
+    the first node met where X is singular or M non-finite,
+    PositivityLostError where M is not positive definite."""
     n = problem.state_dim
-    H_tab = list(_hamiltonian_table(problem, grid)[0])
-    # H with its blocks swapped, each original dropped once swapped; a
-    # fancy-index swap gives non-contiguous slots, which slow the Pade maps
-    H_tab = [np.roll(H_tab.pop(0), n, axis=(1, 2)) for _ in range(3)]
-    M, _, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
+    M, X, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
                                    _reanchor_block(grid, H_tab[1]), backward=True,
-                                   step=_pade_maps)
+                                   step=_pade_maps, swap=True)
+    del X  # M is read as a ratio only
     _check_positive(grid, M, "M")
 
     def dual_stage(H, Mk):
         """The dual right-hand side A M + M A' - S + M Q M, written as
-        L M + (L M)' - S with L = A + M Q/2, off a slot of the swapped H."""
-        LM = (H[:, n:, n:] - 0.5 * (Mk @ H[:, :n, n:])) @ Mk
-        return LM + LM.swapaxes(-1, -2) + H[:, n:, :n]
+        L M + (L M)' - S with L = A + M Q/2, off a slot of H."""
+        LM = (H[:, :n, :n] - 0.5 * (Mk @ H[:, n:, :n])) @ Mk
+        return LM + LM.swapaxes(-1, -2) + H[:, :n, n:]
 
-    del H_tab[1]
     sol = DenseSolution(grid, M[:-1], M[1:], dual_stage(H_tab[0], M[:-1]),
-                        dual_stage(H_tab[1], M[1:]))
+                        dual_stage(H_tab[2], M[1:]))
     return sol, drift
 
 

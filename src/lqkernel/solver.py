@@ -55,10 +55,10 @@ def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     `steps` is ignored when `operator` (built on `problem`) is given."""
     x0 = np.asarray(x0, dtype=float)
     op = _operator_for(problem, steps, operator)
-    K00 = op.diagonal(problem.t0)
+    K00 = op.M.v_start[0]  # K(t0, t0) = M(t0), at node 0
     p0 = sym_eig_pinv(K00) @ x0
     traj = op.trajectory([(problem.t0, K00 @ p0)])
-    start_err = np.linalg.norm(traj.x.eval(problem.t0) - x0)
+    start_err = np.linalg.norm(traj.x.v_start[0] - x0)
     if start_err > 1e-8 * (1.0 + np.linalg.norm(x0)):
         raise DegenerateProblemError(
             f"kernel diagonal numerically singular: reproduced initial state "
@@ -73,7 +73,7 @@ def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
     `steps` is ignored when `operator` (built on `problem`) is given."""
     x0 = np.asarray(x0, dtype=float)
     op = _operator_for(problem, steps, operator)
-    J0 = op.J.eval(problem.t0)
+    J0 = op.J_nodes[0]
     value = float(x0 @ J0 @ x0)
     return LQSolveResult(((problem.t0, J0 @ x0),), op.trajectory([(problem.t0, x0)]),
                          value, "feedback")

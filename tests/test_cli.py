@@ -236,9 +236,9 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
         assert np.array_equal(x0, x0s[:, c]) and np.array_equal(single_vals, vals[..., c])
         assert np.array_equal(single_edges, edges)
         want.append((float(pool[rng.integers(0, pool.size)]), *rng.normal(size=p.state_dim)))
-    got = [(t, *pv[:, c]) for _, _, t, pv, _ in residuals for c in range(pv.shape[1])]
-    assert sorted(got) == sorted(want)
-    assert len(residuals) == len({t for t, *_ in want})
+    # one call, the ten columns at their own times in the order drawn
+    [(_, _, ts, pv, _)] = residuals
+    assert [(float(ts[c]), *pv[:, c]) for c in range(10)] == want
 
 
 def test_verify_solves_the_flows_once(monkeypatch):
@@ -251,9 +251,10 @@ def test_verify_solves_the_flows_once(monkeypatch):
 
 
 def test_verify_builds_one_shooting_table_and_sweeps_its_grid_once(monkeypatch):
-    # the four restarted shooting diagonals share one H table and one
-    # forward sweep of the operator's grid: 3 table builds in all (the J and
-    # P flows, M, the shooting route), where a shooting call per time made 6
+    # the J and P flows, M and the four restarted shooting diagonals read
+    # the operator's one H table, and the diagonals take one forward sweep
+    # of its grid: 1 table build, where a table per reader made 3 and a
+    # shooting call per time 6
     from lqkernel import kernel, riccati
     from lqkernel.kernel import KernelOperator
     problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))
@@ -262,9 +263,29 @@ def test_verify_builds_one_shooting_table_and_sweeps_its_grid_once(monkeypatch):
         _recording(monkeypatch, module, "_hamiltonian_table", tables)
     _recording(monkeypatch, kernel, "_affine_sweep", sweeps)
     run_verification(problem, 0, 4000)
-    assert len(tables) == 3
+    assert len(tables) == 1
     grid = KernelOperator(problem, 4000).grid
     assert sum(args[0].size - 1 for args in sweeps) == grid.size - 1
+
+
+@pytest.mark.parametrize("method", ["kernel", "feedback", "both", "multipoint"])
+def test_solve_builds_one_table_and_never_j_derivatives(method, tmp_path, capsys,
+                                                        monkeypatch):
+    # every solve route reads J and M at nodes only, so J's node derivatives
+    # (`_riccati_solution`) are never built, and the one Hamiltonian table
+    # of the operator serves the flows, M and the trajectory
+    from lqkernel import kernel, riccati
+    tables, dense_J = [], []
+    for module in (kernel, riccati):
+        _recording(monkeypatch, module, "_hamiltonian_table", tables)
+    _recording(monkeypatch, kernel, "_riccati_solution", dense_J)
+    pins = ["--constraints", "[[0, [1, 0]], [0.6, [0, 1]], [1.2, [-1, 0]]]"]
+    rc = main(["solve", str(_BUNDLED / "switched_tracking.json"), "--method", method,
+               "--steps", "400", "--out", str(tmp_path / "traj.csv"),
+               *(pins if method == "multipoint" else [])])
+    assert rc == 0, capsys.readouterr()
+    assert len(tables) == 1
+    assert dense_J == []
 
 
 @pytest.mark.parametrize("seed", [None, 5])
@@ -280,6 +301,23 @@ def test_verify_kernel_diagonal_bvp_is_a_discretization_gap(seed):
                     if c["name"] == "kernel_diagonal_bvp") for steps in (100, 200, 400)]
     assert defects[0] > 1e-13
     assert all(coarse >= 12.0 * fine for coarse, fine in zip(defects, defects[1:]))
+
+
+def test_verify_kernel_diagonal_identity_reads_the_query_times():
+    # J and M are read at t0, 25, 50 and 75% of the horizon and T through
+    # their interpolants, not at the nearest nodes: at 4001 steps the 25 and
+    # 75% times are not grid nodes (50% is a schedule breakpoint)
+    from lqkernel.kernel import KernelOperator
+    problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))
+    op = KernelOperator(problem, 4001)
+    queries = problem.t0 + (problem.T - problem.t0) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert not np.isin(queries[[1, 3]], op.grid).any()
+    eye = np.eye(problem.state_dim)
+    want = max(np.linalg.norm(J @ M - eye)
+               for J, M in zip(op.J.eval_many(queries), op.M.eval_many(queries)))
+    got = next(c["defect"] for c in run_verification(problem, 0, 4001)["checks"]
+               if c["name"] == "kernel_diagonal_identity")
+    assert got == want
 
 
 def test_verify_runs_one_rollout_and_at_most_six_quadratures(monkeypatch):

@@ -366,7 +366,7 @@ def test_restarted_diagonals_degeneracy_is_reported():
     # the t0 carrier integrates e^(4 s) over the whole horizon, as
     # `shooting_diagonal` at t0 does
     with pytest.raises(BvpDegenerateError, match=r"column time 0\.0 "):
-        restarted_diagonals(_unstable_problem(4.0), [0.0, 2.5, 5.0, 7.5], 4000)
+        restarted_diagonals(KernelOperator(_unstable_problem(4.0), 4000), [0.0, 2.5, 5.0, 7.5])
 
 
 # -- restarted shooting diagonals ---------------------------------------------
@@ -383,22 +383,25 @@ def test_restarted_diagonals_match_restarted_single_shooting(seed):
     p = (load_problem_file(str(_SWITCHED))[0] if seed is None
          else random_problem(np.random.default_rng([seed, 3])))
     times = p.t0 + (p.T - p.t0) * np.array([0.0, 0.25, 0.5, 0.75])
-    got = restarted_diagonals(p, times, 4000)
+    got = restarted_diagonals(KernelOperator(p, 4000, extra_nodes=times), times)
     want = np.stack([shooting_diagonal(p.restricted(t), t, 4000) for t in map(float, times)])
     assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
     # at t0 the carrier of `shooting_diagonal` is the identity: the same solve
-    assert np.array_equal(restarted_diagonals(p, [p.t0], 4000)[0],
+    assert np.array_equal(restarted_diagonals(KernelOperator(p, 4000), [p.t0])[0],
                           shooting_diagonal(p, p.t0, 4000))
 
 
 def test_restarted_diagonals_take_times_in_any_order(p1):
     # K_t(t, t) = M(t) = 2 - t on the scalar energy problem; T gives J_T^{-1}
-    got = restarted_diagonals(p1, [0.5, 0.0, 0.5, 1.0], 400)
+    op = KernelOperator(p1, 400)
+    got = restarted_diagonals(op, [0.5, 0.0, 0.5, 1.0])
     assert got.shape == (4, 1, 1)
     assert got[:, 0, 0] == pytest.approx([1.5, 2.0, 1.5, 1.0], abs=1e-10)
     assert np.array_equal(got[0], got[2])
     with pytest.raises(HorizonMismatchError, match="outside"):
-        restarted_diagonals(p1, [0.5, 1.5], 400)
+        restarted_diagonals(op, [0.5, 1.5])
+    with pytest.raises(ValueError, match="not a grid node"):
+        restarted_diagonals(op, [0.5, 0.3001])
 
 
 # -- Gram matrices ------------------------------------------------------------
@@ -584,6 +587,30 @@ def test_family_inner_products_and_residuals_match_the_column_calls(seed):
         assert abs(cross[c] - lq_inner_product(p, tr, section, 300)) <= 1e-14 * abs(cross[c])
         assert abs(residuals[c] - reproducing_residual(op, tr, t, P[:, c], 300)) <= 1e-14
         assert residuals[c] <= 1e-6 * (1.0 + math.sqrt(norms[c]) * np.linalg.norm(P[:, c]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_residuals_at_one_time_per_column(seed):
+    rng = np.random.default_rng([seed, 59])
+    p = random_problem(rng)
+    times = p.t0 + (p.T - p.t0) * np.array([0.2, 0.37, 0.81])
+    op = KernelOperator(p, 600, extra_nodes=times)
+    trajs = _family(p, rng, 4, 400)
+    P = rng.normal(size=(p.state_dim, 4))
+    # every column at one time: the scalar-time call, bit for bit
+    assert np.array_equal(reproducing_residual(op, trajs, np.full(4, times[1]), P, 300),
+                          reproducing_residual(op, trajs, times[1], P, 300))
+    # mixed times: one section family with a term per time against the
+    # column calls, whose sections carry and break the quadrature at their
+    # own time only; the gap was at most 2.1e-16 of 1 + |x| |p| over seeds 0-19
+    ts = times[[0, 1, 0, 2]]
+    residuals = reproducing_residual(op, trajs, ts, P, 300)
+    norms = lq_inner_product(p, trajs, trajs, 300)
+    for c in range(4):
+        single = reproducing_residual(op, trajs.columns(c), ts[c], P[:, c], 300)
+        scale = 1.0 + math.sqrt(norms[c]) * np.linalg.norm(P[:, c])
+        assert abs(residuals[c] - single) <= 1e-14 * scale
+        assert residuals[c] <= 1e-6 * scale
 
 
 def test_family_jump_nodes_are_the_union_of_its_columns(monkeypatch):

@@ -368,7 +368,8 @@ def test_dual_riccati_blowup_reports_time():
     grid = build_grid(0.0, 2.0, 40)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError) as direct:
-            _dual_riccati_on(_dual_pole(0.0), grid)
+            _dual_riccati_on(_dual_pole(0.0), grid,
+                             riccati._hamiltonian_table(_dual_pole(0.0), grid)[0])
         # the diagonal of the problem restarted at 0 solves M on [0, 2]
         with pytest.raises(IntegrationBlowupError) as restart:
             KernelOperator(_dual_pole(1.5).restricted(0.0), 40).diagonal(0.0)

@@ -209,21 +209,24 @@ def _traced_peak(run) -> float:
 
 def test_multipoint_peak_memory():
     # tracemalloc peak of one solve at (N, m, k) = (8, 4, 5), 2000 steps:
-    # 18.5 MB with one Hamiltonian table and no cached sections, 31.3 MB
-    # with separate A, S, Q and W tables beside H and five cached N x N
-    # sections
+    # 18.5 MB with one Hamiltonian table, held by the operator, and no
+    # closed-loop or J-derivative tables (18.5 MB too when the flows
+    # dropped H and kept those), 31.3 MB with separate A, S, Q and W tables
+    # beside H and five cached N x N sections
     problem, constraints = _rendezvous(8, 4, 5)
     peak = _traced_peak(lambda: solve_multipoint(problem, constraints, 2000))
     assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_dual_riccati_peak_memory():
-    # tracemalloc peak of M at (N, m) = (8, 4), 2000 steps: 17.2 MB when its
-    # table is H with the blocks swapped, 24.7 MB with A, S and Q tables kept
-    # beside a dual table built from them
+    # tracemalloc peak of M at (N, m) = (8, 4), 2000 steps, with the H table
+    # it is solved on: 18.5 MB when the sweep swaps H's blocks one block of
+    # intervals at a time and H stays with the operator, 24.6 MB with a
+    # block-swapped copy of the whole table beside H, 16.4 MB when M owned
+    # H and dropped each slot once swapped, 24.7 MB with A, S and Q tables
+    # kept beside a dual table built from them
     problem = random_problem(np.random.default_rng(101), 8, 4)
-    grid = build_grid(problem.t0, problem.T, 2000, problem.breakpoints())
-    peak = _traced_peak(lambda: riccati._dual_riccati_on(problem, grid))
+    peak = _traced_peak(lambda: KernelOperator(problem, 2000).M)
     assert peak < 21e6, f"peak {peak / 1e6:.1f} MB"
 
 
