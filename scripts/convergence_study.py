@@ -45,7 +45,7 @@ def dual_table(problem, name):
 
 def oracle_table(problem, name):
     x0 = np.ones(problem.state_dim) / math.sqrt(problem.state_dim)
-    v_ref = solve_feedback(problem, x0, 4000).value
+    v_ref = solve_feedback(KernelOperator(problem, 4000), x0).value
     print(f"\ndiscrete oracle on {name} (continuous value {v_ref:.10f}):")
     print(f"{'steps':>8} {'value':>16} {'bias':>12} {'ratio':>8}")
     prev = None

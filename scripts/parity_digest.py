@@ -129,7 +129,7 @@ def _operator_lines(name, problem, steps):
     x0 = np.ones(p.state_dim) / np.sqrt(p.state_dim)
     for solve in (solve_kernel, solve_feedback):
         def run(solve=solve):
-            res = solve(p, x0, steps, operator=op)
+            res = solve(op, x0)
             return _digest(*_dense(res.trajectory.x), *_dense(res.trajectory.u),
                            res.value, *(v for _, v in res.covectors),
                            *_dense(solve_adjoint(p, res.trajectory.x)))

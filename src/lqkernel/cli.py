@@ -260,13 +260,11 @@ def cmd_solve(args) -> int:
     gap = None
     if method == "multipoint":
         result = solve_multipoint(problem, _constraints_from(args.constraints, problem), steps)
-    elif method == "feedback":
-        result = solve_feedback(problem, x0, steps)
     else:
         op = KernelOperator(problem, steps)
-        result = solve_kernel(problem, x0, steps, operator=op)
+        result = (solve_feedback if method == "feedback" else solve_kernel)(op, x0)
         if method == "both":
-            fb = solve_feedback(problem, x0, steps, operator=op)
+            fb = solve_feedback(op, x0)
             gap = float(np.max(np.abs(result.trajectory.x.values - fb.trajectory.x.values)))
             summary["value_feedback"] = fb.value
 
@@ -336,8 +334,8 @@ def cmd_compare(args) -> int:
             f"--oracle-steps: must be at least {MIN_ORACLE_STEPS}, got {args.oracle_steps}")
 
     op = KernelOperator(problem, steps)
-    vk = solve_kernel(problem, x0, steps, operator=op).value
-    vf = solve_feedback(problem, x0, steps, operator=op).value
+    vk = solve_kernel(op, x0).value
+    vf = solve_feedback(op, x0).value
     rich = richardson_value(problem, x0, int(args.oracle_steps))
     ext = rich["extrapolated"]
     _print_json({
@@ -438,8 +436,8 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     add("reproducing", np.max(r / (1.0 + xnorm * pnorm)))
 
     x0 = np.ones(n) / np.sqrt(n)
-    rk = solve_kernel(p, x0, steps, operator=op)
-    rf = solve_feedback(p, x0, steps, operator=op)
+    rk = solve_kernel(op, x0)
+    rf = solve_feedback(op, x0)
     add("value_agreement", abs(rk.value - rf.value) / (1.0 + abs(rf.value)))
     # both trajectories lie on op.grid
     gap = np.max(np.abs(rk.trajectory.x.values - rf.trajectory.x.values))
@@ -465,7 +463,9 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
 
 
 def _tolerances_from(doc, what: str) -> dict:
-    """Per-check tolerance overrides: an object mapping check names to numbers."""
+    """Per-check tolerance overrides: an object mapping check names to
+    finite non-negative numbers (inf would switch a check off and print as
+    `Infinity`, which strict JSON refuses; NaN or a negative fail it always)."""
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{what}: expected an object of per-check tolerances")
     for name, tol in doc.items():
@@ -473,6 +473,8 @@ def _tolerances_from(doc, what: str) -> dict:
             raise ProblemFileError(f"{what}: unknown check {name!r}")
         if isinstance(tol, bool) or not isinstance(tol, (int, float)):
             raise ProblemFileError(f"{what}: tolerance for {name!r} is not a number")
+        if not 0 <= tol <= sys.float_info.max:  # NaN compares false
+            raise ProblemFileError(f"{what}: tolerance for {name!r} is not finite and >= 0")
     return doc
 
 

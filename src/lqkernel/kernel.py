@@ -74,11 +74,12 @@ class KernelOperator:
     off-grid time raises ValueError.  Computed lazily and cached: the
     Hamiltonian table of the grid (once, by `_hamiltonian_table`), the J
     and P flows on it (once, by `_solve_flows`), and, when first read, J
-    with its node derivatives and M on the same grid and table (neither on
-    the solve routes).  Every trajectory is
-    built by `trajectory`, and every kernel entry read by `_carried`; both
-    carry values over the X blocks of the flows.  The operator is
-    logically immutable and evaluations are pure.
+    with its node derivatives (no solve reads them) and M on the same grid
+    and table (`solve_kernel` reads K(t0, t0) = M(t0); `solve_feedback`,
+    the sections and the shooting routes never solve M).  Every trajectory
+    is built by `trajectory`, and every kernel entry read by `_carried`
+    from `_solve_diagonal`; both carry values over the X blocks of the
+    flows.  The operator is logically immutable and evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -147,16 +148,16 @@ class KernelOperator:
 
     def entry(self, s: float, t: float) -> np.ndarray:
         """K(s, t) for grid nodes s and t, carried from t to s only."""
-        return self._carried(float(t), self._nodes(s))[0]
+        return self._carried(self._nodes(t)[0], self._nodes(s))[0]
 
     def entries(self, times) -> np.ndarray:
         """K(t_i, t_j) for every pair of `times`, all grid nodes, as a
         (k, k, N, N) array, bit for bit `entry(t_i, t_j)`.  The times are
         mapped to nodes once, and column j carries K(t_j, t_j) only to the
         nodes the times name; no section is built."""
-        rows, back = np.unique(self._nodes(times), return_inverse=True)
-        return np.stack([self._carried(float(t), rows)[back]
-                         for t in np.atleast_1d(times)], axis=1)
+        cols = self._nodes(times)
+        rows, back = np.unique(cols, return_inverse=True)
+        return np.stack([self._carried(j, rows)[back] for j in cols], axis=1)
 
     def gram(self, times) -> tuple[np.ndarray, float]:
         """Block Gram matrix at `times`, symmetrized; returns (matrix, defect).
@@ -264,37 +265,41 @@ class KernelOperator:
                              "pass it in extra_nodes")
         return j
 
-    def _carried(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """K(s, t) at the increasing node indices `rows`: K(t, t) =
-        (J(t) + P(t))^{-1} carried from the grid node t along G to the left
-        and along F to the right, to those nodes alone; bit for bit the node
-        values of the identity family `kernel_trajectory(op, [(t, I)]).x`."""
+    def _solve_diagonal(self, j: int, values: np.ndarray) -> np.ndarray:
+        """K(t, t) values = (J(t) + P(t))^{-1} values at the node of index j."""
         f = self._flows
-        j = self._nodes(t)[0]
-        V = np.linalg.inv(f.J[j] + f.P[j])
+        return np.linalg.solve(f.J[j] + f.P[j], values)
+
+    def _carried(self, j: int, rows: np.ndarray) -> np.ndarray:
+        """K(s, t) at the increasing node indices `rows` for the node t of
+        index j: K(t, t) carried along G to the left and along F to the
+        right, to those nodes alone; bit for bit the node values of the
+        identity family `kernel_trajectory(op, [(t, I)]).x`."""
+        f = self._flows
+        V = self._solve_diagonal(j, np.eye(self.problem.state_dim))
         mid = [V[None]] if j in rows else []
         return np.concatenate([f.carry(j, V, False, rows[rows < j]), *mid,
                                f.carry(j, V, True, rows[rows > j])])
 
 
-def shooting_diagonal(problem: LQProblem, t: float,
-                      steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """K(t, t) by single shooting, a route that solves no Riccati equation.
+def shooting_diagonal(operator: KernelOperator, t: float) -> np.ndarray:
+    """K(t, t) at a node t of the operator's grid by single shooting, a
+    route that solves no Riccati equation.
 
     [K; -Pi] runs the Hamiltonian flow [[A, -S], [-Q, -A']] from
     [K(t0, t); 0], its -Pi rows jump by +I at s = t, and
-    J_T K(T) + Pi(T) = 0; the carrier [I; 0] swept forward to t and
-    widened by [0; I] there gives the shooting system for K(t0, t)
-    (`_shooting_solve`).  At t = t0 the carrier is the identity, and this is
-    `restarted_diagonals` at one time.  The test suite compares it with the
-    Riccati routes.  Loses accuracy on long unstable horizons; raises
+    J_T K(T) + Pi(T) = 0; the carrier [I; 0] swept forward to t on the
+    operator's grid and table and widened by [0; I] there gives the
+    shooting system for K(t0, t) (`_shooting_solve`).  At t = t0 the
+    carrier is the identity: `restarted_diagonals` at one time.  Loses
+    accuracy on long unstable horizons.  Raises HorizonMismatchError or
+    ValueError for a time outside the horizon or off the grid, and
     BvpDegenerateError when the shooting system is numerically singular.
     """
-    p = problem
+    p, grid = operator.problem, operator.grid
     n = p.state_dim
-    grid = build_grid(p.t0, p.T, steps, np.append(p.breakpoints(), t))
-    H_tab, _ = _hamiltonian_table(p, grid)
-    j = int(np.argmin(np.abs(grid - t)))
+    j = operator._nodes(t)[0]
+    H_tab = operator._hamiltonian[0]
     W = np.eye(2 * n)
     W[:, :n] = _affine_sweep(grid[:j + 1], tuple(H[:j] for H in H_tab), np.eye(2 * n, n))[-1]
     WT = _affine_sweep(grid[j:], tuple(H[j:] for H in H_tab), W)[-1]
@@ -436,9 +441,8 @@ def kernel_trajectory(operator: KernelOperator, covectors) -> ControlledTrajecto
     (J(t_i) + P(t_i))^{-1} p_i.  A family of b covectors (N x b) gives a
     family of b trajectories; the identity family (p = I) is the whole
     section K(., t)."""
-    f = operator._flows
     at = operator._nodes([t for t, _ in covectors])
-    return operator.trajectory([(t, np.linalg.solve(f.J[j] + f.P[j], np.asarray(p, dtype=float)))
+    return operator.trajectory([(t, operator._solve_diagonal(j, np.asarray(p, dtype=float)))
                                 for (t, p), j in zip(covectors, at)])
 
 

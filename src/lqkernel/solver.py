@@ -2,12 +2,14 @@
 
 The kernel route encodes the whole optimal trajectory in one covector:
 p0 = K(t0, t0)^(-) x0 and xbar(s) = K(s, t0) p0, with value p0' x0.  The
-feedback route rolls the closed loop forward from x0.  The multipoint solve
-pins the trajectory at several times and solves the block Gram system for
-one covector per pinned time.  Every route builds its trajectory, control
-read off the costate, by `KernelOperator.trajectory`: the kernel and
-feedback solves as one term at t0, the multipoint solve as one term per
-pinned time.
+feedback route rolls the closed loop forward from x0.  Both take a
+`KernelOperator`, whose grid, table and flows they share with every other
+reader of the problem.  The multipoint solve pins the trajectory at
+several times and solves the block Gram system for one covector per pinned
+time, on an operator it builds so that its grid holds those times.
+Every route builds its trajectory, control read off the costate, by
+`KernelOperator.trajectory`: the kernel and feedback solves as one term at
+t0, the multipoint solve as one term per pinned time.
 """
 
 from __future__ import annotations
@@ -40,42 +42,30 @@ def evaluate_cost(problem: LQProblem, traj: ControlledTrajectory,
     return lq_inner_product(problem, traj, traj, quad_intervals)
 
 
-def _operator_for(problem: LQProblem, steps: int, operator) -> KernelOperator:
-    """`operator`, refused unless built on `problem` itself, or a new one."""
-    if operator is None:
-        return KernelOperator(problem, steps)
-    if operator.problem is not problem:
-        raise ValueError("operator was built for a different problem")
-    return operator
-
-
-def solve_kernel(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
-                 operator: KernelOperator | None = None) -> LQSolveResult:
-    """Optimal trajectory via the kernel representer: xbar = K(., t0) p0.
-    `steps` is ignored when `operator` (built on `problem`) is given."""
+def solve_kernel(operator: KernelOperator, x0) -> LQSolveResult:
+    """Optimal trajectory via the kernel representer: xbar = K(., t0) p0,
+    on the operator's grid."""
     x0 = np.asarray(x0, dtype=float)
-    op = _operator_for(problem, steps, operator)
-    K00 = op.M.v_start[0]  # K(t0, t0) = M(t0), at node 0
+    t0 = operator.problem.t0
+    K00 = operator.M.v_start[0]  # K(t0, t0) = M(t0), at node 0
     p0 = sym_eig_pinv(K00) @ x0
-    traj = op.trajectory([(problem.t0, K00 @ p0)])
+    traj = operator.trajectory([(t0, K00 @ p0)])
     start_err = np.linalg.norm(traj.x.v_start[0] - x0)
     if start_err > 1e-8 * (1.0 + np.linalg.norm(x0)):
         raise DegenerateProblemError(
             f"kernel diagonal numerically singular: reproduced initial state "
             f"off by {start_err:.3e}")
     value = float(p0 @ x0)
-    return LQSolveResult(((problem.t0, p0),), traj, value, "kernel")
+    return LQSolveResult(((t0, p0),), traj, value, "kernel")
 
 
-def solve_feedback(problem: LQProblem, x0, steps: int = DEFAULT_STEPS,
-                   operator: KernelOperator | None = None) -> LQSolveResult:
-    """Optimal trajectory by rolling out the closed loop x' = (A - S J) x.
-    `steps` is ignored when `operator` (built on `problem`) is given."""
+def solve_feedback(operator: KernelOperator, x0) -> LQSolveResult:
+    """Optimal trajectory by rolling out the closed loop x' = (A - S J) x
+    on the operator's grid."""
     x0 = np.asarray(x0, dtype=float)
-    op = _operator_for(problem, steps, operator)
-    J0 = op.J_nodes[0]
+    t0, J0 = operator.problem.t0, operator.J_nodes[0]
     value = float(x0 @ J0 @ x0)
-    return LQSolveResult(((problem.t0, J0 @ x0),), op.trajectory([(problem.t0, x0)]),
+    return LQSolveResult(((t0, J0 @ x0),), operator.trajectory([(t0, x0)]),
                          value, "feedback")
 
 

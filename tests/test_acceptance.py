@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the measured defects.
 Problem set: the two scalar benchmarks with known closed forms, the double
 integrator, and five seeded random problems (N <= 4).  Criteria that pin a
 step count use it exactly; section-heavy checks run at 2000 steps where no
-count is pinned.
+count is pinned.  c12 runs the whole `verify` checklist on 26 seeded random
+problems of its own.
 """
 
 import math
@@ -12,11 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from lqkernel.kernel import (lq_inner_product, reproducing_residual,
+from lqkernel.cli import run_verification
+from lqkernel.kernel import (KernelOperator, lq_inner_product, reproducing_residual,
                              shooting_diagonal)
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
 from lqkernel.oracle import discrete_value
+from lqkernel.problems import random_problem
 from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import evaluate_cost, solve_feedback, solve_kernel, solve_multipoint
 
@@ -74,7 +77,7 @@ def test_c01b_restarted_bvp_diagonal_inverts_value_hessian(section_problems,
         eye = np.eye(p.state_dim)
         for frac in (0.0, 0.25, 0.5, 0.75):
             tq = p.t0 + frac * (p.T - p.t0)
-            K_tt = shooting_diagonal(p.restricted(tq), tq, SECTION_STEPS)
+            K_tt = shooting_diagonal(KernelOperator(p.restricted(tq), SECTION_STEPS), tq)
             worst = max(worst, np.linalg.norm(J.eval(tq) @ K_tt - eye))
     assert _report("1b", "restarted BVP diagonal vs inverse Riccati, 4 query times",
                    worst, 1e-5)
@@ -93,7 +96,7 @@ def test_c01c_full_space_bvp_diagonal_inverts_j_plus_p(section_problems,
         for frac in (0.25, 0.5, 0.75):
             tq = p.t0 + frac * (p.T - p.t0)
             J_plus_P = np.linalg.inv(op.entry(tq, tq))
-            K_tt = shooting_diagonal(p, tq, SECTION_STEPS)
+            K_tt = shooting_diagonal(KernelOperator(p, SECTION_STEPS, extra_nodes=[tq]), tq)
             worst = max(worst, np.linalg.norm(K_tt @ J_plus_P - eye))
     assert _report("1c", "full-space BVP diagonal vs inverse of J + P, 3 query times",
                    worst, 1e-5)
@@ -116,7 +119,7 @@ def test_c03_closed_forms(p1, p2, operator_cache):
     defects.append(abs(op1.J.eval(0.0)[0, 0] - 0.5))
     for t in (0.0, 0.25, 0.6, 1.0):
         defects.append(abs(op1.M.eval(t)[0, 0] - (2.0 - t)))
-    defects.append(abs(solve_kernel(p1, [1.0], operator=op1).value - 0.5))
+    defects.append(abs(solve_kernel(op1, [1.0]).value - 0.5))
     for s, t in ((0.5, 0.25), (0.3, 0.9), (1.0, 1.0), (0.0, 0.5)):
         want = (2.0 - s) * (2.0 - t) / (2.0 - min(s, t))
         defects.append(abs(op1.entry(s, t)[0, 0] - want))
@@ -136,8 +139,8 @@ def test_c04_value_triple_agreement(problem_set, operator_cache):
     for name, p in problem_set:
         op = operator_cache(p, STEPS)
         x0 = _x0(p)
-        vk = solve_kernel(p, x0, operator=op).value
-        vf = solve_feedback(p, x0, operator=op).value
+        vk = solve_kernel(op, x0).value
+        vf = solve_feedback(op, x0).value
         worst_kf = max(worst_kf, abs(vk - vf) / (1.0 + vf))
         v_h = discrete_value(p, x0, 2000)
         v_h2 = discrete_value(p, x0, 4000)
@@ -193,7 +196,7 @@ def test_c07_adjoint_identity(problem_set, operator_cache):
     for name, p in problem_set:
         op = operator_cache(p, STEPS)
         x0 = _x0(p)
-        xbar = solve_kernel(p, x0, operator=op).trajectory.x
+        xbar = solve_kernel(op, x0).trajectory.x
         costate = solve_adjoint(p, xbar)
         J_vals = op.J.eval_many(costate.times)
         resid = costate.values + np.einsum("kij,kj->ki", J_vals,
@@ -210,7 +213,7 @@ def test_c08_optimality_against_feasible_perturbations(dint, operator_cache):
     rng = np.random.default_rng(80808)
     op = operator_cache(dint, STEPS)
     x0 = np.array([1.0, 0.0])
-    opt = solve_kernel(dint, x0, operator=op)
+    opt = solve_kernel(op, x0)
     opt_cost = evaluate_cost(dint, opt.trajectory, 1000)
     margin = 0.0
     for _ in range(100):
@@ -261,3 +264,20 @@ def test_c10_integrator_orders():
     _report(10, f"oracle Richardson halving ratio {ratio:.2f}",
             abs(ratio - 2.0), 0.3, passed=ok_oracle)
     assert ok_rk4 and ok_oracle
+
+
+# both generators, each a contiguous block of seeds and the seeds whose
+# oracle check once failed at the verify tolerance, taken whole
+C12_PROBLEMS = ([([s, 2], 2) for s in (*range(10), 13, 22, 38)]
+                + [([s, 3], None) for s in (*range(10), 11, 21, 73)])
+
+
+def test_c12_verify_certifies_random_problems():
+    worst, failed = 0.0, []
+    for seed, dim in C12_PROBLEMS:
+        report = run_verification(random_problem(np.random.default_rng(seed), dim), 0, STEPS)
+        failed += [(seed, c["name"]) for c in report["checks"] if not c["passed"]]
+        worst = max(worst, *(c["defect"] / c["tolerance"] for c in report["checks"]))
+    ok = _report(12, f"verify on {len(C12_PROBLEMS)} random problems, worst defect "
+                 "over tolerance", worst, 1.0, passed=not failed)
+    assert ok, failed

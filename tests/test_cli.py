@@ -588,6 +588,11 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
                             "matrices": [[[0], [1]]] * 3}}),
     (_riccati, {"B": {"kind": "samples", "times": [-math.inf, 0.0, 1.0],
                             "matrices": [[[0], [1]]] * 3}}),
+    (["verify", "{doc}", "--tolerances", '{"duality": Infinity}'], {}),
+    (["verify", "{doc}", "--tolerances", '{"duality": NaN}'], {}),
+    (["verify", "{doc}", "--tolerances", '{"duality": -1}'], {}),
+    (["verify", "{doc}"], {"settings": {"tolerances": {"duality": math.inf}}}),
+    (["verify", "{doc}", "--tolerances", '{"duality": 1%s}' % ("0" * 400)], {}),
 ], ids=["x0-length", "x0-not-a-number", "steps-zero", "oracle-steps-too-few",
         "constraint-length", "constraints-empty",
         "constraints-unsorted", "constraints-repeated", "constraint-outside-horizon",
@@ -609,7 +614,9 @@ _DEEP_DOC = json.dumps({**problem_to_dict(double_integrator_problem()), "J_T": "
         "constraint-target-boolean", "file-nested-too-deeply",
         "constraints-nested-too-deeply", "tolerances-nested-too-deeply",
         "poly-origin-nan", "poly-origin-infinite", "breakpoint-nan", "breakpoint-infinite",
-        "sample-time-infinite", "sample-time-minus-infinite"])
+        "sample-time-infinite", "sample-time-minus-infinite", "tolerance-infinite",
+        "tolerance-nan", "tolerance-negative", "settings-tolerance-infinite",
+        "tolerance-beyond-float"])
 def test_malformed_flags_are_input_errors(argv, doc_extra, tmp_path, capsys):
     # doc_extra: keys to set (None drops the key), or the file's whole text or bytes
     path = tmp_path / "dint.json"

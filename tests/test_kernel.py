@@ -13,6 +13,7 @@ from lqkernel.linalg import _symmetrized, spd_inverse
 from lqkernel.model import ControlledTrajectory, LQProblem, MatrixSchedule
 from lqkernel.ode import DenseSolution
 from lqkernel.problems import random_problem, random_trajectory, rollout
+from lqkernel.solver import solve_feedback, solve_kernel
 from dense_nodes import dense_from_nodes
 
 
@@ -188,6 +189,11 @@ def test_sections_share_one_set_of_flow_tables(dint, monkeypatch):
     for t in times:
         _section(op, t)
     op.trajectory([(dint.t0, np.ones(2))])
+    # the solves and both shooting routes read the same table
+    solve_kernel(op, [1.0, -0.4])
+    solve_feedback(op, [1.0, -0.4])
+    shooting_diagonal(op, 0.45)
+    restarted_diagonals(op, [0.0, 0.45])
     assert np.array_equal(op.J.times, op.grid)
     assert built == [op.grid.size - 1]
 
@@ -359,7 +365,7 @@ def test_stiff_scalar_diagonal():
 
 def test_single_shooting_degeneracy_is_reported():
     with pytest.raises(BvpDegenerateError):
-        shooting_diagonal(_unstable_problem(4.0), 0.0, 4000)
+        shooting_diagonal(KernelOperator(_unstable_problem(4.0), 4000), 0.0)
 
 
 def test_restarted_diagonals_degeneracy_is_reported():
@@ -384,11 +390,24 @@ def test_restarted_diagonals_match_restarted_single_shooting(seed):
          else random_problem(np.random.default_rng([seed, 3])))
     times = p.t0 + (p.T - p.t0) * np.array([0.0, 0.25, 0.5, 0.75])
     got = restarted_diagonals(KernelOperator(p, 4000, extra_nodes=times), times)
-    want = np.stack([shooting_diagonal(p.restricted(t), t, 4000) for t in map(float, times)])
+    want = np.stack([shooting_diagonal(KernelOperator(p.restricted(t), 4000), t)
+                     for t in map(float, times)])
     assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
     # at t0 the carrier of `shooting_diagonal` is the identity: the same solve
-    assert np.array_equal(restarted_diagonals(KernelOperator(p, 4000), [p.t0])[0],
-                          shooting_diagonal(p, p.t0, 4000))
+    op = KernelOperator(p, 4000)
+    assert np.array_equal(restarted_diagonals(op, [p.t0])[0], shooting_diagonal(op, p.t0))
+
+
+def test_shooting_diagonal_refuses_times_off_the_operators_grid(p1):
+    # a time outside the horizon [0, 1] raises, as `KernelOperator.diagonal` does
+    op = KernelOperator(p1, 100)
+    for t in (1.5, -0.5):
+        with pytest.raises(HorizonMismatchError):
+            shooting_diagonal(op, t)
+    with pytest.raises(ValueError, match="not a grid node"):
+        shooting_diagonal(op, 0.505)
+    K = shooting_diagonal(KernelOperator(p1, 100, extra_nodes=[0.505]), 0.505)
+    assert K[0, 0] == pytest.approx(k_scalar_energy(0.505, 0.505), abs=1e-9)
 
 
 def test_restarted_diagonals_take_times_in_any_order(p1):

@@ -8,6 +8,7 @@ import pytest
 import lqkernel.oracle
 from lqkernel.cli import _VERIFY_ORACLE_STEPS, _VERIFY_TOLERANCES, load_problem_file
 from lqkernel.errors import IntegrationBlowupError, NumericalError, SingularMatrixError
+from lqkernel.kernel import KernelOperator
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.problems import random_problem
@@ -49,7 +50,7 @@ def test_extrapolated_value_matches_continuous(p2, dint, random_problems):
     for p in [p2, dint, random_problems[1]]:
         x0 = np.ones(p.state_dim)
         rich = richardson_value(p, x0, 1500)
-        v_cont = solve_feedback(p, x0, 1500).value
+        v_cont = solve_feedback(KernelOperator(p, 1500), x0).value
         assert abs(rich["extrapolated"] - v_cont) <= 1e-4 * (1.0 + abs(v_cont))
 
 
@@ -63,7 +64,7 @@ def test_richardson_meets_the_verify_tolerance_with_jumps(seed, dim):
     assert p.breakpoints().size
     x0 = np.ones(p.state_dim) / np.sqrt(p.state_dim)
     rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)
-    vf = solve_feedback(p, x0, 4000).value
+    vf = solve_feedback(KernelOperator(p, 4000), x0).value
     gap = abs(rich["extrapolated"] - vf) / (1.0 + abs(vf))
     assert gap <= _VERIFY_TOLERANCES["oracle_richardson"]
 

@@ -79,19 +79,19 @@ def test_duality_along_grid(p1, p2, dint, random_problems):
 
 def test_feedback_gain_values(p1, p2, zero_drive):
     # u = -R^{-1} B' J x: gain -J(0) = -0.5 on p1, -1 along p2, 0 without B
-    u1 = solve_feedback(p1, [1.0], 500).trajectory.u
+    u1 = solve_feedback(KernelOperator(p1, 500), [1.0]).trajectory.u
     assert u1.eval(0.0)[0] == pytest.approx(-0.5, abs=1e-8)
-    traj2 = solve_feedback(p2, [1.0], 500).trajectory
+    traj2 = solve_feedback(KernelOperator(p2, 500), [1.0]).trajectory
     assert traj2.u.eval(0.3)[0] == pytest.approx(-traj2.x.eval(0.3)[0], abs=1e-9)
-    uz = solve_feedback(zero_drive, [1.0, -1.0], 100).trajectory.u
+    uz = solve_feedback(KernelOperator(zero_drive, 100), [1.0, -1.0]).trajectory.u
     assert np.array_equal(uz.values, np.zeros((101, 1)))
 
 
 def test_riccati_value_examples(p1, p2):
     # the feedback route's value is the cost-to-go x0' J(t0) x0
-    assert solve_feedback(p1, [1.0], 800).value == pytest.approx(0.5, abs=1e-8)
-    assert solve_feedback(p2, [2.0], 400).value == pytest.approx(4.0, abs=1e-9)
-    assert solve_feedback(p1, [0.0], 800).value == 0.0
+    assert solve_feedback(KernelOperator(p1, 800), [1.0]).value == pytest.approx(0.5, abs=1e-8)
+    assert solve_feedback(KernelOperator(p2, 400), [2.0]).value == pytest.approx(4.0, abs=1e-9)
+    assert solve_feedback(KernelOperator(p1, 800), [0.0]).value == 0.0
 
 
 def test_adjoint_constant_costate(p1):
@@ -129,8 +129,9 @@ def test_adjoint_rejects_a_trajectory_off_the_horizon(p2):
 def test_costate_is_negative_hessian_times_state(dint, random_problems):
     # p(t) = -J(t) xbar(t) along the optimal trajectory
     for p in [dint, random_problems[0]]:
-        res = solve_kernel(p, np.ones(p.state_dim), 1200)
-        J = KernelOperator(p, 1200).J
+        op = KernelOperator(p, 1200)
+        res = solve_kernel(op, np.ones(p.state_dim))
+        J = op.J
         pa = solve_adjoint(p, res.trajectory.x)
         resid = pa.values + np.einsum(
             "kij,kj->ki", J.eval_many(pa.times), res.trajectory.x.eval_many(pa.times))
@@ -142,8 +143,8 @@ def test_value_monotone_in_state_cost(random_problems):
     for p in random_problems[:2]:
         bumped = dataclasses.replace(p, Q=_bump(p.Q, 0.1))
         x0 = np.ones(p.state_dim)
-        v0 = solve_feedback(p, x0, 800).value
-        v1 = solve_feedback(bumped, x0, 800).value
+        v0 = solve_feedback(KernelOperator(p, 800), x0).value
+        v1 = solve_feedback(KernelOperator(bumped, 800), x0).value
         assert v1 >= v0 - 1e-10
 
 

@@ -9,15 +9,14 @@ from lqkernel.errors import DegenerateProblemError, InfeasibleInterpolationError
 from lqkernel.kernel import KernelOperator, kernel_trajectory
 from lqkernel.model import LQProblem, MatrixSchedule, dynamics_defect
 from lqkernel.ode import build_grid
-from lqkernel.problems import (random_problem, random_trajectory, rollout,
-                               unit_scalar_problem)
+from lqkernel.problems import random_problem, random_trajectory, rollout
 from lqkernel.solver import (evaluate_cost, solve_feedback, solve_kernel,
                              solve_multipoint)
 from dense_nodes import dense_from_nodes
 
 
 def test_kernel_route_scalar_energy(p1, operator_cache):
-    res = solve_kernel(p1, [1.0], operator=operator_cache(p1, 700))
+    res = solve_kernel(operator_cache(p1, 700), [1.0])
     assert res.value == pytest.approx(0.5, abs=1e-8)
     assert res.covectors[0][1][0] == pytest.approx(0.5, abs=1e-8)
     assert res.trajectory.x.eval(1.0)[0] == pytest.approx(0.5, abs=1e-8)
@@ -26,22 +25,22 @@ def test_kernel_route_scalar_energy(p1, operator_cache):
 
 
 def test_kernel_route_unit_cost(p2, operator_cache):
-    res = solve_kernel(p2, [1.0], operator=operator_cache(p2, 700))
+    res = solve_kernel(operator_cache(p2, 700), [1.0])
     assert res.value == pytest.approx(1.0, abs=1e-9)
     for s in (0.25, 0.8):
         assert res.trajectory.x.eval(s)[0] == pytest.approx(math.exp(-s), abs=1e-8)
 
 
 def test_kernel_route_zero_state(p1, operator_cache):
-    res = solve_kernel(p1, [0.0], operator=operator_cache(p1, 700))
+    res = solve_kernel(operator_cache(p1, 700), [0.0])
     assert res.value == 0.0
     assert np.max(np.abs(res.trajectory.x.values)) == 0.0
 
 
 def test_feedback_matches_kernel_route(p1, operator_cache):
     op = operator_cache(p1, 700)
-    rk = solve_kernel(p1, [1.0], operator=op)
-    rf = solve_feedback(p1, [1.0], operator=op)
+    rk = solve_kernel(op, [1.0])
+    rf = solve_feedback(op, [1.0])
     ts = rk.trajectory.x.times
     gap = np.max(np.abs(rk.trajectory.x.eval_many(ts) - rf.trajectory.x.eval_many(ts)))
     assert gap < 1e-6
@@ -50,9 +49,9 @@ def test_feedback_matches_kernel_route(p1, operator_cache):
 
 def test_solves_on_a_shared_operator_match_fresh_solves_bit_for_bit(dint):
     x0 = [1.0, -0.4]
-    fresh = [solve(dint, x0, 300) for solve in (solve_kernel, solve_feedback)]
+    fresh = [solve(KernelOperator(dint, 300), x0) for solve in (solve_kernel, solve_feedback)]
     op = KernelOperator(dint, 300)
-    shared = [solve(dint, x0, operator=op) for solve in (solve_kernel, solve_feedback)]
+    shared = [solve(op, x0) for solve in (solve_kernel, solve_feedback)]
     for a, b in zip(fresh, shared):
         assert a.value == b.value
         for sol in ("x", "u"):
@@ -62,11 +61,11 @@ def test_solves_on_a_shared_operator_match_fresh_solves_bit_for_bit(dint):
 
 
 def test_feedback_value_unit_cost(p2):
-    assert solve_feedback(p2, [1.0], 600).value == pytest.approx(1.0, abs=1e-9)
+    assert solve_feedback(KernelOperator(p2, 600), [1.0]).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_feedback_zero_state(p2):
-    res = solve_feedback(p2, [0.0], 300)
+    res = solve_feedback(KernelOperator(p2, 300), [0.0])
     assert res.value == 0.0
     assert np.max(np.abs(res.trajectory.u.values)) == 0.0
 
@@ -81,28 +80,19 @@ def test_feedback_solves_no_dual_riccati(dint, monkeypatch):
 
     monkeypatch.setattr(kernel, "_dual_riccati_on", counted)
     op = KernelOperator(dint, 300)
-    res = solve_feedback(dint, [1.0, 0.0], operator=op)
+    res = solve_feedback(op, [1.0, 0.0])
     assert calls == []
     assert res.value > 0.0
     assert op.M is op.M
     assert len(calls) == 1
 
 
-def test_solves_refuse_an_operator_of_another_problem():
-    # the operator's problem has value 0.5 at x0 = 1, the solved one 1.0
-    op = KernelOperator(unit_scalar_problem(0.0), 200)
-    problem = unit_scalar_problem(1.0)
-    for solve in (solve_kernel, solve_feedback):
-        with pytest.raises(ValueError, match="different problem"):
-            solve(problem, [1.0], operator=op)
-
-
 def test_route_agreement_random(random_problems, operator_cache):
     for p in random_problems[:2]:
         op = operator_cache(p, 1200)
         x0 = np.ones(p.state_dim)
-        rk = solve_kernel(p, x0, operator=op)
-        rf = solve_feedback(p, x0, operator=op)
+        rk = solve_kernel(op, x0)
+        rf = solve_feedback(op, x0)
         assert abs(rk.value - rf.value) <= 1e-6 * (1.0 + rf.value)
         ts = rk.trajectory.x.times
         gap = np.max(np.abs(rk.trajectory.x.eval_many(ts)
@@ -123,15 +113,15 @@ def test_routes_start_from_x0_under_ill_conditioned_riccati_value():
     op = KernelOperator(p, 800)
     assert np.linalg.cond(op.J.eval(0.0)) > 1e8
     x0 = np.array([1.0, -0.5])
-    xk = solve_kernel(p, x0, operator=op).trajectory.x
-    xf = solve_feedback(p, x0, operator=op).trajectory.x
+    xk = solve_kernel(op, x0).trajectory.x
+    xf = solve_feedback(op, x0).trajectory.x
     assert np.linalg.norm(xf.eval(0.0) - x0) <= 1e-15 * np.linalg.norm(x0)
     assert np.max(np.abs(xk.values - xf.values)) <= 1e-7
 
 
 def test_cost_of_solution_equals_value(p2, dint, operator_cache):
     for p in (p2, dint):
-        res = solve_kernel(p, np.ones(p.state_dim), operator=operator_cache(p, 1200))
+        res = solve_kernel(operator_cache(p, 1200), np.ones(p.state_dim))
         cost = evaluate_cost(p, res.trajectory, 1000)
         assert cost == pytest.approx(res.value, rel=1e-5)
 
@@ -310,8 +300,8 @@ def test_costate_controls_are_minimal_r_norm_controls(kind):
     trajs = {t: kernel_trajectory(op, [(t, pvec)]) for t in (0.0, 0.5, 0.61234, 1.0)}
     multi = [(0.0, -pvec), (0.5, pvec[::-1]), (0.61234, 2.0 * pvec)]
     trajs["sum"] = kernel_trajectory(op, multi)
-    trajs["kernel"] = solve_kernel(p, x0, operator=op).trajectory
-    trajs["feedback"] = solve_feedback(p, x0, operator=op).trajectory
+    trajs["kernel"] = solve_kernel(op, x0).trajectory
+    trajs["feedback"] = solve_feedback(op, x0).trajectory
     trajs["multipoint"] = solve_multipoint(
         p, list(zip(times, target.x.eval_many(times))), 600).trajectory
     for key, tr in trajs.items():
@@ -343,7 +333,7 @@ def test_evaluate_cost_examples(p1):
 
 def test_multipoint_adding_satisfied_constraint_keeps_value(p2, operator_cache):
     op = operator_cache(p2, 900)
-    base = solve_kernel(p2, [1.0], operator=op)
+    base = solve_kernel(op, [1.0])
     mid = base.trajectory.x.eval(0.5)
     res = solve_multipoint(p2, [(0.0, [1.0]), (0.5, mid)], 900)
     assert res.value == pytest.approx(base.value, rel=1e-6)
@@ -355,7 +345,7 @@ def test_degenerate_kernel_diagonal_raises():
     p = LQProblem(2, 1, 0.0, 1.0, c(np.zeros((2, 2))), c(np.zeros((2, 1))),
                   c(np.zeros((2, 2))), c([[1.0]]), np.diag([1.0, 1e15]))
     with pytest.raises(DegenerateProblemError):
-        solve_kernel(p, [0.0, 1.0], 150)
+        solve_kernel(KernelOperator(p, 150), [0.0, 1.0])
 
 
 def test_rollout_helper_respects_control_pieces(p2):
