@@ -379,9 +379,11 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     reproducing property on random trajectories; kernel/feedback agreement
     in value and trajectory; the adjoint identity; and
     Richardson-extrapolated agreement with the discrete-time oracle.
+    `tolerances` overrides some of the per-check tolerances; it is checked
+    as `_checked_tolerances` says and raises ValueError if malformed.
     """
     tol = dict(_VERIFY_TOLERANCES)
-    tol.update(tolerances or {})
+    tol.update(_checked_tolerances(tolerances or {}, "tolerances"))
     rng = np.random.default_rng(seed)
     p = problem
     n = p.state_dim
@@ -462,30 +464,34 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     }
 
 
-def _tolerances_from(doc, what: str) -> dict:
-    """Per-check tolerance overrides: an object mapping check names to
-    finite non-negative numbers (inf would switch a check off and print as
-    `Infinity`, which strict JSON refuses; NaN or a negative fail it always)."""
+def _checked_tolerances(doc, what: str) -> dict:
+    """`doc`, if it is a valid set of per-check tolerance overrides: a dict
+    mapping check names to finite non-negative numbers (inf would switch a
+    check off and print as `Infinity`, which strict JSON refuses; NaN or a
+    negative fail it always).  Raises ValueError, naming `what`, if not."""
     if not isinstance(doc, dict):
-        raise ProblemFileError(f"{what}: expected an object of per-check tolerances")
+        raise ValueError(f"{what}: expected an object of per-check tolerances")
     for name, tol in doc.items():
         if name not in _VERIFY_TOLERANCES:
-            raise ProblemFileError(f"{what}: unknown check {name!r}")
+            raise ValueError(f"{what}: unknown check {name!r}")
         if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise ProblemFileError(f"{what}: tolerance for {name!r} is not a number")
+            raise ValueError(f"{what}: tolerance for {name!r} is not a number")
         if not 0 <= tol <= sys.float_info.max:  # NaN compares false
-            raise ProblemFileError(f"{what}: tolerance for {name!r} is not finite and >= 0")
+            raise ValueError(f"{what}: tolerance for {name!r} is not finite and >= 0")
     return doc
 
 
 def cmd_verify(args) -> int:
     problem, extras, steps = _open_problem(args)
     settings = extras["settings"]
-    tolerances = _tolerances_from(settings.get("tolerances", {}),
-                                  "key 'settings.tolerances'")
-    if args.tolerances:
-        flag = _parse_json(args.tolerances, "--tolerances")
-        tolerances = {**tolerances, **_tolerances_from(flag, "--tolerances")}
+    try:
+        tolerances = _checked_tolerances(settings.get("tolerances", {}),
+                                         "key 'settings.tolerances'")
+        if args.tolerances:
+            flag = _parse_json(args.tolerances, "--tolerances")
+            tolerances = {**tolerances, **_checked_tolerances(flag, "--tolerances")}
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
     seed, what = ((args.seed, "--seed") if args.seed is not None
                   else (settings.get("seed", 0), "key 'settings.seed'"))
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

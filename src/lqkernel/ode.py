@@ -24,28 +24,36 @@ Design notes:
   solution is always re-oriented so `times` is increasing.
 
 * Linear flows Y' = H(t) Y + F(t) on precomputed stage tables go through one
-  blocked sweep, `_affine_sweep`.  A step of such a flow is an affine map
+  slabbed sweep, `_affine_sweep`.  A step of such a flow is an affine map
   Y_{k+1} = Y_k + (D_k Y_k + c_k), and a builder makes the increments from
   the (lo, mid, hi) stage slots: `_rk4_maps` (classical RK4; `rk4_affine`
   and the J and P flows) or `_pade_maps` (an A-stable Magnus-Pade step; the
   dual Riccati flow M).
-  The maps are built batched in fixed-size blocks of intervals (bounding
-  the temporaries), and node derivatives H Y + F come out batched.  Within
-  a block a two-level scan replaces the step-by-step recurrence: the maps
-  are composed over chunks of 16 steps, batched across the chunks, one
-  small product per chunk carries the chunk starts, and one batched product
-  forms every node, so a block of 256 steps costs about 32 interpreter
-  steps instead of 256.  The increment map D_k, and every composed map E,
-  is kept apart from the identity so that a constant coefficient does not
-  round the same P_k = I + D_k at every step.
+  The maps are built batched a slab of intervals at a time, and node
+  derivatives H Y + F come out batched.  A slab holds as many intervals as
+  keep w (w + b) entries each, the map D and the node Y of a w x b state,
+  within one budget of 32768 entries (never fewer than 256 intervals), so
+  temporaries stay bounded whatever the width.  Within a slab of m steps a
+  two-level scan replaces the step-by-step recurrence: the maps are
+  composed over chunks of ceil(sqrt m) steps, batched across the chunks,
+  one small product per chunk carries the chunk starts, and one batched
+  product forms every node, so a slab costs about 2 sqrt(m) interpreter
+  steps instead of m (the two-level scan of Blelloch, "Prefix sums and
+  their applications", CMU-CS-90-190, 1990).  The increment map D_k, and
+  every composed map E, is kept apart from the identity so that a constant
+  coefficient does not round the same P_k = I + D_k at every step.
   Blow-up rule: the first node, in integration order, whose value or
   one-sided node stage H Y + F is non-finite raises IntegrationBlowupError;
   the stage check matters when values stay just below overflow
-  (h * lambda = 4 on x' = 800 x under RK4).
+  (h * lambda = 4 on x' = 800 x under RK4).  A slab is cleared at once when
+  w max|H| max|Y| + max|F| < 1e300, which bounds every entry of every stage
+  (NaN and inf fail the comparison); only a slab that fails the bound forms
+  H Y + F node by node to find the node that raises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -268,8 +276,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_AFFINE_BLOCK = 256  # intervals per block of step maps; bounds the temporaries
-_AFFINE_CHUNK = 16  # steps per chunk of the scan in a block: sqrt(_AFFINE_BLOCK)
+_SLAB_BUDGET = 32768  # entries w (w + b) per slab of a sweep; bounds the temporaries
+
+
+def _slab_length(w: int, b: int) -> int:
+    """Intervals per slab of a sweep on a w x b state: as many as keep w (w + b)
+    entries each (the map D and the node Y) within `_SLAB_BUDGET`, and never
+    fewer than 256, so a wide flow is not cut into many short scans."""
+    return max(256, _SLAB_BUDGET // (w * (w + b)))
 
 
 def _rk4_maps(h, H1, Hm, H3, F1, Fm, F3):
@@ -318,11 +332,11 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_map
                   swap=False):
     """Node values of Y' = H Y + F under the step maps that `step` builds
     (`_rk4_maps`, or `_pade_maps` when F is None), in increasing time order;
-    conventions and blow-up rule as in `rk4_affine`.  The maps of each block
-    of `_AFFINE_BLOCK` intervals are built batched, a two-level scan runs
-    over the block, and `_check_block` checks it.  With `swap`, the flow
+    conventions and blow-up rule as in `rk4_affine`.  The maps of each slab
+    of `_slab_length` intervals are built batched, a two-level scan runs
+    over the slab, and `_check_slab` checks it.  With `swap`, the flow
     runs on H with its two halves of rows and of columns swapped (H
-    conjugated by the block swap), each block's slots swapped as the block
+    conjugated by the block swap), each slab's slots swapped as the slab
     is reached, so no swapped copy of the whole table is made."""
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
@@ -331,10 +345,11 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_map
     steps = -np.diff(grid) if backward else np.diff(grid)
     values = np.empty((n + 1,) + Y0.shape)
     values[n if backward else 0] = Y0
-    starts = range(0, n, _AFFINE_BLOCK)
+    slab = _slab_length(*Y0.shape)
+    starts = range(0, n, slab)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in (reversed(starts) if backward else starts):
-            sl = slice(k0, min(k0 + _AFFINE_BLOCK, n))
+            sl = slice(k0, min(k0 + slab, n))
             H = [slot[sl] for slot in (H_lo, H_mid, H_hi)]
             if swap:  # rolled copies: a fancy-index swap slows the Pade maps
                 H = [np.roll(slot, Y0.shape[0] // 2, axis=(1, 2)) for slot in H]
@@ -342,20 +357,21 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_map
             # integration runs from the lo slot to the hi slot, or back
             order = slice(None, None, -1 if backward else 1)
             D, c = step(steps[sl, None, None], *H[order], *F[order])
-            nodes = _scan_block(D, c, values[sl.stop if backward else sl.start], backward)
+            nodes = _scan_slab(D, c, values[sl.stop if backward else sl.start], backward)
             if backward:
                 values[sl.start:sl.stop] = nodes[::-1]
             else:
                 values[sl.start + 1:sl.stop + 1] = nodes
-            _check_block(grid, sl, backward, values, (H[0], F[0]), (H[2], F[2]))
+            _check_slab(grid, sl, backward, values, (H[0], F[0]), (H[2], F[2]))
     return values
 
 
-def _scan_block(D, c, Y, backward):
+def _scan_slab(D, c, Y, backward):
     """The nodes that the steps Y -> Y + (D_i Y + c_i) reach from Y, in
     integration order (D, c in increasing time; `c` None for no forcing).
 
-    Two-level scan: the steps are cut into chunks of `_AFFINE_CHUNK`.  The
+    Two-level scan: the m steps are cut into chunks of ceil(sqrt m), which
+    balances the steps within a chunk against the chunks.  The
     maps from each chunk start to every node in it are composed batched
     across the chunks, again as increments E Y + g apart from the identity:
     E_j = E_{j-1} + D_j + D_j E_{j-1} and g_j = g_{j-1} + D_j g_{j-1} + c_j.
@@ -363,13 +379,14 @@ def _scan_block(D, c, Y, backward):
     forms every node.  A zero pad after the last step maps a node to itself.
     """
     m = D.shape[0]
-    chunks = -(-m // _AFFINE_CHUNK)
+    size = math.isqrt(m - 1) + 1  # ceil(sqrt m)
+    chunks = -(-m // size)
 
     def chunked(X):  # steps in integration order, zero-padded to whole chunks
         X = X[::-1] if backward else X
-        if m < chunks * _AFFINE_CHUNK:
-            X = np.concatenate([X, np.zeros((chunks * _AFFINE_CHUNK - m,) + X.shape[1:])])
-        return X.reshape(chunks, _AFFINE_CHUNK, *X.shape[1:])
+        if m < chunks * size:
+            X = np.concatenate([X, np.zeros((chunks * size - m,) + X.shape[1:])])
+        return X.reshape(chunks, size, *X.shape[1:])
 
     D = chunked(D)
     E = np.empty_like(D)
@@ -378,7 +395,7 @@ def _scan_block(D, c, Y, backward):
         c = chunked(c)
         g = np.empty_like(c)
         g[:, 0] = c[:, 0]
-    for j in range(1, _AFFINE_CHUNK):
+    for j in range(1, size):
         Dj, E_prev = D[:, j], E[:, j - 1]
         np.add(E_prev + Dj, Dj @ E_prev, out=E[:, j])
         if c is not None:
@@ -397,10 +414,23 @@ def _scan_block(D, c, Y, backward):
     return (start[:, None] + inc).reshape((-1,) + Y.shape)[:m]
 
 
-def _check_block(grid, sl, backward, values, lo, hi) -> None:
-    """Raise at the block's first node, in integration order, with a
+def _check_slab(grid, sl, backward, values, lo, hi) -> None:
+    """Raise at the slab's first node, in integration order, with a
     non-finite value or one-sided stage H Y + F; `lo` and `hi` are the
-    block's (H, F) stage slots (F None for no forcing)."""
+    slab's (H, F) stage slots (F None for no forcing).  The slab is cleared
+    at once when w max|H| max|Y| + max|F| < 1e300: every entry of every
+    stage is then below that, and a NaN or inf anywhere fails the
+    comparison.  Only a slab that fails it forms the stages node by node."""
+    def abs_max(*arrays):  # NaN if any entry is NaN
+        return np.max([np.abs(a).max() for a in arrays])
+
+    Y = values[sl.start:sl.stop + 1]
+    bound = Y.shape[1] * abs_max(lo[0], hi[0]) * abs_max(Y)
+    if lo[1] is not None:
+        bound += abs_max(lo[1], hi[1])
+    if bound < 1e300:
+        return
+
     def finite(Y, H, F):
         K = H @ Y if F is None else H @ Y + F
         return (np.isfinite(Y).reshape(Y.shape[0], -1).all(axis=1)

@@ -34,7 +34,7 @@ Magnus step in place of RK4 (`ode._pade_maps`; A-stable, so a stiff step
 that overflows RK4 stays bounded).  The swapped table is H conjugated by
 the block swap, so RK4 on it would give M = J^{-1} up to restart roundoff;
 with the Pade step, J M = I compares two routes that share the stage table
-but no step map.  The sweep swaps H one block of intervals at a time, so
+but no step map.  The sweep swaps H one slab of intervals at a time, so
 no swapped copy of the whole table exists, and M's node derivatives read
 A, -S and -Q as views of H.  J, P and M are re-symmetrized at every node;
 the worst asymmetry absorbed by that projection is reported as a
@@ -56,8 +56,8 @@ import numpy as np
 from .errors import PositivityLostError
 from .linalg import _symmetrized, spd_inverse
 from .model import LQProblem
-from .ode import (_AFFINE_BLOCK, DenseSolution, _affine_sweep, _blowup, _pade_maps,
-                  _read_only, _rk4_maps, rk4_affine, schedule_stage_table)
+from .ode import (DenseSolution, _affine_sweep, _blowup, _pade_maps, _read_only, _rk4_maps,
+                  _slab_length, rk4_affine, schedule_stage_table)
 
 # Bound on the log-growth of the Hamiltonian flow between restarts.  Within
 # a block the columns of [X; Y] drift toward its fastest-growing modes, and X
@@ -101,14 +101,14 @@ def _hamiltonian_table(problem: LQProblem, grid: np.ndarray):
 def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:
     """Intervals per block of `_reanchored_flow`: the most that keep
     sum h |H|_inf, H at the interval midpoints, under
-    `_REANCHOR_LOG_GROWTH`.  |H| is summed a chunk of intervals at a time,
-    so no temporary of H's size is built."""
+    `_REANCHOR_LOG_GROWTH`.  |H| is summed a slab of intervals at a time
+    (`ode._slab_length`), so no temporary of H's size is built."""
     n_int = grid.size - 1
     h = np.diff(grid)
+    slab = _slab_length(H_mid.shape[-1], 0)
     rate = float(np.max([
-        np.max(h[k:k + _AFFINE_BLOCK]
-               * np.abs(H_mid[k:k + _AFFINE_BLOCK]).sum(axis=2).max(axis=1))
-        for k in range(0, n_int, _AFFINE_BLOCK)]))
+        np.max(h[k:k + slab] * np.abs(H_mid[k:k + slab]).sum(axis=2).max(axis=1))
+        for k in range(0, n_int, slab)]))
     return n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
         1, int(_REANCHOR_LOG_GROWTH / rate))
 
@@ -264,7 +264,7 @@ def _dual_riccati_on(problem: LQProblem, grid: np.ndarray,
     """M on `grid`, backward from M(T) = J_T^{-1}, as Y X^{-1} of the
     restarted flow of [[-A', -Q], [-S, A]] under Magnus-Pade steps,
     symmetrized at the nodes.  `H_tab` is the grid's Hamiltonian table
-    (`_hamiltonian_table`); the sweep swaps its blocks one block of
+    (`_hamiltonian_table`); the sweep swaps its blocks one slab of
     intervals at a time, and the node derivatives read A, -S and -Q off
     its lo and hi slots.  Returns (M,
     drift), the worst asymmetry absorbed.  Raises IntegrationBlowupError at

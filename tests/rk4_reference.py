@@ -1,11 +1,12 @@
 """Classical RK4 one stage call at a time: the reference that the batched
 affine sweep and the Hamiltonian J are checked against, and, run on the dual
 equation at finer steps, the truth for the Magnus-Pade dual flow M.  Also
-one stage slot at a time: the reference for the stage tables."""
+the Magnus-Pade sweep one step at a time, and one stage slot at a time: the
+references for the slabbed scan and the stage tables."""
 
 import numpy as np
 
-from lqkernel.ode import DenseSolution
+from lqkernel.ode import DenseSolution, _pade_maps
 
 
 def stagewise_rk4(stage, grid, y0, backward=False) -> DenseSolution:
@@ -49,3 +50,18 @@ def stage_slot(schedule, grid, slot: int) -> np.ndarray:
     if slot == 1 or schedule.kind == "pwc":
         return schedule.eval_many(0.5 * (grid[:-1] + grid[1:]), 1)
     return schedule.eval_many(grid[:-1], 1) if slot == 0 else schedule.eval_many(grid[1:], -1)
+
+
+def stepwise_pade(grid, H_table, Y0, backward=False) -> np.ndarray:
+    """Node values of the Magnus-Pade sweep on Y' = H Y, one step at a time:
+    each step's map from `_pade_maps` on its own interval, applied as
+    Y -> Y + D Y in integration order; Y0 sits at grid[-1] if backward."""
+    n = grid.size - 1
+    vals = np.empty((n + 1,) + np.shape(Y0))
+    y = vals[n if backward else 0] = Y0
+    for k in (range(n - 1, -1, -1) if backward else range(n)):
+        slots = [H[k:k + 1] for H in H_table]
+        h = np.full((1, 1, 1), grid[k] - grid[k + 1] if backward else grid[k + 1] - grid[k])
+        D, _ = _pade_maps(h, *(slots[::-1] if backward else slots), None, None, None)
+        y = vals[k if backward else k + 1] = y + D[0] @ y
+    return vals

@@ -11,7 +11,7 @@ from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
                           problem_to_dict, run_verification)
 from lqkernel.errors import ProblemFileError
 from lqkernel.problems import (double_integrator_problem, random_problem,
-                               random_trajectory)
+                               random_trajectory, unit_scalar_problem)
 
 
 _BUNDLED = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
@@ -340,6 +340,18 @@ def test_verify_rejects_invalid_problem(tmp_path, capsys):
     rc = main(["verify", str(path), "--seed", "1"])
     assert rc == 2
     assert "J_T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"duality": math.inf}, "tolerances: tolerance for 'duality' is not finite and >= 0"),
+    ({"dualty": 0.0}, "tolerances: unknown check 'dualty'"),
+], ids=["infinite", "misspelt"])
+def test_run_verification_rejects_malformed_tolerances(tolerances, message):
+    # an infinite tolerance would pass its check always and dump as
+    # `Infinity`; a misspelt name would leave its check at the default
+    with pytest.raises(ValueError) as exc:
+        run_verification(unit_scalar_problem(), 0, 100, tolerances)
+    assert str(exc.value) == message
 
 
 def test_verify_report_well_formed_at_coarse_resolution(p1_file, capsys):

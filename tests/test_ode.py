@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from lqkernel.errors import (DomainError, HorizonMismatchError, IntegrationBlowu
                              ScheduleDomainError)
 from lqkernel.kernel import KernelOperator, kernel_trajectory, lq_inner_product
 from lqkernel.model import ControlledTrajectory, MatrixSchedule, dynamics_defect
-from lqkernel.ode import (DenseSolution, _affine_sweep, _pade_maps, _rk4_maps, build_grid,
-                          rk4_affine, schedule_stage_table)
-from lqkernel.problems import rollout, unit_scalar_problem
+from lqkernel.ode import (_SLAB_BUDGET, DenseSolution, _affine_sweep, _pade_maps, _rk4_maps,
+                          _slab_length, build_grid, rk4_affine, schedule_stage_table)
+from lqkernel.problems import random_problem, rollout, unit_scalar_problem
 from lqkernel.solver import check_constraint_times
 from dense_nodes import dense_from_nodes
-from rk4_reference import rk4_increment, stage_slot, stagewise_rk4
+from rk4_reference import rk4_increment, stage_slot, stagewise_rk4, stepwise_pade
 
 
 def test_build_grid_contains_endpoints_and_snaps():
@@ -286,8 +287,8 @@ def test_affine_matches_stagewise_rk4(backward):
 
 @pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 255, 256, 257, 513])
 def test_affine_scan_matches_stagewise_rk4_at_chunk_edges(steps):
-    # step counts on either side of a scan chunk (16 steps) and of a block
-    # of step maps (256 intervals)
+    # step counts at and on either side of whole scan chunks (16 = 4^2 and
+    # 256 = 16^2 steps), all in one slab of the 3 x 2 state
     rng = np.random.default_rng(steps)
     H = MatrixSchedule.sampled_linear(
         [0.0, 0.4, 1.0], [rng.normal(size=(3, 3)) for _ in range(3)])
@@ -306,6 +307,41 @@ def test_affine_scan_matches_stagewise_rk4_at_chunk_edges(steps):
             for name in ("v_start", "v_end", "d_start", "d_end"):
                 assert (np.max(np.abs(getattr(sol, name) - getattr(ref, name)))
                         <= 1e-12 * scale), (forcing is None, backward, name)
+
+
+def _slab_cases():
+    # per width: one and two steps, a square c^2 = 25 of whole scan chunks
+    # and one step past it, a slab and a one-step slab, and two and a half
+    # slabs; the slab of a 2-column state shrinks as the width grows
+    for width in (2, 4, 8, 16):
+        slab = _slab_length(width, 2)
+        for steps in (1, 2, 25, 26, slab + 1, 2 * slab + slab // 2):
+            yield width, steps
+
+
+@pytest.mark.parametrize("width, steps", list(_slab_cases()))
+def test_slabbed_sweep_matches_the_step_by_step_references(width, steps):
+    rng = np.random.default_rng([width, steps])
+    H = MatrixSchedule.sampled_linear(
+        [0.0, 0.4, 1.0], [rng.normal(size=(width, width)) / math.sqrt(width) for _ in range(3)])
+    F = MatrixSchedule.polynomial([rng.normal(size=(width, 2)) for _ in range(3)])
+    grid = build_grid(0.0, 1.0, steps)
+    H_tab, F_tab = schedule_stage_table(H, grid), schedule_stage_table(F, grid)
+    y0 = rng.normal(size=(width, 2))
+    for backward in (False, True):
+        for forcing in (None, F_tab):
+            def stagefn(k, slot, Y):
+                return H_tab[slot][k] @ Y + (0.0 if forcing is None else forcing[slot][k])
+
+            ref = stagewise_rk4(stagefn, grid, y0, backward=backward)
+            sol = rk4_affine(grid, H_tab, y0, forcing, backward=backward)
+            scale = np.max(np.abs(ref.values))
+            for name in ("v_start", "v_end", "d_start", "d_end"):
+                assert (np.max(np.abs(getattr(sol, name) - getattr(ref, name)))
+                        <= 1e-12 * scale), (forcing is None, backward, name)
+        ref = stepwise_pade(grid, H_tab, y0, backward)
+        y = _affine_sweep(grid, H_tab, y0, backward=backward, step=_pade_maps)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), backward
 
 
 def test_pade_step_is_a_stable_contraction_on_a_stiff_decay():
@@ -348,6 +384,89 @@ def test_affine_blowup_reports_time():
         with pytest.raises(IntegrationBlowupError) as exc:
             rk4_affine(grid, schedule_stage_table(stiff, grid), np.array([1.0]))
         assert exc.value.time == grid[node] == pytest.approx(node / steps, abs=1e-15)
+
+
+def test_affine_sweep_clears_a_slab_past_the_bound_whose_stages_are_finite():
+    # w max|H| max|Y| = 2 * 10 * 1e299 fails the slab bound 1e300, but every
+    # stage 10 Y stays near 1e300: the node-by-node check finds no blow-up
+    H = MatrixSchedule.constant(10.0 * np.eye(2))
+    grid = build_grid(0.0, 1e-3, 40)
+    y = _affine_sweep(grid, schedule_stage_table(H, grid), np.full((2, 1), 1e299))
+    exact = 1e299 * np.exp(10.0 * grid)
+    assert np.max(np.abs(y[:, :, 0] - exact[:, None])) <= 1e-12 * exact[-1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("backward", [False, True])
+def test_affine_blowup_mid_slab_raises_at_the_first_bad_node(bad, backward):
+    # a non-finite forcing at the midpoint of interval 123 of 300 (one slab)
+    # first spoils node 124 forward, node 123 backward; the node-by-node
+    # rule on the stagewise reference names the same node
+    grid = build_grid(0.0, 1.0, 300)
+    H_tab = schedule_stage_table(MatrixSchedule.constant([[0.0, 1.0], [-1.0, 0.0]]), grid)
+    F_mid = np.ones((300, 2, 1))
+    F_mid[123, 1] = bad
+    F_tab = (np.ones((300, 2, 1)), F_mid, np.ones((300, 2, 1)))
+
+    def stagefn(k, slot, Y):
+        return H_tab[slot][k] @ Y + F_tab[slot][k]
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = stagewise_rk4(stagefn, grid, np.ones((2, 1)), backward=backward)
+    finite = [np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+              for a in (ref.values, ref.d_start, ref.d_end)]
+    bad_nodes = np.flatnonzero(~(finite[0] & np.append(finite[1], True)
+                                 & np.insert(finite[2], 0, True)))
+    node = bad_nodes[-1] if backward else bad_nodes[0]
+    assert node == (123 if backward else 124)
+    with pytest.raises(IntegrationBlowupError) as exc:
+        rk4_affine(grid, H_tab, np.ones((2, 1)), F_tab, backward=backward)
+    assert exc.value.time == grid[node]
+
+
+def _sweep_peak_above_output(monkeypatch, modules, run):
+    """The largest, over the `_affine_sweep` calls that `run` makes through
+    `modules`, of the bytes a call held at its peak beyond its result."""
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = _affine_sweep(*args, **kwargs)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - kept)
+        return out
+
+    for module in modules:
+        monkeypatch.setattr(module, "_affine_sweep", traced)
+    run()
+    return max(peaks)
+
+
+def test_sweep_temporaries_stay_within_the_slab_budget(monkeypatch):
+    # N = 8: the J flow (w = 16, 8 columns) and a 10-column rollout (w = 8)
+    # at 4000 steps both sweep 256-interval slabs, whose temporaries peaked
+    # at 7.8 and 7.2 budgets of float64 when slabs were a fixed 256
+    # intervals; a budget that grew the slabs would show here first
+    from lqkernel import ode, riccati
+
+    problem = random_problem(np.random.default_rng(8), state_dim=8, input_dim=4)
+    grid = build_grid(problem.t0, problem.T, 4000, problem.breakpoints())
+    H_tab, _ = riccati._hamiltonian_table(problem, grid)
+    block = riccati._reanchor_block(grid, H_tab[1])
+    rng = np.random.default_rng(1)
+    x0, values = rng.normal(size=(8, 10)), rng.normal(size=(6, 4, 10))
+    runs = {
+        "J flow": lambda: riccati._reanchored_flow(grid, H_tab, problem.J_T, block,
+                                                   backward=True),
+        "rollout": lambda: rollout(problem, x0, np.linspace(problem.t0, problem.T, 7),
+                                   values, 4000),
+    }
+    for name, run in runs.items():
+        peak = _sweep_peak_above_output(monkeypatch, (ode, riccati), run)
+        assert peak <= 8 * 8 * _SLAB_BUDGET, (name, peak / (8 * _SLAB_BUDGET))
 
 
 # -- state-transition matrices: Phi_A(., s) is rk4_affine from the identity --

@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 import runpy
+import sys
 
 from lqkernel import cli
 from lqkernel.problems import unit_scalar_problem
@@ -48,3 +49,21 @@ def test_convergence_study_runs(capsys):
     out = capsys.readouterr().out
     assert "dual Riccati flow M on a random N = 3 problem" in out
     assert "Richardson extrapolation" in out
+
+
+def test_paired_timing_runs_against_its_own_source(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "paired_timing", SCRIPTS / "paired_timing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    try:
+        assert module.main([str(SCRIPTS.parent / "src"), "--steps", "40", "--pairs", "2"]) == 0
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == module.BASE_NAME]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["command", "base_s", "this_s", "ratio", "faster"]
+    assert [line[:28].strip() for line in lines[1:]] == [
+        "verify switched_tracking", "multipoint n4_k3_m2", "multipoint n6_k4_m3",
+        "multipoint n8_k5_m4", "all commands"]
+    assert all(line.endswith("/2") for line in lines[1:])
