@@ -11,9 +11,10 @@ three seeded random problems with (N, k, m) = (4, 3, 2), (6, 4, 3) and
 trajectory.  Every pair runs each command once per version, and which
 version goes first alternates from pair to pair.  On a small shared host,
 separate runs of one version drift by more than a 10% change; runs
-alternated in one process see the same drift.  Prints, per command, each
-version's median time and the median and count of the paired ratios
-(this / base), then the same for the whole pair.
+alternated in one process see the same drift.  Prints the line count of
+both `lqkernel` packages (as `cat src/lqkernel/*.py | wc -l` counts it),
+then, per command, each version's median time and the median and count of
+the paired ratios (this / base), then the same for the whole pair.
 """
 
 import argparse
@@ -46,6 +47,12 @@ def load_base_cli(base_src):
     sys.modules[BASE_NAME] = package
     spec.loader.exec_module(package)
     return importlib.import_module(BASE_NAME + ".cli")
+
+
+def line_count(package_dir) -> int:
+    """Lines in the package's modules, as `cat <dir>/*.py | wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in pathlib.Path(package_dir).glob("*.py"))
 
 
 def commands(work: pathlib.Path, steps: int, seed: int):
@@ -104,6 +111,8 @@ def main(argv=None) -> int:
     rows = [(label, np.array(times[label, "base"]), np.array(times[label, "this"]))
             for label, _ in cmds]
     rows.append(("all commands", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    print(f"lqkernel lines: base {line_count(pathlib.Path(args.base_src) / 'lqkernel')}"
+          f", this {line_count(pathlib.Path(cli.__file__).parent)}")
     print(f"{'command':<28}{'base_s':>9}{'this_s':>9}{'ratio':>8}  faster")
     for label, base, this in rows:
         ratio = this / base

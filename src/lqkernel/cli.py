@@ -247,6 +247,11 @@ def _constraints_from(text: str, problem: LQProblem) -> list:
 
 # -- commands ----------------------------------------------------------------
 
+def _rel_gap(a: float, b: float) -> float:
+    """|a - b| / (1 + |b|): the gap of a value to a reference value b."""
+    return abs(a - b) / (1.0 + abs(b))
+
+
 def cmd_solve(args) -> int:
     problem, extras, steps = _open_problem(args)
     x0 = _x0_from(args, extras, problem.state_dim)
@@ -337,15 +342,16 @@ def cmd_compare(args) -> int:
     vk = solve_kernel(op, x0).value
     vf = solve_feedback(op, x0).value
     rich = richardson_value(problem, x0, int(args.oracle_steps))
-    ext = rich["extrapolated"]
     _print_json({
         "value_kernel": vk,
         "value_feedback": vf,
         "value_oracle_h": rich["value_h"],
         "value_oracle_h2": rich["value_h2"],
-        "extrapolated": ext,
-        "rel_gap_kernel_feedback": abs(vk - vf) / (1.0 + abs(vf)),
-        "rel_gap_oracle_feedback": abs(ext - vf) / (1.0 + abs(vf)),
+        "value_oracle_h4": rich["value_h4"],
+        "extrapolated": rich["extrapolated"],
+        "extrapolated2": rich["extrapolated2"],
+        "rel_gap_kernel_feedback": _rel_gap(vk, vf),
+        "rel_gap_oracle_feedback": _rel_gap(rich["extrapolated2"], vf),
     })
     return EXIT_OK
 
@@ -362,7 +368,7 @@ _VERIFY_TOLERANCES = {
     "oracle_richardson": 1e-4,
 }
 _VERIFY_QUAD_INTERVALS = 1000
-_VERIFY_ORACLE_STEPS = 2000
+_VERIFY_ORACLE_STEPS = 1000  # cells of the coarsest of the oracle's three nested meshes
 
 
 def run_verification(problem: LQProblem, seed: int, steps: int,
@@ -377,8 +383,9 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     (`restarted_diagonals`: all four from one forward sweep on the
     operator's grid and table); Hermitian symmetry of the kernel; the
     reproducing property on random trajectories; kernel/feedback agreement
-    in value and trajectory; the adjoint identity; and
-    Richardson-extrapolated agreement with the discrete-time oracle.
+    in value and trajectory; the adjoint identity; and agreement with the
+    discrete-time oracle extrapolated twice over three nested meshes
+    (`richardson_value`'s "extrapolated2").
     `tolerances` overrides some of the per-check tolerances; it is checked
     as `_checked_tolerances` says and raises ValueError if malformed.
     """
@@ -440,7 +447,7 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     x0 = np.ones(n) / np.sqrt(n)
     rk = solve_kernel(op, x0)
     rf = solve_feedback(op, x0)
-    add("value_agreement", abs(rk.value - rf.value) / (1.0 + abs(rf.value)))
+    add("value_agreement", _rel_gap(rk.value, rf.value))
     # both trajectories lie on op.grid
     gap = np.max(np.abs(rk.trajectory.x.values - rf.trajectory.x.values))
     add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
@@ -450,15 +457,14 @@ def run_verification(problem: LQProblem, seed: int, steps: int,
     resid = padj.values + np.einsum("kij,kj->ki", op.J_nodes, rk.trajectory.x.values)
     add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
 
-    rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)
     add("oracle_richardson",
-        abs(rich["extrapolated"] - rf.value) / (1.0 + abs(rf.value)))
+        _rel_gap(richardson_value(p, x0, _VERIFY_ORACLE_STEPS)["extrapolated2"], rf.value))
 
     return {
         "seed": int(seed),
         "steps": int(steps),
         "quad_intervals": _VERIFY_QUAD_INTERVALS,
-        "oracle_steps": _VERIFY_ORACLE_STEPS,
+        "oracle_meshes": [_VERIFY_ORACLE_STEPS * split for split in (1, 2, 4)],
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
@@ -544,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="kernel vs feedback vs discrete oracle")
     common(p)
     p.add_argument("--x0", help="initial state, comma-separated")
-    p.add_argument("--oracle-steps", type=int, default=2000)
+    p.add_argument("--oracle-steps", type=int, default=_VERIFY_ORACLE_STEPS,
+                   help="cells of the coarsest oracle mesh (default %(default)s)")
     p.set_defaults(func=cmd_compare)
     return ap
 

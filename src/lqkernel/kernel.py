@@ -55,8 +55,8 @@ from .linalg import _symmetrized
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _clip_to_span, _time_tol,
                   build_grid, schedule_stage_table)
-from .riccati import (_dual_riccati_on, _Flows, _hamiltonian_table, _riccati_solution,
-                      _solve_flows)
+from .riccati import (_dual_riccati_on, _Flows, _hamiltonian_table, _reanchor_block,
+                      _riccati_solution, _solve_flows)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -72,8 +72,9 @@ class KernelOperator:
     every read time of `entry` and `entries`, must be a node of it, so a
     caller that reads K at chosen times passes them in `extra_nodes`; an
     off-grid time raises ValueError.  Computed lazily and cached: the
-    Hamiltonian table of the grid (once, by `_hamiltonian_table`), the J
-    and P flows on it (once, by `_solve_flows`), and, when first read, J
+    Hamiltonian table of the grid (once, by `_hamiltonian_table`), the
+    restart block of every flow on it (once, by `_reanchor_block`), the J
+    and P flows (once, by `_solve_flows`), and, when first read, J
     with its node derivatives (no solve reads them) and M on the same grid
     and table (`solve_kernel` reads K(t0, t0) = M(t0); `solve_feedback`,
     the sections and the shooting routes never solve M).  Every trajectory
@@ -99,18 +100,23 @@ class KernelOperator:
         return _hamiltonian_table(self.problem, self.grid)
 
     @cached_property
+    def _block(self) -> int:
+        """Intervals between restarts of the J, P and M flows."""
+        return _reanchor_block(self.grid, self._hamiltonian[0][1])
+
+    @cached_property
     def _flows(self) -> _Flows:
-        return _solve_flows(self.problem, self.grid, self._hamiltonian[0])
+        return _solve_flows(self.problem, self.grid, self._hamiltonian[0], self._block)
 
     @cached_property
     def _dual(self) -> tuple[DenseSolution, float]:
-        return _dual_riccati_on(self.problem, self.grid, self._hamiltonian[0])
+        return _dual_riccati_on(self.problem, self.grid, self._hamiltonian[0], self._block)
 
     @cached_property
     def J(self) -> DenseSolution:
         """The value Hessian J(., T) on the grid, with its node derivatives
         (built on first read; `J_nodes` reads the nodes without them)."""
-        return _riccati_solution(self.grid, self._hamiltonian[0], self._flows.J)
+        return _riccati_solution(self.grid, self._hamiltonian[0], self._flows.J, dual=False)
 
     @property
     def J_nodes(self) -> np.ndarray:

@@ -328,16 +328,12 @@ def _pade_maps(h, H1, Hm, H3, F1, Fm, F3):
     return np.linalg.solve(np.eye(Om.shape[-1]) - 0.5 * Om + (Om @ Om) / 12.0, Om), None
 
 
-def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_maps,
-                  swap=False):
+def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_maps):
     """Node values of Y' = H Y + F under the step maps that `step` builds
     (`_rk4_maps`, or `_pade_maps` when F is None), in increasing time order;
     conventions and blow-up rule as in `rk4_affine`.  The maps of each slab
     of `_slab_length` intervals are built batched, a two-level scan runs
-    over the slab, and `_check_slab` checks it.  With `swap`, the flow
-    runs on H with its two halves of rows and of columns swapped (H
-    conjugated by the block swap), each slab's slots swapped as the slab
-    is reached, so no swapped copy of the whole table is made."""
+    over the slab, and `_check_slab` checks it."""
     n = grid.size - 1
     H_lo, H_mid, H_hi = (np.asarray(H, dtype=float) for H in H_table)
     F_lo, F_mid, F_hi = (None,) * 3 if F_table is None else (
@@ -351,8 +347,6 @@ def _affine_sweep(grid, H_table, Y0, F_table=None, backward=False, step=_rk4_map
         for k0 in (reversed(starts) if backward else starts):
             sl = slice(k0, min(k0 + slab, n))
             H = [slot[sl] for slot in (H_lo, H_mid, H_hi)]
-            if swap:  # rolled copies: a fancy-index swap slows the Pade maps
-                H = [np.roll(slot, Y0.shape[0] // 2, axis=(1, 2)) for slot in H]
             F = [None] * 3 if F_table is None else [slot[sl] for slot in (F_lo, F_mid, F_hi)]
             # integration runs from the lo slot to the hi slot, or back
             order = slice(None, None, -1 if backward else 1)

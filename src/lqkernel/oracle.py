@@ -11,8 +11,9 @@ element (0, 0, J_T) (Sarkka & Garcia-Fernandez, "Temporal parallelization
 of dynamic programming and linear quadratic control", IEEE TAC 2023).  The
 elements are reduced in pairs, one batched solve per level, and the J of
 the whole product is P_0.  Its value converges to the continuous one at
-O(h), which acceptance tests sharpen by Richardson extrapolation on a mesh
-that bisects every cell, so that the O(h) term cancels.
+O(h), which `richardson_value` sharpens by Richardson extrapolation on
+meshes that bisect every cell: once, so that the O(h) term cancels, and
+again on a third mesh, so that the O(h^2) term cancels too.
 """
 
 import numpy as np
@@ -88,12 +89,16 @@ def discrete_value(problem: LQProblem, x0, steps: int) -> float:
 
 
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:
-    """Oracle value at h and h/2 plus the Richardson-extrapolated limit; the
-    h/2 mesh bisects every cell of the h mesh."""
-    v_h = _discrete_value(problem, x0, steps, 1)
-    v_h2 = _discrete_value(problem, x0, steps, 2)
+    """Oracle values at h, h/2 and h/4 on nested meshes (each bisects every
+    cell of the one before), the first-level Richardson limit R1(h, h/2) =
+    2 v(h/2) - v(h) ("extrapolated", error O(h^2)), and the second-level one
+    R2 = (4 R1(h/2, h/4) - R1(h, h/2)) / 3 ("extrapolated2", error O(h^3))."""
+    v_h, v_h2, v_h4 = (_discrete_value(problem, x0, steps, split) for split in (1, 2, 4))
+    r_h, r_h2 = 2.0 * v_h2 - v_h, 2.0 * v_h4 - v_h2
     return {
         "value_h": v_h,
         "value_h2": v_h2,
-        "extrapolated": 2.0 * v_h2 - v_h,
+        "value_h4": v_h4,
+        "extrapolated": r_h,
+        "extrapolated2": (4.0 * r_h2 - r_h) / 3.0,
     }

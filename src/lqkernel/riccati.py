@@ -22,23 +22,19 @@ once per node).  `KernelOperator` (kernel.py) builds it once per grid and
 holds it: it is the only table of A, S and Q behind J, P, M, every kernel
 trajectory and the shooting sweep.  One builder, `_solve_flows`, runs both
 flows on it and returns J and P at the nodes and the X blocks of their
-flows as one `_Flows` value.  J's node derivatives are read only through
-its `DenseSolution` (`_riccati_solution`, built when first asked for), with
-A, -S and -Q as views of H.
+flows as one `_Flows` value.
 The kernel reads its sections off the X blocks of both flows, and every
-control off the costate J x or -P x through W.  M is the same ratio on H
-with its blocks swapped, [[-A', -Q], [-S, A]], whose Y X^{-1} solves the
-dual equation, run backward from [I; J_T^{-1}] by the same restarted
-routine (`_dual_riccati_on`), but with the (2,2) Pade map of a fourth-order
+control off the costate J x or -P x through W.  M is the other ratio of
+H's own flow, X Y^{-1}, which solves the dual equation: run backward from
+[J_T^{-1}; I] and restarted from [M_k; I] by the same routine
+(`_dual_riccati_on`), but with the (2,2) Pade map of a fourth-order
 Magnus step in place of RK4 (`ode._pade_maps`; A-stable, so a stiff step
-that overflows RK4 stays bounded).  The swapped table is H conjugated by
-the block swap, so RK4 on it would give M = J^{-1} up to restart roundoff;
-with the Pade step, J M = I compares two routes that share the stage table
-but no step map.  The sweep swaps H one slab of intervals at a time, so
-no swapped copy of the whole table exists, and M's node derivatives read
-A, -S and -Q as views of H.  J, P and M are re-symmetrized at every node;
-the worst asymmetry absorbed by that projection is reported as a
-diagnostic.
+that overflows RK4 stays bounded).  RK4 would give M = J^{-1} up to
+restart roundoff; with the Pade step, J M = I compares two routes that
+share the stage table but no step map.  One routine, `_riccati_solution`,
+writes the node derivatives of both ratios off views of H (J's only when
+first asked for).  J, P and M are re-symmetrized at every node; the worst
+asymmetry absorbed by that projection is reported as a diagnostic.
 
 The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its J
 and P nodes are the flows it shares with the kernel sections, its `J` the
@@ -102,13 +98,16 @@ def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:
     """Intervals per block of `_reanchored_flow`: the most that keep
     sum h |H|_inf, H at the interval midpoints, under
     `_REANCHOR_LOG_GROWTH`.  |H| is summed a slab of intervals at a time
-    (`ode._slab_length`), so no temporary of H's size is built."""
+    (`ode._slab_length`), so no temporary of H's size is built.  A NaN or
+    inf rate restarts every interval, so the sweep's blow-up rule raises."""
     n_int = grid.size - 1
     h = np.diff(grid)
     slab = _slab_length(H_mid.shape[-1], 0)
     rate = float(np.max([
         np.max(h[k:k + slab] * np.abs(H_mid[k:k + slab]).sum(axis=2).max(axis=1))
         for k in range(0, n_int, slab)]))
+    if not np.isfinite(rate):
+        return 1
     return n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
         1, int(_REANCHOR_LOG_GROWTH / rate))
 
@@ -140,19 +139,25 @@ def _check_positive(times: np.ndarray, R: np.ndarray, what: str) -> None:
             f"(min eigenvalue {min_eig[k]:.3e})", time=t_bad)
 
 
-def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
+def _ratio_blocks(n: int, dual: bool) -> tuple[slice, slice]:
+    """(numerator, denominator) rows of [X; Y]: Y, X for J; X, Y for M (`dual`)."""
+    top, bottom = slice(None, n), slice(n, None)
+    return (top, bottom) if dual else (bottom, top)
+
+
+def _ratio_from_flow(times: np.ndarray, num: np.ndarray, den: np.ndarray,
                      backward: bool) -> np.ndarray:
-    """Y X^{-1} at each node of a flow Z = [X; Y]; raises at the first node,
-    in integration order, where X is singular or the ratio is non-finite."""
-    XT, YT = np.swapaxes(Z[:, :n], 1, 2), np.swapaxes(Z[:, n:], 1, 2)
+    """num den^{-1} at each node of a flow; raises at the first node, in
+    integration order, where den is singular or the ratio is non-finite."""
+    denT, numT = np.swapaxes(den, 1, 2), np.swapaxes(num, 1, 2)
     order = range(times.size - 1, -1, -1) if backward else range(times.size)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            R = np.swapaxes(np.linalg.solve(XT, YT), 1, 2)
+            R = np.swapaxes(np.linalg.solve(denT, numT), 1, 2)
         except np.linalg.LinAlgError:
             for k in order:
                 try:
-                    np.linalg.solve(XT[k], YT[k])
+                    np.linalg.solve(denT[k], numT[k])
                 except np.linalg.LinAlgError:
                     raise _blowup(times[k]) from None
             raise
@@ -163,22 +168,25 @@ def _ratio_from_flow(times: np.ndarray, Z: np.ndarray, n: int,
 
 
 def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
-                     backward: bool = False, step=_rk4_maps, swap: bool = False):
+                     backward: bool = False, step=_rk4_maps, dual: bool = False):
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
-    Z' = H Z runs by the step maps of `step`, on H block-swapped if `swap`
-    (see `ode._affine_sweep`), from
-    [I; R0] at grid[0] (grid[-1] if backward) and restarts from [I; R_k]
-    after every `block` intervals (`_reanchor_block`).  Returns (R, X,
-    drift): R and X at every node, and the worst asymmetry that
-    symmetrizing R absorbed.  Block i
+    R is X Y^{-1} instead if `dual`.  Z' = H Z runs by the step maps of
+    `step` from [I; R0] ([R0; I] if `dual`) at grid[0] (grid[-1] if
+    backward) and restarts from [I; R_k] ([R_k; I]) after every `block`
+    intervals (`_reanchor_block`).  Returns (R, X, drift): R and the
+    denominator block X (Y if `dual`) at every node, and the worst
+    asymmetry that symmetrizing R absorbed.  Block i
     spans nodes i*block to (i+1)*block and is anchored at its end if
     backward, at its start if not; X at a node is the propagator of A - S R
-    from the anchor of the block that holds the node past its anchor (X = I
-    at the first anchor).
+    (Y that of -(A + R Q)') from the anchor of the block that holds the
+    node past its anchor (I at the first anchor).
     """
     n = R0.shape[0]
     eye = np.eye(n)
+    num, den = _ratio_blocks(n, dual)
+    anchor = np.empty((2 * n, n))
+    anchor[den] = eye
     n_int = grid.size - 1
     R = np.empty((grid.size, n, n))
     X = np.empty((grid.size, n, n))
@@ -188,13 +196,13 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
     drift = 0.0
     for k0 in (reversed(starts) if backward else starts):
         k1 = min(k0 + block, n_int)
-        Z = _affine_sweep(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab),
-                          np.vstack([eye, R[k1 if backward else k0]]),
-                          backward=backward, step=step, swap=swap)
+        anchor[num] = R[k1 if backward else k0]
+        Z = _affine_sweep(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab), anchor,
+                          backward=backward, step=step)
         inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
-        R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z, n, backward))
+        R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z[:, num], Z[:, den], backward))
         drift = max(drift, d)
-        X[inner] = Z[:, :n]
+        X[inner] = Z[:, den]
     return R, X, drift
 
 
@@ -231,14 +239,14 @@ class _Flows:
         return out
 
 
-def _solve_flows(problem: LQProblem, grid: np.ndarray, H_tab) -> _Flows:
+def _solve_flows(problem: LQProblem, grid: np.ndarray, H_tab, block: int) -> _Flows:
     """The J and P flows on `grid` through its Hamiltonian table `H_tab`
-    (`_hamiltonian_table`): J backward from J(T) = J_T, then P forward from
+    (`_hamiltonian_table`), restarted every `block` intervals
+    (`_reanchor_block`): J backward from J(T) = J_T, then P forward from
     P(t0) = 0 (the flow runs on -P).  Raises IntegrationBlowupError at the
     first node met where X is singular or a ratio non-finite,
     PositivityLostError (before P runs) where J is not positive definite."""
     n = problem.state_dim
-    block = _reanchor_block(grid, H_tab[1])
     J, X_J, drift = _reanchored_flow(grid, H_tab, problem.J_T, block, backward=True)
     _check_positive(grid, J, "J")
     minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros((n, n)), block)
@@ -246,46 +254,36 @@ def _solve_flows(problem: LQProblem, grid: np.ndarray, H_tab) -> _Flows:
     return _Flows(drift, J, P, X_J, X_P, block)
 
 
-def _riccati_solution(grid: np.ndarray, H_tab, J: np.ndarray) -> DenseSolution:
-    """J at the nodes of `grid` as a `DenseSolution`, with the Riccati
-    right-hand side J S J - A'J - J A - Q as its node derivatives, A, -S and
-    -Q read off the lo and hi slots of `H_tab`."""
-    n = J.shape[1]
+def _riccati_solution(grid: np.ndarray, H_tab, R: np.ndarray, dual: bool) -> DenseSolution:
+    """R at the nodes of `grid` as a `DenseSolution`: J = Y X^{-1} of the
+    flow of H, or M = X Y^{-1} if `dual`.  Its node derivatives are the
+    Riccati right-hand side of the ratio, L R + (L R)' + H_ab with
+    L = H_aa - R H_ba / 2 (a the numerator block, b the denominator): for J,
+    J S J - A'J - J A - Q; for M, A M + M A' - S + M Q M.  The blocks are
+    read off the lo and hi slots of `H_tab`."""
+    a, b = _ratio_blocks(R.shape[1], dual)
 
-    def rhs(H, Jk):
-        A, minus_S = H[:, :n, :n], H[:, :n, n:]
-        return -(Jk @ minus_S @ Jk) - np.swapaxes(A, 1, 2) @ Jk - Jk @ A + H[:, n:, :n]
+    def rhs(H, Rk):
+        LR = (H[:, a, a] - 0.5 * (Rk @ H[:, b, a])) @ Rk
+        return LR + LR.swapaxes(-1, -2) + H[:, a, b]
 
-    return DenseSolution(grid, J[:-1], J[1:], rhs(H_tab[0], J[:-1]), rhs(H_tab[2], J[1:]))
+    return DenseSolution(grid, R[:-1], R[1:], rhs(H_tab[0], R[:-1]), rhs(H_tab[2], R[1:]))
 
 
-def _dual_riccati_on(problem: LQProblem, grid: np.ndarray,
-                     H_tab) -> tuple[DenseSolution, float]:
-    """M on `grid`, backward from M(T) = J_T^{-1}, as Y X^{-1} of the
-    restarted flow of [[-A', -Q], [-S, A]] under Magnus-Pade steps,
-    symmetrized at the nodes.  `H_tab` is the grid's Hamiltonian table
-    (`_hamiltonian_table`); the sweep swaps its blocks one slab of
-    intervals at a time, and the node derivatives read A, -S and -Q off
-    its lo and hi slots.  Returns (M,
-    drift), the worst asymmetry absorbed.  Raises IntegrationBlowupError at
-    the first node met where X is singular or M non-finite,
+def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, H_tab,
+                     block: int) -> tuple[DenseSolution, float]:
+    """M on `grid`, backward from M(T) = J_T^{-1}, as X Y^{-1} of the flow
+    of the grid's Hamiltonian table `H_tab` (`_hamiltonian_table`) under
+    Magnus-Pade steps, restarted every `block` intervals
+    (`_reanchor_block`) and symmetrized at the nodes.  Returns (M, drift),
+    the worst asymmetry absorbed.  Raises IntegrationBlowupError at the
+    first node met where Y is singular or M non-finite,
     PositivityLostError where M is not positive definite."""
-    n = problem.state_dim
-    M, X, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T),
-                                   _reanchor_block(grid, H_tab[1]), backward=True,
-                                   step=_pade_maps, swap=True)
-    del X  # M is read as a ratio only
+    M, Y, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T), block,
+                                   backward=True, step=_pade_maps, dual=True)
+    del Y  # M is read as a ratio only
     _check_positive(grid, M, "M")
-
-    def dual_stage(H, Mk):
-        """The dual right-hand side A M + M A' - S + M Q M, written as
-        L M + (L M)' - S with L = A + M Q/2, off a slot of H."""
-        LM = (H[:, :n, :n] - 0.5 * (Mk @ H[:, n:, :n])) @ Mk
-        return LM + LM.swapaxes(-1, -2) + H[:, :n, n:]
-
-    sol = DenseSolution(grid, M[:-1], M[1:], dual_stage(H_tab[0], M[:-1]),
-                        dual_stage(H_tab[2], M[1:]))
-    return sol, drift
+    return _riccati_solution(grid, H_tab, M, dual=True), drift
 
 
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution) -> DenseSolution:

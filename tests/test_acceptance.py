@@ -5,20 +5,22 @@ Problem set: the two scalar benchmarks with known closed forms, the double
 integrator, and five seeded random problems (N <= 4).  Criteria that pin a
 step count use it exactly; section-heavy checks run at 2000 steps where no
 count is pinned.  c12 runs the whole `verify` checklist on 26 seeded random
-problems of its own.
+problems of its own; c16 checks the oracle that `verify` reads on those and
+the bundled problems.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from lqkernel.cli import run_verification
+from lqkernel.cli import _VERIFY_ORACLE_STEPS, load_problem_file, run_verification
 from lqkernel.kernel import (KernelOperator, lq_inner_product, reproducing_residual,
                              shooting_diagonal)
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
-from lqkernel.oracle import discrete_value
+from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.problems import random_problem
 from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import evaluate_cost, solve_feedback, solve_kernel, solve_multipoint
@@ -281,3 +283,23 @@ def test_c12_verify_certifies_random_problems():
     ok = _report(12, f"verify on {len(C12_PROBLEMS)} random problems, worst defect "
                  "over tolerance", worst, 1.0, passed=not failed)
     assert ok, failed
+
+
+BUNDLED = sorted((pathlib.Path(__file__).resolve().parent.parent
+                  / "scripts" / "problems").glob("*.json"))
+
+
+def test_c16_twice_extrapolated_oracle_matches_feedback():
+    # R2 on verify's nested meshes of 1000, 2000 and 4000 cells: worst
+    # 2.9e-10 (seed [2, 3]); the once-extrapolated value was off by up to
+    # 3.3e-7 on 1000 and 2000 cells and 8.4e-8 on 2000 and 4000 ([73, 3])
+    problems = [random_problem(np.random.default_rng(seed), dim) for seed, dim in C12_PROBLEMS]
+    problems += [load_problem_file(str(path))[0] for path in BUNDLED]
+    worst = 0.0
+    for p in problems:
+        x0 = _x0(p)
+        vf = solve_feedback(KernelOperator(p, STEPS), x0).value
+        r2 = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)["extrapolated2"]
+        worst = max(worst, abs(r2 - vf) / (1.0 + abs(vf)))
+    assert _report(16, f"twice-extrapolated oracle vs feedback value on {len(problems)} "
+                   "problems", worst, 1e-8)

@@ -250,6 +250,17 @@ def test_verify_solves_the_flows_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_sizes_the_restarts_once(monkeypatch):
+    # the J, P and M flows restart on one block per operator: 1 call, where
+    # the J/P builder and M computing their own made 2
+    from lqkernel import kernel, riccati
+    calls = []
+    for module in (kernel, riccati):
+        _recording(monkeypatch, module, "_reanchor_block", calls)
+    run_verification(random_problem(np.random.default_rng([4, 3])), 11, 300)
+    assert len(calls) == 1
+
+
 def test_verify_builds_one_shooting_table_and_sweeps_its_grid_once(monkeypatch):
     # the J and P flows, M and the four restarted shooting diagonals read
     # the operator's one H table, and the diagonals take one forward sweep
@@ -412,6 +423,29 @@ def test_numerical_blowup_maps_to_exit_3(tmp_path, capsys):
                    "--out", str(tmp_path / "r.csv")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical failure: integration blew up at t=0.995")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{doc}", "--out", "{out}"],
+    ["solve", "{doc}", "--method", "multipoint", "--constraints", "[[0, [1]], [1, [0]]]",
+     "--out", "{out}"],
+    ["riccati", "{doc}", "--out", "{out}"],
+    ["kernel", "{doc}", "--out", "{out}"],
+    ["verify", "{doc}"],
+    ["compare", "{doc}"],
+], ids=lambda argv: "-".join(a for a in argv[:3] if not a.startswith("{")))
+def test_nan_coefficient_table_maps_to_exit_3(argv, tmp_path, capsys):
+    # a valid problem whose B R^{-1} is inf - inf: the Hamiltonian table
+    # holds NaN, every interval restarts its flows, and the sweep raises at
+    # the first node met
+    doc = _scalar_doc(q=1.0, input_dim=2, B={"kind": "constant", "matrix": [[1e308, 1e308]]},
+                      R={"kind": "constant", "matrix": [[1.0, 0.9], [0.9, 1.0]]})
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(_fill(argv, path, tmp_path) + ["--steps", "100"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: integration blew up at t=1.0")
 
 
 def test_stiff_kernel_solve_matches_feedback(tmp_path, capsys):

@@ -282,6 +282,17 @@ def test_reanchored_flow_matches_direct_riccati_under_fast_growth(a, d):
     assert _steady_gap(_stress_problem(a, d)) <= 1e-10
 
 
+@pytest.mark.parametrize("a, d, block, bound", [
+    (30.0, 30.0, 49, 2e-12), (30.0, 0.0, 51, 5e-10), (200.0, 0.0, 7, 2.5e-8)])
+def test_restarted_dual_flow_keeps_duality_under_fast_growth(a, d, block, bound):
+    # J M - I on [0, 5] was 7.2e-13, 1.6e-10 and 7.7e-9 with M run on H
+    # block-swapped; M run without restarts left 1.1e-11 at (30, 30) and
+    # blew up at the other two
+    op = KernelOperator(_stress_problem(a, d), 4000)
+    assert op._block == block
+    assert np.max(op.duality_defects()[op.grid <= 5.0]) <= bound
+
+
 @pytest.mark.parametrize("a", [30.0, 200.0])
 def test_unbroken_flow_fails_under_mixed_growth_rates(a, monkeypatch):
     # with growth rates a and 1, the fast modes swamp the columns of X
@@ -364,13 +375,14 @@ def _dual_pole(t0):
 
 
 def test_dual_riccati_blowup_reports_time():
-    # M = Y X^{-1} with Y = 1, X = t - 1 on a nilpotent flow, where the Pade
-    # step is exact, so X vanishes exactly at the node t = 1
+    # M = X Y^{-1} with X = 1, Y = t - 1 on a nilpotent flow, where the Pade
+    # step is exact, so Y vanishes exactly at the node t = 1
     grid = build_grid(0.0, 2.0, 40)
+    H_tab = riccati._hamiltonian_table(_dual_pole(0.0), grid)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError) as direct:
-            _dual_riccati_on(_dual_pole(0.0), grid,
-                             riccati._hamiltonian_table(_dual_pole(0.0), grid)[0])
+            _dual_riccati_on(_dual_pole(0.0), grid, H_tab,
+                             riccati._reanchor_block(grid, H_tab[1]))
         # the diagonal of the problem restarted at 0 solves M on [0, 2]
         with pytest.raises(IntegrationBlowupError) as restart:
             KernelOperator(_dual_pole(1.5).restricted(0.0), 40).diagonal(0.0)

@@ -61,7 +61,10 @@ def test_paired_timing_runs_against_its_own_source(capsys):
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == module.BASE_NAME]:
             del sys.modules[name]
-    lines = capsys.readouterr().out.splitlines()
+    count, *lines = capsys.readouterr().out.splitlines()
+    src_lines = sum(path.read_text().count("\n")
+                    for path in (SCRIPTS.parent / "src" / "lqkernel").glob("*.py"))
+    assert count == f"lqkernel lines: base {src_lines}, this {src_lines}"
     assert lines[0].split() == ["command", "base_s", "this_s", "ratio", "faster"]
     assert [line[:28].strip() for line in lines[1:]] == [
         "verify switched_tracking", "multipoint n4_k3_m2", "multipoint n6_k4_m3",

@@ -210,11 +210,12 @@ def test_multipoint_peak_memory():
 
 def test_dual_riccati_peak_memory():
     # tracemalloc peak of M at (N, m) = (8, 4), 2000 steps, with the H table
-    # it is solved on: 18.5 MB when the sweep swaps H's blocks one block of
-    # intervals at a time and H stays with the operator, 24.6 MB with a
-    # block-swapped copy of the whole table beside H, 16.4 MB when M owned
-    # H and dropped each slot once swapped, 24.7 MB with A, S and Q tables
-    # kept beside a dual table built from them
+    # it is solved on: 18.6 MB with M = X Y^{-1} of H's own flow, its
+    # denominator freed before its derivatives are built (19.6 MB if kept),
+    # 18.5 MB when the sweep swapped H's blocks one slab at a time, 24.6 MB
+    # with a block-swapped copy of the whole table beside H, 16.4 MB when M
+    # owned H and dropped each slot once swapped, 24.7 MB with A, S and Q
+    # tables kept beside a dual table built from them
     problem = random_problem(np.random.default_rng(101), 8, 4)
     peak = _traced_peak(lambda: KernelOperator(problem, 2000).M)
     assert peak < 21e6, f"peak {peak / 1e6:.1f} MB"
