@@ -8,8 +8,8 @@ fixed pairs of grid nodes, a one-term and a three-term kernel trajectory
 (terms at t0, an interior node and T), a rollout with its inner
 products and dynamics defects, the kernel and feedback solves with their
 adjoints, the `verify` report whole and check by check (so a roundoff move
-in one check shows as one line), the `solve`, `riccati` and `kernel`
-command outputs (CSV bytes and JSON) on the bundled problems, and
+in one check shows as one line), the `solve`, `riccati`, `kernel`, `verify`
+and `compare` command outputs (CSV bytes and JSON) on the bundled problems, and
 multipoint CSVs on three seeded random problems of the benchmark's
 rendezvous shapes.  The code under test is the `src/`
 beside this script, so running it in two checkouts (a `git worktree` or a
@@ -41,6 +41,11 @@ from lqkernel.model import dynamics_defect  # noqa: E402
 from lqkernel.problems import random_problem, random_trajectory  # noqa: E402
 from lqkernel.riccati import _hamiltonian_table, solve_adjoint  # noqa: E402
 from lqkernel.solver import solve_feedback, solve_kernel  # noqa: E402
+
+try:
+    from lqkernel.verify import run_verification  # noqa: E402
+except ImportError:  # commits whose checklist lives in cli.py
+    run_verification = cli.run_verification
 
 VERIFY_SEED = 3
 RENDEZVOUS_SHAPES = ((4, 2, 3), (6, 3, 4), (8, 4, 5))  # (N, m, pinned times)
@@ -134,21 +139,26 @@ def _operator_lines(name, problem, steps):
                            res.value, *(v for _, v in res.covectors),
                            *_dense(solve_adjoint(p, res.trajectory.x)))
         yield f"{solve.__name__}/{name}", run
-    report = functools.cache(lambda: cli.run_verification(p, VERIFY_SEED, steps))
+    report = functools.cache(lambda: run_verification(p, VERIFY_SEED, steps))
     yield f"verify/{name}", lambda: _digest(json.dumps(report()))
-    for check in cli._VERIFY_TOLERANCES:
+    try:  # a line per check the report names, whichever checklist it runs
+        checks = [c["name"] for c in report()["checks"]]
+    except LQKernelError:  # the report's own line holds the error
+        checks = []
+    for check in checks:
         yield f"verify/{name}/{check}", lambda check=check: _digest(
             json.dumps([c for c in report()["checks"] if c["name"] == check]))
 
 
 def _command(argv, out_csv, tmp):
-    """Digest of a CLI run: exit code, output with `tmp` masked, CSV bytes."""
+    """Digest of a CLI run: exit code, output with `tmp` masked, and the bytes
+    of `out_csv` (none if it is None or was not written)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     text = (stdout.getvalue() + stderr.getvalue()).replace(tmp, "<tmp>")
-    csv = pathlib.Path(out_csv)
-    return _digest(str(code), text, csv.read_bytes() if csv.exists() else b"")
+    csv = pathlib.Path(out_csv) if out_csv else None
+    return _digest(str(code), text, csv.read_bytes() if csv and csv.exists() else b"")
 
 
 def _command_lines(name, path, steps, tmp):
@@ -158,6 +168,10 @@ def _command_lines(name, path, steps, tmp):
         ["solve", path, "--method", "both", *common], out, tmp)
     yield f"cli_riccati/{name}", lambda: _command(["riccati", path, *common], out, tmp)
     yield f"cli_kernel/{name}", lambda: _command(["kernel", path, *common], out, tmp)
+    yield f"cli_verify/{name}", lambda: _command(
+        ["verify", path, "--steps", str(steps), "--seed", str(VERIFY_SEED)], None, tmp)
+    yield f"cli_compare/{name}", lambda: _command(
+        ["compare", path, "--steps", str(steps)], None, tmp)
 
 
 def _multipoint_lines(steps, tmp):

@@ -7,7 +7,8 @@ import argparse
 import pathlib
 import sys
 
-from lqkernel.cli import load_problem_file, run_verification
+from lqkernel.cli import load_problem_file
+from lqkernel.verify import run_verification
 
 HERE = pathlib.Path(__file__).parent
 

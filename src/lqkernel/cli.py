@@ -14,14 +14,12 @@ import sys
 
 import numpy as np
 
+from . import verify
 from .errors import LQKernelError, NumericalError, ProblemFileError
-from .kernel import (KernelOperator, lq_inner_product, reproducing_residual,
-                     restarted_diagonals)
+from .kernel import KernelOperator
 from .model import R_MIN_DEFAULT, LQProblem, MatrixSchedule, validate_problem
 from .ode import DEFAULT_STEPS
-from .oracle import MIN_ORACLE_STEPS, richardson_value
-from .problems import _random_control, rollout
-from .riccati import solve_adjoint
+from .oracle import MIN_ORACLE_STEPS
 from .solver import (check_constraint_times, solve_feedback, solve_kernel,
                      solve_multipoint)
 
@@ -247,11 +245,6 @@ def _constraints_from(text: str, problem: LQProblem) -> list:
 
 # -- commands ----------------------------------------------------------------
 
-def _rel_gap(a: float, b: float) -> float:
-    """|a - b| / (1 + |b|): the gap of a value to a reference value b."""
-    return abs(a - b) / (1.0 + abs(b))
-
-
 def cmd_solve(args) -> int:
     problem, extras, steps = _open_problem(args)
     x0 = _x0_from(args, extras, problem.state_dim)
@@ -337,172 +330,26 @@ def cmd_compare(args) -> int:
     if args.oracle_steps < MIN_ORACLE_STEPS:
         raise ProblemFileError(
             f"--oracle-steps: must be at least {MIN_ORACLE_STEPS}, got {args.oracle_steps}")
-
-    op = KernelOperator(problem, steps)
-    vk = solve_kernel(op, x0).value
-    vf = solve_feedback(op, x0).value
-    rich = richardson_value(problem, x0, int(args.oracle_steps))
-    _print_json({
-        "value_kernel": vk,
-        "value_feedback": vf,
-        "value_oracle_h": rich["value_h"],
-        "value_oracle_h2": rich["value_h2"],
-        "value_oracle_h4": rich["value_h4"],
-        "extrapolated": rich["extrapolated"],
-        "extrapolated2": rich["extrapolated2"],
-        "rel_gap_kernel_feedback": _rel_gap(vk, vf),
-        "rel_gap_oracle_feedback": _rel_gap(rich["extrapolated2"], vf),
-    })
+    _print_json(verify.compare(problem, steps, x0, args.oracle_steps))
     return EXIT_OK
-
-
-_VERIFY_TOLERANCES = {
-    "duality": 1e-6,
-    "kernel_diagonal_identity": 1e-5,
-    "kernel_diagonal_bvp": 1e-5,
-    "hermitian_symmetry": 1e-5,
-    "reproducing": 1e-4,
-    "value_agreement": 1e-6,
-    "trajectory_agreement": 1e-5,
-    "adjoint_identity": 1e-6,
-    "oracle_richardson": 1e-4,
-}
-_VERIFY_QUAD_INTERVALS = 1000
-_VERIFY_ORACLE_STEPS = 1000  # cells of the coarsest of the oracle's three nested meshes
-
-
-def run_verification(problem: LQProblem, seed: int, steps: int,
-                     tolerances: dict | None = None) -> dict:
-    """Run the full identity checklist; deterministic for a given seed.
-
-    Checks: Riccati duality; the kernel-diagonal/Riccati-inverse identity at
-    t0, 25, 50 and 75% of the horizon and T, with the diagonal read off the
-    dual Riccati solution; the same identity at the grid nodes nearest to
-    the first four with K_t(t, t) from the shooting BVP of the problem
-    restarted at t, a route that solves no Riccati equation
-    (`restarted_diagonals`: all four from one forward sweep on the
-    operator's grid and table); Hermitian symmetry of the kernel; the
-    reproducing property on random trajectories; kernel/feedback agreement
-    in value and trajectory; the adjoint identity; and agreement with the
-    discrete-time oracle extrapolated twice over three nested meshes
-    (`richardson_value`'s "extrapolated2").
-    `tolerances` overrides some of the per-check tolerances; it is checked
-    as `_checked_tolerances` says and raises ValueError if malformed.
-    """
-    tol = dict(_VERIFY_TOLERANCES)
-    tol.update(_checked_tolerances(tolerances or {}, "tolerances"))
-    rng = np.random.default_rng(seed)
-    p = problem
-    n = p.state_dim
-    op = KernelOperator(p, steps)
-    checks = []
-
-    def add(name, defect):
-        checks.append({
-            "name": name,
-            "defect": float(defect),
-            "tolerance": float(tol[name]),
-            "passed": bool(defect <= tol[name]),
-        })
-
-    add("duality", np.max(op.duality_defects()))
-
-    eye = np.eye(n)
-    queries = np.concatenate([[p.t0], p.t0 + (p.T - p.t0) * np.array([0.25, 0.5, 0.75]), [p.T]])
-    add("kernel_diagonal_identity", max(
-        np.linalg.norm(J @ M - eye)
-        for J, M in zip(op.J.eval_many(queries), op.M.eval_many(queries))))
-    # the shooting sweep starts its carriers at grid nodes: the nearest ones
-    at = op.nearest_nodes(queries[:-1])
-    add("kernel_diagonal_bvp", max(
-        np.linalg.norm(J @ K - eye)
-        for J, K in zip(op.J_nodes[at], restarted_diagonals(op, op.grid[at]))))
-
-    # five uniform draws, each snapped to its nearest grid node: column times are nodes
-    pool = np.sort(op.grid[op.nearest_nodes(rng.uniform(p.t0, p.T, size=5))])
-    table = op.entries(pool)  # K(pool_i, pool_j), bit for bit as `entry` reads it
-    sym = 0.0
-    for _ in range(20):
-        i, j = rng.integers(0, pool.size, size=2)
-        Kst, Kts = table[i, j], table[j, i]
-        sym = max(sym, np.linalg.norm(Kst - Kts.T) / (1.0 + np.linalg.norm(Kst)))
-    add("hermitian_symmetry", sym)
-
-    # ten random trajectories run as one family, checked against one
-    # section family (a term per distinct pool time) by one quadrature
-    x0s, vals, ts, pvs = [], [], [], []
-    for _ in range(10):
-        x0, edges, v = _random_control(p, rng)
-        x0s.append(x0)
-        vals.append(v)
-        ts.append(float(pool[rng.integers(0, pool.size)]))
-        pvs.append(rng.normal(size=n))
-    trajs = rollout(p, np.stack(x0s, axis=1), edges, np.stack(vals, axis=2), min(steps, 1000))
-    xnorm = np.sqrt(np.maximum(lq_inner_product(p, trajs, trajs, _VERIFY_QUAD_INTERVALS), 0.0))
-    pnorm = np.array(list(map(np.linalg.norm, pvs)))
-    r = reproducing_residual(op, trajs, np.array(ts), np.stack(pvs, axis=1),
-                             _VERIFY_QUAD_INTERVALS)
-    add("reproducing", np.max(r / (1.0 + xnorm * pnorm)))
-
-    x0 = np.ones(n) / np.sqrt(n)
-    rk = solve_kernel(op, x0)
-    rf = solve_feedback(op, x0)
-    add("value_agreement", _rel_gap(rk.value, rf.value))
-    # both trajectories lie on op.grid
-    gap = np.max(np.abs(rk.trajectory.x.values - rf.trajectory.x.values))
-    add("trajectory_agreement", gap / (1.0 + np.linalg.norm(x0)))
-
-    # the adjoint, J and x all lie on op.grid
-    padj = solve_adjoint(p, rk.trajectory.x)
-    resid = padj.values + np.einsum("kij,kj->ki", op.J_nodes, rk.trajectory.x.values)
-    add("adjoint_identity", np.max(np.linalg.norm(resid, axis=1)) / (1.0 + np.linalg.norm(x0)))
-
-    add("oracle_richardson",
-        _rel_gap(richardson_value(p, x0, _VERIFY_ORACLE_STEPS)["extrapolated2"], rf.value))
-
-    return {
-        "seed": int(seed),
-        "steps": int(steps),
-        "quad_intervals": _VERIFY_QUAD_INTERVALS,
-        "oracle_meshes": [_VERIFY_ORACLE_STEPS * split for split in (1, 2, 4)],
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-
-
-def _checked_tolerances(doc, what: str) -> dict:
-    """`doc`, if it is a valid set of per-check tolerance overrides: a dict
-    mapping check names to finite non-negative numbers (inf would switch a
-    check off and print as `Infinity`, which strict JSON refuses; NaN or a
-    negative fail it always).  Raises ValueError, naming `what`, if not."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what}: expected an object of per-check tolerances")
-    for name, tol in doc.items():
-        if name not in _VERIFY_TOLERANCES:
-            raise ValueError(f"{what}: unknown check {name!r}")
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise ValueError(f"{what}: tolerance for {name!r} is not a number")
-        if not 0 <= tol <= sys.float_info.max:  # NaN compares false
-            raise ValueError(f"{what}: tolerance for {name!r} is not finite and >= 0")
-    return doc
 
 
 def cmd_verify(args) -> int:
     problem, extras, steps = _open_problem(args)
     settings = extras["settings"]
     try:
-        tolerances = _checked_tolerances(settings.get("tolerances", {}),
-                                         "key 'settings.tolerances'")
+        tolerances = verify.checked_tolerances(settings.get("tolerances", {}),
+                                               "key 'settings.tolerances'")
         if args.tolerances:
             flag = _parse_json(args.tolerances, "--tolerances")
-            tolerances = {**tolerances, **_checked_tolerances(flag, "--tolerances")}
+            tolerances = {**tolerances, **verify.checked_tolerances(flag, "--tolerances")}
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     seed, what = ((args.seed, "--seed") if args.seed is not None
                   else (settings.get("seed", 0), "key 'settings.seed'"))
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ProblemFileError(f"{what}: expected a non-negative integer, got {seed!r}")
-    report = run_verification(problem, seed, steps, tolerances)
+    report = verify.run_verification(problem, seed, steps, tolerances)
     _print_json(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
@@ -550,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="kernel vs feedback vs discrete oracle")
     common(p)
     p.add_argument("--x0", help="initial state, comma-separated")
-    p.add_argument("--oracle-steps", type=int, default=_VERIFY_ORACLE_STEPS,
+    p.add_argument("--oracle-steps", type=int, default=verify.ORACLE_STEPS,
                    help="cells of the coarsest oracle mesh (default %(default)s)")
     p.set_defaults(func=cmd_compare)
     return ap

@@ -50,10 +50,10 @@ def _reduce(A, C, J):
     return J[0]
 
 
-def _discrete_value(problem: LQProblem, x0, steps: int, split: int) -> float:
-    """x0' P_0 x0, with P_0 of the discrete Riccati recursion on forward-Euler
-    cells: the horizon cut at the problem's breakpoints, and each piece into
-    split * max(1, round(steps * length / horizon)) equal cells."""
+def _discrete_value(problem: LQProblem, x0, steps: int, split: int) -> tuple[float, int]:
+    """(x0' P_0 x0, cell count), P_0 of the discrete Riccati recursion on
+    forward-Euler cells: the horizon cut at the problem's breakpoints, and
+    each piece into split * max(1, round(steps * length / horizon)) equal cells."""
     if steps < MIN_ORACLE_STEPS:
         raise ValueError(f"discretization needs at least {MIN_ORACLE_STEPS} steps")
     x0 = np.asarray(x0, dtype=float)
@@ -79,21 +79,23 @@ def _discrete_value(problem: LQProblem, x0, steps: int, split: int) -> float:
         P0 = _reduce(A, C, J)
     if not np.all(np.isfinite(P0)):
         raise IntegrationBlowupError("discrete oracle: P_0 is not finite")
-    return float(x0 @ P0 @ x0)
+    return float(x0 @ P0 @ x0), int(counts.sum())
 
 
 def discrete_value(problem: LQProblem, x0, steps: int) -> float:
     """x0' P_0 x0 on about `steps` forward-Euler cells, aligned with the
     problem's breakpoints (uniform without them)."""
-    return _discrete_value(problem, x0, steps, 1)
+    return _discrete_value(problem, x0, steps, 1)[0]
 
 
 def richardson_value(problem: LQProblem, x0, steps: int) -> dict:
     """Oracle values at h, h/2 and h/4 on nested meshes (each bisects every
     cell of the one before), the first-level Richardson limit R1(h, h/2) =
     2 v(h/2) - v(h) ("extrapolated", error O(h^2)), and the second-level one
-    R2 = (4 R1(h/2, h/4) - R1(h, h/2)) / 3 ("extrapolated2", error O(h^3))."""
-    v_h, v_h2, v_h4 = (_discrete_value(problem, x0, steps, split) for split in (1, 2, 4))
+    R2 = (4 R1(h/2, h/4) - R1(h, h/2)) / 3 ("extrapolated2", error O(h^3)), and
+    the cell counts of the three meshes ("cells")."""
+    (v_h, v_h2, v_h4), cells = zip(*(_discrete_value(problem, x0, steps, split)
+                                     for split in (1, 2, 4)))
     r_h, r_h2 = 2.0 * v_h2 - v_h, 2.0 * v_h4 - v_h2
     return {
         "value_h": v_h,
@@ -101,4 +103,5 @@ def richardson_value(problem: LQProblem, x0, steps: int) -> dict:
         "value_h4": v_h4,
         "extrapolated": r_h,
         "extrapolated2": (4.0 * r_h2 - r_h) / 3.0,
+        "cells": list(cells),
     }

@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lqkernel.cli import _VERIFY_ORACLE_STEPS, load_problem_file, run_verification
+from lqkernel.cli import load_problem_file
 from lqkernel.kernel import (KernelOperator, lq_inner_product, reproducing_residual,
                              shooting_diagonal)
 from lqkernel.model import MatrixSchedule
@@ -24,6 +24,7 @@ from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.problems import random_problem
 from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import evaluate_cost, solve_feedback, solve_kernel, solve_multipoint
+from lqkernel.verify import ORACLE_STEPS, run_verification
 
 STEPS = 4000
 SECTION_STEPS = 2000
@@ -299,7 +300,7 @@ def test_c16_twice_extrapolated_oracle_matches_feedback():
     for p in problems:
         x0 = _x0(p)
         vf = solve_feedback(KernelOperator(p, STEPS), x0).value
-        r2 = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)["extrapolated2"]
+        r2 = richardson_value(p, x0, ORACLE_STEPS)["extrapolated2"]
         worst = max(worst, abs(r2 - vf) / (1.0 + abs(vf)))
     assert _report(16, f"twice-extrapolated oracle vs feedback value on {len(problems)} "
                    "problems", worst, 1e-8)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqkernel.cli import (load_problem_file, main, parse_problem_dict,
-                          problem_to_dict, run_verification)
+from lqkernel.cli import load_problem_file, main, parse_problem_dict, problem_to_dict
 from lqkernel.errors import ProblemFileError
 from lqkernel.problems import (double_integrator_problem, random_problem,
                                random_trajectory, unit_scalar_problem)
+from lqkernel.verify import run_verification
 
 
 _BUNDLED = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "problems"
@@ -211,19 +211,19 @@ def _recording(monkeypatch, module, name, calls):
 
 def test_verify_draws_replay_random_trajectory(monkeypatch):
     # each of the ten rounds draws x0, the control values, t and p in the
-    # order of a random_trajectory call followed by t and p
-    from lqkernel import cli, problems
+    # order of a random_trajectory call followed by t and p; the checklist
+    # calls the layers through their modules
+    from lqkernel import kernel, problems
     from lqkernel.kernel import KernelOperator
     p = random_problem(np.random.default_rng([4, 3]))
     rollouts, residuals = [], []
-    _recording(monkeypatch, cli, "rollout", rollouts)
-    _recording(monkeypatch, cli, "reproducing_residual", residuals)
+    _recording(monkeypatch, problems, "rollout", rollouts)
+    _recording(monkeypatch, kernel, "reproducing_residual", residuals)
     run_verification(p, 11, 300)
     [(_, x0s, edges, vals, steps)] = rollouts
     assert x0s.shape == (p.state_dim, 10) and vals.shape == (6, p.input_dim, 10)
 
-    singles = []
-    _recording(monkeypatch, problems, "rollout", singles)
+    rollouts.clear()  # from here, the replays' own rollouts
     rng = np.random.default_rng(11)
     grid, draws = KernelOperator(p, 300).grid, rng.uniform(p.t0, p.T, size=5)
     pool = np.sort(grid[np.argmin(np.abs(grid[:, None] - draws), axis=0)])  # nearest nodes
@@ -232,7 +232,7 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
     want = []
     for c in range(10):
         random_trajectory(p, rng, steps=steps)
-        _, x0, single_edges, single_vals, _ = singles[c]
+        _, x0, single_edges, single_vals, _ = rollouts[c]
         assert np.array_equal(x0, x0s[:, c]) and np.array_equal(single_vals, vals[..., c])
         assert np.array_equal(single_edges, edges)
         want.append((float(pool[rng.integers(0, pool.size)]), *rng.normal(size=p.state_dim)))
@@ -332,17 +332,44 @@ def test_verify_kernel_diagonal_identity_reads_the_query_times():
 
 
 def test_verify_runs_one_rollout_and_at_most_six_quadratures(monkeypatch):
-    from lqkernel import cli, kernel, problems, solver
+    # the checklist calls `problems.rollout` and `kernel.lq_inner_product`
+    from lqkernel import kernel, problems, solver
     problem, _ = load_problem_file(str(_BUNDLED / "switched_tracking.json"))
     rollouts, quadratures = [], []
-    for module in (cli, problems):
-        _recording(monkeypatch, module, "rollout", rollouts)
-    for module in (cli, kernel, solver):
+    _recording(monkeypatch, problems, "rollout", rollouts)
+    for module in (kernel, solver):
         _recording(monkeypatch, module, "lq_inner_product", quadratures)
     report = run_verification(problem, 0, 400)
     assert report["passed"] is True
     assert len(rollouts) == 1
     assert 2 <= len(quadratures) <= 6
+
+
+def test_verify_reports_the_oracle_meshes_it_ran():
+    # the oracle rounds each piece between breakpoints on its own: 999 cells here
+    problem = random_problem(np.random.default_rng([18, 3]))
+    assert run_verification(problem, 0, 200)["oracle_meshes"] == [999, 1998, 3996]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: load_problem_file(str(_BUNDLED / "switched_tracking.json"))[0],
+                 id="switched_tracking"),
+    pytest.param(lambda: random_problem(np.random.default_rng([18, 3])), id="18_3"),
+])
+def test_compare_gaps_are_the_verify_defects(make, tmp_path, capsys):
+    # compare from verify's x0 on verify's oracle mesh prints the defects of
+    # the value_agreement and oracle_richardson checks, bit for bit
+    problem = make()
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_dict(problem)))
+    x0 = np.ones(problem.state_dim) / np.sqrt(problem.state_dim)
+    rc = main(["compare", str(path), "--steps", "400", "--oracle-steps", "1000",
+               "--x0", ",".join(repr(float(v)) for v in x0)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    defects = {c["name"]: c["defect"] for c in run_verification(problem, 0, 400)["checks"]}
+    assert doc["rel_gap_kernel_feedback"] == defects["value_agreement"]
+    assert doc["rel_gap_oracle_feedback"] == defects["oracle_richardson"]
 
 
 def test_verify_rejects_invalid_problem(tmp_path, capsys):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import lqkernel.oracle
-from lqkernel.cli import _VERIFY_ORACLE_STEPS, _VERIFY_TOLERANCES, load_problem_file
+from lqkernel.cli import load_problem_file
 from lqkernel.errors import IntegrationBlowupError, NumericalError, SingularMatrixError
 from lqkernel.kernel import KernelOperator
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.problems import random_problem
 from lqkernel.solver import solve_feedback
+from lqkernel.verify import ORACLE_STEPS, TOLERANCES
 from oracle_reference import sequential_discrete_value
 
 BUNDLED = sorted((pathlib.Path(__file__).resolve().parents[1]
@@ -63,10 +64,18 @@ def test_richardson_meets_the_verify_tolerance_with_jumps(seed, dim):
     p = random_problem(np.random.default_rng(seed), dim)
     assert p.breakpoints().size
     x0 = np.ones(p.state_dim) / np.sqrt(p.state_dim)
-    rich = richardson_value(p, x0, _VERIFY_ORACLE_STEPS)
+    rich = richardson_value(p, x0, ORACLE_STEPS)
     vf = solve_feedback(KernelOperator(p, 4000), x0).value
     gap = abs(rich["extrapolated"] - vf) / (1.0 + abs(vf))
-    assert gap <= _VERIFY_TOLERANCES["oracle_richardson"]
+    assert gap <= TOLERANCES["oracle_richardson"]
+
+
+def test_richardson_reports_the_cells_it_ran():
+    # the breakpoints 0.308 and 0.734 of T = 0.950 cut 1000 cells into
+    # pieces of 324.4, 447.4 and 228.1, rounded to 324 + 447 + 228 = 999
+    p = random_problem(np.random.default_rng([18, 3]))
+    assert richardson_value(p, np.ones(p.state_dim), ORACLE_STEPS)["cells"] == [999, 1998, 3996]
+    assert richardson_value(p, np.ones(p.state_dim), 2000)["cells"] == [2000, 4000, 8000]
 
 
 def _reference_problems():
