@@ -1,5 +1,6 @@
 """Step-halving study: RK4 order on the integrator, the fourth order of the
-dual Riccati flow M (Magnus-Pade steps), O(h) bias of the oracle.
+dual Riccati flow M (Magnus-Pade steps), O(h) bias of the oracle, and the
+second-level Richardson value that `verify` and `compare` read.
 
 Usage: python scripts/convergence_study.py
 """
@@ -11,9 +12,10 @@ import numpy as np
 from lqkernel.kernel import KernelOperator
 from lqkernel.model import MatrixSchedule
 from lqkernel.ode import build_grid, rk4_affine, schedule_stage_table
-from lqkernel.oracle import discrete_value
+from lqkernel.oracle import discrete_value, richardson_value
 from lqkernel.problems import double_integrator_problem, random_problem, unit_scalar_problem
 from lqkernel.solver import solve_feedback
+from lqkernel.verify import ORACLE_STEPS
 
 
 def rk4_table():
@@ -59,6 +61,9 @@ def oracle_table(problem, name):
     v_h2 = discrete_value(problem, x0, 4000)
     print(f"Richardson extrapolation 2 v(h/2) - v(h): {2 * v_h2 - v_h:.10f} "
           f"(residual {2 * v_h2 - v_h - v_ref:.3e})")
+    r2 = richardson_value(problem, x0, ORACLE_STEPS)["extrapolated2"]
+    print(f"second-level Richardson value on {ORACLE_STEPS} cells, as verify reads it: "
+          f"{r2:.10f} (residual {r2 - v_ref:.3e})")
 
 
 if __name__ == "__main__":

@@ -92,8 +92,8 @@ def _operator_lines(name, problem, steps):
     op = KernelOperator(problem, steps)
 
     def flows():
-        f = op._flows
-        return _digest(f.J, f.P, f.X_J, f.X_P, f.block, f.drift_J)
+        J, P = op._J_flow, op._P_flow
+        return _digest(J.R, P.R, J.carrier, P.carrier, J.block, J.drift)
 
     # the table built afresh, as every commit with `_hamiltonian_table` can
     yield f"table/{name}", lambda: _digest(*(a for part in _hamiltonian_table(problem, op.grid)

@@ -18,7 +18,7 @@ matched to its use:
   K(t, t) = (J(t) + P(t))^{-1}; for s >= t, K(s, t) is K(t, t) carried
   forward by the closed loop A - S J, and for s <= t, carried backward by
   A + S P (S = B R^{-1} B').  Both carriers are the X blocks of the
-  re-anchored Hamiltonian flows of J and P (`riccati._solve_flows`), solved
+  re-anchored Hamiltonian flows of J and P (`riccati._Flow.carry`), solved
   once per operator on the one Hamiltonian table it holds.  Column times t
   and the read times s of `entry` and `entries` are nodes of the
   operator's grid (`extra_nodes` puts them there); a section read anywhere
@@ -46,17 +46,18 @@ there too.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BvpDegenerateError, HorizonMismatchError
-from .linalg import _symmetrized
+from .linalg import _symmetrized, spd_inverse
 from .model import ControlledTrajectory, LQProblem
 from .ode import (DEFAULT_STEPS, DenseSolution, _affine_sweep, _clip_to_span, _time_tol,
                   build_grid, schedule_stage_table)
-from .riccati import (_dual_riccati_on, _Flows, _hamiltonian_table, _reanchor_block,
-                      _riccati_solution, _solve_flows)
+from .riccati import (_check_positive, _Flow, _hamiltonian_table, _reanchor_block,
+                      _reanchored_flow, _riccati_solution)
 
 DEFAULT_QUAD_INTERVALS = 2000
 
@@ -73,14 +74,16 @@ class KernelOperator:
     caller that reads K at chosen times passes them in `extra_nodes`; an
     off-grid time raises ValueError.  Computed lazily and cached: the
     Hamiltonian table of the grid (once, by `_hamiltonian_table`), the
-    restart block of every flow on it (once, by `_reanchor_block`), the J
-    and P flows (once, by `_solve_flows`), and, when first read, J
-    with its node derivatives (no solve reads them) and M on the same grid
-    and table (`solve_kernel` reads K(t0, t0) = M(t0); `solve_feedback`,
-    the sections and the shooting routes never solve M).  Every trajectory
-    is built by `trajectory`, and every kernel entry read by `_carried`
-    from `_solve_diagonal`; both carry values over the X blocks of the
-    flows.  The operator is logically immutable and evaluations are pure.
+    restart block of the flows on it and the h rho(H) they check (once, by
+    `_reanchor_block`), and, each when first read, the J, P and M flows
+    (`_reanchored_flow`) and J's node derivatives (no solve reads them).
+    The sections and trajectories read J and P, the diagonal M
+    (`solve_kernel` reads K(t0, t0) = M(t0); `solve_feedback` and the
+    shooting routes never solve M, and `riccati` never solves P).  Every
+    trajectory is built by `trajectory`, and every kernel entry read by
+    `_carried` from `_solve_diagonal`; both carry values over the carriers
+    of the J and P flows.  The operator is logically immutable and
+    evaluations are pure.
     """
 
     def __init__(self, problem: LQProblem, steps: int = DEFAULT_STEPS,
@@ -100,41 +103,62 @@ class KernelOperator:
         return _hamiltonian_table(self.problem, self.grid)
 
     @cached_property
-    def _block(self) -> int:
-        """Intervals between restarts of the J, P and M flows."""
+    def _restarts(self) -> tuple[int, np.ndarray]:
+        """(block, spans) of `_reanchor_block`, shared by the J, P and M flows."""
         return _reanchor_block(self.grid, self._hamiltonian[0][1])
 
-    @cached_property
-    def _flows(self) -> _Flows:
-        return _solve_flows(self.problem, self.grid, self._hamiltonian[0], self._block)
+    def _flow(self, R0: np.ndarray, backward: bool, dual: bool = False) -> _Flow:
+        return _reanchored_flow(self.grid, self._hamiltonian[0], R0, self._restarts,
+                                backward, dual)
 
     @cached_property
-    def _dual(self) -> tuple[DenseSolution, float]:
-        return _dual_riccati_on(self.problem, self.grid, self._hamiltonian[0], self._block)
+    def _J_flow(self) -> _Flow:
+        """J backward from J_T; PositivityLostError where not positive definite."""
+        flow = self._flow(self.problem.J_T, True)
+        _check_positive(self.grid, flow.R, "J")
+        return flow
+
+    @cached_property
+    def _P_flow(self) -> _Flow:
+        """P forward from 0, after J (a failure of J is the one reported);
+        the flow runs on -P, and its R is negated in place."""
+        self._J_flow
+        n = self.problem.state_dim
+        flow = self._flow(np.zeros((n, n)), False)
+        np.negative(flow.R, out=flow.R)
+        return flow
+
+    @cached_property
+    def _M_flow(self) -> _Flow:
+        """M backward from J_T^{-1}, without its carrier (M is read as a
+        ratio only); PositivityLostError where not positive definite."""
+        flow = replace(self._flow(spd_inverse(self.problem.J_T), True, True), carrier=None)
+        _check_positive(self.grid, flow.R, "M")
+        return flow
 
     @cached_property
     def J(self) -> DenseSolution:
         """The value Hessian J(., T) on the grid, with its node derivatives
         (built on first read; `J_nodes` reads the nodes without them)."""
-        return _riccati_solution(self.grid, self._hamiltonian[0], self._flows.J, dual=False)
+        return _riccati_solution(self.grid, self._hamiltonian[0], self._J_flow.R, dual=False)
 
     @property
     def J_nodes(self) -> np.ndarray:
         """J at every grid node, bit for bit the node values of `J`."""
-        return self._flows.J
+        return self._J_flow.R
 
-    @property
+    @cached_property
     def M(self) -> DenseSolution:
         """The dual Riccati solution M(., T) on the grid, solved on first read."""
-        return self._dual[0]
+        return _riccati_solution(self.grid, self._hamiltonian[0], self._M_flow.R, dual=True)
 
     @property
     def max_asymmetry_J(self) -> float:
-        return self._flows.drift_J
+        return self._J_flow.drift
 
     @property
     def max_asymmetry_M(self) -> float:
-        return self._dual[1]
+        return self._M_flow.drift
 
     def duality_defects(self) -> np.ndarray:
         """Frobenius norm of J(t)M(t) - I at every grid node."""
@@ -192,7 +216,7 @@ class KernelOperator:
         and hi slots of the operator's H.  As B u = -S lambda = x' - A x and
         u is in the range of W, u is the minimal-R-norm control of x.  It
         jumps by -W (J + P) v_i at t_i, where it is stored two-sidedly."""
-        f, size, n = self._flows, self.grid.size, self.problem.state_dim
+        F, G, size, n = self._J_flow, self._P_flow, self.grid.size, self.problem.state_dim
         values = [np.asarray(v, dtype=float) for _, v in terms]
         at = self._nodes([t for t, _ in terms])
         stops, slot = np.unique(at, return_inverse=True)
@@ -204,10 +228,10 @@ class KernelOperator:
         bwd = np.zeros_like(fwd)
         for k, k_next, v in zip(stops, [*stops[1:], size - 1], V):
             fwd[k] += v
-            fwd[k + 1:k_next + 1] = f.carry(k, fwd[k], True, slice(k + 1, k_next + 1))
+            fwd[k + 1:k_next + 1] = F.carry(k, fwd[k], slice(k + 1, k_next + 1))
         for k, k_prev, v in zip(stops[::-1], [*stops[-2::-1], 0], V[::-1]):
             bwd[k] += v
-            bwd[k_prev:k] = f.carry(k, bwd[k], False, slice(k_prev, k))
+            bwd[k_prev:k] = G.carry(k, bwd[k], slice(k_prev, k))
         # lambda = J (left part) - P (right part), each product taken only
         # where its part is carried: fwd from the first term node on, bwd up
         # to the last.  Off the term nodes the parts are fwd and bwd, at both
@@ -216,9 +240,9 @@ class KernelOperator:
         # lo end of the interval after), so those rows are formed apart.
         lo, hi = stops[0], stops[-1]
         lam = np.zeros_like(fwd)
-        np.matmul(f.J[lo:], fwd[lo:], out=lam[lo:])
-        lam[:hi + 1] -= f.P[:hi + 1] @ bwd[:hi + 1]
-        J, P, ahead, behind = f.J[stops], f.P[stops], fwd[stops], bwd[stops]
+        np.matmul(F.R[lo:], fwd[lo:], out=lam[lo:])
+        lam[:hi + 1] -= G.R[:hi + 1] @ bwd[:hi + 1]
+        J, P, ahead, behind = F.R[stops], G.R[stops], fwd[stops], bwd[stops]
         lam_lo = lam[:-1].copy()
         opens = stops < size - 1  # the term nodes that start an interval
         lam_lo[stops[opens]] = (J @ ahead - P @ (behind - V))[opens]
@@ -273,19 +297,17 @@ class KernelOperator:
 
     def _solve_diagonal(self, j: int, values: np.ndarray) -> np.ndarray:
         """K(t, t) values = (J(t) + P(t))^{-1} values at the node of index j."""
-        f = self._flows
-        return np.linalg.solve(f.J[j] + f.P[j], values)
+        return np.linalg.solve(self._J_flow.R[j] + self._P_flow.R[j], values)
 
     def _carried(self, j: int, rows: np.ndarray) -> np.ndarray:
         """K(s, t) at the increasing node indices `rows` for the node t of
         index j: K(t, t) carried along G to the left and along F to the
         right, to those nodes alone; bit for bit the node values of the
         identity family `kernel_trajectory(op, [(t, I)]).x`."""
-        f = self._flows
         V = self._solve_diagonal(j, np.eye(self.problem.state_dim))
         mid = [V[None]] if j in rows else []
-        return np.concatenate([f.carry(j, V, False, rows[rows < j]), *mid,
-                               f.carry(j, V, True, rows[rows > j])])
+        return np.concatenate([self._P_flow.carry(j, V, rows[rows < j]), *mid,
+                               self._J_flow.carry(j, V, rows[rows > j])])
 
 
 def shooting_diagonal(operator: KernelOperator, t: float) -> np.ndarray:

@@ -20,27 +20,23 @@ from P(t0) = 0 (diag(I, -I) conjugates the Hamiltonian into the P flow
 schedule at a time from their stage tables (each evaluated, and R inverted,
 once per node).  `KernelOperator` (kernel.py) builds it once per grid and
 holds it: it is the only table of A, S and Q behind J, P, M, every kernel
-trajectory and the shooting sweep.  One builder, `_solve_flows`, runs both
-flows on it and returns J and P at the nodes and the X blocks of their
-flows as one `_Flows` value.
-The kernel reads its sections off the X blocks of both flows, and every
-control off the costate J x or -P x through W.  M is the other ratio of
-H's own flow, X Y^{-1}, which solves the dual equation: run backward from
-[J_T^{-1}; I] and restarted from [M_k; I] by the same routine
-(`_dual_riccati_on`), but with the (2,2) Pade map of a fourth-order
+trajectory and the shooting sweep.  M is the other ratio of H's own flow,
+X Y^{-1}, which solves the dual equation: run backward from [J_T^{-1}; I]
+and restarted from [M_k; I], with the (2,2) Pade map of a fourth-order
 Magnus step in place of RK4 (`ode._pade_maps`; A-stable, so a stiff step
-that overflows RK4 stays bounded).  RK4 would give M = J^{-1} up to
-restart roundoff; with the Pade step, J M = I compares two routes that
-share the stage table but no step map.  One routine, `_riccati_solution`,
-writes the node derivatives of both ratios off views of H (J's only when
-first asked for).  J, P and M are re-symmetrized at every node; the worst
-asymmetry absorbed by that projection is reported as a diagnostic.
+that overflows RK4 stays bounded).  RK4 would give M = J^{-1} up to restart
+roundoff; with the Pade step, J M = I compares two routes that share the
+stage table but no step map.  One routine, `_reanchored_flow`, runs all
+three flows; it refuses a step longer than its step map resolves
+(`_STEP_BOUNDS`), and each run is one `_Flow`: the ratio and its carrier
+(X, or Y for M) at every node, off which the kernel reads its sections.
+`_riccati_solution` writes the node derivatives of J or M off views of H.
+J, P and M are re-symmetrized at every node; the worst asymmetry absorbed
+by that projection is reported as a diagnostic.
 
-The pair belongs to `KernelOperator(problem, steps)` (kernel.py): its J
-and P nodes are the flows it shares with the kernel sections, its `J` the
-dense J built from them on first read, and its `M`, the kernel diagonal,
-is solved on the operator's grid and table when first read; this module
-holds the flows they are read from.
+`KernelOperator(problem, steps)` (kernel.py) holds the three flows, each
+solved when first read: J and M for the Riccati pair and the kernel
+diagonal, J and P for the sections and every trajectory.
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityLostError
-from .linalg import _symmetrized, spd_inverse
+from .errors import IntegrationBlowupError, PositivityLostError
+from .linalg import _symmetrized
 from .model import LQProblem
 from .ode import (DenseSolution, _affine_sweep, _blowup, _pade_maps, _read_only, _rk4_maps,
                   _slab_length, rk4_affine, schedule_stage_table)
@@ -64,6 +60,11 @@ from .ode import (DenseSolution, _affine_sweep, _blowup, _pade_maps, _read_only,
 # a false loss of positivity; with this bound J stays within 8e-13 up to
 # a = 400.
 _REANCHOR_LOG_GROWTH = 4.0
+
+# The largest h rho(H) of one step that RK4 (J, P) and the Magnus-Pade step
+# (M) resolve, indexed by `dual`: on x' = a x + u, Q = R = J_T = 1, 200 steps,
+# J(t0) and M(t0) J_true stayed within 1e-12 of exact up to h a = 42 and 125.
+_STEP_BOUNDS = (42.0, 125.0)
 
 
 def _hamiltonian_table(problem: LQProblem, grid: np.ndarray):
@@ -94,22 +95,28 @@ def _hamiltonian_table(problem: LQProblem, grid: np.ndarray):
     return H_tab, tuple(W)
 
 
-def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> int:
-    """Intervals per block of `_reanchored_flow`: the most that keep
-    sum h |H|_inf, H at the interval midpoints, under
-    `_REANCHOR_LOG_GROWTH`.  |H| is summed a slab of intervals at a time
-    (`ode._slab_length`), so no temporary of H's size is built.  A NaN or
-    inf rate restarts every interval, so the sweep's blow-up rule raises."""
+def _reanchor_block(grid: np.ndarray, H_mid: np.ndarray) -> tuple[int, np.ndarray]:
+    """(block, spans) for `_reanchored_flow`: the most intervals per block
+    that keep sum h |H|_inf, H at the interval midpoints, under
+    `_REANCHOR_LOG_GROWTH`, and h rho(H) by batched eigenvalues where a
+    finite h |H|_inf exceeds min(`_STEP_BOUNDS`) (0 elsewhere).  |H| is
+    summed a slab of intervals at a time (`ode._slab_length`), so no
+    temporary of H's size is built.  A NaN or inf rate restarts every
+    interval, so the sweep's blow-up rule raises."""
     n_int = grid.size - 1
     h = np.diff(grid)
     slab = _slab_length(H_mid.shape[-1], 0)
-    rate = float(np.max([
-        np.max(h[k:k + slab] * np.abs(H_mid[k:k + slab]).sum(axis=2).max(axis=1))
-        for k in range(0, n_int, slab)]))
+    rates = np.concatenate([
+        h[k:k + slab] * np.abs(H_mid[k:k + slab]).sum(axis=2).max(axis=1)
+        for k in range(0, n_int, slab)])
+    spans = np.zeros(n_int)
+    flagged = (rates > min(_STEP_BOUNDS)) & np.isfinite(rates)
+    spans[flagged] = h[flagged] * np.abs(np.linalg.eigvals(H_mid[flagged])).max(axis=1)
+    rate = float(np.max(rates))
     if not np.isfinite(rate):
-        return 1
-    return n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
-        1, int(_REANCHOR_LOG_GROWTH / rate))
+        return 1, spans
+    return (n_int if rate * n_int <= _REANCHOR_LOG_GROWTH else max(
+        1, int(_REANCHOR_LOG_GROWTH / rate))), spans
 
 
 def _check_positive(times: np.ndarray, R: np.ndarray, what: str) -> None:
@@ -167,21 +174,69 @@ def _ratio_from_flow(times: np.ndarray, num: np.ndarray, den: np.ndarray,
     return R
 
 
-def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
-                     backward: bool = False, step=_rk4_maps, dual: bool = False):
+@dataclass(frozen=True)
+class _Flow:
+    """One run of `_reanchored_flow`: the ratio R and its carrier (the
+    denominator block, X or Y) at every node, the worst asymmetry that
+    symmetrizing R absorbed, the restart block, and the node the flow
+    started from (the last if it ran backward, else 0)."""
+
+    R: np.ndarray
+    carrier: np.ndarray | None
+    drift: float
+    block: int
+    start: int
+
+    def carry(self, k: int, value: np.ndarray, nodes) -> np.ndarray:
+        """`value` at node k carried by the carrier to `nodes` (a slice or
+        increasing node indices on the walk from node k toward the start):
+        one solve where the walk enters a block, up to the farthest node
+        asked for, and one product per node.  On J's flow this carries
+        K(t, t) along F = A - S J to the right of t, on P's along
+        G = A + S P to the left."""
+        X = self.carrier
+        at = np.arange(X.shape[0])[nodes]
+        if at.size == 0:
+            return np.empty((0,) + value.shape)
+        right = self.start > k
+        walk = np.arange(k, at[-1] + 1) if right else np.arange(k, at[0] - 1, -1)
+        enter = (walk % self.block == 0) & (walk != k) & (walk != self.start)
+        carries = [np.linalg.solve(X[k], value)]  # the value at the block anchors
+        for c in walk[enter]:
+            carries.append(np.linalg.solve(X[c], carries[-1]))
+        out = X[nodes] @ np.stack(carries)[np.cumsum(enter)[np.abs(at - k)]]
+        out[at == k] = value
+        return out
+
+
+def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, restarts,
+                     backward: bool = False, dual: bool = False) -> _Flow:
     """The Hamiltonian flow Z = [X; Y] read as R = Y X^{-1}, restarted.
 
-    R is X Y^{-1} instead if `dual`.  Z' = H Z runs by the step maps of
-    `step` from [I; R0] ([R0; I] if `dual`) at grid[0] (grid[-1] if
+    If `dual`, R is X Y^{-1} instead, and the step is the (2,2) Pade map of
+    a Magnus step (`ode._pade_maps`) in place of RK4 (`ode._rk4_maps`).
+    Z' = H Z runs from [I; R0] ([R0; I] if `dual`) at grid[0] (grid[-1] if
     backward) and restarts from [I; R_k] ([R_k; I]) after every `block`
-    intervals (`_reanchor_block`).  Returns (R, X, drift): R and the
-    denominator block X (Y if `dual`) at every node, and the worst
-    asymmetry that symmetrizing R absorbed.  Block i
-    spans nodes i*block to (i+1)*block and is anchored at its end if
-    backward, at its start if not; X at a node is the propagator of A - S R
-    (Y that of -(A + R Q)') from the anchor of the block that holds the
-    node past its anchor (I at the first anchor).
+    intervals, where `restarts` is (block, spans) of `_reanchor_block`.
+    Block i spans nodes i*block to (i+1)*block and is anchored at its end
+    if backward, at its start if not; the carrier X at a node is the
+    propagator of A - S R (Y that of -(A + R Q)') from the anchor of the
+    block that holds the node past its anchor (I at the first anchor).
+    Raises IntegrationBlowupError, before the sweep, at the first interval
+    met whose h rho(H) in `spans` exceeds the step's `_STEP_BOUNDS`.
     """
+    block, spans = restarts
+    bound = _STEP_BOUNDS[dual]
+    bad = np.flatnonzero(spans > bound)
+    if bad.size:  # build_grid's intervals are at most 1.25 (T - t0) / steps
+        k = bad[-1] if backward else bad[0]
+        t = float(grid[k + (not backward)])
+        rho = np.max(spans[bad] / np.diff(grid)[bad])
+        steps = np.ceil(1.25 * (grid[-1] - grid[0]) * rho / bound)
+        raise IntegrationBlowupError(
+            f"integration blew up at t={t}: one step spans h*rho(H) = {spans[k]:.4g}, more "
+            f"than the {'Pade' if dual else 'RK4'} step resolves ({bound:g}); "
+            f"{steps:.6g} steps resolve it", time=t)
     n = R0.shape[0]
     eye = np.eye(n)
     num, den = _ratio_blocks(n, dual)
@@ -190,68 +245,21 @@ def _reanchored_flow(grid: np.ndarray, H_tab, R0: np.ndarray, block: int,
     n_int = grid.size - 1
     R = np.empty((grid.size, n, n))
     X = np.empty((grid.size, n, n))
-    R[-1 if backward else 0] = R0
-    X[-1 if backward else 0] = eye
+    start = n_int if backward else 0
+    R[start] = R0
+    X[start] = eye
     starts = range(0, n_int, block)
     drift = 0.0
     for k0 in (reversed(starts) if backward else starts):
         k1 = min(k0 + block, n_int)
         anchor[num] = R[k1 if backward else k0]
         Z = _affine_sweep(grid[k0:k1 + 1], tuple(H[k0:k1] for H in H_tab), anchor,
-                          backward=backward, step=step)
+                          backward=backward, step=_pade_maps if dual else _rk4_maps)
         inner, Z = (slice(k0, k1), Z[:-1]) if backward else (slice(k0 + 1, k1 + 1), Z[1:])
         R[inner], d = _symmetrized(_ratio_from_flow(grid[inner], Z[:, num], Z[:, den], backward))
         drift = max(drift, d)
         X[inner] = Z[:, den]
-    return R, X, drift
-
-
-@dataclass(frozen=True)
-class _Flows:
-    """The J and P flows on a grid: J and P at the nodes, the asymmetry the
-    symmetrization of J absorbed, and the X blocks of both flows, restarted
-    every `block` intervals (see `_reanchored_flow`)."""
-
-    drift_J: float
-    J: np.ndarray
-    P: np.ndarray
-    X_J: np.ndarray
-    X_P: np.ndarray
-    block: int
-
-    def carry(self, k: int, value: np.ndarray, right: bool, nodes) -> np.ndarray:
-        """K at `nodes` (a slice or increasing node indices, on the walk from
-        node k: k..end along F if right, 0..k along G if not), from its
-        value at node k: one solve where the walk enters a block, up to the
-        farthest node asked for, and one product per node."""
-        X = self.X_J if right else self.X_P
-        end = X.shape[0] - 1 if right else 0
-        at = np.arange(X.shape[0])[nodes]
-        if at.size == 0:
-            return np.empty((0,) + value.shape)
-        walk = np.arange(k, at[-1] + 1) if right else np.arange(k, at[0] - 1, -1)
-        enter = (walk % self.block == 0) & (walk != k) & (walk != end)
-        carries = [np.linalg.solve(X[k], value)]  # K at the block anchors
-        for c in walk[enter]:
-            carries.append(np.linalg.solve(X[c], carries[-1]))
-        out = X[nodes] @ np.stack(carries)[np.cumsum(enter)[np.abs(at - k)]]
-        out[at == k] = value
-        return out
-
-
-def _solve_flows(problem: LQProblem, grid: np.ndarray, H_tab, block: int) -> _Flows:
-    """The J and P flows on `grid` through its Hamiltonian table `H_tab`
-    (`_hamiltonian_table`), restarted every `block` intervals
-    (`_reanchor_block`): J backward from J(T) = J_T, then P forward from
-    P(t0) = 0 (the flow runs on -P).  Raises IntegrationBlowupError at the
-    first node met where X is singular or a ratio non-finite,
-    PositivityLostError (before P runs) where J is not positive definite."""
-    n = problem.state_dim
-    J, X_J, drift = _reanchored_flow(grid, H_tab, problem.J_T, block, backward=True)
-    _check_positive(grid, J, "J")
-    minus_P, X_P, _ = _reanchored_flow(grid, H_tab, np.zeros((n, n)), block)
-    P = np.negative(minus_P, out=minus_P)
-    return _Flows(drift, J, P, X_J, X_P, block)
+    return _Flow(R, X, drift, block, start)
 
 
 def _riccati_solution(grid: np.ndarray, H_tab, R: np.ndarray, dual: bool) -> DenseSolution:
@@ -268,22 +276,6 @@ def _riccati_solution(grid: np.ndarray, H_tab, R: np.ndarray, dual: bool) -> Den
         return LR + LR.swapaxes(-1, -2) + H[:, a, b]
 
     return DenseSolution(grid, R[:-1], R[1:], rhs(H_tab[0], R[:-1]), rhs(H_tab[2], R[1:]))
-
-
-def _dual_riccati_on(problem: LQProblem, grid: np.ndarray, H_tab,
-                     block: int) -> tuple[DenseSolution, float]:
-    """M on `grid`, backward from M(T) = J_T^{-1}, as X Y^{-1} of the flow
-    of the grid's Hamiltonian table `H_tab` (`_hamiltonian_table`) under
-    Magnus-Pade steps, restarted every `block` intervals
-    (`_reanchor_block`) and symmetrized at the nodes.  Returns (M, drift),
-    the worst asymmetry absorbed.  Raises IntegrationBlowupError at the
-    first node met where Y is singular or M non-finite,
-    PositivityLostError where M is not positive definite."""
-    M, Y, drift = _reanchored_flow(grid, H_tab, spd_inverse(problem.J_T), block,
-                                   backward=True, step=_pade_maps, dual=True)
-    del Y  # M is read as a ratio only
-    _check_positive(grid, M, "M")
-    return _riccati_solution(grid, H_tab, M, dual=True), drift
 
 
 def solve_adjoint(problem: LQProblem, xbar: DenseSolution) -> DenseSolution:

@@ -242,12 +242,25 @@ def test_verify_draws_replay_random_trajectory(monkeypatch):
 
 
 def test_verify_solves_the_flows_once(monkeypatch):
-    # the pool times are grid nodes, so no column time re-solves the J and P flows
+    # the pool times are grid nodes, so no column time re-solves a flow: J,
+    # M and P run once each, in the order the checks read them
     from lqkernel import kernel
     calls = []
-    _recording(monkeypatch, kernel, "_solve_flows", calls)
+    _recording(monkeypatch, kernel, "_reanchored_flow", calls)
     run_verification(random_problem(np.random.default_rng([4, 3])), 11, 300)
-    assert len(calls) == 1
+    assert [args[4:] for args in calls] == [(True, False), (True, True), (False, False)]
+
+
+def test_riccati_solves_no_p_flow(tmp_path, monkeypatch):
+    # the command reads J and M only: J backward, then M as the dual flow,
+    # and no flow forward from t0
+    from lqkernel import kernel
+    calls = []
+    _recording(monkeypatch, kernel, "_reanchored_flow", calls)
+    rc = main(["riccati", str(_BUNDLED / "switched_tracking.json"), "--steps", "400",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    assert [args[4:] for args in calls] == [(True, False), (True, True)]
 
 
 def test_verify_sizes_the_restarts_once(monkeypatch):
@@ -289,7 +302,14 @@ def test_solve_builds_one_table_and_never_j_derivatives(method, tmp_path, capsys
     tables, dense_J = [], []
     for module in (kernel, riccati):
         _recording(monkeypatch, module, "_hamiltonian_table", tables)
-    _recording(monkeypatch, kernel, "_riccati_solution", dense_J)
+    original = kernel._riccati_solution
+
+    def recorded(grid, H_tab, R, dual):
+        if not dual:  # M's node derivatives are built by the same routine
+            dense_J.append(R)
+        return original(grid, H_tab, R, dual)
+
+    monkeypatch.setattr(kernel, "_riccati_solution", recorded)
     pins = ["--constraints", "[[0, [1, 0]], [0.6, [0, 1]], [1.2, [-1, 0]]]"]
     rc = main(["solve", str(_BUNDLED / "switched_tracking.json"), "--method", method,
                "--steps", "400", "--out", str(tmp_path / "traj.csv"),

@@ -235,14 +235,14 @@ def test_kernel_trajectory_walks_each_half_of_the_grid_once(monkeypatch):
     pins = np.linspace(p.t0, p.T, 7)[1:-1]
     op = KernelOperator(p, 400, extra_nodes=pins)
     carried = []
-    original = riccati._Flows.carry
+    original = riccati._Flow.carry
 
-    def counting(flows, k, value, right, nodes):
-        out = original(flows, k, value, right, nodes)
+    def counting(flow, k, value, nodes):
+        out = original(flow, k, value, nodes)
         carried.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(riccati._Flows, "carry", counting)
+    monkeypatch.setattr(riccati._Flow, "carry", counting)
     kernel_trajectory(op, [(float(t), np.ones(8)) for t in pins])
     assert 0 < sum(carried) <= 2 * (op.grid.size - 1)
 
@@ -679,7 +679,7 @@ def test_entries_and_gram_are_the_section_values_bit_for_bit(case):
         ops.append(KernelOperator(p, steps))
     for op in ops:
         if case == "restarted":
-            assert op._flows.block < op.grid.size // 10
+            assert op._J_flow.block < op.grid.size // 10
         # the reference is the whole carried section, read where asked
         want = np.stack([_section(op, float(t)).eval_many(times) for t in times], axis=1)
         assert np.array_equal(op.entries(times), want)

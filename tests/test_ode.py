@@ -455,11 +455,11 @@ def test_sweep_temporaries_stay_within_the_slab_budget(monkeypatch):
     problem = random_problem(np.random.default_rng(8), state_dim=8, input_dim=4)
     grid = build_grid(problem.t0, problem.T, 4000, problem.breakpoints())
     H_tab, _ = riccati._hamiltonian_table(problem, grid)
-    block = riccati._reanchor_block(grid, H_tab[1])
+    restarts = riccati._reanchor_block(grid, H_tab[1])
     rng = np.random.default_rng(1)
     x0, values = rng.normal(size=(8, 10)), rng.normal(size=(6, 4, 10))
     runs = {
-        "J flow": lambda: riccati._reanchored_flow(grid, H_tab, problem.J_T, block,
+        "J flow": lambda: riccati._reanchored_flow(grid, H_tab, problem.J_T, restarts,
                                                    backward=True),
         "rollout": lambda: rollout(problem, x0, np.linspace(problem.t0, problem.T, 7),
                                    values, 4000),

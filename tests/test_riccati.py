@@ -1,19 +1,21 @@
 import dataclasses
+import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from lqkernel import riccati
-from lqkernel.cli import load_problem_file
+from lqkernel.cli import load_problem_file, main, problem_to_dict
 from lqkernel.errors import HorizonMismatchError, IntegrationBlowupError, PositivityLostError
 from lqkernel.kernel import KernelOperator
 from lqkernel.linalg import spd_inverse
 from lqkernel.model import LQProblem, MatrixSchedule
 from lqkernel.ode import _rk4_maps, build_grid, schedule_stage_table
 from lqkernel.problems import random_problem
-from lqkernel.riccati import _dual_riccati_on, solve_adjoint
+from lqkernel.riccati import solve_adjoint
 from lqkernel.solver import solve_feedback, solve_kernel
 from dense_nodes import dense_from_nodes
 from rk4_reference import rk4_increment, stage_slot, stagewise_rk4
@@ -289,7 +291,7 @@ def test_restarted_dual_flow_keeps_duality_under_fast_growth(a, d, block, bound)
     # block-swapped; M run without restarts left 1.1e-11 at (30, 30) and
     # blew up at the other two
     op = KernelOperator(_stress_problem(a, d), 4000)
-    assert op._block == block
+    assert op._J_flow.block == block
     assert np.max(op.duality_defects()[op.grid <= 5.0]) <= bound
 
 
@@ -381,12 +383,65 @@ def test_dual_riccati_blowup_reports_time():
     H_tab = riccati._hamiltonian_table(_dual_pole(0.0), grid)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationBlowupError) as direct:
-            _dual_riccati_on(_dual_pole(0.0), grid, H_tab,
-                             riccati._reanchor_block(grid, H_tab[1]))
+            riccati._reanchored_flow(grid, H_tab, np.eye(1),
+                                     riccati._reanchor_block(grid, H_tab[1]),
+                                     backward=True, dual=True)
         # the diagonal of the problem restarted at 0 solves M on [0, 2]
         with pytest.raises(IntegrationBlowupError) as restart:
             KernelOperator(_dual_pole(1.5).restricted(0.0), 40).diagonal(0.0)
     assert direct.value.time == restart.value.time == 1.0
+
+
+def _fast_scalar(a):
+    """x' = a x + u with Q = R = J_T = 1 on [0, 1], and J(0) in closed form:
+    with l = sqrt(a^2 + 1), r = a +- l and C = (1 - r1) / (1 - r2),
+    J(0) = (r1 - r2 C e^{-2 l}) / (1 - C e^{-2 l})."""
+    c = MatrixSchedule.constant
+    problem = LQProblem(1, 1, 0.0, 1.0, c([[a]]), c([[1.0]]), c([[1.0]]), c([[1.0]]), [[1.0]])
+    lam = math.sqrt(a * a + 1.0)
+    r1, r2 = a + lam, a - lam
+    decay = (1.0 - r1) / (1.0 - r2) * math.exp(-2.0 * lam)
+    return problem, (r1 - r2 * decay) / (1.0 - decay)
+
+
+def _resolving_steps(message):
+    return int(re.search(r"; (\d+) steps resolve it$", message).group(1))
+
+
+def test_riccati_refuses_a_step_that_rk4_cannot_resolve(tmp_path, capsys):
+    # h a = 160 at 200 steps, where J(0) was off by 0.74 and the command exited 0
+    problem, J0 = _fast_scalar(32000.0)
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(problem_to_dict(problem)))
+    rc = main(["riccati", str(path), "--steps", "200", "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err.strip()
+    assert rc == 3
+    assert err.startswith("numerical failure: integration blew up at t=0.995")
+    J = KernelOperator(problem, _resolving_steps(err)).J_nodes[0, 0, 0]
+    assert J == pytest.approx(J0, rel=1e-12)
+
+
+def test_dual_flow_refuses_a_step_that_pade_cannot_resolve():
+    # h a = 400 at 200 steps, where M(0) J(0) - 1 was 0.98
+    problem, J0 = _fast_scalar(80000.0)
+    with pytest.raises(IntegrationBlowupError, match=r"^integration blew up at t=0\.995") as exc:
+        KernelOperator(problem, 200).M
+    assert exc.value.time == 0.995
+    M = KernelOperator(problem, _resolving_steps(str(exc.value))).M.values[0, 0, 0]
+    assert M * J0 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_non_normal_fast_coefficients_are_not_refused():
+    # h |H|_inf = 50 flags every interval, but H is nilpotent (rho(H) = 0),
+    # so a guard on h |H|_inf alone would refuse it; J was within 7.4e-13
+    # relative of a 20000-step run at every node
+    c = MatrixSchedule.constant
+    problem = LQProblem(2, 1, 0.0, 1.0, c([[0.0, 1e4], [0.0, 0.0]]), c([[0.0], [1.0]]),
+                        c(np.zeros((2, 2))), c([[1.0]]), np.eye(2))
+    op = KernelOperator(problem, 200)
+    ref = KernelOperator(problem, 20000).J_nodes[::100]
+    gap = np.abs(op.J_nodes - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert np.max(gap) <= 1e-12
 
 
 def _mixed_kind_problems():

@@ -45,6 +45,8 @@ def test_convergence_study_runs(capsys):
     out = capsys.readouterr().out
     assert "dual Riccati flow M on a random N = 3 problem" in out
     assert "Richardson extrapolation" in out
+    # the oracle value that `verify` and `compare` read, once per problem
+    assert out.count("second-level Richardson value on 1000 cells, as verify reads it") == 2
 
 
 def test_paired_timing_runs_against_its_own_source(capsys):

@@ -72,13 +72,14 @@ def test_feedback_zero_state(p2):
 
 def test_feedback_solves_no_dual_riccati(dint, monkeypatch):
     calls = []
-    original = kernel._dual_riccati_on
+    original = kernel._reanchored_flow
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(grid, H_tab, R0, restarts, backward, dual):
+        if dual:
+            calls.append(backward)
+        return original(grid, H_tab, R0, restarts, backward, dual)
 
-    monkeypatch.setattr(kernel, "_dual_riccati_on", counted)
+    monkeypatch.setattr(kernel, "_reanchored_flow", counted)
     op = KernelOperator(dint, 300)
     res = solve_feedback(op, [1.0, 0.0])
     assert calls == []
